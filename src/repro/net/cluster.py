@@ -1210,11 +1210,18 @@ def run_durability_drill(cluster: LocalCluster, data_dir: str | Path, *,
     delivered = wave * n
     log(f"wave delivered: {delivered} messages ({wave} per node)")
 
+    # Group commit, as a count: a burst submitted to the seat in one
+    # control call is one turn there, so one fsync, not one per op.
+    cluster.call(0, "vis_burst", target=counters[0], count=8)
     applied = cluster.call(0, "status")["applied_seq"]
     cluster.wait_until(
         lambda: all(cluster.call(i, "status")["applied_seq"] >= applied
                     for i in range(n)),
         what="visibility convergence before the crash")
+    store = cluster.call(0, "status")["store"]
+    assert store["fsyncs"] < store["ops_appended"], store
+    log(f"seat node 0 persisted {store['ops_appended']} ops in "
+        f"{store['fsyncs']} fsyncs ({store['ops_per_fsync']} ops/fsync)")
     pre_dir = cluster.call(0, "directory")["snapshot"]
     report["pre_kill_applied_seq"] = applied
 

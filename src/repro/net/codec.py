@@ -75,7 +75,7 @@ class FrameKind(enum.IntEnum):
     ENVELOPE = 6     #: a routed application envelope
     BUS_SUBMIT = 7   #: origin -> sequencer: order this visibility op
     BUS_OP = 8       #: sequencer -> all: globally sequenced visibility op
-    BUS_ACK = 9      #: sequencer -> origin: submission received
+    BUS_ACK = 9      #: retired (v5 peers may still send it): decoded, ignored
     SYNC_REQ = 10    #: recovering node -> sequencer: replay log from seq
     CONTROL = 11     #: launcher -> node: control-plane request
     REPLY = 12       #: node -> launcher: control-plane response

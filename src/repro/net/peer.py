@@ -159,6 +159,9 @@ class PeerHub:
         ``(src_node, kind, payload, link)`` callback for every decoded
         frame from a handshake-complete link.  Runs on the event loop;
         exceptions are logged and the offending connection dropped.
+    on_batch_end:
+        Optional ``()`` callback after the last ``on_frame`` of each
+        inbound read batch, before the link awaits more bytes.
     on_peer_up:
         Optional ``(node)`` callback when a *node* link registers.
     on_peer_lost:
@@ -173,6 +176,7 @@ class PeerHub:
         *,
         host: str = "127.0.0.1",
         cluster_id: str = "actorspace",
+        on_batch_end: Callable[[], None] | None = None,
         on_peer_up: Callable[[int], None] | None = None,
         on_peer_lost: Callable[[int], None] | None = None,
         log: Callable[[str], None] | None = None,
@@ -189,6 +193,7 @@ class PeerHub:
         self.host = host
         self.cluster_id = cluster_id
         self.on_frame = on_frame
+        self.on_batch_end = on_batch_end
         self.on_peer_up = on_peer_up
         self.on_peer_lost = on_peer_lost
         self._log = log or (lambda text: None)
@@ -650,6 +655,8 @@ class PeerHub:
                         # frame, so SHARD_FWD consumption replenishes
                         # the window exactly like ENVELOPE does.
                         self._note_consumed(link.node)
+                if self.on_batch_end is not None:
+                    self.on_batch_end()
                 if goodbye:
                     break
                 data = await link.reader.read(65536)

@@ -13,7 +13,7 @@ Three pieces make a node process a full ActorSpace replica:
 * :class:`NetFailureDetector` — the simulator's detector narrowed to a
   single observer (this process's node); every process runs its own.
 * :class:`RemoteSequencerBus` — the PR-3 sequencer protocol spoken in
-  BUS_SUBMIT/BUS_OP/BUS_ACK/SYNC_REQ frames: submissions travel to the
+  BUS_SUBMIT/BUS_OP/SYNC_REQ frames: submissions travel to the
   sequencer node (lowest live node id), get stamped into one global
   order with per-origin FIFO holdback, and fan out to every replica.
   On sequencer death each replica independently re-elects the lowest
@@ -239,9 +239,10 @@ class RemoteSequencerBus:
         self.ops_sequenced = 0
         self.failovers = 0
         #: Optional :class:`repro.store.NodeStore`: sequenced ops are
-        #: persisted and committed *before* local delivery or fan-out
-        #: (transactional outbox), on both the sequencer and replica
-        #: paths, so a SIGKILL at any instant loses only unapplied ops.
+        #: staged with their local delivery or fan-out as the effect the
+        #: host's end-of-turn commit releases (transactional outbox), on
+        #: the sequencer and replica paths alike, so a SIGKILL at any
+        #: instant loses only ops no replica has seen.
         self.store = None
 
     # -- origin side -------------------------------------------------------------
@@ -279,8 +280,6 @@ class RemoteSequencerBus:
             # re-elects and re-drives on its own.
             return
         self.protocol_messages += 1
-        self.runtime.hub.send(op.origin_node, FrameKind.BUS_ACK,
-                              {"op_id": op.op_id})
         self._sequence(op)
 
     def _sequence(self, op: VisibilityOp) -> None:
@@ -301,9 +300,6 @@ class RemoteSequencerBus:
             self._sequenced.add((ready.origin_node, ready.origin_seq))
             self.log[seq] = ready
             self._log_high = max(self._log_high, seq)
-            if self.store is not None:
-                self.store.append_op(seq, ready)
-                self.store.commit()
             event_log = self.runtime.event_log
             if event_log is not None and event_log.enabled:
                 event_log.emit(
@@ -312,14 +308,30 @@ class RemoteSequencerBus:
                     op=ready.kind.value, origin_node=ready.origin_node,
                     origin_seq=ready.origin_seq,
                 )
-            for node in self.nodes:
-                if node == self.runtime.node_id:
-                    self._deliver_local(seq, ready)
-                else:
-                    self.protocol_messages += 1
-                    self.runtime.hub.send(node, FrameKind.BUS_OP,
-                                          {"seq": seq, "op": ready,
-                                           "shard": self.shard_id})
+            self._once_durable(
+                lambda seq=seq, op=ready: self._fan_out(seq, op), seq, ready)
+
+    def _once_durable(self, effect, *record) -> None:
+        """Run ``effect`` once ``record`` — a ``(seq, op)`` to persist,
+        if given — and everything staged before it are on disk: at the
+        host's next commit point, in staging order (at once when there
+        is no store)."""
+        if self.store is None:
+            effect()
+        elif record:
+            self.store.append_op(*record, then=effect)
+        else:
+            self.store.defer(effect)
+
+    def _fan_out(self, seq: int, op: VisibilityOp) -> None:
+        for node in self.nodes:
+            if node == self.runtime.node_id:
+                self._deliver_local(seq, op)
+            else:
+                self.protocol_messages += 1
+                self.runtime.hub.send(node, FrameKind.BUS_OP,
+                                      {"seq": seq, "op": op,
+                                       "shard": self.shard_id})
 
     # -- replica side ------------------------------------------------------------
 
@@ -328,12 +340,6 @@ class RemoteSequencerBus:
         first_sight = seq not in self.log
         self.log[seq] = op
         self._log_high = max(self._log_high, seq)
-        if self.store is not None and first_sight:
-            # Outbox on the replica path too: the op is durable here
-            # before the coordinator applies it, so this replica's
-            # recovery never depends on the sequencer's disk.
-            self.store.append_op(seq, op)
-            self.store.commit()
         self._sequenced.add((op.origin_node, op.origin_seq))
         self._expected[op.origin_node] = max(
             self._expected.get(op.origin_node, 0), op.origin_seq + 1)
@@ -351,6 +357,14 @@ class RemoteSequencerBus:
             else:
                 coordinator._next_origin_seq = max(
                     coordinator._next_origin_seq, op.origin_seq + 1)
+        # Outbox on the replica path too: the op is durable here before
+        # the coordinator applies it, so this replica's recovery never
+        # depends on the sequencer's disk.  A replayed duplicate is not
+        # persisted twice, but still queues behind its first copy.
+        record = (seq, op) if first_sight else ()
+        self._once_durable(lambda: self._deliver_remote(seq, op), *record)
+
+    def _deliver_remote(self, seq: int, op: VisibilityOp) -> None:
         self._deliver_local(seq, op)
         if self._applied_cursor() <= seq:
             # This op landed beyond the applied cursor: some earlier seq
@@ -358,9 +372,6 @@ class RemoteSequencerBus:
             # the sequencer to replay the hole after a debounce — the
             # stream self-heals instead of stalling at the gap forever.
             self._schedule_gap_sync()
-
-    def on_ack(self, op_id: int) -> None:
-        """Sequencer acknowledged receipt (advisory; dedup is by log)."""
 
     def _applied_cursor(self) -> int:
         """How far this replica has applied *this shard's* stream."""
@@ -407,12 +418,21 @@ class RemoteSequencerBus:
              "shard": self.shard_id})
 
     def on_sync_req(self, node: int, from_seq: int, shard: int = 0) -> None:
-        """Replay every logged op >= ``from_seq`` back to ``node``."""
-        for seq in sorted(s for s in self.log if s >= from_seq):
-            self.protocol_messages += 1
-            self.runtime.hub.send(node, FrameKind.BUS_OP,
-                                  {"seq": seq, "op": self.log[seq],
-                                   "shard": self.shard_id})
+        """Replay every logged op >= ``from_seq`` back to ``node``.
+
+        The log is dense up to ``_log_high`` bar lost frames: walk the
+        range and skip holes, no sort per request.  The replay queues
+        behind this turn's commit — the log may hold staged ops.
+        """
+        def replay() -> None:
+            for seq in range(max(from_seq, 0), self._log_high + 1):
+                op = self.log.get(seq)
+                if op is not None:
+                    self.protocol_messages += 1
+                    self.runtime.hub.send(node, FrameKind.BUS_OP,
+                                          {"seq": seq, "op": op,
+                                           "shard": self.shard_id})
+        self._once_durable(replay)
 
     def on_peer_up(self, node: int) -> None:
         """A peer link registered; catch up if it holds our sequencer role."""
@@ -552,9 +572,6 @@ class ShardedRemoteBus:
 
     def on_op(self, seq: int, op: VisibilityOp) -> None:
         self.shards[op.shard].on_op(seq, op)
-
-    def on_ack(self, op_id: int) -> None:
-        pass  # advisory in the single-shard bus too
 
     def on_sync_req(self, node: int, from_seq: int, shard: int = 0) -> None:
         self.shards[shard].on_sync_req(node, from_seq)

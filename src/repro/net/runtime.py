@@ -310,6 +310,7 @@ class NodeRuntime:
         hub_kw = {} if credit_window is None else {"credit_window": credit_window}
         self.hub = PeerHub(
             node_id, ports, self._on_frame, host=host, cluster_id=cluster_id,
+            on_batch_end=self._commit_turn,
             on_peer_up=self._on_peer_up, log=self._log,
             metrics=self.metrics, clock=lambda: self.clock.now, **hub_kw)
         self._wake: asyncio.Event | None = None
@@ -382,6 +383,10 @@ class NodeRuntime:
             # periodic snapshot fires.
             if self.recovery is not None:
                 self.write_snapshot_now()
+        #: Every store this node appends to; the dead-letter journal
+        #: last, since the shard logs' effects may append to it.
+        self._stores = [*self.shard_stores.values(), self.store] \
+            if self.store is not None else []
 
     # -- durability --------------------------------------------------------------
 
@@ -437,6 +442,18 @@ class NodeRuntime:
             self.event_log.emit("node_recovered", self.clock.now,
                                 self.node_id, **self.recovery)
             self._log(f"recovered from {data_dir}: {self.recovery}")
+
+    def _commit_turn(self) -> None:
+        """The commit point, at the end of every inbound read batch and
+        every burst of due events: one ``write()`` + ``fsync()`` per
+        store touched, then its staged effects (which may stage more)."""
+        try:
+            while dirty := [s for s in self._stores if s.dirty]:
+                for store in dirty:
+                    store.commit()
+                    store.arm_sync(self.events, self.clock.now)
+        except Exception as exc:  # noqa: BLE001 - keep serving
+            self._log(f"commit failed: {exc!r}")
 
     def write_snapshot_now(self) -> str | None:
         """Write a directory snapshot and truncate superseded segments."""
@@ -590,13 +607,12 @@ class NodeRuntime:
             self.bus.on_submit(src, payload["op"])
         elif kind == FrameKind.BUS_OP:
             self.bus.on_op(payload["seq"], payload["op"])
-        elif kind == FrameKind.BUS_ACK:
-            self.bus.on_ack(payload["op_id"])
         elif kind == FrameKind.SYNC_REQ:
             self.bus.on_sync_req(payload["node"], payload["from_seq"],
                                  payload.get("shard", 0))
         elif kind == FrameKind.CONTROL:
             self._on_control(payload, link)
+        # BUS_ACK is retired; one from an older peer is ignored here.
 
     def _on_peer_up(self, node: int) -> None:
         """A node link registered (first connect or reconnect)."""
@@ -698,8 +714,10 @@ class NodeRuntime:
                         self.clock.unpin()
                     processed += 1
                     if processed % 64 == 0:
+                        self._commit_turn()
                         await asyncio.sleep(0)
                 continue
+            self._commit_turn()
             wait = self.heartbeat_interval if due is None \
                 else min(max(due - now, 0.0) + 0.001, self.heartbeat_interval)
             self._wake.clear()
@@ -707,6 +725,7 @@ class NodeRuntime:
                 await asyncio.wait_for(self._wake.wait(), wait)
             except asyncio.TimeoutError:
                 pass
+        self._commit_turn()  # the burst that asked to stop is a turn too
 
     # -- control plane -----------------------------------------------------------
 
@@ -757,6 +776,16 @@ class NodeRuntime:
             for k, bus in sorted(self.bus.shards.items())
         }
 
+    def _store_status(self) -> dict | None:
+        """Store counters; ``ops_per_fsync`` spans every store written."""
+        if self.store is None:
+            return None
+        snaps = [store.metrics_snapshot() for store in self._stores]
+        ops = sum(snap["ops_appended"] for snap in snaps)
+        fsyncs = sum(snap["fsyncs"] for snap in snaps)
+        return {**self.store.metrics_snapshot(),
+                "ops_per_fsync": round(ops / fsyncs, 2) if fsyncs else None}
+
     def _applied_total(self) -> int:
         if self.shards == 1:
             return self.coordinator._next_apply_seq
@@ -795,8 +824,7 @@ class NodeRuntime:
                          if self.admission is not None else None,
             "clock": self.hub.clock_sync.snapshot(),
             "bus": self.bus.metrics_snapshot(),
-            "store": self.store.metrics_snapshot()
-                     if self.store is not None else None,
+            "store": self._store_status(),
             "recovery": self.recovery,
             "dlq_recovered": self.dead_letters.recovered_total,
         }

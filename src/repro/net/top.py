@@ -128,7 +128,7 @@ def _render(collector: TelemetryCollector, statuses: dict[int, dict],
     """
     now = time.monotonic()
     node_table = TextTable(
-        ["node", "actors", "pend", "infl", "dlq", "links",
+        ["node", "actors", "pend", "infl", "dlq", "ops/fsync", "links",
          "fr_in/s", "fr_out/s", "shed", "mb_shed", "adm_rej",
          "cr_stall", "b_in", "b_out", "hb_sup",
          "peak_kB", "peer offsets"],
@@ -142,7 +142,7 @@ def _render(collector: TelemetryCollector, statuses: dict[int, dict],
         snap = collector.snapshots.get(node) or {}
         hub = snap.get("hub") or {}
         if not isinstance(status, dict):
-            node_table.add_row([node, "DOWN"] + ["-"] * 15)
+            node_table.add_row([node, "DOWN"] + ["-"] * 16)
             continue
         frames_in = hub.get("frames_in", 0) or 0
         frames_out = hub.get("frames_out", 0) or 0
@@ -159,6 +159,7 @@ def _render(collector: TelemetryCollector, statuses: dict[int, dict],
             status.get("events_pending", "-"),
             status.get("in_flight", "-"),
             status.get("dlq_pending", "-"),
+            (status.get("store") or {}).get("ops_per_fsync") or "-",
             len(status.get("links", [])),
             f"{rate_in:.0f}",
             f"{rate_out:.0f}",

@@ -127,7 +127,7 @@ class Bus:
         #: deployment would truncate it at the all-applied watermark.
         self.log: dict[int, VisibilityOp] = {}
         #: Optional :class:`repro.store.NodeStore`.  When attached, every
-        #: sequenced op is persisted and committed before local delivery
+        #: sequenced op is persisted and committed before any delivery
         #: is scheduled (transactional outbox), and ``replay_to`` can
         #: fall back to disk when no live replica can source a transfer.
         self.store = None
@@ -270,12 +270,12 @@ class Bus:
             self.journal.append((self.shard_id, seq))
         if self.store is not None:
             # Transactional outbox: the op is durable before any replica
-            # sees it, so a crash can only lose ops nobody applied.
-            if op.tick is None:
-                self.store.append_op(seq, op)
-            else:
-                self.store.append_op(seq, op, tick=op.tick)
+            # sees it, so a crash can only lose ops nobody applied.  The
+            # simulator's turn is this one event, so its commit point
+            # sits right behind the append.
+            self.store.append_op(seq, op, tick=op.tick)
             self.store.commit()
+            self.store.arm_sync(self.events, self.clock.now)
         if self.event_log is not None and self.event_log.enabled:
             self.event_log.emit(
                 "bus_sequenced", self.clock.now, from_node, None,

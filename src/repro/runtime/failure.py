@@ -243,7 +243,9 @@ class DeadLetterQueue:
         self.expired_total = 0
         #: Optional :class:`repro.store.NodeStore` — when attached, the
         #: letter lifecycle (capture / resolve / expire) is journaled so
-        #: a restart re-adopts exactly the still-pending letters.
+        #: a restart re-adopts exactly the still-pending letters.  The
+        #: queue only stages records; they become durable at the host's
+        #: next commit point (the end of the turn that made them).
         self.store = None
         #: Letters re-adopted from disk by the last recovery.
         self.recovered_total = 0
@@ -272,7 +274,6 @@ class DeadLetterQueue:
         if self.store is not None:
             self.store.append_dlq_capture(
                 envelope, dst_node, reason, attempts, letter.queued_at)
-            self.store.commit()
         self.system.tracer.on_dead_letter(
             "queued", envelope, node=dst_node, t=self.system.clock.now,
             reason=reason, attempts=attempts,
@@ -315,17 +316,14 @@ class DeadLetterQueue:
             # The store only journals ids it has persisted as captured
             # (this method fires on *every* mailbox landing, captured or
             # not — the store-side guard stops the write amplification).
-            if self.store.append_dlq_resolve(envelope_id):
-                self.store.commit()
+            self.store.append_dlq_resolve(envelope_id)
 
     def _expire(self, envelope: Envelope, dst_node: int, reason: str,
                 attempts: int) -> None:
         self.expired_total += 1
         self._attempts.pop(envelope.envelope_id, None)
         if self.store is not None:
-            if self.store.append_dlq_expire(envelope.envelope_id, reason,
-                                            attempts):
-                self.store.commit()
+            self.store.append_dlq_expire(envelope.envelope_id, reason, attempts)
         self.system.tracer.on_dead_letter(
             "expired", envelope, node=dst_node, t=self.system.clock.now,
             reason=reason, attempts=attempts,

@@ -30,21 +30,35 @@ Readers salvage the longest valid prefix of each segment, report honest
 ``records_dropped`` / ``bytes_dropped`` counts for what they could not
 trust, and never raise on corrupt input (:func:`segment.scan_segments`).
 
-Durability contract (fsync-on-commit batching)
-----------------------------------------------
-Appends buffer in memory; :meth:`NodeStore.commit` writes the whole
-batch with one ``write()`` and — under the default ``fsync="commit"``
-policy — one ``fsync()``.  The write path is a transactional outbox: the
-bus persists **and commits** a sequenced op *before* delivering it to
-the local coordinator, so any state a crash can lose is state that was
-never applied.  Concretely:
+Durability contract (group commit at the host's commit point)
+-------------------------------------------------------------
+Appends buffer in memory, each with the effect that must wait for it:
+``append_op(seq, op, then=effect)``.  :meth:`NodeStore.commit` writes
+everything staged with one ``write()`` and — under the default
+``fsync="commit"`` policy — one ``fsync()``, then runs the effects in
+append order.  The write path is a transactional outbox: a sequenced
+op's fan-out and its local delivery *are* such effects, so any state a
+crash can lose is state no replica, local or remote, ever saw.
+
+The commit point belongs to the **host's loop turn**, not to the op, and
+nothing below the host decides when to sync.  A TCP node
+(``net/runtime.py::_commit_turn``) commits every store it touched at
+the end of each inbound read batch and each burst of due events: a turn
+that sequenced one op pays one fsync, a turn that sequenced twenty pays
+one.  Durability is therefore *per turn*; there is no linger timer and
+nothing to tune.  The simulator's turn is a single event, so its bus
+commits right behind each append and behaves exactly as it always did.
+The dead-letter queue only stages; its records ride the turn's commit.
 
 * ``fsync="commit"`` — every commit is fsynced.  A record returned by
   recovery was durable at the moment its commit call returned; this is
   the policy ``repro serve --data-dir`` runs with.
-* ``fsync="batch"``  — commits ``flush()`` to the OS but fsync at most
-  once per ``batch_interval`` seconds.  Survives process crashes, may
-  lose the last interval on power loss.  For benchmarks and drills.
+* ``fsync="batch"``  — commits ``flush()`` to the OS; one timer on the
+  host's event queue (``NodeStore.arm_sync``) fsyncs at most once per
+  ``batch_interval`` seconds, and no commit stays unsynced for longer
+  than one interval — also when traffic stops right after it.  Survives
+  process crashes, may lose the last interval on power loss.  For
+  benchmarks and drills.
 * ``fsync="never"``  — flush only.  Measurement baseline.
 
 Snapshots (``snapshot.py``) are epoch-stamped by the applied sequence

@@ -4,9 +4,12 @@
 layout) and exposes the transactional-outbox write path the buses and
 the dead-letter queue hook into:
 
-* ``append_op(seq, op)`` / ``commit()`` — persist a sequenced visibility
-  op.  The bus calls commit *before* delivering the op locally, so an op
-  a recovered node replays was durable before it ever applied.
+* ``append_op(seq, op, then=effect)`` / ``commit()`` — stage a sequenced
+  visibility op with the effect (fan-out, local delivery) that must wait
+  for it to be durable.  The host calls ``commit()`` once per turn: one
+  ``write()`` + ``fsync()`` for everything staged, then the effects in
+  append order — so an op a recovered node replays was durable before
+  any replica saw it.
 * ``append_dlq_*`` — journal dead-letter lifecycle events (capture,
   retry, resolve, expire).  Each carries a monotonically increasing
   event number ``n``; snapshots record the highest ``n`` folded in, so
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import os
 import re
-import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -129,7 +132,13 @@ class NodeStore:
         self.fsync = fsync
         self.segment_bytes = segment_bytes
         self.batch_interval = batch_interval
-        self._last_sync = time.monotonic()
+        #: fsync="batch": flushed-but-unsynced bytes exist / the host's
+        #: timer to sync them is armed.
+        self._unsynced = False
+        self._sync_armed = False
+        #: The outbox: effects waiting for the records staged before
+        #: them; ``commit`` releases them in append order.
+        self._effects: deque = deque()
         # DLQ journal bookkeeping: monotone event counter, plus the set
         # of envelope ids currently persisted as captured.  resolve/
         # expire records are written only for ids in this set —
@@ -144,6 +153,7 @@ class NodeStore:
         self.bytes_written = 0
         self.snapshots_written = 0
         self.segments_truncated = 0
+        self._closed_fsyncs = 0  # fsyncs paid by segments since rotated out
         self._closed_segments: list[tuple[str, int]] = []  # (path, max_op_seq)
         self._writer: SegmentWriter | None = None
         self._live_max_op_seq = -1
@@ -178,17 +188,21 @@ class NodeStore:
                                      fsync=self.fsync)
         self._next_segment_index = next_index + 1
         self._live_max_op_seq = -1
+        self._unsynced = False  # the closed segment was synced on close
         fsync_dir(self.log_dir)
 
     def _rotate(self) -> None:
         writer = self._writer
         writer.close()
+        self._closed_fsyncs += writer.fsyncs
         self._closed_segments.append((writer.path, self._live_max_op_seq))
         self._open_segment(self._next_segment_index)
 
     # -- write path ----------------------------------------------------------
 
-    def append_op(self, seq: int, op: Any, tick: "int | None" = None) -> None:
+    def append_op(self, seq: int, op: Any, tick: "int | None" = None,
+                  then=None) -> None:
+        """Stage one sequenced op; ``then`` runs once it is durable."""
         record: dict[str, Any] = {"rec": "op", "seq": seq, "op": op}
         if tick is not None:
             # Node-local monotonic sequencing tick: the merge key for
@@ -197,6 +211,17 @@ class NodeStore:
         self._writer.append(record)
         self._live_max_op_seq = max(self._live_max_op_seq, seq)
         self.ops_appended += 1
+        if then is not None:
+            self.defer(then)
+
+    def defer(self, then) -> None:
+        """Run ``then`` at the next commit, behind everything staged so far."""
+        self._effects.append(then)
+
+    @property
+    def dirty(self) -> bool:
+        """Is anything staged (records or effects) awaiting ``commit``?"""
+        return bool(self._writer.pending or self._effects)
 
     def _append_dlq(self, record: dict) -> None:
         self._dlq_seq += 1
@@ -240,21 +265,48 @@ class NodeStore:
         self._dlq_pending.update(envelope_ids)
 
     def commit(self) -> int:
-        """Make all staged appends durable per the fsync policy."""
+        """The commit point: make everything staged durable, then act on it.
+
+        One ``write()`` and (per the fsync policy) one ``fsync()`` cover
+        every append since the last commit; only then do the effects
+        staged with them run, in append order.  What an effect stages —
+        and the rest of the queue, if one raises — waits for the next.
+        """
         writer = self._writer
         before = writer.size
-        n = writer.commit()
+        try:
+            n = writer.commit()
+        except OSError:
+            self._effects.clear()  # never act on what did not reach disk
+            raise
         self.bytes_written += writer.size - before
         if n:
             self.commits += 1
-            if self.fsync == "batch":
-                now = time.monotonic()
-                if now - self._last_sync >= self.batch_interval:
-                    writer.sync()
-                    self._last_sync = now
+            self._unsynced = self.fsync == "batch"
         if writer.size >= self.segment_bytes:
             self._rotate()
+        effects = self._effects
+        for _ in range(len(effects)):
+            effects.popleft()()
         return n
+
+    def arm_sync(self, events, now: float) -> None:
+        """``fsync="batch"``: the host's timer syncs what commits flushed.
+
+        Called by the host after its commit point.  The first unsynced
+        commit arms one timer ``batch_interval`` ahead: at most one sync
+        per interval, and no commit unsynced for longer than one — also
+        when traffic stops right after it.
+        """
+        if self._unsynced and not self._sync_armed:
+            self._sync_armed = True
+            events.schedule(now + self.batch_interval, self._sync_timer)
+
+    def _sync_timer(self) -> None:
+        self._sync_armed = False
+        if self._unsynced:  # a rotation in between already synced it
+            self._writer.sync()
+            self._unsynced = False
 
     # -- snapshots + truncation ----------------------------------------------
 
@@ -322,7 +374,7 @@ class NodeStore:
             "ops_appended": self.ops_appended,
             "dlq_appended": self.dlq_appended,
             "commits": self.commits,
-            "fsyncs": writer.fsyncs if writer else 0,
+            "fsyncs": self._closed_fsyncs + (writer.fsyncs if writer else 0),
             "bytes_written": self.bytes_written,
             "snapshots_written": self.snapshots_written,
             "segments_truncated": self.segments_truncated,

@@ -141,9 +141,9 @@ class SegmentWriter:
 
     ``append`` only stages bytes; ``commit`` writes the whole batch with
     one ``write()`` and, under ``fsync="commit"``, one ``fsync()``.
-    Callers that batch several appends per commit get group commit for
-    free — this is the "fsync-on-commit batching" in the package
-    contract.
+    The one caller, :class:`~repro.store.NodeStore`, is committed by its
+    host once per loop turn, so every append of a turn shares that
+    fsync — the group commit of the package contract.
     """
 
     def __init__(self, path: str, fsync: str = "commit"):

@@ -1,9 +1,11 @@
 """Tests: NodeRuntime crash recovery from a data directory (no sockets).
 
-A single-node runtime is its own sequencer: ops sequence, persist, and
-apply synchronously in-process, so the full durability wiring — outbox
-commit, snapshot, restart, snapshot+suffix replay, origin resync — is
-testable without ever opening a socket or running ``serve``.
+A single-node runtime is its own sequencer: ops sequence and stage
+in-process, and one call to the host's commit point (``_commit_turn``,
+what ``serve`` runs at the end of every turn) persists and applies them,
+so the full durability wiring — outbox commit, snapshot, restart,
+snapshot+suffix replay, origin resync — is testable without ever
+opening a socket or running ``serve``.
 """
 
 from repro.net.runtime import NodeRuntime
@@ -26,6 +28,7 @@ def populate(runtime, tag, count=4):
         runtime.coordinator.make_visible(
             addr, f"{tag}/worker{i}", runtime.root_space, None)
         created.append(addr)
+    runtime._commit_turn()  # the turn ends: one fsync, then the applies
     return created
 
 
