@@ -96,12 +96,12 @@ def bench_recover_and_replay(n_ops: int) -> tuple[dict, dict, dict]:
 
         from repro.store.replay import canonical_state
 
-        state = {"version": 1, "applied_seq": n_ops, "origin_seq": n_ops,
+        state = {"version": 2, "applied": {0: n_ops}, "origin": {0: n_ops},
                  "addr_serial": n_ops + 1, "spaces": [], "entries": [],
                  "caps": [], "dlq": [], "dlq_counters": {},
                  "directory": canonical_state(replayer.directory)}
         t0 = time.perf_counter()
-        store.write_snapshot(n_ops, state)
+        store.write_snapshot(state, {0: store})
         snapshot_s = time.perf_counter() - t0
         store.close()
         return (

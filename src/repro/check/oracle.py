@@ -20,7 +20,7 @@ Recorded nondeterminism
 -----------------------
 
 The runtime's genuinely free choices are *recorded* and *validated*, not
-predicted: the bus log supplies the total order of visibility ops the
+predicted: the bus journal supplies the order of visibility ops the
 model replays; each ``send``'s routed receiver is captured at its first
 hop and checked for membership in the model's legal group; quarantine
 masks (detector timing) are resynced from the live replicas at each
@@ -140,19 +140,16 @@ class _Run:
                  shards: int = 1):
         self.scenario = scenario
         policy = UnmatchedPolicy[scenario.unmatched.upper()]
-        shard_kwargs = {}
-        if shards > 1:
-            # Partitioned plane under check: co-locate every shard's
-            # sequencer on node 0.  With the jitter-free equal latencies
-            # below, every replica then receives ops in exactly the
-            # cross-shard journal order the sequencing node committed, so
-            # the model can replay the journal as *the* recorded order.
-            shard_kwargs = {"shards": shards, "shard_sequencer": 0}
         self.system = ActorSpaceSystem(
             topology=Topology.lan(scenario.nodes),
             seed=scenario.seed,
             bus=scenario.bus,
-            **shard_kwargs,
+            # Co-locate every shard's sequencer on node 0.  With the
+            # jitter-free equal latencies below, every replica then
+            # receives ops in exactly the cross-shard journal order the
+            # sequencing node committed, so the model can replay the
+            # journal as *the* recorded order.
+            shards=shards, shard_sequencer=0,
             # Quantized, jitter-free latencies: every hop takes the same
             # virtual time, so events that §5.3 leaves unordered actually
             # *tie* in the queue — that is the schedule space the
@@ -177,7 +174,7 @@ class _Run:
         )
         self.report = ConformanceReport(scenario=scenario)
         self._op_cursor = 0
-        # Sharded replay mirrors the coordinators' dependency parking:
+        # Journal replay mirrors the coordinators' dependency parking:
         # spaces the model has *heard of* (live or destroyed) and vis ops
         # waiting for their containing space's ADD to cross shards.
         self._known_spaces: set[str] = set()
@@ -371,47 +368,36 @@ class _Run:
         self._compare_dead_letters(index, observables)
 
     def _apply_new_ops(self) -> None:
+        # The recorded order is the cross-shard journal ((shard,
+        # per-shard seq) at fan-out time), not a global sequence.  The
+        # cursor is a journal index.  Replicas park actor-vis ops that
+        # outran their containing space's ADD (which sequences on shard
+        # 0) and drain them when the ADD applies — mirror that
+        # reordering here, keyed on the spaces the model has heard of
+        # (tombstones count: a vis on a destroyed space applies
+        # immediately and gets rejected, exactly as on a replica).
         bus = self.system.bus
-        shards = getattr(bus, "shards", None)
-        if shards is not None:
-            # Sharded plane: the recorded order is the cross-shard
-            # journal ((shard, per-shard seq) at fan-out time), not a
-            # global sequence.  The cursor is a journal index.  Replicas
-            # park actor-vis ops that outran their containing space's
-            # ADD (which sequences on shard 0) and drain them when the
-            # ADD applies — mirror that reordering here, keyed on the
-            # spaces the model has heard of (tombstones count: a vis on
-            # a destroyed space applies immediately and gets rejected,
-            # exactly as on a replica).
-            fresh = bus.journal[self._op_cursor:]
-            if not fresh:
-                return
-            self._op_cursor = len(bus.journal)
-            ops: list[tuple[str, dict]] = []
-            for k, seq in fresh:
-                raw = shards[k].log[seq]
-                kind, args = self._translate_op(raw)
-                if (raw.shard != 0
-                        and kind in ("make_visible", "make_invisible",
-                                     "change_attributes")
-                        and args["space"] not in self._known_spaces):
-                    self._space_waiting.setdefault(
-                        args["space"], []).append((kind, args))
-                    continue
-                ops.append((kind, args))
-                if kind == "add_space":
-                    self._known_spaces.add(args["name"])
-                    ops.extend(self._space_waiting.pop(args["name"], ()))
-                elif kind == "destroy_space":
-                    self._known_spaces.add(args["name"])
-            self.model.apply_ops(ops, self._choice_for)
-            return
-        log = bus.log
-        fresh = sorted(seq for seq in log if seq >= self._op_cursor)
+        fresh = bus.journal[self._op_cursor:]
         if not fresh:
             return
-        self._op_cursor = fresh[-1] + 1
-        ops = [self._translate_op(log[seq]) for seq in fresh]
+        self._op_cursor = len(bus.journal)
+        ops: list[tuple[str, dict]] = []
+        for k, seq in fresh:
+            raw = bus.shards[k].log[seq]
+            kind, args = self._translate_op(raw)
+            if (raw.shard != 0
+                    and kind in ("make_visible", "make_invisible",
+                                 "change_attributes")
+                    and args["space"] not in self._known_spaces):
+                self._space_waiting.setdefault(
+                    args["space"], []).append((kind, args))
+                continue
+            ops.append((kind, args))
+            if kind == "add_space":
+                self._known_spaces.add(args["name"])
+                ops.extend(self._space_waiting.pop(args["name"], ()))
+            elif kind == "destroy_space":
+                self._known_spaces.add(args["name"])
         self.model.apply_ops(ops, self._choice_for)
 
     def _translate_op(self, op) -> tuple[str, dict]:
@@ -553,8 +539,8 @@ def check_scenario(scenario: Scenario, tiebreaker=None,
     ``tiebreaker`` optionally controls same-instant event ordering (see
     :mod:`repro.check.schedule`); ``inject`` optionally installs a bug
     (``inject(system) -> teardown``) for harness self-tests; ``shards``
-    runs the runtime side on a partitioned visibility plane (co-located
-    sequencers) while the model stays the unsharded §5 reference.
+    is the runtime side's stream count (co-located sequencers) while the
+    model stays the single-order §5 reference.
     """
     return _Run(scenario, tiebreaker=tiebreaker, inject=inject,
                 shards=shards).execute()

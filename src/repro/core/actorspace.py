@@ -78,8 +78,8 @@ class SpaceRecord:
         self.capability = capability
         self.node = node
         self.created_at = created_at
-        #: Home shard of this space under a partitioned visibility plane
-        #: (0 when unsharded): actor-visibility ops inside the space are
+        #: Home shard of this space on the visibility plane (always 0 on
+        #: a one-shard plane): actor-visibility ops inside the space are
         #: sequenced by this shard's sequencer.
         self.shard = shard
         self._entries: dict[MailAddress, RegistryEntry] = {}

@@ -42,9 +42,9 @@ class Directory:
                  "_quarantined", "_shard_epochs", "_mask_epoch", "sharded")
 
     def __init__(self):
-        #: True when this replica lives under a partitioned visibility
-        #: plane (set by the coordinator); gates the resolution cache's
-        #: shard-vector tier so unsharded runs pay nothing new.
+        #: True when this replica's visibility plane has more than one
+        #: shard (set by the coordinator); gates the resolution cache's
+        #: shard-vector tier, which cannot pay off with one stream.
         self.sharded = False
         self._spaces: dict[SpaceAddress, SpaceRecord] = {}
         #: Reverse index: target address -> set of spaces it is visible in.
@@ -351,43 +351,37 @@ class Directory:
     def is_visible_anywhere(self, target: MailAddress) -> bool:
         return bool(self._containers.get(target))
 
-    def purge_target(self, target: MailAddress, shard: "int | None" = None) -> int:
-        """Remove every registration of ``target`` (used when it is collected).
+    def purge_target(self, target: MailAddress, shard: int = 0) -> int:
+        """Remove ``target``'s registrations homed on ``shard`` (used when
+        it is collected).
 
-        With ``shard`` given (partitioned plane), only registries of
-        spaces *homed on that shard* are purged — the purge is fanned
-        across shards as one slice per stream, preserving the invariant
-        that a registry is mutated only by its home shard's stream (what
-        keeps the resolution cache's shard-vector tier sound).
+        The purge is fanned across the plane's shards as one slice per
+        stream, preserving the invariant that a registry is mutated only
+        by its home shard's stream (what keeps the resolution cache's
+        shard-vector tier sound); on a one-shard plane the shard-0 slice
+        is everything.
 
         Returns the number of registries it was removed from.
         """
-        if shard is None:
-            holders = self._containers.pop(target, set())
-        else:
-            holders = {
-                s for s in self._containers.get(target, ())
-                if (rec := self._spaces.get(s)) is not None
-                and rec.shard == shard
-            }
+        holders = {
+            s for s in self._containers.get(target, ())
+            if (rec := self._spaces.get(s)) is not None
+            and rec.shard == shard
+        }
         n = 0
         for space in holders:
-            rec = self._spaces.get(space)
-            if rec is not None and not rec.destroyed and rec.unregister(target):
+            rec = self._spaces[space]
+            if not rec.destroyed and rec.unregister(target):
                 n += 1
-        if shard is not None:
-            remaining = self._containers.get(target)
-            if remaining is not None:
-                remaining -= holders
-                if not remaining:
-                    del self._containers[target]
-            # The capability binding goes with the last slice to leave
-            # the target registered anywhere; the shard-0 slice also
-            # covers targets that were never registered at all.
-            if target not in self._containers:
-                if shard == 0 or holders:
-                    self._known_capabilities.pop(target, None)
-        else:
+        remaining = self._containers.get(target)
+        if remaining is not None:
+            remaining -= holders
+            if not remaining:
+                del self._containers[target]
+        # The capability binding goes with the last slice to leave the
+        # target registered anywhere; the shard-0 slice also covers
+        # targets that were never registered at all.
+        if target not in self._containers and (shard == 0 or holders):
             self._known_capabilities.pop(target, None)
         if n:
             self._op_count += 1
@@ -475,9 +469,11 @@ class Directory:
         """
         return self._op_count
 
-    def note_shard_op(self, shard: int) -> None:
-        """Record that a mutating op from ``shard``'s stream applied."""
-        self._shard_epochs[shard] = self._shard_epochs.get(shard, 0) + 1
+    def note_shard_op(self, shard: int, since: int) -> None:
+        """An op from ``shard``'s stream applied: the shard's epoch moves
+        if it mutated anything, i.e. ``op_count`` moved past ``since``."""
+        if self._op_count != since:
+            self._shard_epochs[shard] = self._shard_epochs.get(shard, 0) + 1
 
     def shard_epoch(self, shard: int) -> int:
         """Mutation epoch of one shard's slice of the directory."""

@@ -44,6 +44,7 @@ from repro.runtime.eventlog import (
     export_chrome_trace,
     validate_chrome_trace,
 )
+from repro.shard.map import ShardMap
 
 from .clocksync import ClockSync
 from .codec import (
@@ -184,9 +185,9 @@ class LocalCluster:
         self.n = nodes
         self.seed = seed
         self.heartbeat = heartbeat
-        #: Visibility-plane shard count.  ``1`` keeps the classic single
-        #: sequencer; ``>1`` partitions the directory across per-shard
-        #: sequencers (each node gets ``--shards`` on its command line).
+        #: Visibility-plane shard count: the directory is partitioned
+        #: across this many per-shard sequencers (each node gets
+        #: ``--shards`` on its command line).
         self.shards = shards
         #: Flight-recorder event logs in the node processes.  On by
         #: default for observability; benchmarks turn it off — emitting
@@ -223,13 +224,10 @@ class LocalCluster:
                 "ports": self.ports,
                 "cluster_id": self.cluster_id,
                 "launcher_pid": os.getpid(),
+                "shards": self.shards,
+                "shard_map": ShardMap(
+                    self.shards, list(range(self.n))).to_manifest(),
             }
-            if self.shards > 1:
-                from repro.shard.map import ShardMap
-
-                manifest["shards"] = self.shards
-                manifest["shard_map"] = ShardMap(
-                    self.shards, list(range(self.n))).to_manifest()
             (self.out_dir / "cluster.json").write_text(
                 json.dumps(manifest, indent=2) + "\n")
         for node in range(self.n):
@@ -254,9 +252,8 @@ class LocalCluster:
             "--cluster-id", self.cluster_id,
             "--seed", str(self.seed),
             "--heartbeat", str(self.heartbeat),
+            "--shards", str(self.shards),
         ]
-        if self.shards > 1:
-            cmd += ["--shards", str(self.shards)]
         cmd += self.node_args
         if self.data_dir is not None:
             cmd += ["--data-dir", str(self.data_dir / f"node{node}")]
@@ -1030,21 +1027,12 @@ def _replication_barrier(cluster: LocalCluster, *,
                          what: str = "visibility ops replicated") -> None:
     """Block until every (listed) node has applied what the first has.
 
-    Unsharded, one global cursor suffices.  Sharded, a summed
-    ``applied_seq`` is meaningless across nodes mid-flight (two nodes
-    can hold the same total while trailing on *different* shards), so
-    the barrier compares each shard's apply cursor separately.
+    A summed ``applied_seq`` is meaningless across nodes mid-flight (two
+    nodes can hold the same total while trailing on *different* shards),
+    so the barrier compares each shard's apply cursor separately.
     """
     members = list(nodes) if nodes is not None else list(range(cluster.n))
-    status0 = cluster.call(members[0], "status")
-    shards = status0.get("shards")
-    if shards is None:
-        applied = status0["applied_seq"]
-        cluster.wait_until(
-            lambda: all(cluster.call(i, "status")["applied_seq"] >= applied
-                        for i in members),
-            timeout=timeout, what=what)
-        return
+    shards = cluster.call(members[0], "status")["shards"]
     floors = {k: info["applied"] for k, info in shards.items()}
 
     def caught_up() -> bool:
@@ -1110,19 +1098,18 @@ def run_tcp_conformance(seeds: list[int], *, nodes: int = 3, ops: int = 10,
     means every node's directory replica and every pattern resolution
     matched the simulator exactly.
 
-    With ``shards > 1`` both sides run the partitioned visibility plane.
-    The cluster keeps the default spread seat assignment (shard k's
+    Both sides run the visibility plane on ``shards`` streams.  The
+    cluster keeps the default spread seat assignment (shard k's
     sequencer on node k mod n), so cross-shard submissions genuinely
     traverse the SHARD_FWD wire path; the quiescent end state is
     interleaving-independent, so it still has to equal the simulator's.
     """
     from repro.runtime.system import ActorSpaceSystem
 
-    sim_kw: dict[str, Any] = {"shards": shards} if shards > 1 else {}
     divergences: list[dict] = []
     for seed in seeds:
         script = _conformance_script(seed, ops)
-        oracle = ActorSpaceSystem(seed=seed, **sim_kw)
+        oracle = ActorSpaceSystem(seed=seed, shards=shards)
         oracle_snapshot, oracle_resolves = _apply_to_oracle(oracle, script)
 
         cluster = LocalCluster(nodes, seed=seed, out_dir=out_dir,
@@ -1151,8 +1138,7 @@ def run_tcp_conformance(seeds: list[int], *, nodes: int = 3, ops: int = 10,
                     })
         verdict = "MATCH" if not divergences else "DIVERGED"
         log(f"seed {seed}: tcp cluster vs oracle -> {verdict} "
-            f"({len(script) - 1} ops, {nodes} nodes"
-            + (f", {shards} shards)" if shards > 1 else ")"))
+            f"({len(script) - 1} ops, {nodes} nodes, shards={shards})")
         if divergences:
             break  # first divergence is the story; don't pile on
     return {"seeds": list(seeds), "nodes": nodes, "ops": ops,
@@ -1418,8 +1404,6 @@ def durability_main(argv: list[str]) -> int:
 
 def _probe_shard_atoms(shards: int) -> dict[int, str]:
     """One root attribute atom per shard, probed against the stable hash."""
-    from repro.shard.map import ShardMap
-
     smap = ShardMap(shards)
     atoms: dict[int, str] = {}
     index = 0

@@ -12,14 +12,17 @@ Three pieces make a node process a full ActorSpace replica:
   suspect/confirm path is now driven by genuinely missed heartbeats.
 * :class:`NetFailureDetector` — the simulator's detector narrowed to a
   single observer (this process's node); every process runs its own.
-* :class:`RemoteSequencerBus` — the PR-3 sequencer protocol spoken in
-  BUS_SUBMIT/BUS_OP/SYNC_REQ frames: submissions travel to the
-  sequencer node (lowest live node id), get stamped into one global
-  order with per-origin FIFO holdback, and fan out to every replica.
-  On sequencer death each replica independently re-elects the lowest
-  node it still believes live and re-drives its unacked submissions;
-  dedup by (origin, origin_seq) keeps re-driven ops idempotent.  A
-  recovering replica catches up by SYNC_REQ log replay.
+* :class:`RemoteSequencerBus` — the PR-3 sequencer protocol for one
+  shard's stream, spoken in SHARD_FWD/BUS_OP/SYNC_REQ frames:
+  submissions travel to the shard's sequencer node, get stamped into
+  that shard's order with per-origin FIFO holdback, and fan out to
+  every replica.  On sequencer death each replica independently
+  re-elects (the shard's home seat if live, else the lowest node it
+  still believes live) and re-drives its unacked submissions; dedup by
+  (origin, origin_seq) keeps re-driven ops idempotent.  A recovering
+  replica catches up by SYNC_REQ log replay.
+* :class:`ShardedRemoteBus` — a node's visibility plane: one
+  :class:`RemoteSequencerBus` per shard of the map (``n >= 1``).
 """
 
 from __future__ import annotations
@@ -202,21 +205,17 @@ class RemoteSequencerBus:
 
     FAILOVER_DELAY = 0.05
 
-    def __init__(self, runtime: "NodeRuntime", shard_id: int = 0,
-                 home_node: int | None = None):
+    def __init__(self, runtime: "NodeRuntime", shard_id: int, home_node: int):
         self.runtime = runtime
         self.nodes = list(runtime.nodes)
-        #: Which visibility-plane shard this bus orders (0 = the whole
-        #: plane when the node runs unsharded).
+        #: Which visibility-plane shard this bus orders.
         self.shard_id = shard_id
         #: Preferred sequencer seat (the shard map's assignment).  The
         #: role sticks here while the node is live, falls back to the
-        #: lowest live node during an outage, and returns on recovery —
-        #: with the default (lowest node) this is exactly the historical
-        #: lowest-live election.
-        self.home_node = home_node if home_node is not None else min(self.nodes)
-        self.sequencer_node = self.home_node
-        #: The sequenced log: global seq -> op (SYNC_REQ replay source).
+        #: lowest live node during an outage, and returns on recovery.
+        self.home_node = home_node
+        self.sequencer_node = home_node
+        #: The sequenced log: per-shard seq -> op (SYNC_REQ replay source).
         self.log: dict[int, VisibilityOp] = {}
         self._next_seq = 0
         #: Highest seq present in ``log`` (watermark, so a freshly
@@ -261,20 +260,17 @@ class RemoteSequencerBus:
             return
         self.protocol_messages += 1
         # An unreachable sequencer is fine: the op stays unacked and the
-        # failover/reconnect paths re-drive it.  Sharded nodes route the
-        # submission as SHARD_FWD — payload-bearing cross-shard traffic
-        # that rides the credit-controlled data class on the wire.
-        if self.runtime.shards > 1:
-            self.runtime.hub.send(self.sequencer_node, FrameKind.SHARD_FWD,
-                                  {"op": op, "shard": self.shard_id})
-        else:
-            self.runtime.hub.send(self.sequencer_node, FrameKind.BUS_SUBMIT,
-                                  {"op": op})
+        # failover/reconnect paths re-drive it.  The submission is
+        # payload-bearing traffic, so it rides the credit-controlled
+        # data class on the wire (SHARD_FWD; BUS_SUBMIT from an older
+        # peer is still handled).
+        self.runtime.hub.send(self.sequencer_node, FrameKind.SHARD_FWD,
+                              {"op": op, "shard": self.shard_id})
 
     # -- sequencer side ----------------------------------------------------------
 
     def on_submit(self, from_node: int, op: VisibilityOp) -> None:
-        """BUS_SUBMIT arrived; only meaningful if we are the sequencer."""
+        """A submission arrived; only meaningful if we are the sequencer."""
         if self.runtime.node_id != self.sequencer_node:
             # A stale submit aimed at a deposed sequencer; the origin
             # re-elects and re-drives on its own.
@@ -287,8 +283,12 @@ class RemoteSequencerBus:
         if (origin, op.origin_seq) in self._sequenced:
             return  # duplicate of a re-driven op that already made it
         # A freshly elected sequencer continues the order after the
-        # highest seq it has observed (its log mirrors the fan-out).
-        self._next_seq = max(self._next_seq, self._log_high + 1)
+        # highest seq it has observed (its log mirrors the fan-out) —
+        # and never below what it has applied: after a restart from a
+        # snapshot the log is truncated, and re-minting an applied seq
+        # would be dropped everywhere as a replay overlap.
+        self._next_seq = max(self._next_seq, self._log_high + 1,
+                             self._applied_cursor())
         self._expected.setdefault(origin, 0)
         self._holdback[(origin, op.origin_seq)] = op
         while (origin, self._expected[origin]) in self._holdback:
@@ -349,14 +349,9 @@ class RemoteSequencerBus:
             # Continue origin numbering past it, or every op this
             # process mints would collide with a pre-crash (origin,
             # origin_seq) pair and be deduped into the void.
-            coordinator = self.runtime.coordinator
-            if coordinator.router is not None:
-                floor = coordinator._origin_seqs.get(self.shard_id, 0)
-                coordinator._origin_seqs[self.shard_id] = max(
-                    floor, op.origin_seq + 1)
-            else:
-                coordinator._next_origin_seq = max(
-                    coordinator._next_origin_seq, op.origin_seq + 1)
+            origin_seqs = self.runtime.coordinator._origin_seqs
+            origin_seqs[self.shard_id] = max(
+                origin_seqs[self.shard_id], op.origin_seq + 1)
         # Outbox on the replica path too: the op is durable here before
         # the coordinator applies it, so this replica's recovery never
         # depends on the sequencer's disk.  A replayed duplicate is not
@@ -375,10 +370,7 @@ class RemoteSequencerBus:
 
     def _applied_cursor(self) -> int:
         """How far this replica has applied *this shard's* stream."""
-        coordinator = self.runtime.coordinator
-        if coordinator.router is not None:
-            return coordinator._shard_cursors.get(self.shard_id, 0)
-        return coordinator._next_apply_seq
+        return self.runtime.coordinator._shard_cursors[self.shard_id]
 
     def _deliver_local(self, seq: int, op: VisibilityOp) -> None:
         local = self._local_ops.pop(op.op_id, None)
@@ -544,13 +536,14 @@ class RemoteSequencerBus:
 
 
 class ShardedRemoteBus:
-    """N per-shard :class:`RemoteSequencerBus` instances, one facade.
+    """One :class:`RemoteSequencerBus` per shard of the map, one facade.
 
     The wire analogue of :class:`repro.shard.bus.ShardedBus`: frames
     carry the shard id (SHARD_FWD submissions, BUS_OP/SYNC_REQ payload
     keys), every shard elects and re-drives independently, and a
-    recovering replica catches up per shard.  ``op.shard`` — stamped by
-    the submitting coordinator's router — picks the inner bus.
+    recovering replica catches up per shard.  The coordinator submits
+    straight to the owning stream (``shards[op.shard]``); inbound frames
+    are dispatched on ``op.shard``.
     """
 
     def __init__(self, runtime: "NodeRuntime", shard_map):
@@ -563,9 +556,6 @@ class ShardedRemoteBus:
         }
 
     # -- frame dispatch ----------------------------------------------------------
-
-    def submit(self, op: VisibilityOp) -> None:
-        self.shards[op.shard].submit(op)
 
     def on_submit(self, from_node: int, op: VisibilityOp) -> None:
         self.shards[op.shard].on_submit(from_node, op)
@@ -590,10 +580,6 @@ class ShardedRemoteBus:
         for bus in self.shards.values():
             bus.on_peer_up(node)
 
-    def request_sync(self) -> None:
-        for bus in self.shards.values():
-            bus.request_sync()
-
     # -- rebalance ---------------------------------------------------------------
 
     def rebalance(self, shard: int, node: int) -> int:
@@ -612,9 +598,6 @@ class ShardedRemoteBus:
         return True
 
     # -- introspection -----------------------------------------------------------
-
-    def sequencer_nodes(self) -> dict[int, int]:
-        return {k: b.sequencer_node for k, b in self.shards.items()}
 
     def metrics_snapshot(self) -> dict:
         return {

@@ -10,8 +10,9 @@ wiring diagram collapsed to *one* node plus stand-ins for the others:
   the coordinator interface the runtime reaches for on *other* nodes
   (``_deliver`` becomes "serialize and send", ``crashed`` consults the
   failure detector's verdicts);
-* a :class:`~repro.net.remote.RemoteSequencerBus` ordering visibility
-  ops in frames instead of simulated latency draws;
+* a :class:`~repro.net.remote.ShardedRemoteBus` — one
+  :class:`~repro.net.remote.RemoteSequencerBus` per shard of the map —
+  ordering visibility ops in frames instead of simulated latency draws;
 * the PR-3 :class:`~repro.runtime.failure.DeadLetterQueue` and
   :class:`~repro.net.remote.NetFailureDetector`, unchanged in logic but
   driven by wall-clock heartbeats;
@@ -58,11 +59,13 @@ from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.network import Topology
 from repro.runtime.rng import RngHub
 from repro.runtime.tracing import Tracer
+from repro.shard import ShardMap, ShardRouter
+from repro.shard.merge import shard_dir
 
 from . import registry
 from .codec import FrameKind, WireError, encode_value
 from .peer import PeerHub, PeerLink
-from .remote import NetFailureDetector, RemoteSequencerBus, TcpTransport
+from .remote import NetFailureDetector, ShardedRemoteBus, TcpTransport
 
 #: Detectors on a server run effectively forever; the PR-3 horizon only
 #: exists so the *simulator* can quiesce.
@@ -265,32 +268,19 @@ class NodeRuntime:
         else:
             self.admission = None
 
+        #: Visibility-plane partition count: one sequencer per shard,
+        #: spaces routed by their root attribute atom (repro.shard).  One
+        #: shard is the same machinery with one stream.
+        self.shards = shards
+        self.shard_map = ShardMap.for_plane(shards, self.nodes,
+                                            shard_sequencer)
+        self.shard_router = ShardRouter(self.shard_map)
         self.coordinator = Coordinator(node_id, self)
         self.coordinators: list = [
             self.coordinator if n == self.node_id else RemoteNodeProxy(self, n)
             for n in self.nodes
         ]
-        #: Visibility-plane partition count.  1 = the historical single
-        #: global sequencer; >1 = one sequencer per shard, routed by the
-        #: space's root attribute atom (repro.shard).
-        self.shards = shards
-        self.shard_map = None
-        if shards > 1:
-            from repro.shard import ShardMap, ShardRouter
-
-            from .remote import ShardedRemoteBus
-
-            self.shard_map = ShardMap(shards, self.nodes)
-            if shard_sequencer is not None:
-                # Co-located seats (conformance mode): one node orders
-                # every shard, so all replicas see one arrival order.
-                self.shard_map.assignment = {
-                    k: shard_sequencer for k in range(shards)}
-            self.bus = ShardedRemoteBus(self, self.shard_map)
-            self.coordinator.router = ShardRouter(self.shard_map)
-            self.coordinator.directory.sharded = True
-        else:
-            self.bus = RemoteSequencerBus(self)
+        self.bus = ShardedRemoteBus(self, self.shard_map)
         self.dead_letters = DeadLetterQueue(self)
         self.failure_detector = NetFailureDetector(
             self, interval=heartbeat_interval,
@@ -344,104 +334,79 @@ class NodeRuntime:
         }
 
         # Durability: open the data directory, recover the previous
-        # incarnation's state, then attach the store as a transactional
-        # outbox (attachment happens *after* recovery so the replayed
+        # incarnation's state, then attach the stores as transactional
+        # outboxes (attachment happens *after* recovery so the replayed
         # suffix is not re-persisted as fresh records).
         self.data_dir = data_dir
         self.snapshot_interval = snapshot_interval
         self.store = None
         self.shard_stores: dict[int, Any] = {}
         self.recovery: dict | None = None
-        if data_dir is not None and shards > 1:
-            self._init_sharded_stores(data_dir, fsync)
-        elif data_dir is not None:
-            from repro.store import NodeStore
-            from repro.store.recovery import restore_node
-
-            self.store = NodeStore(data_dir, fsync=fsync)
-            recovered = self.store.load()
-            if not recovered.empty:
-                self.recovery = restore_node(
-                    self.node_id, self.coordinator, self.dead_letters,
-                    recovered, store=self.store)
-                self.bus.restore_log(recovered.ops)
-                # The log may be truncated below the snapshot; the
-                # persisted per-origin watermarks keep wire dedup exact
-                # even for origins whose every op predates the snapshot.
-                snap = recovered.snapshot or {}
-                for origin, floor in snap.get("expected", {}).items():
-                    self.bus._expected[origin] = max(
-                        self.bus._expected.get(origin, 0), floor)
-                self.event_log.emit(
-                    "node_recovered", self.clock.now, self.node_id,
-                    **self.recovery)
-                self._log(f"recovered from {data_dir}: {self.recovery}")
-            self.bus.store = self.store
-            self.dead_letters.store = self.store
-            # A fresh snapshot caps the recovery cost of the *next*
-            # restart even if this process dies before the first
-            # periodic snapshot fires.
-            if self.recovery is not None:
-                self.write_snapshot_now()
+        if data_dir is not None:
+            self._recover(data_dir, fsync)
         #: Every store this node appends to; the dead-letter journal
         #: last, since the shard logs' effects may append to it.
-        self._stores = [*self.shard_stores.values(), self.store] \
+        self._stores = list(dict.fromkeys(
+            [*self.shard_stores.values(), self.store])) \
             if self.store is not None else []
 
     # -- durability --------------------------------------------------------------
 
-    def _init_sharded_stores(self, data_dir: str, fsync: str) -> None:
-        """One outbox store per shard at ``data_dir/shard-K``.
+    def _recover(self, data_dir: str, fsync: str) -> None:
+        """Open the node's stores and rebuild from what they hold.
 
-        Each shard recovers independently: a shard whose store is
-        unreadable is skipped (it re-syncs from its sequencer's log over
-        the wire) and never blocks replay of the healthy shards.  The
-        top-level store keeps the dead-letter namespace.  Snapshots are
-        per-plane state and stay disabled in sharded mode — recovery is
-        per-shard log replay, merged in tick order across shards.
+        The top-level store keeps the snapshots and the dead-letter
+        journal; shard ``k``'s op log lives in its own namespace
+        (:func:`repro.shard.merge.shard_dir` — the top-level directory
+        itself on a one-shard plane).  Recovery is snapshot + each
+        shard's log suffix past that shard's snapshot cursor
+        (:func:`repro.store.recovery.restore_node`).  A shard whose
+        store is unreadable is skipped: it re-syncs from its sequencer's
+        log over the wire and never blocks replay of the healthy shards.
         """
-        from pathlib import Path
-
         from repro.store import NodeStore
+        from repro.store.recovery import restore_node
 
         self.store = NodeStore(data_dir, fsync=fsync)
-        self.store.load()
-        self.dead_letters.store = self.store
-        replayable: list[tuple[int, int, int, Any]] = []
-        shard_recovery: dict[int, int] = {}
-        for k, bus in sorted(self.bus.shards.items()):
-            shard_dir = str(Path(data_dir) / f"shard-{k}")
-            try:
-                store = NodeStore(shard_dir, fsync=fsync)
-                recovered = store.load()
-            except Exception as exc:  # noqa: BLE001 - scoped recovery
-                self._log(f"shard {k} store unreadable ({exc!r}); "
-                          f"will re-sync over the wire")
-                continue
-            if not recovered.empty and recovered.ops:
-                bus.restore_log(recovered.ops)
-                shard_recovery[k] = len(recovered.ops)
-                for seq, op in recovered.ops.items():
-                    tick = op.tick if op.tick is not None else seq
-                    replayable.append((tick, k, seq, op))
-            bus.store = store
-            self.shard_stores[k] = store
-        if replayable:
-            # Tick order is a linear extension of every per-shard order
-            # (repro.shard.merge); dependency parking in the coordinator
-            # absorbs any cross-shard ADD-before-vis races regardless.
-            replayable.sort()
-            for _tick, k, seq, op in replayable:
-                self.coordinator.on_bus_delivery(seq, op)
-                if op.origin_node == self.node_id:
-                    floor = self.coordinator._origin_seqs.get(k, 0)
-                    self.coordinator._origin_seqs[k] = max(
-                        floor, op.origin_seq + 1)
-            self.recovery = {"shards": shard_recovery,
-                             "ops_replayed": len(replayable)}
+        recovered = self.store.load()
+        opened = {data_dir: (self.store, recovered.ops)}
+        shard_ops: dict[int, dict] = {}
+        for k in self.bus.shards:
+            path = shard_dir(data_dir, self.shards, k)
+            if path not in opened:
+                try:
+                    store = NodeStore(path, fsync=fsync)
+                    opened[path] = (store, store.load().ops)
+                except Exception as exc:  # noqa: BLE001 - scoped recovery
+                    self._log(f"shard {k} store unreadable ({exc!r}); "
+                              f"will re-sync over the wire")
+                    continue
+            self.shard_stores[k], shard_ops[k] = opened[path]
+        if not recovered.empty or any(shard_ops.values()):
+            self.recovery = restore_node(
+                self.node_id, self.coordinator, self.dead_letters,
+                recovered, store=self.store, shard_ops=shard_ops)
+            # The logs may be truncated below the snapshot; the persisted
+            # per-origin watermarks keep wire dedup exact even for
+            # origins whose every op predates the snapshot.
+            expected = (recovered.snapshot or {}).get("expected", {})
+            for k, ops in shard_ops.items():
+                bus = self.bus.shards[k]
+                bus.restore_log(ops)
+                for origin, floor in expected.get(k, {}).items():
+                    bus._expected[origin] = max(
+                        bus._expected.get(origin, 0), floor)
             self.event_log.emit("node_recovered", self.clock.now,
                                 self.node_id, **self.recovery)
             self._log(f"recovered from {data_dir}: {self.recovery}")
+        for k, store in self.shard_stores.items():
+            self.bus.shards[k].store = store
+        self.dead_letters.store = self.store
+        # A fresh snapshot caps the recovery cost of the *next* restart
+        # even if this process dies before the first periodic snapshot
+        # fires.
+        if self.recovery is not None:
+            self.write_snapshot_now()
 
     def _commit_turn(self) -> None:
         """The commit point, at the end of every inbound read batch and
@@ -457,18 +422,18 @@ class NodeRuntime:
 
     def write_snapshot_now(self) -> str | None:
         """Write a directory snapshot and truncate superseded segments."""
-        if self.store is None or self.shards > 1:
+        if self.store is None:
             return None
         from repro.store.recovery import snapshot_state
 
         state = snapshot_state(
             self.node_id, self.coordinator, self.dead_letters,
-            extra={"expected": dict(self.bus._expected)})
-        path = self.store.write_snapshot(
-            self.coordinator._next_apply_seq, state)
+            extra={"expected": {k: dict(bus._expected)
+                                for k, bus in self.bus.shards.items()}})
+        path = self.store.write_snapshot(state, self.shard_stores)
         self.event_log.emit(
             "snapshot_written", self.clock.now, self.node_id,
-            applied_seq=self.coordinator._next_apply_seq)
+            applied_seq=self._applied_total())
         return path
 
     async def _snapshot_loop(self) -> None:
@@ -599,11 +564,10 @@ class NodeRuntime:
             return
         if kind == FrameKind.ENVELOPE:
             self.coordinator._deliver(payload["envelope"])
-        elif kind == FrameKind.BUS_SUBMIT:
-            self.bus.on_submit(src, payload["op"])
-        elif kind == FrameKind.SHARD_FWD:
-            # Cross-shard submission (credit-controlled data class); the
-            # op's shard stamp routes it to the right inner sequencer.
+        elif kind in (FrameKind.SHARD_FWD, FrameKind.BUS_SUBMIT):
+            # A submission (credit-controlled data class; BUS_SUBMIT is
+            # what older peers sent); the op's shard stamp routes it to
+            # the right inner sequencer.
             self.bus.on_submit(src, payload["op"])
         elif kind == FrameKind.BUS_OP:
             self.bus.on_op(payload["seq"], payload["op"])
@@ -639,8 +603,7 @@ class NodeRuntime:
                   f"peers={[n for n in self.nodes if n != self.node_id]}")
         heartbeats = asyncio.ensure_future(self._heartbeat_loop())
         snapshots = None
-        if self.store is not None and self.snapshot_interval > 0 \
-                and self.shards == 1:
+        if self.store is not None and self.snapshot_interval > 0:
             snapshots = asyncio.ensure_future(self._snapshot_loop())
         if ready is not None:
             ready.set()
@@ -663,8 +626,7 @@ class NodeRuntime:
                 try:
                     self.write_snapshot_now()
                 finally:
-                    self.store.close()
-                    for store in self.shard_stores.values():
+                    for store in self._stores:
                         store.close()
             self.event_log.close()
 
@@ -760,15 +722,13 @@ class NodeRuntime:
     def _ctl_ping(self) -> dict:
         return {"node": self.node_id, "t": self.clock.now}
 
-    def _shard_status(self) -> dict | None:
-        if self.shards == 1:
-            return None
+    def _shard_status(self) -> dict:
         cursors = self.coordinator._shard_cursors
         return {
             k: {
                 "sequencer": bus.sequencer_node,
                 "home": bus.home_node,
-                "applied": cursors.get(k, 0),
+                "applied": cursors[k],
                 "ops_sequenced": bus.ops_sequenced,
                 "log": len(bus.log),
                 "unacked": len(bus._unacked),
@@ -777,27 +737,27 @@ class NodeRuntime:
         }
 
     def _store_status(self) -> dict | None:
-        """Store counters; ``ops_per_fsync`` spans every store written."""
+        """Store counters, summed over every store this node writes."""
         if self.store is None:
             return None
         snaps = [store.metrics_snapshot() for store in self._stores]
-        ops = sum(snap["ops_appended"] for snap in snaps)
-        fsyncs = sum(snap["fsyncs"] for snap in snaps)
-        return {**self.store.metrics_snapshot(),
-                "ops_per_fsync": round(ops / fsyncs, 2) if fsyncs else None}
+        total = {key: sum(snap[key] for snap in snaps)
+                 if isinstance(value, int) else value
+                 for key, value in snaps[0].items()}
+        total["ops_per_fsync"] = round(
+            total["ops_appended"] / total["fsyncs"], 2) \
+            if total["fsyncs"] else None
+        return total
 
     def _applied_total(self) -> int:
-        if self.shards == 1:
-            return self.coordinator._next_apply_seq
-        return sum(self.coordinator._shard_cursors.values())
+        return sum(self.coordinator._shard_cursors)
 
     def _ctl_status(self) -> dict:
         return {
             "node": self.node_id,
             "applied_seq": self._applied_total(),
             "shards": self._shard_status(),
-            "shard_map_version": (self.shard_map.version
-                                  if self.shard_map is not None else None),
+            "shard_map_version": self.shard_map.version,
             "actors": len(self.coordinator.actors),
             "events_pending": len(self.events),
             "in_flight": len(self.in_flight),
@@ -945,8 +905,6 @@ class NodeRuntime:
 
     def _ctl_shard_map(self, manifest=None):
         """Read the shard map, or adopt a gossiped newer assignment."""
-        if self.shard_map is None:
-            raise WireError("node is not sharded")
         applied = False
         if manifest is not None:
             applied = self.bus.apply_map(manifest)
@@ -954,8 +912,6 @@ class NodeRuntime:
 
     def _ctl_rebalance(self, shard, seat):
         """Move ``shard``'s sequencer seat to node ``seat``, live."""
-        if self.shard_map is None:
-            raise WireError("node is not sharded")
         version = self.bus.rebalance(int(shard), int(seat))
         return {"version": version,
                 "sequencer": self.bus.shards[int(shard)].sequencer_node}

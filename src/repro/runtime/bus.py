@@ -69,7 +69,8 @@ class VisibilityOp:
     origin_node: int
     origin_seq: int = 0  #: per-(origin, shard) FIFO counter, set by the submitter
     op_id: int = field(default_factory=lambda: next(_op_ids))
-    #: Home shard under a partitioned visibility plane (0 when unsharded).
+    #: The shard whose stream sequences this op (a one-shard plane has
+    #: only shard 0).
     shard: int = 0
     #: Node-local monotonic sequencing tick, stamped when the op receives
     #: its per-shard sequence number; the cross-shard merge key for
@@ -132,11 +133,11 @@ class Bus:
         #: fall back to disk when no live replica can source a transfer.
         self.store = None
         self.disk_replays = 0
-        #: Sharding hooks, set by :class:`repro.shard.ShardedBus` when
-        #: this bus serves one shard of a partitioned plane: the shard id,
-        #: a shared cross-shard sequencing journal (appended at fan-out
-        #: time), and a shared node-local tick counter (the offline merge
-        #: key).  All ``None``/0 for a standalone bus.
+        #: Plane hooks, set by :class:`repro.shard.ShardedBus`, which
+        #: runs one bus per shard: the shard id, a shared cross-shard
+        #: sequencing journal (appended at fan-out time), and — with more
+        #: than one shard — a shared node-local tick counter (the offline
+        #: merge key).  All ``None``/0 for a standalone bus.
         self.shard_id = 0
         self.journal: "list[tuple[int, int]] | None" = None
         self.tick_counter = None

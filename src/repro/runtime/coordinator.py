@@ -63,6 +63,11 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Event priority for actor message processing (after bus traffic).
 ACTOR_PRIORITY = 0
 
+#: Ops that mutate one space's registry of actors: they ride that space's
+#: home shard and may outrun its ``ADD_SPACE`` (see ``_apply_op``).
+_ACTOR_VISIBILITY_KINDS = frozenset({
+    OpKind.MAKE_VISIBLE, OpKind.MAKE_INVISIBLE, OpKind.CHANGE_ATTRIBUTES})
+
 
 def _behavior_addresses(behavior: Behavior):
     """Conservatively enumerate mail addresses held in a behavior's state.
@@ -109,19 +114,22 @@ class Coordinator:
         self.suspended: list[Envelope] = []
         #: Persistent broadcasts originated here: [(envelope, delivered_to)].
         self.persistent: list[tuple[Envelope, set[ActorAddress]]] = []
-        #: Bus hold-back state.
-        self._next_apply_seq = 0
-        self._op_holdback: dict[int, VisibilityOp] = {}
-        self._next_origin_seq = 0
-        #: Partitioned-plane state (``None``/empty under the classic
-        #: single bus, which keeps the unsharded paths byte-identical).
-        #: The router is shared system-wide and set by the system when
-        #: ``shards > 1``; cursors/holdbacks are per-shard because each
-        #: shard carries an independent gap-free sequence.
-        self.router = None
-        self._origin_seqs: dict[int, int] = {}
-        self._shard_cursors: dict[int, int] = {}
-        self._shard_holdbacks: dict[int, dict[int, VisibilityOp]] = {}
+        #: The visibility plane's router: every plane is a ``ShardMap`` of
+        #: ``n >= 1`` streams, and the router (shared by the host's
+        #: coordinators) says which stream sequences which op.
+        self.router = system.shard_router
+        n_shards = self.router.map.n_shards
+        #: The resolution cache's shard-vector tier only pays off when
+        #: there is more than one stream an op could have arrived on.
+        self.directory.sharded = n_shards > 1
+        #: Per-stream state, indexed by shard — each shard carries an
+        #: independent gap-free sequence: the next origin seq this node
+        #: mints, the first seq not yet applied here, and the hold-back
+        #: queue of ops that arrived ahead of that cursor.
+        self._origin_seqs = [0] * n_shards
+        self._shard_cursors = [0] * n_shards
+        self._shard_holdbacks: list[dict[int, VisibilityOp]] = [
+            {} for _ in range(n_shards)]
         #: Ops parked because their containing space is not yet known at
         #: this replica (its ADD_SPACE rides a different shard's stream):
         #: space -> FIFO of waiting ops, drained when the ADD applies.
@@ -137,83 +145,57 @@ class Coordinator:
     def submit_op(self, kind: OpKind, args: dict,
                   on_rejected: Callable[[Exception], None] | None = None,
                   on_applied: Callable[[], None] | None = None) -> None:
-        """Send a visibility operation into the bus for global ordering.
+        """Send a visibility operation to its home shard's sequencer.
 
-        Under a partitioned plane the op is routed to its home shard's
-        sequencer instead; cross-cutting kinds (capability bindings,
-        purges) fan one copy into every shard's stream, with result
-        callbacks attached only to the shard-0 primary.
+        The op joins that shard's stream with per-(origin, shard) FIFO.
+        Cross-cutting kinds (capability bindings, purges) fan one copy
+        into every shard's stream; result callbacks stay with the
+        shard-0 primary, and ``fan_of`` marks the copies.
         """
-        if self.router is None:
+        router = self.router
+        if router.is_fanned(kind):
+            shards = range(router.map.n_shards)
+        else:
+            shards = (router.shard_for_op(kind, args, self.directory),)
+        streams = self.system.bus.shards
+        fan_of = None
+        for shard in shards:
             op = VisibilityOp(
                 kind=kind,
                 args=args,
                 origin_node=self.node_id,
-                origin_seq=self._next_origin_seq,
+                origin_seq=self._origin_seqs[shard],
+                shard=shard,
+                fan_of=fan_of,
                 on_rejected=on_rejected,
                 on_applied=on_applied,
             )
-            self._next_origin_seq += 1
-            self.system.bus.submit(op)
-            return
-        if self.router.is_fanned(kind):
-            primary = self._submit_to_shard(kind, args, 0, on_rejected, on_applied)
-            for shard in range(1, self.router.map.n_shards):
-                self._submit_to_shard(kind, args, shard, fan_of=primary.op_id)
-            return
-        shard = self.router.shard_for_op(kind, args, self.directory)
-        self._submit_to_shard(kind, args, shard, on_rejected, on_applied)
-
-    def _submit_to_shard(self, kind: OpKind, args: dict, shard: int,
-                         on_rejected: Callable[[Exception], None] | None = None,
-                         on_applied: Callable[[], None] | None = None,
-                         fan_of: int | None = None) -> VisibilityOp:
-        """Emit one op into ``shard``'s stream with per-(origin, shard) FIFO."""
-        origin_seq = self._origin_seqs.get(shard, 0)
-        self._origin_seqs[shard] = origin_seq + 1
-        op = VisibilityOp(
-            kind=kind,
-            args=args,
-            origin_node=self.node_id,
-            origin_seq=origin_seq,
-            shard=shard,
-            fan_of=fan_of,
-            on_rejected=on_rejected,
-            on_applied=on_applied,
-        )
-        self.system.bus.submit(op)
-        return op
+            self._origin_seqs[shard] += 1
+            streams[shard].submit(op)
+            if fan_of is None:
+                fan_of, on_rejected, on_applied = op.op_id, None, None
 
     def on_bus_delivery(self, seq: int, op: VisibilityOp) -> None:
         """Receive a sequenced op; apply in order via the hold-back queue.
 
-        Sharded replicas keep one hold-back cursor per shard (each shard's
-        ``seq`` is its own gap-free sequence); cross-shard interleaving is
-        whatever the transport produced, which is safe because ops on
-        different shards only ever touch disjoint registries (or commute —
-        see :mod:`repro.shard.router`).
+        Each shard's ``seq`` is its own gap-free sequence with its own
+        cursor; cross-shard interleaving is whatever the transport
+        produced, which is safe because ops on different shards only
+        ever touch disjoint registries (or commute — see
+        :mod:`repro.shard.router`).
         """
         if self.crashed:
             return
-        if self.router is None:
-            self._op_holdback[seq] = op
-            while self._next_apply_seq in self._op_holdback:
-                ready = self._op_holdback.pop(self._next_apply_seq)
-                self._next_apply_seq += 1
-                self._apply_op(ready)
-            return
         shard = op.shard
-        holdback = self._shard_holdbacks.setdefault(shard, {})
+        holdback = self._shard_holdbacks[shard]
         holdback[seq] = op
-        cursor = self._shard_cursors.setdefault(shard, 0)
-        while cursor in holdback:
-            ready = holdback.pop(cursor)
-            cursor += 1
-            self._shard_cursors[shard] = cursor
-            self._apply_or_park(ready)
+        cursors = self._shard_cursors
+        while (cursor := cursors[shard]) in holdback:
+            cursors[shard] = cursor + 1
+            self._apply_op(holdback.pop(cursor))
 
-    def _apply_or_park(self, op: VisibilityOp) -> None:
-        """Apply ``op``, or park it until its containing space is known.
+    def _apply_op(self, op: VisibilityOp) -> None:
+        """Apply one op to the local replica (deterministic across nodes).
 
         An actor-visibility op rides its space's home shard while the
         space's ``ADD_SPACE`` rides shard 0; a replica may see them in
@@ -223,29 +205,21 @@ class Coordinator:
         every replica — the moment the ADD applies.  Tombstoned spaces do
         not park: the authoritative answer is a rejection.
         """
-        space = op.args.get("space")
+        kind, a = op.kind, op.args
         if (
             op.shard != 0  # shard-0 ops share the ADD's stream: total order
-            and space is not None
-            and op.kind in (OpKind.MAKE_VISIBLE, OpKind.MAKE_INVISIBLE,
-                            OpKind.CHANGE_ATTRIBUTES)
-            and not self.directory.knows_space(space)
+            and kind in _ACTOR_VISIBILITY_KINDS
+            and not self.directory.knows_space(a["space"])
         ):
-            self._space_waiting.setdefault(space, []).append(op)
+            self._space_waiting.setdefault(a["space"], []).append(op)
             return
-        self._apply_op(op)
-
-    def _apply_op(self, op: VisibilityOp) -> None:
-        """Apply one op to the local replica (deterministic across nodes)."""
         tracer = self.system.tracer
         tracer.on_visibility_applied(self.node_id, op, t=self.system.clock.now)
         # Fan copies (the per-shard replicas of BIND_CAPABILITY / PURGE)
         # never fire result callbacks: the shard-0 primary owns those.
         is_origin = op.origin_node == self.node_id and op.fan_of is None
-        sharded = self.router is not None
         ops_before = self.directory.op_count
         try:
-            kind, a = op.kind, op.args
             if kind is OpKind.ADD_SPACE:
                 record = SpaceRecord(
                     a["address"], a.get("capability"), a.get("node", op.origin_node),
@@ -275,33 +249,28 @@ class Coordinator:
             elif kind is OpKind.BIND_CAPABILITY:
                 self.directory.bind_capability(a["target"], a.get("capability"))
             elif kind is OpKind.PURGE:
-                self.directory.purge_target(
-                    a["target"], shard=op.shard if sharded else None
-                )
+                self.directory.purge_target(a["target"], shard=op.shard)
             else:  # pragma: no cover - exhaustive
                 raise AssertionError(f"unknown op kind {kind}")
         except ActorSpaceError as exc:
-            if sharded and self.directory.op_count != ops_before:
-                self.directory.note_shard_op(op.shard)
+            self.directory.note_shard_op(op.shard, ops_before)
             if is_origin:
                 tracer.on_dropped(f"op_rejected:{type(exc).__name__}",
                                   node=self.node_id, t=self.system.clock.now)
                 if op.on_rejected is not None:
                     op.on_rejected(exc)
             return
-        if sharded:
-            if self.directory.op_count != ops_before:
-                self.directory.note_shard_op(op.shard)
-            if kind is OpKind.ADD_SPACE:
-                # The space exists now: drain ops that arrived on its home
-                # shard's stream before this replica knew the space, in
-                # their original (replica-independent) stream order.
-                for waiting in self._space_waiting.pop(a["address"], ()):
-                    self._apply_op(waiting)
+        self.directory.note_shard_op(op.shard, ops_before)
+        if kind is OpKind.ADD_SPACE:
+            # The space exists now: drain ops that arrived on its home
+            # shard's stream before this replica knew the space, in
+            # their original (replica-independent) stream order.
+            for waiting in self._space_waiting.pop(a["address"], ()):
+                self._apply_op(waiting)
         if is_origin and op.on_applied is not None:
             op.on_applied()
         # Visibility may have grown: reconsider messages parked here.
-        if op.kind in (OpKind.MAKE_VISIBLE, OpKind.CHANGE_ATTRIBUTES, OpKind.ADD_SPACE):
+        if kind in (OpKind.MAKE_VISIBLE, OpKind.CHANGE_ATTRIBUTES, OpKind.ADD_SPACE):
             self._recheck_parked()
 
     # ------------------------------------------------------------------
@@ -385,11 +354,11 @@ class Coordinator:
     ) -> SpaceAddress:
         """Mint a space address and replicate its creation.
 
-        ``attributes``/``parent`` are placement hints under a partitioned
-        plane: the space's home shard is the hash of its root attribute
-        atom when known, else its parent's shard (path-prefix affinity),
-        else a hash of the address.  Stamped into the op args so every
-        replica records the same home shard.
+        ``attributes``/``parent`` are placement hints: the space's home
+        shard is the hash of its root attribute atom when known, else its
+        parent's shard (path-prefix affinity), else a hash of the address.
+        A home other than the default shard 0 is stamped into the op args
+        so every replica records the same one.
         """
         address = self.addresses.new_space_address()
         args = {
@@ -398,11 +367,12 @@ class Coordinator:
             "node": self.node_id,
             "manager_factory": manager_factory or default_manager,
         }
-        if self.router is not None:
-            args["shard"] = self.router.home_shard_for_new_space(
-                address, attributes=attributes, parent=parent,
-                directory=self.directory,
-            )
+        shard = self.router.home_shard_for_new_space(
+            address, attributes=attributes, parent=parent,
+            directory=self.directory,
+        )
+        if shard:
+            args["shard"] = shard
         self.submit_op(OpKind.ADD_SPACE, args)
         return address
 

@@ -34,7 +34,7 @@ from repro.core.messages import Destination, Envelope, Message, Mode, Port, pars
 from repro.core.visibility import Directory
 
 from .admission import AdmissionControl
-from .bus import Bus, SequencerBus, TokenRingBus
+from .bus import SequencerBus, TokenRingBus
 from .clock import VirtualClock
 from .context import RuntimeContext
 from .coordinator import Coordinator
@@ -151,43 +151,34 @@ class ActorSpaceSystem:
         #: External handles pinned as GC roots by the driver.
         self._held_roots: set[MailAddress] = set()
 
+        nodes = list(self.topology.nodes)
+        # The visibility plane: a shard map of ``shards >= 1`` streams, a
+        # router shared by every coordinator, and one total-order bus per
+        # shard behind a facade (section 7.3 asks for one order per space,
+        # so how many streams carry it is a parameter of the map).
+        from repro.shard import ShardedBus, ShardMap, ShardRouter
+
+        if bus == "sequencer":
+            bus_class, bus_kwargs = SequencerBus, {
+                "service_time": sequencer_service_time}
+        elif bus == "token-ring":
+            if shards > 1:
+                raise ValueError("a partitioned plane requires bus='sequencer'")
+            bus_class, bus_kwargs = TokenRingBus, {}
+        else:
+            raise ValueError(f"unknown bus protocol {bus!r}")
+        self.shards = shards
+        self.shard_map = ShardMap.for_plane(shards, nodes, shard_sequencer)
+        self.shard_router = ShardRouter(self.shard_map)
         self.coordinators: list[Coordinator] = [
             Coordinator(n, self) for n in self.topology.nodes
         ]
-        nodes = list(self.topology.nodes)
-        #: Partitioned visibility plane (``shards > 1``): shard map,
-        #: router, and one sequencer per shard behind a bus facade.  At
-        #: ``shards == 1`` (default) every code path below is untouched.
-        self.shards = shards
-        self.shard_map = None
-        self.shard_router = None
-        if shards > 1:
-            if bus != "sequencer":
-                raise ValueError("a partitioned plane requires bus='sequencer'")
-            from repro.shard import ShardedBus, ShardMap, ShardRouter
-
-            self.shard_map = ShardMap(shards, nodes)
-            self.shard_router = ShardRouter(self.shard_map)
-            self.bus = ShardedBus(
-                nodes, self.events, self.clock, self.transport,
-                self.shard_map, sequencer_override=shard_sequencer,
-                service_time=sequencer_service_time,
-            )
-        elif bus == "sequencer":
-            self.bus: Bus = SequencerBus(nodes, self.events, self.clock,
-                                         self.transport,
-                                         service_time=sequencer_service_time)
-        elif bus == "token-ring":
-            self.bus = TokenRingBus(nodes, self.events, self.clock, self.transport)
-        else:
-            raise ValueError(f"unknown bus protocol {bus!r}")
-        self.bus.deliver = lambda node, seq, op: self.coordinators[node].on_bus_delivery(seq, op)
-        self.bus.event_log = self.event_log
-        self.bus.tracer = self.tracer
-        if self.shard_router is not None:
-            for coordinator in self.coordinators:
-                coordinator.router = self.shard_router
-                coordinator.directory.sharded = True
+        self.bus = ShardedBus(
+            nodes, self.events, self.clock, self.transport, self.shard_map,
+            bus_class,
+            deliver=lambda node, seq, op:
+                self.coordinators[node].on_bus_delivery(seq, op),
+            event_log=self.event_log, tracer=self.tracer, **bus_kwargs)
 
         #: Bounded capture of undeliverable envelopes, redelivered on
         #: recovery (self-healing delivery).
@@ -411,12 +402,9 @@ class ActorSpaceSystem:
         recovered = self.coordinators[node]
         recovered.crashed = False
         self._network_transport.recover_node(node)  # type: ignore[attr-defined]
-        if self.shard_router is not None:
-            # Per-shard state transfer: each shard replays from this
-            # replica's own cursor into that shard's stream.
-            self.bus.replay_to(node, dict(recovered._shard_cursors))
-        else:
-            self.bus.replay_to(node, recovered._next_apply_seq)
+        # Per-shard state transfer: each shard replays from this
+        # replica's own cursor into that shard's stream.
+        self.bus.replay_to(node, dict(enumerate(recovered._shard_cursors)))
         unmasked: list[Coordinator] = []
         for coordinator in self.coordinators:
             if node in coordinator.directory.quarantined_nodes:
@@ -456,11 +444,8 @@ class ActorSpaceSystem:
     def rebalance_shard(self, shard: int, node: int) -> int:
         """Move one shard's sequencer role to ``node``, live (driver op).
 
-        Returns the new shard-map version.  Only meaningful under a
-        partitioned plane (``shards > 1``).
+        Returns the new shard-map version.
         """
-        if self.shard_map is None:
-            raise ValueError("rebalance_shard requires shards > 1")
         return self.bus.rebalance(shard, node)
 
     def start_failure_detector(

@@ -1,8 +1,10 @@
-"""ShardedBus: N per-shard sequencers behind one bus-shaped facade.
+"""ShardedBus: the simulator's visibility plane, one bus per shard.
 
-The partitioned visibility plane runs one :class:`SequencerBus` per shard.
-Each shard carries a gap-free sequence of its own; there is no global
-sequence number.  Cross-shard order is reconstructed three ways:
+Every plane is a :class:`ShardMap` of ``n >= 1`` shards, and this facade
+runs one total-order bus per shard (a :class:`SequencerBus` by default;
+any :class:`~repro.runtime.bus.Bus` class at one shard).  Each shard
+carries a gap-free sequence of its own; there is no global sequence
+number.  Cross-shard order is reconstructed three ways:
 
 * **online, per replica** — coordinators apply each shard's stream through
   its own hold-back cursor, parking ops whose containing space is not yet
@@ -12,16 +14,17 @@ sequence number.  Cross-shard order is reconstructed three ways:
   pairs records the exact fan-out order at the sequencing node(s); when
   all shard sequencers are co-located (check mode) every replica observes
   precisely this order and the oracle replays it;
-* **offline** — every sequenced op is stamped with a node-local monotonic
-  *tick* from a shared counter, persisted with the op, and
-  ``repro.shard.merge`` sorts by ``(tick, shard, seq)`` — a valid linear
-  extension of all per-shard orders.
+* **offline** — with more than one stream to merge, every sequenced op is
+  stamped with a node-local monotonic *tick* from a shared counter,
+  persisted with the op, and ``repro.shard.merge`` sorts by
+  ``(tick, shard, seq)`` — a valid linear extension of all per-shard
+  orders.  One stream is its own order and stamps nothing.
 
-The facade exposes the same surface the system wires against a plain bus
-(``submit``/``deliver``/``event_log``/``tracer``/failure notifications),
-delegating to the owning shard.  ``op.shard`` is stamped by the submitting
-coordinator before ``submit``; delivery callbacks receive per-shard
-sequence numbers and recover the shard from ``op.shard``.
+Coordinators submit straight to the owning stream
+(``bus.shards[op.shard]``); the facade carries what spans streams —
+failure notifications, state transfer, rebalancing, accounting.
+Delivery callbacks receive per-shard sequence numbers and recover the
+shard from ``op.shard``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from repro.runtime.bus import SequencerBus, VisibilityOp
+from repro.runtime.bus import Bus, SequencerBus, VisibilityOp
 from repro.runtime.clock import VirtualClock
 from repro.runtime.events import EventQueue
 from repro.runtime.transport import Transport
@@ -38,7 +41,18 @@ from .map import ShardMap
 
 
 class ShardedBus:
-    """One :class:`SequencerBus` per shard plus shared ordering metadata."""
+    """One ``bus_class`` instance per shard plus shared ordering metadata.
+
+    ``deliver``/``event_log``/``tracer`` are the system's wiring, handed
+    to every shard's bus; ``bus_kwargs`` go to each ``bus_class``
+    constructor.  The seat of shard ``k`` is the map's
+    (``shard_map.sequencer_for(k)``); a protocol without a seat (the
+    token ring) ignores it.
+    """
+
+    # No per-stream attribute lives here: a stray ``bus.store = ...`` or
+    # ``bus.log`` must fail loudly, not land on the facade and be ignored.
+    __slots__ = ("map", "journal", "shards")
 
     def __init__(
         self,
@@ -47,90 +61,44 @@ class ShardedBus:
         clock: VirtualClock,
         transport: Transport,
         shard_map: ShardMap,
-        sequencer_override: int | None = None,
-        service_time: float = 0.0,
+        bus_class: type[Bus] = SequencerBus,
+        deliver: Callable[[int, int, VisibilityOp], None] | None = None,
+        event_log=None,
+        tracer=None,
+        **bus_kwargs,
     ):
-        self.nodes = list(nodes)
-        self.events = events
-        self.clock = clock
-        self.transport = transport
         self.map = shard_map
         #: Cross-shard sequencing journal: (shard, per-shard seq) in the
         #: order ops were fanned out.  With co-located sequencers this is
         #: the exact order every replica applies, which is what the
         #: conformance oracle replays.
         self.journal: list[tuple[int, int]] = []
-        self._tick_counter = itertools.count()
-        self._deliver: Callable[[int, int, VisibilityOp], None] | None = None
-        self._event_log = None
-        self._tracer = None
-        self.store = None  # per-shard stores live on the inner buses
-        self.shards: dict[int, SequencerBus] = {}
+        # The tick is the offline merge key across streams: stamped (and
+        # persisted) only when there is more than one stream to merge.
+        tick_counter = itertools.count() if shard_map.n_shards > 1 else None
+        self.shards: dict[int, Bus] = {}
         for k in range(shard_map.n_shards):
-            seq_node = (
-                sequencer_override
-                if sequencer_override is not None
-                else shard_map.sequencer_for(k)
-            )
-            inner = SequencerBus(
-                nodes, events, clock, transport,
-                sequencer_node=seq_node, service_time=service_time,
-            )
+            inner = bus_class(nodes, events, clock, transport, **bus_kwargs)
+            inner.sequencer_node = shard_map.sequencer_for(k)
             inner.shard_id = k
             inner.journal = self.journal
-            inner.tick_counter = self._tick_counter
-            self.shards[k] = inner
-
-    # -- wiring (propagated to every shard) --------------------------------------
-
-    @property
-    def deliver(self):
-        return self._deliver
-
-    @deliver.setter
-    def deliver(self, fn) -> None:
-        self._deliver = fn
-        for inner in self.shards.values():
-            inner.deliver = fn
-
-    @property
-    def event_log(self):
-        return self._event_log
-
-    @event_log.setter
-    def event_log(self, log) -> None:
-        self._event_log = log
-        for inner in self.shards.values():
-            inner.event_log = log
-
-    @property
-    def tracer(self):
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer) -> None:
-        self._tracer = tracer
-        for inner in self.shards.values():
+            inner.tick_counter = tick_counter
+            inner.deliver = deliver
+            inner.event_log = event_log
             inner.tracer = tracer
+            self.shards[k] = inner
 
     def attach_store(self, make_store) -> None:
         """Attach one store per shard.
 
         ``make_store`` is a callable ``shard -> NodeStore`` so the caller
-        chooses the on-disk layout (``data_dir/shard-K`` by convention —
-        ``repro.shard.merge.shard_dirs`` discovers it).
+        chooses the on-disk layout (``repro.shard.merge.shard_dir`` by
+        convention — ``shard_dirs`` discovers it).
         """
         for k, inner in self.shards.items():
             inner.store = make_store(k)
 
     # -- bus surface -------------------------------------------------------------
-
-    def submit(self, op: VisibilityOp) -> None:
-        """Route ``op`` to its home shard's sequencer (``op.shard``)."""
-        self.shards[op.shard].submit(op)
-
-    def live_nodes(self) -> list[int]:
-        return [n for n in self.nodes if not self.transport.node_is_down(n)]
 
     def on_node_down(self, node: int) -> None:
         for inner in self.shards.values():
@@ -185,10 +153,6 @@ class ShardedBus:
     @property
     def disk_replays(self) -> int:
         return sum(b.disk_replays for b in self.shards.values())
-
-    def sequencer_nodes(self) -> dict[int, int]:
-        """shard -> node currently holding that shard's sequencer role."""
-        return {k: b.sequencer_node for k, b in self.shards.items()}
 
     def __repr__(self):
         seats = ",".join(

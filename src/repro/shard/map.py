@@ -46,6 +46,16 @@ class ShardMap:
         #: that short-circuits on pointer identity.
         self._atom_shards: dict[str, int] = {}
 
+    @classmethod
+    def for_plane(cls, n_shards: int, nodes: Iterable[int],
+                  seat: "int | None" = None) -> "ShardMap":
+        """The map a host boots with: seats spread round-robin, or — with
+        ``seat`` — all co-located on that node (conformance mode: one
+        node orders every shard, so all replicas see one arrival order)."""
+        return cls(n_shards, nodes,
+                   None if seat is None
+                   else dict.fromkeys(range(n_shards), seat))
+
     # -- space -> shard -----------------------------------------------------
 
     def owner_of(self, atom: str) -> int:

@@ -1,10 +1,11 @@
 """Happens-before merge of per-shard persisted logs.
 
-A sharded node persists each shard's sequenced ops into its own store
-namespace (``<data-dir>/shard-K``).  There is no global sequence number
-any more — that was the point — so offline tools (``repro replay``,
-log audits, the rebalance drill's books) need a deterministic linear
-extension of the per-shard partial orders.
+A node persists each shard's sequenced ops into its own store namespace
+(``<data-dir>/shard-K``; ``<data-dir>`` itself on a one-shard plane).
+With several shards there is no global sequence number — that was the
+point — so offline tools (``repro replay``, log audits, the rebalance
+drill's books) need a deterministic linear extension of the per-shard
+partial orders.
 
 The merge key is the **tick**: a node-local monotonic counter stamped
 by the sequencing node at the moment an op receives its per-shard
@@ -18,8 +19,8 @@ counter), so sorting all shards' records by ``(tick, shard, seq)``:
   committed them — a valid linear extension of the cross-shard
   happens-before relation observed at that node, not an arbitrary one.
 
-Records persisted before sharding existed carry no tick; they fall
-back to ``tick == seq``, which is exact for a single shard.
+Records of a one-shard plane carry no tick (there is nothing to merge);
+they fall back to ``tick == seq``, which is exact for a single shard.
 """
 
 from __future__ import annotations
@@ -47,6 +48,18 @@ def shard_dirs(data_dir: str) -> dict[int, str]:
         if m:
             found[int(m.group(1))] = os.path.join(data_dir, name)
     return found or {0: data_dir}
+
+
+def shard_dir(data_dir: str, n_shards: int, shard: int) -> str:
+    """Shard ``shard``'s store namespace — the inverse of :func:`shard_dirs`.
+
+    A one-shard plane keeps its single log in ``data_dir`` itself, so it
+    writes the files an unsharded node always wrote and old data
+    directories still load.
+    """
+    if n_shards == 1:
+        return data_dir
+    return os.path.join(data_dir, f"shard-{shard}")
 
 
 def read_shard_records(shard_dir: str) -> list[tuple[int, int, Any]]:

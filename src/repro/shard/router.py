@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.addresses import MailAddress, SpaceAddress, is_space_address
+from repro.core.addresses import SpaceAddress
 from repro.core.atoms import as_paths
 from repro.runtime.bus import OpKind
 
@@ -41,12 +41,6 @@ from .map import ShardMap
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.visibility import Directory
-
-#: Op kinds the submitter replicates once per shard stream.
-FANNED_KINDS = frozenset({OpKind.BIND_CAPABILITY, OpKind.PURGE})
-
-#: Op kinds pinned to the topology shard regardless of arguments.
-TOPOLOGY_KINDS = frozenset({OpKind.ADD_SPACE, OpKind.DESTROY_SPACE})
 
 
 class ShardRouter:
@@ -98,11 +92,15 @@ class ShardRouter:
 
     def shard_for_op(self, kind: OpKind, args: dict,
                      directory: "Directory | None" = None) -> int:
-        """The shard that sequences one (non-fanned) op."""
-        if kind in TOPOLOGY_KINDS:
-            return 0
-        target: MailAddress | None = args.get("target")
-        if target is not None and is_space_address(target):
+        """The shard that sequences one (non-fanned) op.
+
+        Every submitted op passes through here and :meth:`is_fanned`, so
+        kinds are compared by identity: hashing an ``Enum`` member for a
+        set lookup is a Python-level call.
+        """
+        if kind is OpKind.ADD_SPACE or kind is OpKind.DESTROY_SPACE:
+            return 0  # topology ops: pinned regardless of arguments
+        if isinstance(args.get("target"), SpaceAddress):
             return 0  # containment edge: totally ordered on the topology shard
         space = args.get("space")
         if space is not None:
@@ -110,7 +108,8 @@ class ShardRouter:
         return 0
 
     def is_fanned(self, kind: OpKind) -> bool:
-        return kind in FANNED_KINDS
+        """Does the submitter replicate ``kind`` once per shard stream?"""
+        return kind is OpKind.BIND_CAPABILITY or kind is OpKind.PURGE
 
     def __repr__(self):
         return f"<ShardRouter shards={self.map.n_shards} hints={len(self.hints)}>"

@@ -15,8 +15,15 @@ Layout of a node's data directory::
             seg-00000001.log      append-only record segments
             seg-00000002.log
             ...
-        snapshot-000000000000000042.snap    state at applied seq 42
+        snapshot-000000000000000042.snap    state after 42 applied ops
         snapshot-*.snap.tmp                 in-progress writes (ignored)
+        shard-K/log/seg-*.log     shard K's op log (plane of several shards)
+
+A node's visibility plane is a shard map of ``n >= 1`` streams.  The
+top-level directory holds the snapshots and the dead-letter journal;
+shard K's op log lives in ``repro.shard.merge.shard_dir`` — ``shard-K``
+below it, or the top-level ``log/`` itself on a one-shard plane, which
+therefore writes exactly the files an unsharded node always wrote.
 
 Record format (``segment.py``)
 ------------------------------
@@ -61,22 +68,24 @@ The dead-letter queue only stages; its records ride the turn's commit.
   benchmarks and drills.
 * ``fsync="never"``  — flush only.  Measurement baseline.
 
-Snapshots (``snapshot.py``) are epoch-stamped by the applied sequence
-number, written to a temporary file, fsynced, then atomically
+Snapshots (``snapshot.py``) are epoch-stamped by the number of ops
+applied (summed over the shards; the state inside carries each shard's
+cursor), written to a temporary file, fsynced, then atomically
 ``rename()``d into place (the directory entry is fsynced too), so a
 crash mid-snapshot leaves the previous snapshot intact.  After a
-successful snapshot the store rotates its segment and deletes closed
-segments whose ops are entirely below the snapshot seq — log truncation
-without ever touching the live tail.
+successful snapshot each shard's store rotates its segment and deletes
+closed segments whose ops are entirely below the older retained
+snapshot's cursor for that shard — log truncation without ever touching
+the live tail.
 
-Recovery (``recovery.py``) rebuilds a node as *snapshot + log suffix
-replay*: restore the directory/managers/capabilities/DLQ from the
-snapshot, then re-drive every persisted op at or past the snapshot's
-applied seq through the coordinator's ordinary hold-back application
-path.  Origin sequence numbers and the address-factory serial are
-resynced from persisted state, so a restarted node continues minting
-where its previous incarnation stopped instead of ghost re-registering
-colliding addresses.
+Recovery (``recovery.py``) is one path for every plane: *snapshot + log
+suffix replay*.  Restore the directory/managers/capabilities/DLQ from
+the snapshot, then re-drive each shard's persisted ops at or past that
+shard's snapshot cursor through the coordinator's ordinary hold-back
+application path.  Origin sequence numbers and the address-factory
+serial are resynced from persisted state, so a restarted node continues
+minting where its previous incarnation stopped instead of ghost
+re-registering colliding addresses.
 
 On top of the same bytes, ``replay.py`` implements ``python -m repro
 replay`` — an offline deterministic time-travel debugger (``--until``,

@@ -15,8 +15,10 @@ the dead-letter queue hook into:
   event number ``n``; snapshots record the highest ``n`` folded in, so
   recovery applies only the journal suffix and a letter never
   double-adopts.
-* ``write_snapshot(applied_seq, state)`` — install a snapshot, rotate
-  the live segment, and truncate closed segments made redundant by it.
+* ``write_snapshot(state, shard_stores)`` — install a snapshot, then
+  have each shard's store rotate its live segment and truncate the
+  closed segments the retained snapshots make redundant
+  (``truncate_below``).
 
 Record shapes on disk (all values closed-world codec-encodable)::
 
@@ -37,6 +39,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
+from .recovery import upgrade_snapshot
 from .segment import ReadReport, SegmentWriter, fsync_dir, scan_segment
 from .snapshot import (
     list_snapshots,
@@ -73,7 +76,8 @@ def load_data_dir(data_dir: str) -> "RecoveredState":
     snap = load_latest_snapshot(data_dir, out.report)
     dlq_floor = 0
     if snap is not None:
-        out.snapshot_seq, out.snapshot = snap
+        out.snapshot_seq = snap[0]
+        out.snapshot = upgrade_snapshot(snap[1])
         dlq_floor = out.snapshot.get("dlq_event_seq", 0)
     events: dict[int, dict] = {}
     for path in segment_paths(data_dir):
@@ -104,7 +108,7 @@ def read_ops_from_dir(data_dir: str, from_seq: int = 0) -> list[tuple[int, Any]]
 class RecoveredState:
     """Everything ``NodeStore.load`` salvages from disk."""
 
-    snapshot_seq: int = -1            # applied_seq of the snapshot, -1 if none
+    snapshot_seq: int = -1            # ops the snapshot had applied, -1 if none
     snapshot: dict | None = None
     ops: dict[int, Any] = field(default_factory=dict)     # seq -> VisibilityOp
     dlq_events: list[dict] = field(default_factory=list)  # journal suffix, by n
@@ -155,6 +159,9 @@ class NodeStore:
         self.segments_truncated = 0
         self._closed_fsyncs = 0  # fsyncs paid by segments since rotated out
         self._closed_segments: list[tuple[str, int]] = []  # (path, max_op_seq)
+        #: shard -> cursor in the older of the two snapshots the next
+        #: ``write_snapshot`` will retain (``load`` seeds it from disk).
+        self._retained_applied: dict[int, int] | None = None
         self._writer: SegmentWriter | None = None
         self._live_max_op_seq = -1
         self._scan_existing_segments()
@@ -310,31 +317,44 @@ class NodeStore:
 
     # -- snapshots + truncation ----------------------------------------------
 
-    def write_snapshot(self, applied_seq: int, state: dict) -> str:
-        """Install a snapshot and truncate segments it supersedes.
+    def write_snapshot(self, state: dict,
+                       shard_stores: "dict[int, NodeStore]") -> str:
+        """Install a snapshot and truncate the shard logs it supersedes.
 
-        The live segment is rotated first, so every closed segment
-        predates the snapshot; a closed segment is deleted when its
-        highest op seq is below the *oldest retained* snapshot's seq —
-        not this one's.  We keep two snapshots so that recovery can fall
+        ``state`` carries the per-shard cursors (``state["applied"]``);
+        ``shard_stores`` maps shard -> the store holding that shard's op
+        log (this one, for the one-shard layout).  Each is truncated
+        below the *older retained* snapshot's cursor for its shard — not
+        this one's.  We keep two snapshots so that recovery can fall
         back past a corrupt newest one, and that fallback needs the log
-        suffix between the two snapshots to still exist.  (A deleted
-        segment's DLQ records are superseded too — every retained
-        snapshot embeds full pending-letter state and the journal
-        high-water mark.)
+        suffix between the two snapshots to still exist on every shard.
         """
+        applied = state["applied"]
         state = dict(state)
         state["dlq_event_seq"] = self._dlq_seq
-        path = write_snapshot(self.data_dir, applied_seq, state)
+        # The filename epoch orders snapshots: total ops applied.
+        path = write_snapshot(self.data_dir, sum(applied.values()), state)
         self.snapshots_written += 1
+        prune_snapshots(self.data_dir, keep=2)
+        floors = self._retained_applied or applied
+        self._retained_applied = applied
+        for shard, store in shard_stores.items():
+            store.truncate_below(floors.get(shard, 0))
+        return path
+
+    def truncate_below(self, floor: int) -> None:
+        """Rotate the live segment, then delete every closed segment
+        whose highest op seq is below ``floor``.
+
+        (A deleted segment's DLQ records are superseded too — every
+        retained snapshot embeds full pending-letter state and the
+        journal high-water mark.)
+        """
         if self._writer.pending or self._writer.size:
             self._rotate()
-        prune_snapshots(self.data_dir, keep=2)
-        snaps = list_snapshots(self.data_dir)
-        retained_floor = snaps[0][0] if snaps else applied_seq
         survivors = []
         for seg_path, max_op_seq in self._closed_segments:
-            if max_op_seq < retained_floor:
+            if max_op_seq < floor:
                 try:
                     os.remove(seg_path)
                     self.segments_truncated += 1
@@ -344,7 +364,6 @@ class NodeStore:
                 survivors.append((seg_path, max_op_seq))
         self._closed_segments = survivors
         fsync_dir(self.log_dir)
-        return path
 
     # -- read path -----------------------------------------------------------
 
@@ -354,7 +373,10 @@ class NodeStore:
         Safe to call on a live store (reads only closed bytes), but the
         intended use is at startup before any appends.
         """
-        return load_data_dir(self.data_dir)
+        recovered = load_data_dir(self.data_dir)
+        if recovered.snapshot is not None:
+            self._retained_applied = recovered.snapshot["applied"]
+        return recovered
 
     def read_ops(self, from_seq: int = 0) -> list[tuple[int, Any]]:
         """Persisted ops with seq >= from_seq, in seq order.

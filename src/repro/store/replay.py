@@ -66,7 +66,7 @@ class LogReplayer:
     def restore(self, state: dict) -> None:
         """Start from a snapshot instead of an empty world."""
         _restore_directory(self, state)
-        self.next_seq = state.get("applied_seq", 0)
+        self.next_seq = state["applied"].get(0, 0)
 
     def apply(self, seq: int, op: VisibilityOp) -> tuple[bool, str | None]:
         """Apply one op; returns (applied, rejection reason)."""

@@ -121,7 +121,7 @@ class TestRecoveryResume:
 
         system = ActorSpaceSystem(topology=Topology.lan(2), seed=9)
         store = NodeStore(str(tmp_path))
-        system.bus.store = store
+        system.bus.shards[0].store = store
         pre = system.create_actor(lambda ctx, m: None, node=1)
         system.make_visible(pre, "pre", node=1)
         system.run()
@@ -138,7 +138,7 @@ class TestRecoveryResume:
 
         recovered = load_data_dir(str(tmp_path))
         assert recovered.report.clean
-        assert len(recovered.ops) == len(system.bus.log)
+        assert len(recovered.ops) == len(system.bus.shards[0].log)
         assert check_recovered(recovered) == []
 
 

@@ -34,23 +34,23 @@ class TestDiskReplayFallback:
         system.crash_node(0)
         system.crash_node(1)
         with pytest.raises(NodeDownError):
-            system.bus.replay_to(1, 0)
+            system.bus.replay_to(1, {0: 0})
 
     def test_live_source_is_still_preferred(self, tmp_path):
         system = ActorSpaceSystem(topology=Topology.lan(2), seed=0)
-        system.bus.store = NodeStore(str(tmp_path))
+        system.bus.shards[0].store = NodeStore(str(tmp_path))
         small_workload(system)
-        system.bus.replay_to(1, 0)  # node 0 lives: ordinary transfer
+        system.bus.replay_to(1, {0: 0})  # node 0 lives: ordinary transfer
         assert system.bus.disk_replays == 0
-        system.bus.store.close()
+        system.bus.shards[0].store.close()
 
     def test_fresh_process_replays_from_disk(self, tmp_path):
         system = ActorSpaceSystem(topology=Topology.lan(2), seed=0)
         store = NodeStore(str(tmp_path))
-        system.bus.store = store
+        system.bus.shards[0].store = store
         small_workload(system)
         expected = system.directory_of(1).snapshot()
-        n_ops = len(system.bus.log)
+        n_ops = len(system.bus.shards[0].log)
         assert n_ops > 0
         store.close()
 
@@ -58,10 +58,10 @@ class TestDiskReplayFallback:
         # and a total outage — the exact case that used to be fatal.
         system2 = ActorSpaceSystem(topology=Topology.lan(2), seed=0)
         store2 = NodeStore(str(tmp_path))
-        system2.bus.store = store2
+        system2.bus.shards[0].store = store2
         system2.crash_node(0)
         system2.crash_node(1)
-        count = system2.bus.replay_to(1, 0)
+        count = system2.bus.replay_to(1, {0: 0})
         assert count == n_ops
         assert system2.bus.disk_replays == 1
         # The replica comes back and drains the scheduled deliveries.
@@ -73,11 +73,11 @@ class TestDiskReplayFallback:
     def test_disk_replay_respects_from_seq(self, tmp_path):
         system = ActorSpaceSystem(topology=Topology.lan(2), seed=0)
         store = NodeStore(str(tmp_path))
-        system.bus.store = store
+        system.bus.shards[0].store = store
         small_workload(system)
-        n_ops = len(system.bus.log)
+        n_ops = len(system.bus.shards[0].log)
         system.crash_node(0)
         system.crash_node(1)
-        count = system.bus.replay_to(1, n_ops - 1)
+        count = system.bus.replay_to(1, {0: n_ops - 1})
         assert count == 1
         store.close()

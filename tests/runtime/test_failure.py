@@ -328,10 +328,10 @@ class TestReplayLiveSource:
         system.crash_node(0)
         system.crash_node(1)
         with pytest.raises(NodeDownError):
-            system.bus.replay_to(1, 0)
+            system.bus.replay_to(1, {0: 0})
 
     def test_replay_with_empty_log_is_a_noop(self):
         system = lan(nodes=2)
         system.crash_node(0)
         system.crash_node(1)
-        assert system.bus.replay_to(1, 0) == 0  # nothing pending: no raise
+        assert system.bus.replay_to(1, {0: 0}) == 0  # nothing pending: no raise

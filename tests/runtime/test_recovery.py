@@ -56,7 +56,7 @@ class TestRecoveryStateTransfer:
         system.run()
         applied_before = system.tracer.visibility_ops_applied[1]
         # Redundant replay of everything to a live node: hold-back dedupes.
-        system.bus.replay_to(1, 0)
+        system.bus.replay_to(1, {0: 0})
         system.run()
         assert system.tracer.visibility_ops_applied[1] == applied_before
         assert system.replicas_coherent()
@@ -82,4 +82,4 @@ class TestRecoveryStateTransfer:
             a = system.create_actor(lambda ctx, m: None)
             system.make_visible(a, f"n{i}")
         system.run()
-        assert len(system.bus.log) == 4  # 4 make_visible ops sequenced
+        assert len(system.bus.shards[0].log) == 4  # 4 make_visible ops sequenced

@@ -9,8 +9,6 @@ sequencing point disappears.
 
 import zlib
 
-import pytest
-
 from repro.runtime.network import Topology
 from repro.runtime.system import ActorSpaceSystem
 
@@ -30,9 +28,8 @@ def atoms_spread(n_shards=N_SHARDS):
 
 
 def build(shards=N_SHARDS, seed=0, **kw):
-    kw2 = {"shards": shards} if shards > 1 else {}
     return ActorSpaceSystem(topology=Topology.lan(N_NODES), seed=seed,
-                            **kw2, **kw)
+                            shards=shards, **kw)
 
 
 def noop(ctx, message):
@@ -103,10 +100,14 @@ class TestShardedEqualsUnsharded:
 
 class TestRebalance:
     def test_mid_stream_rebalance_keeps_replicas_coherent(self):
-        atoms = atoms_spread()
-        system = build(shards=N_SHARDS)
+        for shards in (N_SHARDS, 1):  # one of several streams, or the only one
+            self.rebalance_mid_stream(shards)
+
+    def rebalance_mid_stream(self, shards):
+        atoms = atoms_spread(shards)
+        system = build(shards=shards)
         spaces, actors = populate(system, atoms, ops_per_space=4)
-        victim_shard = 2
+        victim_shard = shards // 2
         old_seat = system.shard_map.sequencer_for(victim_shard)
         new_seat = (old_seat + 1) % N_NODES
         sequenced_before = system.bus.shards[victim_shard].ops_sequenced
@@ -135,11 +136,6 @@ class TestRebalance:
                                             spaces[victim_shard])
         flat = {str(p) for p in visible}
         assert flat and flat <= submitted, flat
-
-    def test_rebalance_requires_partitioned_plane(self):
-        system = build(shards=1)
-        with pytest.raises(ValueError):
-            system.rebalance_shard(0, 1)
 
 
 class TestShardVectorCacheTier:

@@ -162,7 +162,7 @@ class TestBatchPolicyTail:
                                                              fsyncs):
         system = ActorSpaceSystem(topology=Topology.lan(2), seed=3)
         store = NodeStore(str(tmp_path), fsync="batch")
-        system.bus.store = store
+        system.bus.shards[0].store = store
         del fsyncs[:]
         actor = system.create_actor(lambda ctx, m: None, node=1)
         system.make_visible(actor, "svc/a")
@@ -188,7 +188,7 @@ def test_simulator_segment_bytes_are_unchanged(tmp_path, monkeypatch):
         monkeypatch.setattr(module, counter, itertools.count())
     system = ActorSpaceSystem(topology=Topology.lan(2), seed=2)
     store = NodeStore(str(tmp_path))
-    system.bus.store = store
+    system.bus.shards[0].store = store
     system.dead_letters.store = store
     hits = []
     victim = system.create_actor(lambda ctx, m: hits.append(m.payload), node=1)

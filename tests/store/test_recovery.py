@@ -22,7 +22,14 @@ from repro.store import NodeStore
 from repro.store.node_store import load_data_dir, segment_paths
 from repro.store.recovery import restore_node
 
-from .workload import log_signature, run_persisted_workload
+from .workload import (
+    attach_stores,
+    close_stores,
+    each_plane,
+    load_shard_ops,
+    log_signature,
+    run_persisted_workload,
+)
 
 
 class TestTornWriteRecovery:
@@ -33,7 +40,7 @@ class TestTornWriteRecovery:
         with tempfile.TemporaryDirectory() as tmp:
             system, store = run_persisted_workload(tmp, seed=seed, n_ops=n_ops)
             store.close()
-            expected = log_signature(system.bus.log)
+            expected = log_signature(system.bus.shards[0].log)
             segments = segment_paths(tmp)
             assert segments, "workload persisted nothing"
             # The crash: tear the newest segment at an arbitrary byte.
@@ -58,33 +65,40 @@ class TestTornWriteRecovery:
         store.close()
         recovered = load_data_dir(str(tmp_path))
         assert recovered.report.clean
-        assert log_signature(recovered.ops) == log_signature(system.bus.log)
+        assert log_signature(recovered.ops) == \
+            log_signature(system.bus.shards[0].log)
         assert check_recovered(recovered) == []
 
 
 class TestDeadLetterRecovery:
-    def test_journal_folds_back_to_live_queue(self, tmp_path):
-        system = ActorSpaceSystem(topology=Topology.lan(2), seed=1)
+    @each_plane
+    def test_journal_folds_back_to_live_queue(self, tmp_path, shards):
+        system = ActorSpaceSystem(topology=Topology.lan(2), seed=1,
+                                  shards=shards)
         store = NodeStore(str(tmp_path))
-        system.bus.store = store
+        attach_stores(system, store)
         system.dead_letters.store = store
         victim = system.create_actor(lambda ctx, m: None, node=1)
         system.make_visible(victim, "svc/victim")
+        homed = system.create_space(attributes="late0/home")  # not shard 0
+        system.make_visible(victim, "svc/homed", homed)
         system.run()
         system.crash_node(1)
         for i in range(4):
             system.send("svc/victim", ("probe", i))
         system.run()
         assert system.dead_letters.pending(1) == 4
-        store.close()
+        close_stores(system, store)
 
         # A fresh incarnation folds journal + (absent) snapshot back.
-        system2 = ActorSpaceSystem(topology=Topology.lan(2), seed=1)
+        system2 = ActorSpaceSystem(topology=Topology.lan(2), seed=1,
+                                   shards=shards)
         store2 = NodeStore(str(tmp_path))
         recovered = store2.load()
         assert len(recovered.dlq_events) == 4
-        summary = restore_node(0, system2.coordinators[0],
-                               system2.dead_letters, recovered, store=store2)
+        summary = restore_node(
+            0, system2.coordinators[0], system2.dead_letters, recovered,
+            store=store2, shard_ops=load_shard_ops(str(tmp_path), shards))
         assert summary["dlq_recovered"] == 4
         assert system2.dead_letters.recovered_total == 4
 
@@ -102,12 +116,18 @@ class TestDeadLetterRecovery:
         # The replayed ops also rebuilt the node-0 directory replica.
         assert system2.directory_of(0).snapshot() == \
             system.directory_of(0).snapshot()
+        # ...and resynced the address factory: a freshly minted address
+        # collides with nothing the previous incarnation persisted.
+        assert system2.coordinators[0].addresses.new_space_address() \
+            not in {r.address for r in system.directory_of(0).spaces()}
         store2.close()
 
-    def test_resolved_letters_are_not_readopted(self, tmp_path):
-        system = ActorSpaceSystem(topology=Topology.lan(2), seed=2)
+    @each_plane
+    def test_resolved_letters_are_not_readopted(self, tmp_path, shards):
+        system = ActorSpaceSystem(topology=Topology.lan(2), seed=2,
+                                  shards=shards)
         store = NodeStore(str(tmp_path))
-        system.bus.store = store
+        attach_stores(system, store)
         system.dead_letters.store = store
         hits = []
         victim = system.create_actor(lambda ctx, m: hits.append(m.payload),
@@ -122,15 +142,17 @@ class TestDeadLetterRecovery:
         system.run()
         assert len(hits) == 3  # redelivered to the recovered node
         assert system.dead_letters.pending() == 0
-        store.close()
+        close_stores(system, store)
 
         recovered = load_data_dir(str(tmp_path))
         captures = [e for e in recovered.dlq_events if e["kind"] == "capture"]
         resolves = [e for e in recovered.dlq_events if e["kind"] == "resolve"]
         assert len(captures) == 3 and len(resolves) == 3
-        system2 = ActorSpaceSystem(topology=Topology.lan(2), seed=2)
-        summary = restore_node(0, system2.coordinators[0],
-                               system2.dead_letters, recovered)
+        system2 = ActorSpaceSystem(topology=Topology.lan(2), seed=2,
+                                   shards=shards)
+        summary = restore_node(
+            0, system2.coordinators[0], system2.dead_letters, recovered,
+            shard_ops=load_shard_ops(str(tmp_path), shards))
         assert summary["dlq_recovered"] == 0
         assert system2.dead_letters.pending() == 0
         assert system2.dead_letters.redelivered_total == \

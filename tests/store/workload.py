@@ -14,6 +14,7 @@ import numpy as np
 from repro.core.errors import ActorSpaceError
 from repro.runtime.network import Topology
 from repro.runtime.system import ActorSpaceSystem
+from repro.shard.merge import shard_dir
 from repro.store import NodeStore
 
 
@@ -21,19 +22,62 @@ def noop(ctx, message):
     pass
 
 
-def run_persisted_workload(data_dir, seed=0, n_ops=30, nodes=2,
-                           fsync="commit", segment_bytes=None):
-    """Drive a seeded mixed workload with a store attached to the bus.
+def each_plane(test):
+    """Run one restart case on a one-shard and on a two-shard plane.
 
-    Returns ``(system, store)``; the caller closes the store (or crashes
-    it deliberately by not doing so).
+    ``test(self, tmp_path, shards)`` gets a fresh directory per plane.
+    One test id covers both (the ids are pinned by the suite's floor
+    list); the failing plane is in the directory name of the traceback.
     """
-    system = ActorSpaceSystem(topology=Topology.lan(nodes), seed=seed)
+    def run(self, tmp_path):
+        for shards in (1, 2):
+            test(self, tmp_path / f"shards{shards}", shards)
+
+    run.__name__, run.__doc__ = test.__name__, test.__doc__
+    return run
+
+
+def attach_stores(system, store, **kwargs):
+    """Give every shard's bus its store, laid out like a node's data
+    directory: ``store`` (the top-level one) holds the only log of a
+    one-shard plane, else shard K's log lives at ``shard-K`` below it.
+    Returns shard -> store."""
+    def store_for(shard):
+        path = shard_dir(store.data_dir, system.shards, shard)
+        return store if path == store.data_dir else NodeStore(path, **kwargs)
+
+    system.bus.attach_store(store_for)
+    return {k: bus.store for k, bus in system.bus.shards.items()}
+
+
+def load_shard_ops(data_dir, shards):
+    """shard -> persisted ``{seq: op}``, read the way a node recovers."""
+    from repro.store.node_store import load_data_dir
+
+    return {k: load_data_dir(shard_dir(data_dir, shards, k)).ops
+            for k in range(shards)}
+
+
+def close_stores(system, store):
+    for each in {store, *(bus.store for bus in system.bus.shards.values())}:
+        each.close()
+
+
+def run_persisted_workload(data_dir, seed=0, n_ops=30, nodes=2,
+                           fsync="commit", segment_bytes=None, shards=1):
+    """Drive a seeded mixed workload with stores attached to the bus.
+
+    Returns ``(system, store)`` — ``store`` is the top-level one; the
+    caller closes the stores (or crashes them deliberately by not doing
+    so).
+    """
+    system = ActorSpaceSystem(topology=Topology.lan(nodes), seed=seed,
+                              shards=shards)
     kwargs = {"fsync": fsync}
     if segment_bytes is not None:
         kwargs["segment_bytes"] = segment_bytes
     store = NodeStore(data_dir, **kwargs)
-    system.bus.store = store
+    attach_stores(system, store, **kwargs)
     rng = np.random.default_rng(seed)
     spaces = [system.root_space]
     actors = []
