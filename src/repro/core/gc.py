@@ -26,11 +26,19 @@ targets and contents of in-flight envelopes.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import fields, is_dataclass
-from typing import Any, Iterable, Iterator, Mapping
+from itertools import chain
+from typing import Any, Iterable, Iterator
 
 from .addresses import ActorAddress, MailAddress, SpaceAddress, is_space_address
 from .visibility import Directory
+
+
+#: Exact types the scan settles without an ``isinstance`` test: values
+#: that cannot hold an address, and the builtin sequences.
+_LEAVES = frozenset({str, bytes, int, float, bool, type(None)})
+_SEQUENCES = frozenset({tuple, list, set, frozenset})
 
 
 def scan_addresses(payload: Any, _depth: int = 0) -> Iterator[MailAddress]:
@@ -41,30 +49,46 @@ def scan_addresses(payload: Any, _depth: int = 0) -> Iterator[MailAddress]:
     state should expose them via an ``__addresses__()`` method, which this
     scanner honours.  Depth is bounded to keep the scan linear even on
     pathological nesting.
+
+    Every delivery scans its payload, and most payloads are a few scalars
+    in a tuple, so the walk is one loop filling one list (depth-first, in
+    iteration order) that settles a value of *exactly* a builtin type by
+    that type; subclasses, other mappings, dataclasses and
+    ``__addresses__`` carriers take the ``isinstance`` tests after it.
     """
+    found: list[MailAddress] = []
     if _depth > 32:
-        return
-    if isinstance(payload, MailAddress):
-        yield payload
-        return
-    if isinstance(payload, Mapping):
-        for k, v in payload.items():
-            yield from scan_addresses(k, _depth + 1)
-            yield from scan_addresses(v, _depth + 1)
-        return
-    if isinstance(payload, (list, tuple, set, frozenset)):
-        for item in payload:
-            yield from scan_addresses(item, _depth + 1)
-        return
-    if is_dataclass(payload) and not isinstance(payload, type):
-        for f in fields(payload):
-            yield from scan_addresses(getattr(payload, f.name), _depth + 1)
-        return
-    hook = getattr(payload, "__addresses__", None)
-    if callable(hook):
-        for item in hook():
+        return iter(found)
+    # (items not yet visited, their depth), innermost container last.
+    pending = [(iter((payload,)), _depth)]
+    while pending:
+        items, depth = pending[-1]
+        for item in items:
+            kind = type(item)
+            if kind in _LEAVES:
+                continue
             if isinstance(item, MailAddress):
-                yield item
+                found.append(item)
+                continue
+            if kind in _SEQUENCES:
+                contents = item
+            elif isinstance(item, Mapping):
+                contents = chain.from_iterable(item.items())
+            elif isinstance(item, (list, tuple, set, frozenset)):
+                contents = item
+            elif is_dataclass(item) and not isinstance(item, type):
+                contents = [getattr(item, f.name) for f in fields(item)]
+            else:
+                hook = getattr(item, "__addresses__", None)
+                if callable(hook):
+                    found.extend(a for a in hook() if isinstance(a, MailAddress))
+                continue
+            if depth < 32:
+                pending.append((iter(contents), depth + 1))
+                break
+        else:
+            pending.pop()
+    return iter(found)
 
 
 class GcReport:

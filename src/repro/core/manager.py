@@ -103,24 +103,26 @@ class SpaceManager:
     ) -> ActorAddress:
         """Pick one receiver for a ``send`` from a non-empty group.
 
-        ``load_of`` is a callable ``address -> int`` giving current queue
-        depth, required for ``LEAST_LOADED``.
+        ``candidates`` is the group *already in address order* (what the
+        resolve functions return and the resolution cache stores), so a
+        pick is an index into it and a seed fixes the receiver.  ``load_of``
+        is a callable ``address -> int`` giving current queue depth,
+        required for ``LEAST_LOADED`` (ties go to the lowest address).
         """
         if not candidates:
             raise ValueError("choose_receiver requires a non-empty group")
-        ordered = sorted(candidates)  # determinism: set iteration order varies
-        if len(ordered) == 1:
-            return ordered[0]
+        if len(candidates) == 1:
+            return candidates[0]
         if self.arbitration is Arbitration.RANDOM:
-            return ordered[int(rng.integers(0, len(ordered)))]
+            return candidates[int(rng.integers(0, len(candidates)))]
         if self.arbitration is Arbitration.ROUND_ROBIN:
-            choice = ordered[self._rr_state % len(ordered)]
+            choice = candidates[self._rr_state % len(candidates)]
             self._rr_state += 1
             return choice
         if self.arbitration is Arbitration.LEAST_LOADED:
             if load_of is None:
                 raise ValueError("LEAST_LOADED arbitration needs a load_of callable")
-            return min(ordered, key=lambda a: (load_of(a), a))
+            return min(candidates, key=load_of)  # first minimum = lowest address
         raise AssertionError(f"unhandled arbitration {self.arbitration}")
 
     # -- unmatched messages ---------------------------------------------------------

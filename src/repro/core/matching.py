@@ -24,12 +24,18 @@ actorSpace specification ... may itself be pattern based" (section 5.3).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable
 
 from .addresses import ActorAddress, MailAddress, SpaceAddress
 from .messages import Destination
 from .patterns import AnyAtom, AnySequence, LiteralAtom, Pattern, parse_pattern
 from .visibility import Directory
+
+#: Address order as a C-level sort key: the triple ``MailAddress.__lt__``
+#: compares.  Computed on a cache miss, not stored per address — every
+#: logged op keeps its addresses alive, so a slot there is resident memory.
+_address_order = attrgetter("kind", "node", "serial")
 
 
 class MatchStats:
@@ -64,7 +70,9 @@ class ResolutionCache:
     """Memoized ``resolve_actors``/``resolve_spaces`` results with epoch
     invalidation.
 
-    Each cached resolution records, besides its result set, the directory
+    A result is the group as a tuple in address order — the form
+    arbitration indexes and fan-out iterates — and a hit returns that very
+    object.  Beside it each cached resolution records the directory
     epoch at fill time and the per-space epoch of every space *visited*
     during the walk (its resolution path, including spaces that turned
     out to be missing, recorded with epoch ``-1``).  Validity is checked
@@ -144,7 +152,7 @@ class ResolutionCache:
         pattern: Pattern,
         directory: Directory,
         stats: MatchStats | None = None,
-    ) -> "frozenset | None":
+    ) -> "tuple | None":
         key = (kind, space, pattern)
         entry = self._entries.get(key)
         if entry is not None:
@@ -185,7 +193,7 @@ class ResolutionCache:
         pattern: Pattern,
         directory: Directory,
         path_spaces: "Iterable[SpaceAddress]",
-        result: "set",
+        result: tuple,
     ) -> None:
         while len(self._entries) >= self.max_entries:
             self._entries.pop(next(iter(self._entries)))
@@ -207,7 +215,7 @@ class ResolutionCache:
             }
             shard_vector = [shard_epochs, directory.mask_epoch]
         self._entries[(kind, space, pattern)] = [
-            frozenset(result), directory.epoch, path_epochs, shard_vector,
+            result, directory.epoch, path_epochs, shard_vector,
         ]
 
     def __repr__(self):
@@ -223,27 +231,29 @@ def resolve_actors(
     space: SpaceAddress,
     stats: MatchStats | None = None,
     cache: ResolutionCache | None = None,
-) -> set[ActorAddress]:
-    """All actor mail addresses matching ``pattern`` in ``space``.
+) -> tuple[ActorAddress, ...]:
+    """All actor mail addresses matching ``pattern`` in ``space``, as a
+    tuple in address order.
 
     This is the group-membership function behind both ``send`` (which then
     picks one member) and ``broadcast`` (which fans out to all).  With a
     ``cache``, a previously computed resolution is reused while its epoch
-    evidence holds (see :class:`ResolutionCache`).
+    evidence holds (see :class:`ResolutionCache`): the same tuple, uncopied.
     """
     pattern = parse_pattern(pattern)
     if cache is not None:
         cached = cache.lookup("actors", space, pattern, directory, stats)
         if cached is not None:
-            return set(cached)
+            return cached
     results: set[ActorAddress] = set()
     visited: set[tuple[SpaceAddress, Pattern]] = set()
     _walk(directory, pattern, space, results, None, visited, stats)
+    group = tuple(sorted(results, key=_address_order))
     if cache is not None:
         cache.store(
-            "actors", space, pattern, directory, {s for s, _ in visited}, results
+            "actors", space, pattern, directory, {s for s, _ in visited}, group
         )
-    return results
+    return group
 
 
 def resolve_spaces(
@@ -252,8 +262,9 @@ def resolve_spaces(
     space: SpaceAddress,
     stats: MatchStats | None = None,
     cache: ResolutionCache | None = None,
-) -> set[SpaceAddress]:
-    """All actorSpace addresses matching ``pattern`` in ``space``.
+) -> tuple[SpaceAddress, ...]:
+    """All actorSpace addresses matching ``pattern`` in ``space``, as a
+    tuple in address order.
 
     Used to resolve the ``@space`` part of a destination when it is itself
     a pattern; matching considers spaces visible in ``space``, recursively
@@ -263,15 +274,16 @@ def resolve_spaces(
     if cache is not None:
         cached = cache.lookup("spaces", space, pattern, directory, stats)
         if cached is not None:
-            return set(cached)
+            return cached
     results: set[SpaceAddress] = set()
     visited: set[tuple[SpaceAddress, Pattern]] = set()
     _walk(directory, pattern, space, None, results, visited, stats)
+    group = tuple(sorted(results, key=_address_order))
     if cache is not None:
         cache.store(
-            "spaces", space, pattern, directory, {s for s, _ in visited}, results
+            "spaces", space, pattern, directory, {s for s, _ in visited}, group
         )
-    return results
+    return group
 
 
 def _walk(
@@ -343,23 +355,24 @@ def resolve_destination_spaces(
     destination: Destination,
     host_space: SpaceAddress,
     cache: ResolutionCache | None = None,
-) -> list[SpaceAddress]:
-    """Resolve the ``@space`` part of a destination to concrete spaces.
+) -> tuple[SpaceAddress, ...]:
+    """Resolve the ``@space`` part of a destination to concrete spaces
+    (in address order).
 
     * explicit :class:`SpaceAddress` — used as is;
     * ``None`` — the sender's host space (section 7.1 default);
     * a pattern — every matching space visible from the host space.
 
-    Destroyed/unknown explicit spaces yield an empty list (the message
+    Destroyed/unknown explicit spaces yield an empty tuple (the message
     will be handled by the manager's unmatched policy).
     """
     spec = destination.space
     if spec is None:
-        return [host_space] if directory.has_space(host_space) else []
+        return (host_space,) if directory.has_space(host_space) else ()
     if isinstance(spec, SpaceAddress):
-        return [spec] if directory.has_space(spec) else []
+        return (spec,) if directory.has_space(spec) else ()
     assert isinstance(spec, Pattern)
-    return sorted(resolve_spaces(directory, spec, host_space, cache=cache))
+    return resolve_spaces(directory, spec, host_space, cache=cache)
 
 
 def resolve_destination(
@@ -370,14 +383,9 @@ def resolve_destination(
     cache: ResolutionCache | None = None,
 ) -> set[ActorAddress]:
     """Full destination resolution: spaces first, then actors in each."""
-    receivers: set[ActorAddress] = set()
-    for space in resolve_destination_spaces(
-        directory, destination, host_space, cache=cache
-    ):
-        receivers |= resolve_actors(
-            directory, destination.pattern, space, stats, cache=cache
-        )
-    return receivers
+    spaces = resolve_destination_spaces(directory, destination, host_space, cache=cache)
+    return set().union(*(resolve_actors(directory, destination.pattern, space, stats,
+                                        cache=cache) for space in spaces))
 
 
 def group_size(

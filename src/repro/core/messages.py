@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any
 
 from .addresses import ActorAddress, MailAddress, SpaceAddress
@@ -100,15 +101,25 @@ class Destination:
         return f"Destination({self.pattern}{at})"
 
 
-def parse_destination(text: str) -> Destination:
-    """Parse ``"pattern@spacepattern"`` or ``"pattern"`` destination text.
+def parse_destination(text: "str | Destination") -> Destination:
+    """Parse ``"pattern@spacepattern"`` or ``"pattern"`` destination text
+    (idempotent coercion: a :class:`Destination` is returned as is).
 
     The part after ``@`` (if present) is a pattern naming the target
     actorSpace, resolved in the sender's host space.  To target a space by
     explicit address, construct :class:`Destination` directly.
     """
+    if isinstance(text, Destination):
+        return text
     if not isinstance(text, str) or not text:
         raise PatternSyntaxError(repr(text), "destination must be non-empty text")
+    return _parse_destination_text(text)
+
+
+@lru_cache(maxsize=256)
+def _parse_destination_text(text: str) -> Destination:
+    """:func:`parse_destination` memoised by text (a destination is a value;
+    a malformed text raises and is never cached)."""
     if "@" in text:
         pat_text, _, space_text = text.partition("@")
         if not pat_text or not space_text:

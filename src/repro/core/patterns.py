@@ -37,6 +37,7 @@ actorSpace (including descent into visible nested spaces) lives in
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .atoms import AttributePath, as_path
@@ -408,6 +409,13 @@ def parse_pattern(text: "str | Pattern | AttributePath") -> Pattern:
         return Pattern([LiteralAtom(a) for a in text.atoms], str(text))
     if not isinstance(text, str):
         raise PatternSyntaxError(repr(text), "pattern must be a string")
+    return _parse_pattern_text(text)
+
+
+@lru_cache(maxsize=256)
+def _parse_pattern_text(text: str) -> Pattern:
+    """The ``str`` branch of :func:`parse_pattern`, memoised by text (a
+    pattern is a value; a malformed text raises and is never cached)."""
     if not text:
         raise PatternSyntaxError(text, "pattern must be non-empty")
     if text.startswith("/") or text.endswith("/"):

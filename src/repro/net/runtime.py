@@ -40,17 +40,13 @@ from repro.core.addresses import ActorAddress, SpaceAddress
 from repro.core.capabilities import CapabilityIssuer
 from repro.core.mailbox import DEFAULT_MAILBOX_CAPACITY, ShedPolicy
 from repro.core.manager import SpaceManager
-from repro.core.matching import resolve_actors
 from repro.core.messages import (
-    Destination,
     Envelope,
-    Message,
     Mode,
-    Port,
     parse_destination,
 )
 from repro.runtime.admission import AdmissionControl
-from repro.runtime.context import RuntimeContext
+from repro.runtime.context import RuntimeContext, external_envelope
 from repro.runtime.coordinator import Coordinator
 from repro.runtime.eventlog import EventLog, JsonlSink
 from repro.runtime.events import EventQueue
@@ -829,54 +825,33 @@ class NodeRuntime:
             target, space if space is not None else self.root_space, capability)
         return True
 
-    def _external_envelope(self, mode: Mode, payload, *, destination=None,
-                           target=None, reply_to=None, headers=None) -> Envelope:
-        return Envelope(
-            message=Message(payload, reply_to=reply_to, headers=headers or {}),
-            sender=None, mode=mode, target=target, destination=destination,
-            port=Port.INVOCATION, sent_at=self.clock.now,
-            origin_space=self.root_space,
-        )
-
-    @staticmethod
-    def _as_destination(destination) -> Destination:
-        if isinstance(destination, Destination):
-            return destination
-        return parse_destination(destination)
-
     def _ctl_send(self, destination, payload, reply_to=None):
-        self.coordinator.send_pattern(self._external_envelope(
-            Mode.SEND, payload, destination=self._as_destination(destination),
+        self.coordinator.send_pattern(external_envelope(
+            self, Mode.SEND, payload, destination=parse_destination(destination),
             reply_to=reply_to))
         return True
 
     def _ctl_broadcast(self, destination, payload, reply_to=None):
-        self.coordinator.broadcast_pattern(self._external_envelope(
-            Mode.BROADCAST, payload,
-            destination=self._as_destination(destination), reply_to=reply_to))
+        self.coordinator.broadcast_pattern(external_envelope(
+            self, Mode.BROADCAST, payload,
+            destination=parse_destination(destination), reply_to=reply_to))
         return True
 
     def _ctl_send_to(self, target, payload, reply_to=None):
-        self.coordinator.send_direct(self._external_envelope(
-            Mode.DIRECT, payload, target=target, reply_to=reply_to))
+        self.coordinator.send_direct(external_envelope(
+            self, Mode.DIRECT, payload, target=target, reply_to=reply_to))
         return True
 
     def _ctl_resolve(self, pattern, space=None):
-        scope = space if space is not None else self.root_space
-        return sorted(resolve_actors(
-            self.coordinator.directory, pattern, scope,
-            cache=self.coordinator.resolution_cache))
+        return self.coordinator.resolve(
+            pattern, space if space is not None else self.root_space)
 
     def _ctl_has_space(self, address):
         return self.coordinator.directory.has_space(address)
 
     def _ctl_visible_attributes(self, target, space=None):
-        scope = space if space is not None else self.root_space
-        directory = self.coordinator.directory
-        if not directory.has_space(scope):
-            return frozenset()
-        entry = directory.space(scope).lookup(target)
-        return entry.attributes if entry is not None else frozenset()
+        return self.coordinator.visible_attributes(
+            target, space if space is not None else self.root_space)
 
     def _ctl_actor_state(self, address, attrs):
         record = self.coordinator.actors.get(address)

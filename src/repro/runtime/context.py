@@ -19,10 +19,19 @@ if TYPE_CHECKING:  # pragma: no cover
     from .system import ActorSpaceSystem
 
 
-def _as_destination(destination: "Destination | str") -> Destination:
-    if isinstance(destination, Destination):
-        return destination
-    return parse_destination(destination)
+def external_envelope(host, mode: Mode, payload: Any, *,
+                      target: ActorAddress | None = None,
+                      destination: Destination | None = None,
+                      reply_to: ActorAddress | None = None,
+                      headers: dict | None = None) -> Envelope:
+    """An envelope from outside the actor world — no sender, resolved from
+    the root space — entering at ``host`` (a system or a node runtime)."""
+    return Envelope(
+        message=Message(payload, reply_to=reply_to, headers=headers or {}),
+        sender=None, mode=mode, target=target, destination=destination,
+        port=Port.INVOCATION, sent_at=host.clock.now,
+        origin_space=host.root_space,
+    )
 
 
 class RuntimeContext(ActorContext):
@@ -51,13 +60,26 @@ class RuntimeContext(ActorContext):
         self._cause = cause
         self.claimed: list[MailAddress] = []
 
-    @property
-    def _trace_id(self):
-        return self._cause.trace_id if self._cause is not None else None
-
-    @property
-    def _parent_id(self):
-        return self._cause.envelope_id if self._cause is not None else None
+    def _envelope(self, mode: Mode, payload: Any, *,
+                  target: ActorAddress | None = None,
+                  destination: Destination | None = None,
+                  reply_to: ActorAddress | None = None,
+                  headers: dict | None = None) -> Envelope:
+        """An envelope from this actor, joined to the cause's causal tree."""
+        record = self._record
+        cause = self._cause
+        return Envelope(
+            message=Message(payload, reply_to=reply_to, headers=headers or {}),
+            sender=record.address,
+            mode=mode,
+            target=target,
+            destination=destination,
+            port=Port.INVOCATION,
+            sent_at=self._system.clock.now,
+            origin_space=record.host_space,
+            trace_id=cause.trace_id if cause is not None else None,
+            parent_id=cause.envelope_id if cause is not None else None,
+        )
 
     # -- identity ---------------------------------------------------------------
 
@@ -104,18 +126,9 @@ class RuntimeContext(ActorContext):
     def send_to(self, target: ActorAddress, payload: Any, *,
                 reply_to: ActorAddress | None = None,
                 headers: dict | None = None) -> None:
-        envelope = Envelope(
-            message=Message(payload, reply_to=reply_to, headers=headers or {}),
-            sender=self._record.address,
-            mode=Mode.DIRECT,
-            target=target,
-            port=Port.INVOCATION,
-            sent_at=self.now,
-            origin_space=self._record.host_space,
-            trace_id=self._trace_id,
-            parent_id=self._parent_id,
-        )
-        self._coordinator.send_direct(envelope)
+        self._coordinator.send_direct(self._envelope(
+            Mode.DIRECT, payload, target=target, reply_to=reply_to,
+            headers=headers))
 
     def become(self, behavior: "Behavior | Callable", *args: Any, **kwargs: Any) -> None:
         self._record.stage_become(as_behavior(behavior, *args, **kwargs))
@@ -125,34 +138,17 @@ class RuntimeContext(ActorContext):
     def send(self, destination: "Destination | str", payload: Any, *,
              reply_to: ActorAddress | None = None,
              headers: dict | None = None) -> None:
-        envelope = Envelope(
-            message=Message(payload, reply_to=reply_to, headers=headers or {}),
-            sender=self._record.address,
-            mode=Mode.SEND,
-            destination=_as_destination(destination),
-            port=Port.INVOCATION,
-            sent_at=self.now,
-            origin_space=self._record.host_space,
-            trace_id=self._trace_id,
-            parent_id=self._parent_id,
-        )
-        self._coordinator.send_pattern(envelope)
+        self._coordinator.send_pattern(self._envelope(
+            Mode.SEND, payload, destination=parse_destination(destination),
+            reply_to=reply_to, headers=headers))
 
     def broadcast(self, destination: "Destination | str", payload: Any, *,
                   reply_to: ActorAddress | None = None,
                   headers: dict | None = None) -> None:
-        envelope = Envelope(
-            message=Message(payload, reply_to=reply_to, headers=headers or {}),
-            sender=self._record.address,
-            mode=Mode.BROADCAST,
-            destination=_as_destination(destination),
-            port=Port.INVOCATION,
-            sent_at=self.now,
-            origin_space=self._record.host_space,
-            trace_id=self._trace_id,
-            parent_id=self._parent_id,
-        )
-        self._coordinator.broadcast_pattern(envelope)
+        self._coordinator.broadcast_pattern(self._envelope(
+            Mode.BROADCAST, payload,
+            destination=parse_destination(destination),
+            reply_to=reply_to, headers=headers))
 
     def create_actorspace(
         self,
@@ -211,17 +207,7 @@ class RuntimeContext(ActorContext):
             raise ValueError("delay must be non-negative")
         system = self._system
         record = self._record
-        envelope = Envelope(
-            message=Message(payload),
-            sender=record.address,
-            mode=Mode.DIRECT,
-            target=record.address,
-            port=Port.INVOCATION,
-            sent_at=self.now,
-            origin_space=record.host_space,
-            trace_id=self._trace_id,
-            parent_id=self._parent_id,
-        )
+        envelope = self._envelope(Mode.DIRECT, payload, target=record.address)
         log = system.tracer.log
         if log.enabled:
             # Event-only: scheduled self-messages never counted as sends,

@@ -23,7 +23,8 @@ target's node through the transport.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from collections import Counter
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.actor import ActorRecord, Behavior, as_behavior
 from repro.core.actorspace import SpaceRecord
@@ -44,7 +45,7 @@ from repro.core.errors import (
     VisibilityCycleError,
 )
 from repro.core.gc import scan_addresses
-from repro.core.manager import SpaceManager, UnmatchedPolicy, default_manager
+from repro.core.manager import Arbitration, SpaceManager, UnmatchedPolicy, default_manager
 from repro.core.mailbox import Mailbox
 from repro.core.matching import (
     MatchStats,
@@ -475,32 +476,32 @@ class Coordinator:
         assert envelope.destination is not None
         self.system.tracer.on_sent(envelope.mode, envelope, node=self.node_id,
                                    t=self.system.clock.now)
-        self._dispatch_pattern(envelope, first_attempt=True)
+        self._dispatch_pattern(envelope)
 
     def broadcast_pattern(self, envelope: Envelope) -> None:
         """``broadcast(pattern@space)``: resolve, deliver to all."""
         assert envelope.destination is not None
         self.system.tracer.on_sent(envelope.mode, envelope, node=self.node_id,
                                    t=self.system.clock.now)
-        self._dispatch_pattern(envelope, first_attempt=True)
+        self._dispatch_pattern(envelope)
 
-    def _scope_spaces(self, envelope: Envelope) -> list[SpaceAddress]:
-        host = envelope.origin_space or self.system.root_space
-        return resolve_destination_spaces(
-            self.directory, envelope.destination, host,
+    def _resolve(self, envelope: Envelope) -> tuple[tuple[ActorAddress, ...], SpaceAddress | None]:
+        """Resolve receivers; returns (actors in address order, primary scope
+        space).  Only a multi-space ``@pattern`` merges and sorts here."""
+        stats = MatchStats()
+        destination = envelope.destination
+        spaces = resolve_destination_spaces(
+            self.directory, destination,
+            envelope.origin_space or self.system.root_space,
             cache=self.resolution_cache,
         )
-
-    def _resolve(self, envelope: Envelope) -> tuple[set[ActorAddress], SpaceAddress | None]:
-        """Resolve receivers; returns (actors, primary scope space)."""
-        stats = MatchStats()
-        receivers: set[ActorAddress] = set()
-        spaces = self._scope_spaces(envelope)
-        for space in spaces:
-            receivers |= resolve_actors(
-                self.directory, envelope.destination.pattern, space, stats,
-                cache=self.resolution_cache,
-            )
+        groups = [
+            resolve_actors(self.directory, destination.pattern, space, stats,
+                           cache=self.resolution_cache)
+            for space in spaces
+        ]
+        receivers = groups[0] if len(groups) == 1 \
+            else tuple(sorted(set().union(*groups)))
         self.system.tracer.on_resolution(stats, envelope, node=self.node_id,
                                          t=self.system.clock.now)
         return receivers, (spaces[0] if spaces else None)
@@ -510,7 +511,7 @@ class Coordinator:
             return self.managers[scope]
         return self.managers.get(self.system.root_space) or default_manager()
 
-    def _dispatch_pattern(self, envelope: Envelope, first_attempt: bool) -> None:
+    def _dispatch_pattern(self, envelope: Envelope) -> None:
         receivers, scope = self._resolve(envelope)
         manager = self._manager_for(envelope, scope)
         if manager.trap_cycling(envelope):
@@ -521,13 +522,19 @@ class Coordinator:
         if not receivers:
             self._handle_unmatched(envelope, manager, scope)
             return
+        self._fan_out(envelope, receivers, manager)
+
+    def _fan_out(self, envelope: Envelope, receivers: tuple[ActorAddress, ...],
+                 manager: SpaceManager) -> None:
+        """Route a matched pattern envelope: a send to the one receiver
+        arbitration picks, a broadcast to every member of the group."""
         if envelope.mode is Mode.SEND:
-            choice = manager.choose_receiver(
-                sorted(receivers), self.system.rng_arbitration, self._load_of
-            )
-            self._route(envelope, choice)
+            load_of = self._load_of() \
+                if manager.arbitration is Arbitration.LEAST_LOADED else None
+            self._route(envelope, manager.choose_receiver(
+                receivers, self.system.rng_arbitration, load_of))
         else:
-            for target in sorted(receivers):
+            for target in receivers:
                 self._route(envelope.clone_for(target), target)
             if manager.unmatched is UnmatchedPolicy.PERSISTENT:
                 # Persistent broadcasts also reach future matches.
@@ -566,42 +573,37 @@ class Coordinator:
                 if not receivers:
                     still.append(envelope)
                     continue
-                manager = self._manager_for(envelope, scope)
                 tracer.on_released(envelope=envelope, node=self.node_id,
                                    t=self.system.clock.now)
-                if envelope.mode is Mode.SEND:
-                    choice = manager.choose_receiver(
-                        sorted(receivers), self.system.rng_arbitration, self._load_of
-                    )
-                    self._route(envelope, choice)
-                else:
-                    for target in sorted(receivers):
-                        self._route(envelope.clone_for(target), target)
-                    if manager.unmatched is UnmatchedPolicy.PERSISTENT:
-                        self.persistent.append((envelope, set(receivers)))
+                self._fan_out(envelope, receivers,
+                              self._manager_for(envelope, scope))
             self.suspended = still
         for envelope, delivered_to in self.persistent:
             receivers, _scope = self._resolve(envelope)
-            for target in sorted(receivers - delivered_to):
-                delivered_to.add(target)
-                tracer.persistent_deliveries += 1
-                self._route(envelope.clone_for(target), target)
+            for target in receivers:
+                if target not in delivered_to:
+                    delivered_to.add(target)
+                    tracer.persistent_deliveries += 1
+                    self._route(envelope.clone_for(target), target)
 
-    def _load_of(self, address: ActorAddress) -> int:
-        """Load estimate for arbitration: queued plus in-flight messages.
+    def _load_of(self) -> Callable[[ActorAddress], int]:
+        """Load estimator for one arbitration: queued plus in-flight messages.
 
         A real deployment would obtain this from the monitoring daemons
         section 8 proposes for customized managers (actors cannot be sent
         bookkeeping messages); the simulation plays that daemon by reading
         the queue depth and the envelopes already en route to the actor.
+        En-route envelopes are counted once, here: a probe is a lookup.
         """
-        owner = self.system.coordinators[address.node]
-        record = owner.actors.get(address)
-        queued = record.mailbox.pending if record is not None else 0
-        en_route = sum(
-            1 for e in self.system.in_flight.values() if e.target == address
-        )
-        return queued + en_route
+        coordinators = self.system.coordinators
+        en_route = Counter(e.target for e in self.system.in_flight.values())
+
+        def load_of(address: ActorAddress) -> int:
+            record = coordinators[address.node].actors.get(address)
+            queued = record.mailbox.pending if record is not None else 0
+            return queued + en_route[address]
+
+        return load_of
 
     # -- routing -----------------------------------------------------------------
 
@@ -782,8 +784,18 @@ class Coordinator:
 
     # ------------------------------------------------------------------
 
-    def local_actor_addresses(self) -> Iterable[ActorAddress]:
-        return self.actors.keys()
+    def resolve(self, pattern, scope: SpaceAddress) -> list[ActorAddress]:
+        """Who would ``send(pattern@scope)`` consider here?  (Address order;
+        through the resolution cache, like a real dispatch.)"""
+        return list(resolve_actors(self.directory, pattern, scope,
+                                   cache=self.resolution_cache))
+
+    def visible_attributes(self, target: MailAddress, scope: SpaceAddress) -> frozenset:
+        """The attributes ``target`` is visible under in ``scope`` (or empty)."""
+        if not self.directory.has_space(scope):
+            return frozenset()
+        entry = self.directory.space(scope).lookup(target)
+        return entry.attributes if entry is not None else frozenset()
 
     def export_parked(self) -> dict:
         """Observable park-set state for conformance checking (§5.6).

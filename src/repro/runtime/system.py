@@ -30,13 +30,13 @@ from repro.core.capabilities import Capability, CapabilityIssuer
 from repro.core.gc import GarbageCollector, GcReport, scan_addresses
 from repro.core.mailbox import ShedPolicy
 from repro.core.manager import SpaceManager
-from repro.core.messages import Destination, Envelope, Message, Mode, Port, parse_destination
+from repro.core.messages import Destination, Envelope, Mode, parse_destination
 from repro.core.visibility import Directory
 
 from .admission import AdmissionControl
 from .bus import SequencerBus, TokenRingBus
 from .clock import VirtualClock
-from .context import RuntimeContext
+from .context import RuntimeContext, external_envelope
 from .coordinator import Coordinator
 from .eventlog import EventLog, export_chrome_trace
 from .events import EventQueue
@@ -292,39 +292,26 @@ class ActorSpaceSystem:
                 reply_to: ActorAddress | None = None, node: int = 0,
                 headers: dict | None = None) -> None:
         """Direct external send (e.g. the initial job injection)."""
-        envelope = Envelope(
-            message=Message(payload, reply_to=reply_to, headers=headers or {}),
-            sender=None, mode=Mode.DIRECT, target=target,
-            port=Port.INVOCATION, sent_at=self.clock.now,
-            origin_space=self.root_space,
-        )
-        self.coordinators[node].send_direct(envelope)
+        self.coordinators[node].send_direct(external_envelope(
+            self, Mode.DIRECT, payload, target=target, reply_to=reply_to,
+            headers=headers))
 
     def send(self, destination: "Destination | str", payload: Any, *,
              reply_to: ActorAddress | None = None, node: int = 0,
              headers: dict | None = None) -> None:
         """External pattern-directed send resolved at ``node``'s replica."""
-        dest = destination if isinstance(destination, Destination) else parse_destination(destination)
-        envelope = Envelope(
-            message=Message(payload, reply_to=reply_to, headers=headers or {}),
-            sender=None, mode=Mode.SEND, destination=dest,
-            port=Port.INVOCATION, sent_at=self.clock.now,
-            origin_space=self.root_space,
-        )
-        self.coordinators[node].send_pattern(envelope)
+        self.coordinators[node].send_pattern(external_envelope(
+            self, Mode.SEND, payload, destination=parse_destination(destination),
+            reply_to=reply_to, headers=headers))
 
     def broadcast(self, destination: "Destination | str", payload: Any, *,
                   reply_to: ActorAddress | None = None, node: int = 0,
                   headers: dict | None = None) -> None:
         """External pattern-directed broadcast."""
-        dest = destination if isinstance(destination, Destination) else parse_destination(destination)
-        envelope = Envelope(
-            message=Message(payload, reply_to=reply_to, headers=headers or {}),
-            sender=None, mode=Mode.BROADCAST, destination=dest,
-            port=Port.INVOCATION, sent_at=self.clock.now,
-            origin_space=self.root_space,
-        )
-        self.coordinators[node].broadcast_pattern(envelope)
+        self.coordinators[node].broadcast_pattern(external_envelope(
+            self, Mode.BROADCAST, payload,
+            destination=parse_destination(destination),
+            reply_to=reply_to, headers=headers))
 
     # ------------------------------------------------------------------
     # Simulation control
@@ -344,10 +331,7 @@ class ActorSpaceSystem:
                 break
             if max_events is not None and executed >= max_events:
                 break
-            popped = self.events.pop()
-            if popped is None:  # pragma: no cover - guarded by `while`
-                break
-            time, action = popped
+            time, action = self.events.pop()  # non-empty: guarded by `while`
             if time > self.clock.now:
                 self.clock.advance_to(time)
             # An event scheduled in the (virtual) past — e.g. a driver
@@ -506,14 +490,8 @@ class ActorSpaceSystem:
         Goes through the node's resolution cache, exactly like a real
         dispatch would.
         """
-        from repro.core.matching import resolve_actors
-
-        coordinator = self.coordinators[node]
-        scope = space if space is not None else self.root_space
-        return sorted(
-            resolve_actors(coordinator.directory, pattern, scope,
-                           cache=coordinator.resolution_cache)
-        )
+        return self.coordinators[node].resolve(
+            pattern, space if space is not None else self.root_space)
 
     def resolution_cache_stats(self, node: int | None = None) -> dict:
         """Resolution-cache counters, per node or summed across nodes."""
@@ -529,12 +507,8 @@ class ActorSpaceSystem:
                            space: SpaceAddress | None = None,
                            node: int = 0) -> frozenset:
         """The attributes ``target`` is visible under in ``space`` (or empty)."""
-        scope = space if space is not None else self.root_space
-        directory = self.coordinators[node].directory
-        if not directory.has_space(scope):
-            return frozenset()
-        entry = directory.space(scope).lookup(target)
-        return entry.attributes if entry is not None else frozenset()
+        return self.coordinators[node].visible_attributes(
+            target, space if space is not None else self.root_space)
 
     def replicas_coherent(self) -> bool:
         """Do all directory replicas currently agree?  (Run to quiescence first.)"""

@@ -127,8 +127,6 @@ class Tracer:
         self.samples: list[LatencySample] = []
         self._samples_seen = 0
         self._sample_rng = random.Random(0xACE5)
-        #: Pattern-resolution work: entries examined, per resolution.
-        self.match_examined: list[int] = []
         #: (time, node) marks of suspension releases, for the timeline view.
         self.release_marks: list[tuple[float, int]] = []
         #: Time series the experiments can append to: name -> [(t, value)].
@@ -263,7 +261,6 @@ class Tracer:
     def on_resolution(self, stats, envelope=None, node: int = 0,
                       t: float = 0.0) -> None:
         """Fold one resolution's :class:`~repro.core.matching.MatchStats` in."""
-        self.match_examined.append(stats.entries_examined)
         self.resolution_hist.observe(stats.entries_examined)
         reg = self.registry
         reg.counter("resolution_cache_hits_total").inc(stats.cache_hits)

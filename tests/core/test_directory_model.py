@@ -146,7 +146,8 @@ class DirectoryMachine(RuleBasedStateMachine):
         for pattern in PANEL:
             for space in self.spaces:
                 got = resolve_actors(self.directory, pattern, space)
-                want = self.model.resolve(pattern, space)
+                # The group comes back in arbitration order, as a value.
+                want = tuple(sorted(self.model.resolve(pattern, space)))
                 assert got == want, (
                     f"pattern {pattern} in {space}: real={got} ref={want}"
                 )
@@ -157,6 +158,10 @@ class DirectoryMachine(RuleBasedStateMachine):
                     f"stale cache: pattern {pattern} in {space}: "
                     f"cached={cached} ref={want}"
                 )
+                # While the epochs hold, a hit is the stored object itself.
+                assert resolve_actors(
+                    self.directory, pattern, space, cache=self.cache
+                ) is cached
 
 
 TestDirectoryModel = DirectoryMachine.TestCase

@@ -1,12 +1,16 @@
 """Unit + property tests: garbage collection (section 5.5)."""
 
-from dataclasses import dataclass
+import collections
+import types
+from collections.abc import Mapping
+from dataclasses import dataclass, fields, is_dataclass
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.actorspace import SpaceRecord
-from repro.core.addresses import ActorAddress, SpaceAddress
+from repro.core.addresses import ActorAddress, MailAddress, SpaceAddress
 from repro.core.gc import GarbageCollector, scan_addresses
 from repro.core.visibility import Directory
 
@@ -54,6 +58,121 @@ class TestScanAddresses:
         for _ in range(50):
             nested = [nested]
         assert list(scan_addresses(nested)) == []  # beyond depth cap
+
+
+def reference_scan(payload, _depth=0):
+    """The recursive, ``isinstance``-only walk ``scan_addresses`` was until
+    its exact-type loop: the specification the loop must keep answering."""
+    if _depth > 32:
+        return
+    if isinstance(payload, MailAddress):
+        yield payload
+        return
+    if isinstance(payload, Mapping):
+        for k, v in payload.items():
+            yield from reference_scan(k, _depth + 1)
+            yield from reference_scan(v, _depth + 1)
+        return
+    if isinstance(payload, (list, tuple, set, frozenset)):
+        for item in payload:
+            yield from reference_scan(item, _depth + 1)
+        return
+    if is_dataclass(payload) and not isinstance(payload, type):
+        for f in fields(payload):
+            yield from reference_scan(getattr(payload, f.name), _depth + 1)
+        return
+    hook = getattr(payload, "__addresses__", None)
+    if callable(hook):
+        for item in hook():
+            if isinstance(item, MailAddress):
+                yield item
+
+
+Pair = collections.namedtuple("Pair", "left right")
+
+
+class Tagged(list):
+    """A sequence subclass: not an exact builtin type."""
+
+
+class PeerAddress(ActorAddress):
+    """An address subclass: found by ``isinstance``, not by exact type."""
+
+    __slots__ = ()
+
+
+@dataclass
+class Carrier:
+    dest: object
+    note: str = "n"
+
+
+class Opaque:
+    def __init__(self, *held):
+        self.held = held
+
+    def __addresses__(self):
+        return list(self.held) + ["not an address"]
+
+
+addresses = st.one_of(
+    st.builds(ActorAddress, st.integers(0, 3), st.integers(0, 9)),
+    st.builds(SpaceAddress, st.integers(0, 3), st.integers(0, 9)),
+    st.builds(PeerAddress, st.integers(0, 3), st.integers(0, 9)),
+)
+hashable_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), st.floats(allow_nan=False),
+    st.text(max_size=3), st.binary(max_size=3), addresses,
+)
+
+
+def containers(children):
+    keyed = st.dictionaries(hashable_leaves, children, max_size=3)
+    return st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.lists(children, max_size=3).map(Tagged),
+        st.sets(hashable_leaves, max_size=3),
+        st.frozensets(hashable_leaves, max_size=3),
+        keyed,  # addresses as dict keys included
+        keyed.map(collections.OrderedDict),
+        keyed.map(lambda d: collections.defaultdict(list, d)),
+        keyed.map(types.MappingProxyType),
+        st.builds(Pair, children, children),
+        st.builds(Carrier, children),
+        st.lists(addresses, max_size=2).map(lambda held: Opaque(*held)),
+    )
+
+
+payloads = st.recursive(hashable_leaves, containers, max_leaves=12)
+
+
+class TestScanLoopEqualsRecursiveWalk:
+    @given(payloads)
+    @settings(max_examples=300, deadline=None)
+    def test_same_addresses_in_the_same_order(self, payload):
+        assert list(scan_addresses(payload)) == list(reference_scan(payload))
+
+    @pytest.mark.parametrize("wrap", [
+        lambda x: [x], lambda x: (x,), lambda x: {"k": x},
+        lambda x: frozenset([x]), lambda x: Tagged([x]), lambda x: Pair(x, 0),
+        lambda x: Carrier(x), lambda x: types.MappingProxyType({"k": x}),
+    ])
+    def test_depth_cap_respected_on_both_paths(self, wrap):
+        a = ActorAddress(1, 1)
+        for depth in (31, 32, 33, 34):
+            nested = a
+            for _ in range(depth):
+                nested = wrap(nested)
+            found = list(scan_addresses(nested))
+            assert found == list(reference_scan(nested))
+            assert found == ([a] if depth <= 32 else []), depth
+
+    def test_starting_depth_is_honoured(self):
+        a = ActorAddress(1, 1)
+        assert list(scan_addresses([a], 31)) == [a]
+        assert list(scan_addresses([a], 32)) == []
+        assert list(scan_addresses(a, 33)) == []
 
 
 class TestMark:

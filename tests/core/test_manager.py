@@ -73,6 +73,44 @@ class TestArbitration:
         assert a == b
 
 
+#: 200 picks per arbitration, recorded at commit 91b0fca — where
+#: ``choose_receiver`` still sorted whatever it was given — from the same
+#: nine-member group handed over in shuffled order.  Digits are indices
+#: into the group in address order.
+PARENT_PICKS = {
+    Arbitration.RANDOM: (
+        "14805243864220054130053724581551113728282101262616"
+        "10033602663874060418228563218735180071285388241400"
+        "08542662853510587541122174138785166171200708882565"
+        "27310665544161580843824552732314064502207438215210"),
+    Arbitration.ROUND_ROBIN: "012345678" * 22 + "01",
+    Arbitration.LEAST_LOADED: (
+        "24605712346805712346805712346805712346805712346805"
+        "71234680571234680571234680571234680571234680571234"
+        "68057123468057123468057123468057123468057123468057"
+        "12346805712346805712346805712346805712346805712346"),
+}
+
+
+class TestPickSequenceUnchanged:
+    """The group now arrives already ordered; the draw count and the
+    index -> address map must be what they were when it was sorted here."""
+
+    @pytest.mark.parametrize("arbitration", list(Arbitration))
+    def test_same_seed_same_200_picks_as_parent(self, arbitration):
+        group = tuple(sorted(
+            ActorAddress(n, s) for n in (2, 0, 1) for s in (5, 1, 9)))
+        manager = SpaceManager(arbitration=arbitration)
+        rng = np.random.default_rng(20260928)
+        loads = {a: (a.serial + a.node) % 3 for a in group}
+        picks = []
+        for _ in range(200):
+            choice = manager.choose_receiver(group, rng, loads.get)
+            loads[choice] += 2  # the pick gets busier: ties keep forming
+            picks.append(group.index(choice))
+        assert "".join(map(str, picks)) == PARENT_PICKS[arbitration]
+
+
 class TestUnmatchedPolicy:
     def space(self):
         return SpaceAddress(0, 0)

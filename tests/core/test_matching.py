@@ -34,20 +34,20 @@ class TestFlatResolution:
         d.make_visible(actor(1), "services/print", root)
         d.make_visible(actor(2), "services/scan", root)
         d.make_visible(actor(3), "misc", root)
-        assert resolve_actors(d, "services/print", root) == {actor(1)}
-        assert resolve_actors(d, "services/*", root) == {actor(1), actor(2)}
-        assert resolve_actors(d, "**", root) == {actor(1), actor(2), actor(3)}
-        assert resolve_actors(d, "nothing/here", root) == set()
+        assert set(resolve_actors(d, "services/print", root)) == {actor(1)}
+        assert set(resolve_actors(d, "services/*", root)) == {actor(1), actor(2)}
+        assert set(resolve_actors(d, "**", root)) == {actor(1), actor(2), actor(3)}
+        assert set(resolve_actors(d, "nothing/here", root)) == set()
 
     def test_multi_attribute_entries_match_on_any(self):
         d, (root, *_r) = build()
         d.make_visible(actor(1), ["a/b", "c/d"], root)
-        assert resolve_actors(d, "c/*", root) == {actor(1)}
-        assert resolve_actors(d, "a/*", root) == {actor(1)}
+        assert set(resolve_actors(d, "c/*", root)) == {actor(1)}
+        assert set(resolve_actors(d, "a/*", root)) == {actor(1)}
 
     def test_unknown_space_resolves_empty(self):
         d, _ = build()
-        assert resolve_actors(d, "x", SpaceAddress(9, 9)) == set()
+        assert set(resolve_actors(d, "x", SpaceAddress(9, 9))) == set()
 
     def test_group_size(self):
         d, (root, *_r) = build()
@@ -62,17 +62,17 @@ class TestNestedDescent:
         d, (root, sub, *_r) = build()
         d.make_visible(sub, "dept", root)
         d.make_visible(actor(1), "print/color", sub)
-        assert resolve_actors(d, "dept/print/color", root) == {actor(1)}
-        assert resolve_actors(d, "dept/print/*", root) == {actor(1)}
-        assert resolve_actors(d, "dept/**", root) == {actor(1)}
+        assert set(resolve_actors(d, "dept/print/color", root)) == {actor(1)}
+        assert set(resolve_actors(d, "dept/print/*", root)) == {actor(1)}
+        assert set(resolve_actors(d, "dept/**", root)) == {actor(1)}
 
     def test_descent_two_levels(self):
         d, (root, a, b, _c) = build()
         d.make_visible(a, "org", root)
         d.make_visible(b, "team", a)
         d.make_visible(actor(7), "alice", b)
-        assert resolve_actors(d, "org/team/alice", root) == {actor(7)}
-        assert resolve_actors(d, "**/alice", root) == {actor(7)}
+        assert set(resolve_actors(d, "org/team/alice", root)) == {actor(7)}
+        assert set(resolve_actors(d, "**/alice", root)) == {actor(7)}
 
     def test_actor_in_space_not_directly_visible_outside(self):
         d, (root, sub, *_r) = build()
@@ -80,12 +80,12 @@ class TestNestedDescent:
         d.make_visible(actor(1), "print", sub)
         # Pattern "print" in root does NOT see the nested actor; the
         # structured path "dept/print" is required.
-        assert resolve_actors(d, "print", root) == set()
+        assert set(resolve_actors(d, "print", root)) == set()
 
     def test_invisible_space_hides_members(self):
         d, (root, sub, *_r) = build()
         d.make_visible(actor(1), "x", sub)
-        assert resolve_actors(d, "**", root) == set()  # sub not visible in root
+        assert set(resolve_actors(d, "**", root)) == set()  # sub not visible in root
 
     def test_overlapping_spaces_reach_same_actor(self):
         d, (root, a, b, _c) = build()
@@ -93,22 +93,22 @@ class TestNestedDescent:
         d.make_visible(b, "right", root)
         d.make_visible(actor(1), "shared", a)
         d.make_visible(actor(1), "shared", b)
-        assert resolve_actors(d, "*/shared", root) == {actor(1)}
-        assert resolve_actors(d, "left/shared", root) == {actor(1)}
+        assert set(resolve_actors(d, "*/shared", root)) == {actor(1)}
+        assert set(resolve_actors(d, "left/shared", root)) == {actor(1)}
 
     def test_space_visible_under_multiple_attributes(self):
         d, (root, sub, *_r) = build()
         d.make_visible(sub, ["alias-a", "alias-b"], root)
         d.make_visible(actor(1), "x", sub)
-        assert resolve_actors(d, "alias-a/x", root) == {actor(1)}
-        assert resolve_actors(d, "alias-b/x", root) == {actor(1)}
+        assert set(resolve_actors(d, "alias-a/x", root)) == {actor(1)}
+        assert set(resolve_actors(d, "alias-b/x", root)) == {actor(1)}
 
     def test_multi_atom_space_attribute(self):
         d, (root, sub, *_r) = build()
         d.make_visible(sub, "eu/west", root)
         d.make_visible(actor(1), "db", sub)
-        assert resolve_actors(d, "eu/west/db", root) == {actor(1)}
-        assert resolve_actors(d, "eu/*/db", root) == {actor(1)}
+        assert set(resolve_actors(d, "eu/west/db", root)) == {actor(1)}
+        assert set(resolve_actors(d, "eu/*/db", root)) == {actor(1)}
 
 
 class TestSpaceResolution:
@@ -116,14 +116,14 @@ class TestSpaceResolution:
         d, (root, a, b, _c) = build()
         d.make_visible(a, "pools/main", root)
         d.make_visible(b, "pools/backup", root)
-        assert resolve_spaces(d, "pools/*", root) == {a, b}
-        assert resolve_spaces(d, "pools/main", root) == {a}
+        assert set(resolve_spaces(d, "pools/*", root)) == {a, b}
+        assert set(resolve_spaces(d, "pools/main", root)) == {a}
 
     def test_nested_space_resolution(self):
         d, (root, a, b, _c) = build()
         d.make_visible(a, "org", root)
         d.make_visible(b, "pool", a)
-        assert resolve_spaces(d, "org/pool", root) == {b}
+        assert set(resolve_spaces(d, "org/pool", root)) == {b}
 
 
 class TestDestinationResolution:
@@ -131,7 +131,7 @@ class TestDestinationResolution:
         d, (root, *_r) = build()
         d.make_visible(actor(1), "x", root)
         dest = Destination("x")
-        assert resolve_destination_spaces(d, dest, root) == [root]
+        assert list(resolve_destination_spaces(d, dest, root)) == [root]
         assert resolve_destination(d, dest, root) == {actor(1)}
 
     def test_explicit_space_address(self):

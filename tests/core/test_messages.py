@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.addresses import ActorAddress, SpaceAddress
+from repro.core.atoms import AttributePath
 from repro.core.errors import PatternSyntaxError
 from repro.core.messages import (
     Destination,
@@ -10,9 +11,10 @@ from repro.core.messages import (
     Message,
     Mode,
     Port,
+    _parse_destination_text,
     parse_destination,
 )
-from repro.core.patterns import Pattern, parse_pattern
+from repro.core.patterns import Pattern, _parse_pattern_text, parse_pattern
 
 
 class TestDestination:
@@ -60,6 +62,53 @@ class TestParseDestination:
     def test_rejects_non_strings(self):
         with pytest.raises(PatternSyntaxError):
             parse_destination(None)
+
+
+class TestParseMemo:
+    """Destination and pattern text is parsed once; only text is memoised."""
+
+    def test_equal_text_gives_equal_and_shared_values(self):
+        first = parse_destination("memo/*@pools/m1")
+        again = parse_destination("memo/*" + "@pools/m1")  # equal, not the same str
+        assert again == first == Destination("memo/*", "pools/m1")
+        assert again is first  # values are shared, which is safe: nothing mutates one
+        assert parse_pattern("memo/x/*") is parse_pattern("memo/x/*")
+
+    def test_memo_is_bounded(self):
+        for prefix in range(10):
+            for k in range(256):
+                parse_destination(f"bound{prefix}/a{k}@space{k}")
+        assert _parse_destination_text.cache_info().currsize <= 256
+        assert _parse_pattern_text.cache_info().currsize <= 256
+
+    @pytest.mark.parametrize("parse, bad", [
+        (parse_destination, ""), (parse_destination, "@x"),
+        (parse_destination, "x@"), (parse_destination, "a//b@s"),
+        (parse_destination, "a@s/"), (parse_pattern, ""),
+        (parse_pattern, "/a"), (parse_pattern, "a/"), (parse_pattern, "a//b"),
+    ])
+    def test_malformed_text_raises_on_every_call(self, parse, bad):
+        for _ in range(3):  # an error is never cached
+            with pytest.raises(PatternSyntaxError):
+                parse(bad)
+
+    def test_non_text_inputs_never_enter_the_memo(self):
+        pattern = Pattern(parse_pattern("by/pass").matchers)
+        path = AttributePath(["by", "pass"])
+        destination = Destination(pattern, SpaceAddress(0, 3))
+        before = (_parse_pattern_text.cache_info().misses,
+                  _parse_destination_text.cache_info().misses)
+        assert parse_pattern(pattern) is pattern
+        assert parse_pattern(path) == pattern
+        assert parse_destination(destination) is destination
+        assert Destination(pattern, pattern).space is pattern
+        for junk in (None, 7, ["a"]):
+            with pytest.raises(PatternSyntaxError):
+                parse_pattern(junk)
+            with pytest.raises(PatternSyntaxError):
+                parse_destination(junk)
+        assert before == (_parse_pattern_text.cache_info().misses,
+                          _parse_destination_text.cache_info().misses)
 
 
 class TestMessage:

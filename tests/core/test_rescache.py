@@ -44,7 +44,7 @@ class TestHitMissProtocol:
         stats = MatchStats()
         first = resolve_actors(d, "svc/*", root, stats, cache=cache)
         second = resolve_actors(d, "svc/*", root, stats, cache=cache)
-        assert first == second == {a}
+        assert first == (a,) and second is first  # a hit copies nothing
         assert (cache.hits, cache.misses, cache.invalidations) == (1, 1, 0)
         assert stats.cache_hits == 1 and stats.cache_misses == 1
 
@@ -59,13 +59,18 @@ class TestHitMissProtocol:
         assert stats.entries_examined == 0
 
     def test_cached_result_is_a_copy(self):
+        # The property this protects — a caller cannot corrupt the cached
+        # group — now holds by type: the result is the cached tuple itself.
         d, (root, *_r) = make_directory()
         a = ActorAddress(1, 0)
         d.make_visible(a, "x", root)
         cache = ResolutionCache()
         got = resolve_actors(d, "x", root, cache=cache)
-        got.add(ActorAddress(9, 9))
-        assert resolve_actors(d, "x", root, cache=cache) == {a}
+        assert type(got) is tuple
+        with pytest.raises(TypeError):
+            got[0] = ActorAddress(9, 9)
+        assert got == (a,)
+        assert resolve_actors(d, "x", root, cache=cache) is got
 
     def test_distinct_patterns_and_scopes_cached_separately(self):
         d, (s0, s1, _s2) = make_directory()
@@ -73,9 +78,9 @@ class TestHitMissProtocol:
         d.make_visible(a, "x", s0)
         d.make_visible(b, "x", s1)
         cache = ResolutionCache()
-        assert resolve_actors(d, "x", s0, cache=cache) == {a}
-        assert resolve_actors(d, "x", s1, cache=cache) == {b}
-        assert resolve_actors(d, "*", s0, cache=cache) == {a}
+        assert set(resolve_actors(d, "x", s0, cache=cache)) == {a}
+        assert set(resolve_actors(d, "x", s1, cache=cache)) == {b}
+        assert set(resolve_actors(d, "*", s0, cache=cache)) == {a}
         assert cache.misses == 3 and cache.hits == 0
         assert len(cache) == 3
 
@@ -86,8 +91,8 @@ class TestHitMissProtocol:
         d.make_visible(sub, "x", root)
         d.make_visible(ActorAddress(1, 0), "x", root)
         cache = ResolutionCache()
-        assert resolve_actors(d, "x", root, cache=cache) == {ActorAddress(1, 0)}
-        assert resolve_spaces(d, "x", root, cache=cache) == {sub}
+        assert set(resolve_actors(d, "x", root, cache=cache)) == {ActorAddress(1, 0)}
+        assert set(resolve_spaces(d, "x", root, cache=cache)) == {sub}
 
     def test_lru_eviction_bounds_entries(self):
         d, (root, *_r) = make_directory()
@@ -114,7 +119,7 @@ class TestInvalidationRules:
         d.make_visible(a, "svc/a", root)
         cache = self._cached(d, root)
         d.make_visible(b, "svc/b", root)
-        assert resolve_actors(d, "svc/*", root, cache=cache) == {a, b}
+        assert set(resolve_actors(d, "svc/*", root, cache=cache)) == {a, b}
         assert cache.invalidations == 1
 
     def test_make_invisible_on_path_invalidates(self):
@@ -123,7 +128,7 @@ class TestInvalidationRules:
         d.make_visible(a, "svc/a", root)
         cache = self._cached(d, root)
         d.make_invisible(a, root)
-        assert resolve_actors(d, "svc/*", root, cache=cache) == set()
+        assert set(resolve_actors(d, "svc/*", root, cache=cache)) == set()
 
     def test_change_attributes_on_path_invalidates(self):
         d, (root, *_r) = make_directory()
@@ -131,7 +136,7 @@ class TestInvalidationRules:
         d.make_visible(a, "svc/a", root)
         cache = self._cached(d, root)
         d.change_attributes(a, "other/a", root)
-        assert resolve_actors(d, "svc/*", root, cache=cache) == set()
+        assert set(resolve_actors(d, "svc/*", root, cache=cache)) == set()
 
     def test_destroy_space_on_path_invalidates(self):
         d, (root, _s1, _s2) = make_directory()
@@ -141,9 +146,9 @@ class TestInvalidationRules:
         a = ActorAddress(1, 0)
         d.make_visible(a, "kind/a", sub)
         cache = ResolutionCache()
-        assert resolve_actors(d, "dept/kind/*", root, cache=cache) == {a}
+        assert set(resolve_actors(d, "dept/kind/*", root, cache=cache)) == {a}
         d.destroy_space(sub)
-        assert resolve_actors(d, "dept/kind/*", root, cache=cache) == set()
+        assert set(resolve_actors(d, "dept/kind/*", root, cache=cache)) == set()
 
     def test_mutation_in_nested_space_invalidates_outer_scope(self):
         d, (root, _s1, _s2) = make_directory()
@@ -151,11 +156,11 @@ class TestInvalidationRules:
         d.add_space(SpaceRecord(sub))
         d.make_visible(sub, "dept", root)
         cache = ResolutionCache()
-        assert resolve_actors(d, "dept/**", root, cache=cache) == set()
+        assert set(resolve_actors(d, "dept/**", root, cache=cache)) == set()
         # The mutation touches only `sub`, but `sub` is on the path.
         a = ActorAddress(1, 0)
         d.make_visible(a, "kind/a", sub)
-        assert resolve_actors(d, "dept/**", root, cache=cache) == {a}
+        assert set(resolve_actors(d, "dept/**", root, cache=cache)) == {a}
 
     def test_space_added_after_dangling_reference_invalidates(self):
         # A space entry may reference an address the directory has not
@@ -166,11 +171,11 @@ class TestInvalidationRules:
         ghost = SpaceAddress(7, 7)
         d.make_visible(ghost, "dept", root)
         cache = ResolutionCache()
-        assert resolve_actors(d, "dept/*", root, cache=cache) == set()
+        assert set(resolve_actors(d, "dept/*", root, cache=cache)) == set()
         d.add_space(SpaceRecord(ghost))
         a = ActorAddress(1, 0)
         d.make_visible(a, "svc", ghost)
-        assert resolve_actors(d, "dept/*", root, cache=cache) == {a}
+        assert set(resolve_actors(d, "dept/*", root, cache=cache)) == {a}
 
     def test_unrelated_space_mutation_revalidates_without_rewalk(self):
         d, (root, other, _s2) = make_directory()
@@ -180,7 +185,7 @@ class TestInvalidationRules:
         # Mutate a space the cached walk never visited.
         d.make_visible(ActorAddress(1, 1), "noise", other)
         stats = MatchStats()
-        assert resolve_actors(d, "svc/*", root, stats, cache=cache) == {a}
+        assert set(resolve_actors(d, "svc/*", root, stats, cache=cache)) == {a}
         assert stats.cache_hits == 1
         assert stats.entries_examined == 0
         assert cache.invalidations == 0
@@ -297,4 +302,13 @@ class TestRandomizedEquivalence:
             cached_spaces = resolve_spaces(d, pattern, scope, cache=cache)
             fresh_spaces = resolve_spaces(d, pattern, scope)
             assert cached_spaces == fresh_spaces
+            # Both come back as values in arbitration (address) order,
+            # and a repeat while the epochs hold is the stored object.
+            for group, again in (
+                (cached, resolve_actors(d, pattern, scope, cache=cache)),
+                (cached_spaces, resolve_spaces(d, pattern, scope, cache=cache)),
+            ):
+                assert type(group) is tuple
+                assert group == tuple(sorted(set(group)))
+                assert again is group
         assert cache.hits > 0  # the scenario actually exercised reuse

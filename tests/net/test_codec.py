@@ -18,7 +18,14 @@ from hypothesis import strategies as st
 from repro.core.addresses import ActorAddress, SpaceAddress
 from repro.core.atoms import AttributePath
 from repro.core.capabilities import Capability
-from repro.core.messages import Destination, Envelope, Message, Mode, Port
+from repro.core.messages import (
+    Destination,
+    Envelope,
+    Message,
+    Mode,
+    Port,
+    parse_destination,
+)
 from repro.core.patterns import parse_pattern
 from repro.net.codec import (
     MAX_FRAME_BYTES,
@@ -220,6 +227,18 @@ def test_wire_domain_round_trips():
     assert back_op.args["capability"].token == capability.token
     assert (back_op.origin_node, back_op.origin_seq, back_op.op_id) == (
         op.origin_node, op.origin_seq, op.op_id)
+
+
+def test_destination_round_trips_with_a_warm_parse_memo():
+    """Decoding goes through the memoised ``parse_pattern``: equal text
+    decodes to equal patterns, and every decode fills a fresh destination."""
+    destination = parse_destination("warm/*@pools/main")
+    assert parse_destination("warm/*@pools/main") is destination  # memo is warm
+    wire = encode_value(destination)
+    first, second = decode_value(wire), decode_value(wire)
+    assert first == second == destination
+    assert first is not destination and first is not second
+    assert encode_value(first) == wire
 
 
 def test_registered_dataclass_round_trips():

@@ -15,6 +15,7 @@ from repro.core.addresses import ActorAddress
 from repro.core.messages import Mode
 from repro.net.codec import FrameKind
 from repro.net.runtime import NodeRuntime
+from repro.runtime.context import external_envelope
 from repro.shard.map import ShardMap
 
 from ..store.workload import each_plane
@@ -116,8 +117,8 @@ class TestNodeRuntimeRecovery:
         first = make_runtime(tmp_path, shards, ports={0: 39741, 1: 39742})
         populate(first, "gen1", count=1)
         dlq = first.dead_letters
-        envelopes = [first._external_envelope(
-            Mode.DIRECT, ("lost", i), target=ActorAddress(1, 7))
+        envelopes = [external_envelope(
+            first, Mode.DIRECT, ("lost", i), target=ActorAddress(1, 7))
             for i in range(3)]
         for envelope in envelopes:
             dlq.capture(envelope, 1, "node_unreachable")

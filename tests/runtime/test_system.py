@@ -302,6 +302,38 @@ class TestArbitration:
         assert counts == [10, 10, 10, 10]
 
 
+    def test_least_loaded_is_even_and_counts_in_flight_once_per_send(self):
+        """An 8-member group with 64 envelopes en route: every dispatch
+        walks ``in_flight`` once — not once per candidate — and the
+        spread is what counting per candidate gave (8 each, no ties lost)."""
+
+        class CountingDict(dict):
+            walks = 0
+
+            def values(self):
+                CountingDict.walks += 1
+                return super().values()
+
+        system = ActorSpaceSystem(
+            topology=Topology.lan(2), seed=0,
+            root_manager_factory=lambda: SpaceManager(
+                arbitration=Arbitration.LEAST_LOADED),
+        )
+        system.in_flight = CountingDict()
+        recorders = [Recorder() for _ in range(8)]
+        for i, r in enumerate(recorders):
+            system.make_visible(system.create_actor(r, node=i % 2), f"s/r{i}")
+        system.run()
+        for _ in range(64):
+            system.send("s/*", "req")
+        assert len(system.in_flight) == 64
+        assert CountingDict.walks == 64
+        system.send("s/*", "one more")
+        assert CountingDict.walks == 65
+        system.run()
+        assert sorted(len(r.received) for r in recorders) == [8] * 7 + [9]
+
+
 class TestCapabilitiesAndCycles:
     def test_protected_space_rejects_wrong_key(self):
         system = lan()
