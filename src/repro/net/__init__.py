@@ -14,15 +14,15 @@ Modules
     Versioned, length-prefixed binary framing plus deterministic
     serialization for every on-the-wire type (envelopes, patterns,
     attribute atoms, addresses, capability tokens, visibility ops, bus
-    submissions/acks, heartbeats, control requests).
+    frames, heartbeats, control requests).
 ``peer``
     One asyncio TCP server plus per-peer dialers with handshake
     (protocol + schema version check), capped-backoff reconnect, and
     graceful drain on shutdown.
 ``remote``
     ``TcpTransport`` (the :class:`~repro.runtime.transport.Transport`
-    interface over real sockets), ``RemoteSequencerBus`` (the PR-3
-    sequencer/failover protocol spoken in frames), and
+    interface over real sockets), ``RemoteSequencerBus`` (the driver of
+    ``runtime.sequencer.SequencerCore`` that speaks frames), and
     ``NetFailureDetector`` (the simulator's suspect/confirm path driven
     by real missed heartbeats).
 ``runtime``

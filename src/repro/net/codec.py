@@ -46,7 +46,7 @@ from repro.core.messages import Destination, Envelope, Message, Mode, Port
 from repro.core.patterns import Pattern, parse_pattern
 from repro.runtime.bus import OpKind, VisibilityOp
 
-PROTOCOL_VERSION = 5  # v5: sharded visibility plane (SHARD_FWD, shard ids)
+PROTOCOL_VERSION = 6  # v6: SYNC_DONE ends every sync replay; BUS_SUBMIT/BUS_ACK retired
 SCHEMA_VERSION = 2    # v2: VisibilityOp carries shard / tick / fan_of
 
 #: Hard ceiling on a single frame (length prefix included payload).
@@ -73,15 +73,14 @@ class FrameKind(enum.IntEnum):
     BYE = 4          #: graceful drain: no more frames will follow
     HEARTBEAT = 5    #: liveness beacon, feeds the failure detector
     ENVELOPE = 6     #: a routed application envelope
-    BUS_SUBMIT = 7   #: origin -> sequencer: order this visibility op
     BUS_OP = 8       #: sequencer -> all: globally sequenced visibility op
-    BUS_ACK = 9      #: retired (v5 peers may still send it): decoded, ignored
-    SYNC_REQ = 10    #: recovering node -> sequencer: replay log from seq
+    SYNC_REQ = 10    #: replica -> replica: replay your log from seq
     CONTROL = 11     #: launcher -> node: control-plane request
     REPLY = 12       #: node -> launcher: control-plane response
     BATCH = 13       #: N coalesced frames in one length-prefixed envelope
     CREDIT = 14      #: receiver -> sender: data-frame flow-control grant
-    SHARD_FWD = 15   #: cross-shard routed envelope (credit-controlled data)
+    SHARD_FWD = 15   #: origin -> sequencer: order this op (credit-controlled data)
+    SYNC_DONE = 16   #: end of a SYNC_REQ replay: how far the replier's order goes
 
 
 # -- enum index tables (wire-stable: append-only) -------------------------------

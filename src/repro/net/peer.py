@@ -96,14 +96,14 @@ WRITE_HIGH_WATER = 256 * 1024
 
 #: Frame kinds subject to the data bound + credit gating; everything
 #: else is control-class (shed-exempt budget, never credit-gated).
-#: Alongside envelopes, the bus replication stream (BUS_SUBMIT
-#: submissions, BUS_OP fan-out and sync replay) and SHARD_FWD
-#: cross-shard forwards are payload-bearing, unbounded-volume traffic:
-#: they must get backpressure from the big credit-gated queue, not
+#: Alongside envelopes, the bus replication stream (SHARD_FWD
+#: submissions, BUS_OP fan-out and sync replay) is payload-bearing,
+#: unbounded-volume traffic:
+#: it must get backpressure from the big credit-gated queue, not
 #: overflow the small control budget and shed — a shed BUS_OP is a hole
 #: in a replica's log.  Heartbeats and grants keep their own lane.
 _DATA_KINDS = frozenset({FrameKind.ENVELOPE, FrameKind.SHARD_FWD,
-                         FrameKind.BUS_SUBMIT, FrameKind.BUS_OP})
+                         FrameKind.BUS_OP})
 
 
 class PeerLink:

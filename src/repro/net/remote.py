@@ -12,17 +12,10 @@ Three pieces make a node process a full ActorSpace replica:
   suspect/confirm path is now driven by genuinely missed heartbeats.
 * :class:`NetFailureDetector` — the simulator's detector narrowed to a
   single observer (this process's node); every process runs its own.
-* :class:`RemoteSequencerBus` — the PR-3 sequencer protocol for one
-  shard's stream, spoken in SHARD_FWD/BUS_OP/SYNC_REQ frames:
-  submissions travel to the shard's sequencer node, get stamped into
-  that shard's order with per-origin FIFO holdback, and fan out to
-  every replica.  On sequencer death each replica independently
-  re-elects (the shard's home seat if live, else the lowest node it
-  still believes live) and re-drives its unacked submissions; dedup by
-  (origin, origin_seq) keeps re-driven ops idempotent.  A recovering
-  replica catches up by SYNC_REQ log replay.
-* :class:`ShardedRemoteBus` — a node's visibility plane: one
-  :class:`RemoteSequencerBus` per shard of the map (``n >= 1``).
+* :class:`RemoteSequencerBus` — the driver that runs one shard's
+  :class:`~repro.runtime.sequencer.SequencerCore` (the protocol the
+  simulator runs) over SHARD_FWD/BUS_OP/SYNC_REQ/SYNC_DONE frames; a
+  node's plane is a :class:`~repro.shard.ShardedBus` of them.
 """
 
 from __future__ import annotations
@@ -32,6 +25,7 @@ from typing import TYPE_CHECKING
 
 from repro.runtime.bus import BUS_PRIORITY, VisibilityOp
 from repro.runtime.failure import FailureDetector
+from repro.runtime.sequencer import OP, SUBMIT, SYNC_REQ, SequencerCore
 from repro.runtime.transport import Transport
 
 from .codec import FrameKind
@@ -189,430 +183,107 @@ class NetFailureDetector(FailureDetector):
 
 
 class RemoteSequencerBus:
-    """The sequencer total-order protocol over BUS_* frames.
+    """The TCP driver of one shard's sequencer protocol.
 
-    Mirrors :class:`~repro.runtime.bus.SequencerBus` state per process:
-    the sequenced log (for SYNC_REQ state transfer), per-origin FIFO
-    holdback (only exercised at the sequencer), the unacked-submission
-    set (re-driven after failover), and dedup of re-driven ops by
-    ``(origin_node, origin_seq)``.
-
-    Origin-side callbacks (``on_applied``/``on_rejected``) cannot cross
-    the wire; the origin keeps its local op object and substitutes it
-    when the sequenced copy comes back, so apply-time validation still
-    reports to the caller that issued the op.
+    The protocol is :class:`~repro.runtime.sequencer.SequencerCore`,
+    the one the simulator runs; this class is its host port over a node
+    process: ``SHARD_FWD``/``BUS_OP``/``SYNC_REQ``/``SYNC_DONE`` frames
+    through the hub (a frame to this node itself is fed straight back
+    in), the coordinator's cursor, the node's event heap for timers.
     """
-
-    FAILOVER_DELAY = 0.05
 
     def __init__(self, runtime: "NodeRuntime", shard_id: int, home_node: int):
         self.runtime = runtime
-        self.nodes = list(runtime.nodes)
         #: Which visibility-plane shard this bus orders.
         self.shard_id = shard_id
-        #: Preferred sequencer seat (the shard map's assignment).  The
-        #: role sticks here while the node is live, falls back to the
-        #: lowest live node during an outage, and returns on recovery.
-        self.home_node = home_node
-        self.sequencer_node = home_node
-        #: The sequenced log: per-shard seq -> op (SYNC_REQ replay source).
-        self.log: dict[int, VisibilityOp] = {}
-        self._next_seq = 0
-        #: Highest seq present in ``log`` (watermark, so a freshly
-        #: elected sequencer continues the order in O(1) instead of
-        #: scanning the whole log on every sequenced op).
-        self._log_high = -1
-        #: Per-origin FIFO reassembly (sequencer role only).
-        self._expected: dict[int, int] = {}
-        self._holdback: dict[tuple[int, int], VisibilityOp] = {}
-        #: Ops stamped into the global order, keyed by identity that
-        #: survives re-drives: (origin_node, origin_seq).
-        self._sequenced: set[tuple[int, int]] = set()
-        #: Local submissions not yet seen in the global order.
-        self._unacked: dict[int, VisibilityOp] = {}
-        #: Local op objects (with callbacks), substituted on fan-in.
-        self._local_ops: dict[int, VisibilityOp] = {}
-        self._redrive_scheduled = False
-        self._gap_sync_scheduled = False
         self.protocol_messages = 0
-        self.ops_sequenced = 0
-        self.failovers = 0
-        #: Optional :class:`repro.store.NodeStore`: sequenced ops are
-        #: staged with their local delivery or fan-out as the effect the
-        #: host's end-of-turn commit releases (transactional outbox), on
-        #: the sequencer and replica paths alike, so a SIGKILL at any
-        #: instant loses only ops no replica has seen.
-        self.store = None
+        self.core = core = SequencerCore(runtime.node_id, runtime.nodes,
+                                         home_node, self)
+        # Liveness changes and seat moves go straight to the core.
+        self.on_node_down = core.on_node_down
+        self.on_node_recovered = core.on_node_recovered
+        self.rebalance = core.rebalance
 
-    # -- origin side -------------------------------------------------------------
+    sequencer_node = property(lambda self: self.core.seat)
+
+    # -- inputs (defined here so the span recorder can wrap them) ----------------
 
     def submit(self, op: VisibilityOp) -> None:
         """Accept a local op for global ordering (never raises)."""
-        self._local_ops[op.op_id] = op
-        self._unacked[op.op_id] = op
-        self._send_submit(op)
-
-    def _send_submit(self, op: VisibilityOp) -> None:
-        if (op.origin_node, op.origin_seq) in self._sequenced:
-            return
-        if self.sequencer_node == self.runtime.node_id:
-            self._sequence(op)
-            return
-        self.protocol_messages += 1
-        # An unreachable sequencer is fine: the op stays unacked and the
-        # failover/reconnect paths re-drive it.  The submission is
-        # payload-bearing traffic, so it rides the credit-controlled
-        # data class on the wire (SHARD_FWD; BUS_SUBMIT from an older
-        # peer is still handled).
-        self.runtime.hub.send(self.sequencer_node, FrameKind.SHARD_FWD,
-                              {"op": op, "shard": self.shard_id})
-
-    # -- sequencer side ----------------------------------------------------------
+        self.core.submit(op)
 
     def on_submit(self, from_node: int, op: VisibilityOp) -> None:
-        """A submission arrived; only meaningful if we are the sequencer."""
-        if self.runtime.node_id != self.sequencer_node:
-            # A stale submit aimed at a deposed sequencer; the origin
-            # re-elects and re-drives on its own.
-            return
-        self.protocol_messages += 1
-        self._sequence(op)
-
-    def _sequence(self, op: VisibilityOp) -> None:
-        origin = op.origin_node
-        if (origin, op.origin_seq) in self._sequenced:
-            return  # duplicate of a re-driven op that already made it
-        # A freshly elected sequencer continues the order after the
-        # highest seq it has observed (its log mirrors the fan-out) —
-        # and never below what it has applied: after a restart from a
-        # snapshot the log is truncated, and re-minting an applied seq
-        # would be dropped everywhere as a replay overlap.
-        self._next_seq = max(self._next_seq, self._log_high + 1,
-                             self._applied_cursor())
-        self._expected.setdefault(origin, 0)
-        self._holdback[(origin, op.origin_seq)] = op
-        while (origin, self._expected[origin]) in self._holdback:
-            ready = self._holdback.pop((origin, self._expected[origin]))
-            self._expected[origin] += 1
-            seq = self._next_seq
-            self._next_seq += 1
-            self.ops_sequenced += 1
-            self._sequenced.add((ready.origin_node, ready.origin_seq))
-            self.log[seq] = ready
-            self._log_high = max(self._log_high, seq)
-            event_log = self.runtime.event_log
-            if event_log is not None and event_log.enabled:
-                event_log.emit(
-                    "bus_sequenced", self.runtime.clock.now,
-                    self.runtime.node_id, None, global_seq=seq,
-                    op=ready.kind.value, origin_node=ready.origin_node,
-                    origin_seq=ready.origin_seq,
-                )
-            self._once_durable(
-                lambda seq=seq, op=ready: self._fan_out(seq, op), seq, ready)
-
-    def _once_durable(self, effect, *record) -> None:
-        """Run ``effect`` once ``record`` — a ``(seq, op)`` to persist,
-        if given — and everything staged before it are on disk: at the
-        host's next commit point, in staging order (at once when there
-        is no store)."""
-        if self.store is None:
-            effect()
-        elif record:
-            self.store.append_op(*record, then=effect)
-        else:
-            self.store.defer(effect)
-
-    def _fan_out(self, seq: int, op: VisibilityOp) -> None:
-        for node in self.nodes:
-            if node == self.runtime.node_id:
-                self._deliver_local(seq, op)
-            else:
-                self.protocol_messages += 1
-                self.runtime.hub.send(node, FrameKind.BUS_OP,
-                                      {"seq": seq, "op": op,
-                                       "shard": self.shard_id})
-
-    # -- replica side ------------------------------------------------------------
+        self.core.on_submit(from_node, op)
 
     def on_op(self, seq: int, op: VisibilityOp) -> None:
-        """A globally sequenced op arrived (fan-out or SYNC replay)."""
-        first_sight = seq not in self.log
-        self.log[seq] = op
-        self._log_high = max(self._log_high, seq)
-        self._sequenced.add((op.origin_node, op.origin_seq))
-        self._expected[op.origin_node] = max(
-            self._expected.get(op.origin_node, 0), op.origin_seq + 1)
-        if op.origin_node == self.runtime.node_id:
-            # Our own op echoed back — possibly from a *previous
-            # incarnation* of this node (SYNC replay after a restart).
-            # Continue origin numbering past it, or every op this
-            # process mints would collide with a pre-crash (origin,
-            # origin_seq) pair and be deduped into the void.
-            origin_seqs = self.runtime.coordinator._origin_seqs
-            origin_seqs[self.shard_id] = max(
-                origin_seqs[self.shard_id], op.origin_seq + 1)
-        # Outbox on the replica path too: the op is durable here before
-        # the coordinator applies it, so this replica's recovery never
-        # depends on the sequencer's disk.  A replayed duplicate is not
-        # persisted twice, but still queues behind its first copy.
-        record = (seq, op) if first_sight else ()
-        self._once_durable(lambda: self._deliver_remote(seq, op), *record)
+        self.core.on_op(seq, op)
 
-    def _deliver_remote(self, seq: int, op: VisibilityOp) -> None:
-        self._deliver_local(seq, op)
-        if self._applied_cursor() <= seq:
-            # This op landed beyond the applied cursor: some earlier seq
-            # is missing (lost frame, or fan-out raced a failover).  Ask
-            # the sequencer to replay the hole after a debounce — the
-            # stream self-heals instead of stalling at the gap forever.
-            self._schedule_gap_sync()
+    def on_sync_req(self, node: int, from_seq: int) -> None:
+        self.core.on_sync_req(node, from_seq)
 
-    def _applied_cursor(self) -> int:
-        """How far this replica has applied *this shard's* stream."""
+    def on_peer_up(self, node: int) -> None:
+        """A peer link registered: catch up across it if either end holds
+        the seat (every replica mirrors the log a restarted seat missed)."""
+        if self.core.seat in (node, self.core.me):
+            self.core.request_sync()
+
+    # -- the core's port ---------------------------------------------------------
+
+    def send(self, to: int, msg: str, a, b) -> None:
+        core = self.core
+        if to == core.me:  # fed straight back in
+            return core.on_op(a, b) if msg is OP else core.on_submit(to, a)
+        self.protocol_messages += 1
+        # An unreachable peer is fine: a submission stays unacked and is
+        # re-driven, a lost op or replay is asked for again.  Ops and
+        # submissions ride the credit-controlled data class.
+        if msg is OP:
+            kind, payload = FrameKind.BUS_OP, {"seq": a, "op": b}
+        elif msg is SUBMIT:
+            kind, payload = FrameKind.SHARD_FWD, {"op": a}
+        elif msg is SYNC_REQ:
+            kind, payload = FrameKind.SYNC_REQ, {"node": core.me, "from_seq": a}
+        else:
+            kind, payload = FrameKind.SYNC_DONE, {"node": core.me, "upto": a}
+        payload["shard"] = self.shard_id
+        self.runtime.hub.send(to, kind, payload)
+
+    def is_down(self, node: int) -> bool:
+        return self.runtime.transport.node_is_down(node)
+
+    def cursor(self) -> int:
         return self.runtime.coordinator._shard_cursors[self.shard_id]
 
-    def _deliver_local(self, seq: int, op: VisibilityOp) -> None:
-        local = self._local_ops.pop(op.op_id, None)
-        self._unacked.pop(op.op_id, None)
-        if seq < self._applied_cursor():
-            return  # SYNC replay overlap: already applied here
-        self.runtime.coordinator.on_bus_delivery(
-            seq, local if local is not None else op)
+    def deliver(self, seq: int, op: VisibilityOp) -> None:
+        self.runtime.coordinator.on_bus_delivery(seq, op)
 
-    # -- state transfer ----------------------------------------------------------
+    def timer(self, delay: float, fn) -> None:
+        runtime = self.runtime
+        runtime.events.schedule(runtime.clock.now + delay, fn,
+                                priority=BUS_PRIORITY, tag=("bus_ctl",))
 
-    def restore_log(self, ops: dict[int, VisibilityOp]) -> None:
-        """Rebuild bus state from persisted ops (recovery, pre-serve).
+    def sequenced(self, seq: int, op: VisibilityOp) -> None:
+        event_log = self.runtime.event_log
+        if event_log is not None and event_log.enabled:
+            event_log.emit(
+                "bus_sequenced", self.runtime.clock.now, self.core.me, None,
+                global_seq=seq, op=op.kind.value, origin_node=op.origin_node,
+                origin_seq=op.origin_seq)
 
-        Restores the log (so this node can serve SYNC_REQ and continue
-        the order if elected sequencer), the dedup set, and the
-        per-origin FIFO watermarks — without delivering anything: the
-        caller replays ops into the coordinator separately.
-        """
-        for seq, op in ops.items():
-            self.log.setdefault(seq, op)
-            self._log_high = max(self._log_high, seq)
-            self._sequenced.add((op.origin_node, op.origin_seq))
-            self._expected[op.origin_node] = max(
-                self._expected.get(op.origin_node, 0), op.origin_seq + 1)
-        self._next_seq = max(self._next_seq, self._log_high + 1)
+    def echoed(self, op: VisibilityOp) -> None:
+        # Possibly from a *previous incarnation* of this node (sync
+        # replay after a restart): continue origin numbering past it, or
+        # every op this process mints would collide with a pre-crash
+        # (origin, origin_seq) pair and be deduped into the void.
+        origin_seqs = self.runtime.coordinator._origin_seqs
+        origin_seqs[self.shard_id] = max(origin_seqs[self.shard_id],
+                                         op.origin_seq + 1)
 
-    def request_sync(self) -> None:
-        """Ask the current sequencer to replay the log we have not applied."""
-        if self.sequencer_node == self.runtime.node_id:
-            return
-        self.protocol_messages += 1
-        self.runtime.hub.send(
-            self.sequencer_node, FrameKind.SYNC_REQ,
-            {"node": self.runtime.node_id,
-             "from_seq": self._applied_cursor(),
-             "shard": self.shard_id})
+    def failover(self, leader: int, reason: str) -> None:
+        self.runtime.tracer.on_failover(
+            node=leader, t=self.runtime.clock.now, protocol="sequencer-tcp",
+            reason=reason, new_leader=leader)
 
-    def on_sync_req(self, node: int, from_seq: int, shard: int = 0) -> None:
-        """Replay every logged op >= ``from_seq`` back to ``node``.
-
-        The log is dense up to ``_log_high`` bar lost frames: walk the
-        range and skip holes, no sort per request.  The replay queues
-        behind this turn's commit — the log may hold staged ops.
-        """
-        def replay() -> None:
-            for seq in range(max(from_seq, 0), self._log_high + 1):
-                op = self.log.get(seq)
-                if op is not None:
-                    self.protocol_messages += 1
-                    self.runtime.hub.send(node, FrameKind.BUS_OP,
-                                          {"seq": seq, "op": op,
-                                           "shard": self.shard_id})
-        self._once_durable(replay)
-
-    def on_peer_up(self, node: int) -> None:
-        """A peer link registered; catch up if it holds our sequencer role."""
-        if node == self.sequencer_node:
-            self.request_sync()
-        elif self.sequencer_node == self.runtime.node_id:
-            # We hold the seat.  A (re)starting seat-holder must adopt
-            # the existing stream before sequencing over it — otherwise
-            # it would re-mint seq numbers replicas have already applied
-            # and those ops would be silently skipped.  Every replica
-            # mirrors the log, so the newly linked peer can serve the
-            # replay; a current seat-holder gets an empty reply.
-            self.protocol_messages += 1
-            self.runtime.hub.send(node, FrameKind.SYNC_REQ,
-                                  {"node": self.runtime.node_id,
-                                   "from_seq": self._applied_cursor(),
-                                   "shard": self.shard_id})
-
-    # -- failover ----------------------------------------------------------------
-
-    def live_nodes(self) -> list[int]:
-        transport = self.runtime.transport
-        return [n for n in self.nodes if not transport.node_is_down(n)]
-
-    def on_node_down(self, node: int) -> None:
-        if node == self.sequencer_node:
-            self._elect("sequencer_down")
-        elif self._unacked:
-            self._schedule_redrive()
-
-    def on_node_recovered(self, node: int) -> None:
-        # Leadership follows "lowest live": a returning low node takes
-        # the role back, and every replica converges on the same answer
-        # because each re-evaluates against its own liveness view.
-        self._elect("sequencer_recovered")
-
-    def rebalance(self, node: int) -> None:
-        """Move this shard's home seat to ``node`` and re-elect, live."""
-        self.home_node = node
-        self._elect("rebalance")
-        if self._unacked:
-            self._schedule_redrive()
-
-    def _elect(self, reason: str) -> None:
-        live = self.live_nodes()
-        if not live:
-            return
-        new = self.home_node if self.home_node in live else min(live)
-        if new != self.sequencer_node:
-            self.sequencer_node = new
-            self.failovers += 1
-            tracer = self.runtime.tracer
-            if tracer is not None:
-                tracer.on_failover(node=new, t=self.runtime.clock.now,
-                                   protocol="sequencer-tcp", reason=reason,
-                                   new_leader=new)
-        if self._unacked:
-            self._schedule_redrive()
-
-    def _schedule_redrive(self) -> None:
-        if self._redrive_scheduled:
-            return
-        self._redrive_scheduled = True
-        self.runtime.events.schedule(
-            self.runtime.clock.now + self.FAILOVER_DELAY, self._redrive,
-            priority=BUS_PRIORITY, tag=("bus_ctl",))
-
-    def _redrive(self) -> None:
-        self._redrive_scheduled = False
-        for op in sorted(self._unacked.values(),
-                         key=lambda o: (o.origin_node, o.origin_seq)):
-            self._send_submit(op)
-
-    def _schedule_gap_sync(self) -> None:
-        if self._gap_sync_scheduled:
-            return
-        self._gap_sync_scheduled = True
-        self.runtime.events.schedule(
-            self.runtime.clock.now + self.FAILOVER_DELAY, self._gap_sync,
-            priority=BUS_PRIORITY, tag=("bus_ctl",))
-
-    def _gap_sync(self) -> None:
-        self._gap_sync_scheduled = False
-        if (self.sequencer_node == self.runtime.node_id
-                or self._applied_cursor() > self._log_high):
-            return  # gap closed (or we hold the seat: nothing to ask)
-        self.request_sync()
-        # Re-arm: the replay itself rides the wire and can be lost too.
-        self._schedule_gap_sync()
-
-    # -- introspection -----------------------------------------------------------
-
-    def metrics_snapshot(self) -> dict:
-        return {
-            "shard": self.shard_id,
-            "sequencer_node": self.sequencer_node,
-            "home_node": self.home_node,
-            "ops_sequenced": self.ops_sequenced,
-            "protocol_messages": self.protocol_messages,
-            "failovers": self.failovers,
-            "log_length": len(self.log),
-            "unacked": len(self._unacked),
-        }
-
-    def __repr__(self):
-        return (f"<RemoteSequencerBus shard={self.shard_id} "
-                f"@n{self.sequencer_node} "
-                f"log={len(self.log)} unacked={len(self._unacked)}>")
-
-
-class ShardedRemoteBus:
-    """One :class:`RemoteSequencerBus` per shard of the map, one facade.
-
-    The wire analogue of :class:`repro.shard.bus.ShardedBus`: frames
-    carry the shard id (SHARD_FWD submissions, BUS_OP/SYNC_REQ payload
-    keys), every shard elects and re-drives independently, and a
-    recovering replica catches up per shard.  The coordinator submits
-    straight to the owning stream (``shards[op.shard]``); inbound frames
-    are dispatched on ``op.shard``.
-    """
-
-    def __init__(self, runtime: "NodeRuntime", shard_map):
-        self.runtime = runtime
-        self.map = shard_map
-        self.shards: dict[int, RemoteSequencerBus] = {
-            k: RemoteSequencerBus(runtime, shard_id=k,
-                                  home_node=shard_map.sequencer_for(k))
-            for k in range(shard_map.n_shards)
-        }
-
-    # -- frame dispatch ----------------------------------------------------------
-
-    def on_submit(self, from_node: int, op: VisibilityOp) -> None:
-        self.shards[op.shard].on_submit(from_node, op)
-
-    def on_op(self, seq: int, op: VisibilityOp) -> None:
-        self.shards[op.shard].on_op(seq, op)
-
-    def on_sync_req(self, node: int, from_seq: int, shard: int = 0) -> None:
-        self.shards[shard].on_sync_req(node, from_seq)
-
-    # -- liveness ----------------------------------------------------------------
-
-    def on_node_down(self, node: int) -> None:
-        for bus in self.shards.values():
-            bus.on_node_down(node)
-
-    def on_node_recovered(self, node: int) -> None:
-        for bus in self.shards.values():
-            bus.on_node_recovered(node)
-
-    def on_peer_up(self, node: int) -> None:
-        for bus in self.shards.values():
-            bus.on_peer_up(node)
-
-    # -- rebalance ---------------------------------------------------------------
-
-    def rebalance(self, shard: int, node: int) -> int:
-        """Move ``shard``'s sequencer seat to ``node``; new map version."""
-        self.shards[shard].rebalance(node)
-        return self.map.assign(shard, node)
-
-    def apply_map(self, manifest: dict) -> bool:
-        """Adopt a gossiped shard map if its version is newer."""
-        if not self.map.apply_if_newer(manifest):
-            return False
-        for k, bus in self.shards.items():
-            seat = self.map.sequencer_for(k)
-            if seat != bus.home_node:
-                bus.rebalance(seat)
-        return True
-
-    # -- introspection -----------------------------------------------------------
-
-    def metrics_snapshot(self) -> dict:
-        return {
-            "shards": {k: b.metrics_snapshot()
-                       for k, b in sorted(self.shards.items())},
-            "map_version": self.map.version,
-            "ops_sequenced": sum(b.ops_sequenced
-                                 for b in self.shards.values()),
-            "protocol_messages": sum(b.protocol_messages
-                                     for b in self.shards.values()),
-            "failovers": sum(b.failovers for b in self.shards.values()),
-            "unacked": sum(len(b._unacked) for b in self.shards.values()),
-        }
-
-    def __repr__(self):
-        seats = ",".join(f"{k}@n{b.sequencer_node}"
-                         for k, b in sorted(self.shards.items()))
-        return f"<ShardedRemoteBus {seats}>"
+    def status(self) -> dict:
+        return {**self.core.status(), "applied": self.cursor(),
+                "protocol_messages": self.protocol_messages}

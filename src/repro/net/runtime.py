@@ -10,7 +10,7 @@ wiring diagram collapsed to *one* node plus stand-ins for the others:
   the coordinator interface the runtime reaches for on *other* nodes
   (``_deliver`` becomes "serialize and send", ``crashed`` consults the
   failure detector's verdicts);
-* a :class:`~repro.net.remote.ShardedRemoteBus` — one
+* a :class:`~repro.shard.ShardedBus` of one
   :class:`~repro.net.remote.RemoteSequencerBus` per shard of the map —
   ordering visibility ops in frames instead of simulated latency draws;
 * the PR-3 :class:`~repro.runtime.failure.DeadLetterQueue` and
@@ -55,13 +55,13 @@ from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.network import Topology
 from repro.runtime.rng import RngHub
 from repro.runtime.tracing import Tracer
-from repro.shard import ShardMap, ShardRouter
+from repro.shard import ShardedBus, ShardMap, ShardRouter
 from repro.shard.merge import shard_dir
 
 from . import registry
 from .codec import FrameKind, WireError, encode_value
 from .peer import PeerHub, PeerLink
-from .remote import NetFailureDetector, ShardedRemoteBus, TcpTransport
+from .remote import NetFailureDetector, RemoteSequencerBus, TcpTransport
 
 #: Detectors on a server run effectively forever; the PR-3 horizon only
 #: exists so the *simulator* can quiesce.
@@ -276,7 +276,9 @@ class NodeRuntime:
             self.coordinator if n == self.node_id else RemoteNodeProxy(self, n)
             for n in self.nodes
         ]
-        self.bus = ShardedRemoteBus(self, self.shard_map)
+        self.bus = ShardedBus(
+            self.shard_map,
+            lambda shard, seat: RemoteSequencerBus(self, shard, seat))
         self.dead_letters = DeadLetterQueue(self)
         self.failure_detector = NetFailureDetector(
             self, interval=heartbeat_interval,
@@ -387,16 +389,12 @@ class NodeRuntime:
             # origins whose every op predates the snapshot.
             expected = (recovered.snapshot or {}).get("expected", {})
             for k, ops in shard_ops.items():
-                bus = self.bus.shards[k]
-                bus.restore_log(ops)
-                for origin, floor in expected.get(k, {}).items():
-                    bus._expected[origin] = max(
-                        bus._expected.get(origin, 0), floor)
+                self.bus.shards[k].core.restore_log(ops, expected.get(k, {}))
             self.event_log.emit("node_recovered", self.clock.now,
                                 self.node_id, **self.recovery)
             self._log(f"recovered from {data_dir}: {self.recovery}")
         for k, store in self.shard_stores.items():
-            self.bus.shards[k].store = store
+            self.bus.shards[k].core.store = store
         self.dead_letters.store = self.store
         # A fresh snapshot caps the recovery cost of the *next* restart
         # even if this process dies before the first periodic snapshot
@@ -424,7 +422,7 @@ class NodeRuntime:
 
         state = snapshot_state(
             self.node_id, self.coordinator, self.dead_letters,
-            extra={"expected": {k: dict(bus._expected)
+            extra={"expected": {k: dict(bus.core.expected)
                                 for k, bus in self.bus.shards.items()}})
         path = self.store.write_snapshot(state, self.shard_stores)
         self.event_log.emit(
@@ -560,28 +558,28 @@ class NodeRuntime:
             return
         if kind == FrameKind.ENVELOPE:
             self.coordinator._deliver(payload["envelope"])
-        elif kind in (FrameKind.SHARD_FWD, FrameKind.BUS_SUBMIT):
-            # A submission (credit-controlled data class; BUS_SUBMIT is
-            # what older peers sent); the op's shard stamp routes it to
-            # the right inner sequencer.
-            self.bus.on_submit(src, payload["op"])
-        elif kind == FrameKind.BUS_OP:
-            self.bus.on_op(payload["seq"], payload["op"])
-        elif kind == FrameKind.SYNC_REQ:
-            self.bus.on_sync_req(payload["node"], payload["from_seq"],
-                                 payload.get("shard", 0))
         elif kind == FrameKind.CONTROL:
             self._on_control(payload, link)
-        # BUS_ACK is retired; one from an older peer is ignored here.
+        # The sequencer protocol: a frame's shard stamp names its stream.
+        elif kind == FrameKind.SHARD_FWD:
+            self.bus.shards[payload["shard"]].on_submit(src, payload["op"])
+        elif kind == FrameKind.BUS_OP:
+            self.bus.shards[payload["shard"]].on_op(payload["seq"],
+                                                    payload["op"])
+        elif kind == FrameKind.SYNC_REQ:
+            self.bus.shards[payload["shard"]].on_sync_req(
+                payload["node"], payload["from_seq"])
+        elif kind == FrameKind.SYNC_DONE:
+            self.bus.shards[payload["shard"]].core.on_sync_done(
+                payload["node"], payload["upto"])
 
     def _on_peer_up(self, node: int) -> None:
         """A node link registered (first connect or reconnect)."""
         self.on_peer_recovered(node)  # no-op unless it was confirmed down
         self._seen_peers.add(node)
         self.dead_letters.flush(node)
-        # Catch up on any visibility ops sequenced before we joined (or
-        # while we were partitioned/restarted) — per shard, each bus
-        # syncs iff the newly linked peer holds its sequencer seat.
+        # Catch up on visibility ops sequenced before we joined or while
+        # we were away: per shard, across a link that has the seat on it.
         self.bus.on_peer_up(node)
         peers = {n for n in self.nodes if n != self.node_id}
         if not self._detector_armed and self._seen_peers >= peers:
@@ -718,20 +716,6 @@ class NodeRuntime:
     def _ctl_ping(self) -> dict:
         return {"node": self.node_id, "t": self.clock.now}
 
-    def _shard_status(self) -> dict:
-        cursors = self.coordinator._shard_cursors
-        return {
-            k: {
-                "sequencer": bus.sequencer_node,
-                "home": bus.home_node,
-                "applied": cursors[k],
-                "ops_sequenced": bus.ops_sequenced,
-                "log": len(bus.log),
-                "unacked": len(bus._unacked),
-            }
-            for k, bus in sorted(self.bus.shards.items())
-        }
-
     def _store_status(self) -> dict | None:
         """Store counters, summed over every store this node writes."""
         if self.store is None:
@@ -752,7 +736,7 @@ class NodeRuntime:
         return {
             "node": self.node_id,
             "applied_seq": self._applied_total(),
-            "shards": self._shard_status(),
+            "shards": self.bus.status(),
             "shard_map_version": self.shard_map.version,
             "actors": len(self.coordinator.actors),
             "events_pending": len(self.events),
@@ -779,7 +763,6 @@ class NodeRuntime:
             "admission": self.admission.metrics()
                          if self.admission is not None else None,
             "clock": self.hub.clock_sync.snapshot(),
-            "bus": self.bus.metrics_snapshot(),
             "store": self._store_status(),
             "recovery": self.recovery,
             "dlq_recovered": self.dead_letters.recovered_total,
@@ -897,7 +880,7 @@ class NodeRuntime:
             "metrics": self.metrics_snapshot(),
             "transport": self.transport.metrics_snapshot(),
             "hub": self.hub.metrics_snapshot(),
-            "bus": self.bus.metrics_snapshot(),
+            "bus": self.bus.status(),
             "events": [self._wire_safe(e.to_dict()) for e in self.event_log]
                       if events else [],
         }
@@ -924,7 +907,7 @@ class NodeRuntime:
             "t": self.clock.now,
             "metrics": self.metrics_snapshot(),
             "hub": self.hub.metrics_snapshot(),
-            "bus": self.bus.metrics_snapshot(),
+            "bus": self.bus.status(),
             "transport": self.transport.metrics_snapshot(),
             "clock": self.hub.clock_sync.snapshot(),
             "heartbeats_suppressed": self.heartbeats_suppressed,

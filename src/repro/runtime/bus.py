@@ -14,7 +14,9 @@ We implement both families the paper names:
 
 * :class:`SequencerBus` — a centralized sequencer (Chang & Maxemchuk
   style [9]): submissions travel to a sequencer node, receive a global
-  sequence number, and are fanned out to every coordinator.
+  sequence number, and are fanned out to every coordinator.  The
+  protocol itself is :mod:`repro.runtime.sequencer`; the class here is
+  the simulator's driver of it.
 * :class:`TokenRingBus` — a rotating-token protocol (the Amoeba/token
   family): the token visits nodes round-robin; the holder stamps and fans
   out its pending submissions.
@@ -32,12 +34,15 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections import deque
+from collections import ChainMap, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.core.errors import NodeDownError, TransportError
+
 from .clock import VirtualClock
 from .events import EventQueue
+from .sequencer import OP, SUBMIT, SYNC_DONE, SYNC_REQ, SequencerCore
 from .transport import Transport
 
 #: Event priority for bus traffic: applied before same-instant actor work,
@@ -111,6 +116,10 @@ class Bus:
         self.clock = clock
         self.transport = transport
         self.deliver: Callable[[int, int, VisibilityOp], None] | None = None
+        #: node -> that node's per-shard applied cursors (the
+        #: coordinators' own lists), installed by the system; ``None`` on
+        #: a bare bus.
+        self.applied: "list[list[int]] | None" = None
         #: The system's flight recorder, wired after construction; the bus
         #: emits ``bus_sequenced`` events when it assigns global order.
         self.event_log = None
@@ -123,9 +132,9 @@ class Bus:
         #: Failover events survived (sequencer re-elections / token
         #: regenerations), for E11-style reliability accounting.
         self.failovers = 0
-        #: The sequenced-op log: seq -> op.  Retained so a recovering
-        #: coordinator can be brought up to date (state transfer); a real
-        #: deployment would truncate it at the all-applied watermark.
+        #: The sequenced-op log: seq -> op, as the simulator observes it
+        #: (the oracle and ``replay_to`` read it); a real deployment
+        #: would truncate it at the all-applied watermark.
         self.log: dict[int, VisibilityOp] = {}
         #: Optional :class:`repro.store.NodeStore`.  When attached, every
         #: sequenced op is persisted and committed before any delivery
@@ -133,11 +142,11 @@ class Bus:
         #: fall back to disk when no live replica can source a transfer.
         self.store = None
         self.disk_replays = 0
-        #: Plane hooks, set by :class:`repro.shard.ShardedBus`, which
-        #: runs one bus per shard: the shard id, a shared cross-shard
-        #: sequencing journal (appended at fan-out time), and — with more
-        #: than one shard — a shared node-local tick counter (the offline
-        #: merge key).  All ``None``/0 for a standalone bus.
+        #: Plane hooks, set by the system, which runs one bus per shard:
+        #: the shard id, a shared cross-shard sequencing journal
+        #: (appended when an op is sequenced), and — with more than one
+        #: shard — a shared node-local tick counter (the offline merge
+        #: key).  All ``None``/0 for a standalone bus.
         self.shard_id = 0
         self.journal: "list[tuple[int, int]] | None" = None
         self.tick_counter = None
@@ -159,14 +168,14 @@ class Bus:
     def replay_to(self, node: int, from_seq: int) -> int:
         """State transfer: redeliver every logged op >= ``from_seq`` to ``node``.
 
-        Called when a coordinator recovers from a crash; the missed ops
-        arrive with ordinary transport latency and flow through the same
-        hold-back application path, so recovery is just catching up on the
-        total order.  The transfer source is a *live* replica — preferring
-        the lowest live node other than ``node`` itself — because the
-        historical fixed choice (node 0) silently skipped the transfer
-        whenever node 0 was down, leaving the recovering replica diverged
-        forever.  Returns the number of ops scheduled for replay.
+        The missed ops arrive with ordinary transport latency and flow
+        through the same hold-back application path, so recovery is just
+        catching up on the total order.  The transfer source is a *live*
+        replica — preferring the lowest live node other than ``node``
+        itself — because the historical fixed choice (node 0) silently
+        skipped the transfer whenever node 0 was down, leaving the
+        recovering replica diverged forever.  Returns the number of ops
+        scheduled for replay.
 
         Raises
         ------
@@ -174,8 +183,6 @@ class Bus:
             If there are ops to replay and no live node can source them.
         """
         assert self.deliver is not None, "bus not wired to a system"
-        from repro.core.errors import NodeDownError, TransportError
-
         pending = sorted(s for s in self.log if s >= from_seq)
         live = self.live_nodes()
         sources = [n for n in live if n != node] or ([node] if node in live else [])
@@ -193,19 +200,13 @@ class Bus:
         source = sources[0]
         count = 0
         for seq in pending:
-            op = self.log[seq]
             self.protocol_messages += 1
             try:
                 latency = self.transport.deliver_latency(source, node)
             except (TransportError, RuntimeError):  # pragma: no cover
                 break
             count += 1
-            self.events.schedule(
-                self.clock.now + latency,
-                (lambda n=node, s=seq, o=op: self.deliver(n, s, o)),
-                priority=BUS_PRIORITY,
-                tag=("bus", node),
-            )
+            self._deliver_at(self.clock.now + latency, node, seq, self.log[seq])
         return count
 
     def _replay_from_store(self, node: int, from_seq: int) -> int:
@@ -222,12 +223,7 @@ class Bus:
         for seq, op in self.store.read_ops(from_seq):
             self.log.setdefault(seq, op)
             count += 1
-            self.events.schedule(
-                self.clock.now,
-                (lambda n=node, s=seq, o=op: self.deliver(n, s, o)),
-                priority=BUS_PRIORITY,
-                tag=("bus", node),
-            )
+            self._deliver_at(self.clock.now, node, seq, op)
         self.disk_replays += 1
         if self.event_log is not None and self.event_log.enabled:
             self.event_log.emit(
@@ -235,6 +231,13 @@ class Bus:
                 from_seq=from_seq, ops=count,
             )
         return count
+
+    def _deliver_at(self, when: float, node: int, seq: int,
+                    op: VisibilityOp) -> None:
+        """Schedule the arrival of sequenced ``op`` at ``node``."""
+        self.events.schedule(
+            when, lambda: self.deliver(node, seq, op),
+            priority=BUS_PRIORITY, tag=("bus", node))
 
     def _record_failover(self, protocol: str, reason: str,
                          new_leader: int | None = None) -> None:
@@ -252,28 +255,19 @@ class Bus:
                 None, protocol=protocol, reason=reason,
             )
 
-    # -- shared helpers ----------------------------------------------------------
-
-    def _fan_out(self, seq: int, op: VisibilityOp, from_node: int) -> None:
-        """Send the sequenced op to every coordinator.
-
-        Crashed nodes are skipped; a real deployment would replay the
-        missed operations on recovery (out of scope for the experiments,
-        which never recover a coordinator).
-        """
-        assert self.deliver is not None, "bus not wired to a system"
-        from repro.core.errors import TransportError
-
-        self.log[seq] = op
+    def _record_sequenced(self, seq: int, op: VisibilityOp,
+                          from_node: int) -> None:
+        """``from_node`` just gave ``op`` its place in the order: journal
+        it and make it durable before any replica sees it."""
+        self.ops_sequenced += 1
         if self.tick_counter is not None:
             op.tick = next(self.tick_counter)
         if self.journal is not None:
             self.journal.append((self.shard_id, seq))
         if self.store is not None:
-            # Transactional outbox: the op is durable before any replica
-            # sees it, so a crash can only lose ops nobody applied.  The
-            # simulator's turn is this one event, so its commit point
-            # sits right behind the append.
+            # Transactional outbox: a crash can only lose ops nobody
+            # applied.  The simulator's turn is this one event, so its
+            # commit point sits right behind the append.
             self.store.append_op(seq, op, tick=op.tick)
             self.store.commit()
             self.store.arm_sync(self.events, self.clock.now)
@@ -283,172 +277,164 @@ class Bus:
                 global_seq=seq, op=op.kind.value, origin_node=op.origin_node,
                 origin_seq=op.origin_seq,
             )
-        for node in self.nodes:
-            self.protocol_messages += 1
-            try:
-                latency = self.transport.deliver_latency(from_node, node)
-            except (TransportError, RuntimeError):
-                continue
-            self.events.schedule(
-                self.clock.now + latency,
-                (lambda n=node, s=seq, o=op: self.deliver(n, s, o)),
-                priority=BUS_PRIORITY,
-                tag=("bus", node),
-            )
+
+
+class _NodePort:
+    """One node's end of the simulated bus: the host port of its core."""
+
+    __slots__ = ("bus", "node", "is_down", "bare", "ahead")
+
+    def __init__(self, bus: "SequencerBus", node: int):
+        self.bus = bus
+        self.node = node
+        self.is_down = bus.transport.node_is_down
+        #: A bare bus (no system) counts as applied what it delivered.
+        self.bare = 0
+        self.ahead: set[int] = set()
+
+    def send(self, to: int, msg: str, a, b) -> None:
+        """One frame as one event — to this node itself too, so message
+        counts and virtual latencies keep their meaning."""
+        bus, src, is_down = self.bus, self.node, self.is_down
+        bus.protocol_messages += 1
+        try:
+            latency = bus.transport.deliver_latency(src, to)
+        except (TransportError, RuntimeError):
+            return  # an end is down: the frame is lost
+        core = bus.cores[to]
+        if msg is OP:
+            # Fan-out leaves when the seat's service queue has drained.
+            when, tag = max(bus.clock.now, bus._busy_until), ("bus", to)
+
+            def arrive() -> None:
+                if not is_down(to):
+                    core.on_op(a, b)
+        else:
+            when, tag = bus.clock.now, _FRAME_TAGS[msg]
+            handler = (core.on_submit if msg is SUBMIT else
+                       core.on_sync_req if msg is SYNC_REQ else
+                       core.on_sync_done)
+
+            def arrive() -> None:
+                if not is_down(to):
+                    handler(src, a)
+        bus.events.schedule(when + latency, arrive,
+                            priority=BUS_PRIORITY, tag=tag)
+
+    def cursor(self) -> int:
+        bus = self.bus
+        if bus.applied is None:
+            return self.bare
+        return bus.applied[self.node][bus.shard_id]
+
+    def deliver(self, seq: int, op: VisibilityOp) -> None:
+        bus = self.bus
+        bus.deliver(self.node, seq, op)
+        if bus.applied is None:
+            self.ahead.add(seq)
+            while self.bare in self.ahead:
+                self.ahead.discard(self.bare)
+                self.bare += 1
+
+    def timer(self, delay: float, fn: Callable[[], None]) -> None:
+        bus, node = self.bus, self.node
+
+        def fire() -> None:
+            if self.is_down(node):
+                bus._parked.setdefault(node, []).append(fn)
+            else:
+                fn()
+
+        bus.events.schedule(bus.clock.now + delay, fire,
+                            priority=BUS_PRIORITY, tag=("bus_ctl",))
+
+    def sequenced(self, seq: int, op: VisibilityOp) -> None:
+        bus = self.bus
+        if bus.service_time > 0.0:
+            # Queueing model: each op occupies the seat for one service
+            # interval; its fan-out happens when service completes.
+            bus._busy_until = max(bus.clock.now, bus._busy_until) \
+                + bus.service_time
+        bus._record_sequenced(seq, op, self.node)
+
+    def echoed(self, op: VisibilityOp) -> None:
+        """Nothing to resync: a simulated node keeps its counters."""
+
+    def failover(self, leader: int, reason: str) -> None:
+        if leader == self.node:  # one report per move: the gainer's
+            self.bus._record_failover("sequencer", reason, new_leader=leader)
+
+
+#: Schedule tags of the frames that are not sequenced ops.
+_FRAME_TAGS = {SUBMIT: ("bus_seq",), SYNC_REQ: ("bus_ctl",),
+               SYNC_DONE: ("bus_ctl",)}
 
 
 class SequencerBus(Bus):
-    """Centralized broadcaster-and-sequencer (Chang & Maxemchuk [9]).
+    """The simulator's driver of the sequencer protocol.
 
-    Submissions are unicast to the sequencer node, buffered there until
-    per-origin FIFO order is restored, stamped with the next global
-    sequence number, and fanned out to all nodes.
+    One :class:`~repro.runtime.sequencer.SequencerCore` per node; their
+    frames travel as events with the transport's latency, a frame to or
+    from a crashed node is lost, and a crashed node's timers wait for
+    its recovery.  What stays here is what only a simulator has: the
+    observer's journal and view of the logs, the store written at
+    sequencing time, and the ``service_time`` queueing model.
     """
-
-    #: Virtual-time cost of electing a replacement sequencer (one
-    #: coordination round before unacked submissions are re-driven).
-    FAILOVER_DELAY = 0.05
 
     def __init__(self, nodes, events, clock, transport,
                  sequencer_node: int | None = None,
                  service_time: float = 0.0):
         super().__init__(nodes, events, clock, transport)
-        self.sequencer_node = self.nodes[0] if sequencer_node is None else sequencer_node
-        #: Modelled serial per-op service time at the sequencer (virtual
-        #: seconds).  Zero (default) sequences instantaneously — the
-        #: historical behavior.  Non-zero makes the sequencer a real
-        #: queueing station: ops are stamped in order but fanned out one
-        #: service interval apart, so a single global sequencer saturates
-        #: and per-shard sequencers visibly divide the load (what
-        #: ``bench_shard.py`` measures).
+        home = self.nodes[0] if sequencer_node is None else sequencer_node
+        #: Modelled serial per-op service time at the seat (virtual
+        #: seconds).  Zero (default) sequences instantaneously.  Non-zero
+        #: makes the seat a real queueing station: ops are stamped in
+        #: order but fanned out one service interval apart, so a single
+        #: global sequencer saturates and per-shard sequencers visibly
+        #: divide the load (what ``bench_shard.py`` measures).
         self.service_time = service_time
         self._busy_until = 0.0
-        self._next_seq = 0
-        #: Per-origin FIFO reassembly at the sequencer.
-        self._expected: dict[int, int] = {}
-        self._holdback: dict[tuple[int, int], VisibilityOp] = {}
-        #: Submissions not yet globally ordered: op_id -> op.  Failover
-        #: re-drives these at the replacement sequencer; they are removed
-        #: the moment the op is stamped and fanned out.
-        self._unacked: dict[int, VisibilityOp] = {}
-        #: Ops already stamped, so a re-driven duplicate is dropped.
-        self._sequenced_ids: set[int] = set()
-        self._redrive_scheduled = False
+        self.cores = {n: SequencerCore(n, self.nodes, home, _NodePort(self, n))
+                      for n in self.nodes}
+        # The observer's log is a view, not a copy: what any node has
+        # logged (ahead of them, what a disk replay read back).
+        self.log = ChainMap({}, *(core.log for core in self.cores.values()))
+        #: Timers that came due on a crashed node: node -> callbacks.
+        self._parked: dict[int, list[Callable[[], None]]] = {}
+
+    @property
+    def sequencer_node(self) -> int:
+        """The seat, in the view of the lowest live node."""
+        live = self.live_nodes()
+        return self.cores[live[0] if live else self.nodes[0]].seat
 
     def submit(self, op: VisibilityOp) -> None:
-        """Accept ``op`` for ordering.  Never raises on a crashed
-        sequencer: the op parks as unacked and failover re-drives it."""
-        self._unacked[op.op_id] = op
-        self._to_sequencer(op)
+        """Accept ``op`` at its origin's core.  Never raises on a crashed
+        seat: the op parks as unacked and failover re-drives it."""
+        self.cores[op.origin_node].submit(op)
 
-    def _to_sequencer(self, op: VisibilityOp) -> None:
-        from repro.core.errors import TransportError
-
-        if self.transport.node_is_down(op.origin_node):
-            # The submitting node died before the unicast left it: the
-            # op is lost with its origin (nobody else holds a copy).
-            self._unacked.pop(op.op_id, None)
-            return
-        if self.transport.node_is_down(self.sequencer_node):
-            self._failover()
-            return
-        self.protocol_messages += 1
-        try:
-            latency = self.transport.deliver_latency(op.origin_node, self.sequencer_node)
-        except (TransportError, RuntimeError):
-            self._failover()
-            return
+    def _deliver_at(self, when, node, seq, op) -> None:
         self.events.schedule(
-            self.clock.now + latency,
-            lambda: self._at_sequencer(op),
-            priority=BUS_PRIORITY,
-            tag=("bus_seq",),
-        )
-
-    def _at_sequencer(self, op: VisibilityOp) -> None:
-        if self.transport.node_is_down(self.sequencer_node):
-            # The sequencer died while the unicast was in flight; the op
-            # stays unacked and the failover path re-drives it.
-            return
-        if op.op_id in self._sequenced_ids:
-            return  # duplicate of a re-driven op that already made it
-        origin = op.origin_node
-        self._expected.setdefault(origin, 0)
-        self._holdback[(origin, op.origin_seq)] = op
-        # Release the contiguous run now available from this origin.
-        while (origin, self._expected[origin]) in self._holdback:
-            ready = self._holdback.pop((origin, self._expected[origin]))
-            self._expected[origin] += 1
-            seq = self._next_seq
-            self._next_seq += 1
-            self.ops_sequenced += 1
-            self._sequenced_ids.add(ready.op_id)
-            self._unacked.pop(ready.op_id, None)
-            if self.service_time > 0.0:
-                # Queueing model: each op occupies the sequencer for one
-                # service interval; fan-out happens when service completes.
-                start = max(self.clock.now, self._busy_until)
-                done = start + self.service_time
-                self._busy_until = done
-                self.events.schedule(
-                    done,
-                    (lambda s=seq, o=ready: self._fan_out(s, o, self.sequencer_node)),
-                    priority=BUS_PRIORITY,
-                    tag=("bus_seq",),
-                )
-            else:
-                self._fan_out(seq, ready, self.sequencer_node)
-
-    # -- failover ----------------------------------------------------------------
-
-    def _failover(self) -> None:
-        """Elect the lowest live node as replacement sequencer.
-
-        The sequenced log, FIFO reassembly state, and next sequence
-        number are modelled as shared bus state (a real deployment
-        rebuilds them from the replicated log during election), so the
-        replacement continues the gap-free global order; unacked
-        submissions are re-driven after one election delay.
-        """
-        live = self.live_nodes()
-        if not live:
-            # Total outage: unacked ops wait for the first recovery.
-            return
-        if self.transport.node_is_down(self.sequencer_node):
-            self.sequencer_node = live[0]
-            self._record_failover("sequencer", "sequencer_down",
-                                  new_leader=self.sequencer_node)
-        self._schedule_redrive(self.FAILOVER_DELAY)
-
-    def _schedule_redrive(self, delay: float) -> None:
-        if self._redrive_scheduled:
-            return
-        self._redrive_scheduled = True
-        self.events.schedule(
-            self.clock.now + delay, self._redrive, priority=BUS_PRIORITY,
-            tag=("bus_ctl",),
-        )
-
-    def _redrive(self) -> None:
-        self._redrive_scheduled = False
-        pending = sorted(
-            self._unacked.values(), key=lambda o: (o.origin_node, o.origin_seq)
-        )
-        for op in pending:
-            self._to_sequencer(op)
+            when, lambda: self.cores[node].on_op(seq, op),
+            priority=BUS_PRIORITY, tag=("bus", node))
 
     def on_node_down(self, node: int) -> None:
-        if node == self.sequencer_node:
-            self._failover()
+        for core in self.cores.values():
+            core.on_node_down(node)
 
     def on_node_recovered(self, node: int) -> None:
-        if self.transport.node_is_down(self.sequencer_node):
-            self._failover()
-        elif self._unacked:
-            self._schedule_redrive(0.0)
+        for core in self.cores.values():
+            core.on_node_recovered(node)
+        for fn in self._parked.pop(node, ()):
+            fn()
+
+    def rebalance(self, node: int) -> None:
+        """Move the home seat to ``node``, live."""
+        for core in self.cores.values():
+            core.rebalance(node)
 
     def __repr__(self):
-        return f"<SequencerBus @n{self.sequencer_node} seq={self._next_seq}>"
+        return f"<SequencerBus @n{self.sequencer_node} seq={len(self.log)}>"
 
 
 class TokenRingBus(Bus):
@@ -498,9 +484,20 @@ class TokenRingBus(Bus):
                 tag=("bus_token",),
             )
 
-    def _token_arrives(self) -> None:
-        from repro.core.errors import TransportError
+    def _fan_out(self, seq: int, op: VisibilityOp, from_node: int) -> None:
+        """Record the op and send it to every coordinator (crashed nodes
+        are skipped; recovery replays what they missed)."""
+        self.log[seq] = op
+        self._record_sequenced(seq, op, from_node)
+        for node in self.nodes:
+            self.protocol_messages += 1
+            try:
+                latency = self.transport.deliver_latency(from_node, node)
+            except (TransportError, RuntimeError):
+                continue
+            self._deliver_at(self.clock.now + latency, node, seq, op)
 
+    def _token_arrives(self) -> None:
         holder = self.nodes[self._token_holder_index]
         if self.transport.node_is_down(holder):
             # The holder crashed with the token: regenerate it at the next
@@ -513,7 +510,6 @@ class TokenRingBus(Bus):
                 op = queue.popleft()
                 seq = self._next_seq
                 self._next_seq += 1
-                self.ops_sequenced += 1
                 self._fan_out(seq, op, holder)
         # Pass the token to the next *live* node on the ring.
         next_index = self._next_live_index(self._token_holder_index)
@@ -565,6 +561,8 @@ class TokenRingBus(Bus):
         return any(not down(origin) for origin, _ in self._holdback)
 
     def on_node_recovered(self, node: int) -> None:
+        if self.applied is not None:
+            self.replay_to(node, self.applied[node][self.shard_id])
         if self._any_pending():
             self._ensure_token()
 

@@ -22,6 +22,7 @@ is hit; virtual time then tells you how long the computation "took".
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Iterable
 
 from repro.core.actor import ActorRecord, Behavior
@@ -158,27 +159,39 @@ class ActorSpaceSystem:
         # so how many streams carry it is a parameter of the map).
         from repro.shard import ShardedBus, ShardMap, ShardRouter
 
-        if bus == "sequencer":
-            bus_class, bus_kwargs = SequencerBus, {
-                "service_time": sequencer_service_time}
-        elif bus == "token-ring":
-            if shards > 1:
-                raise ValueError("a partitioned plane requires bus='sequencer'")
-            bus_class, bus_kwargs = TokenRingBus, {}
-        else:
+        if bus not in ("sequencer", "token-ring"):
             raise ValueError(f"unknown bus protocol {bus!r}")
+        if bus == "token-ring" and shards > 1:
+            raise ValueError("a partitioned plane requires bus='sequencer'")
         self.shards = shards
         self.shard_map = ShardMap.for_plane(shards, nodes, shard_sequencer)
         self.shard_router = ShardRouter(self.shard_map)
         self.coordinators: list[Coordinator] = [
             Coordinator(n, self) for n in self.topology.nodes
         ]
-        self.bus = ShardedBus(
-            nodes, self.events, self.clock, self.transport, self.shard_map,
-            bus_class,
-            deliver=lambda node, seq, op:
-                self.coordinators[node].on_bus_delivery(seq, op),
-            event_log=self.event_log, tracer=self.tracer, **bus_kwargs)
+        coordinators = self.coordinators
+        journal: list[tuple[int, int]] = []
+        # The tick is the offline merge key across streams: stamped (and
+        # persisted) only when there is more than one stream to merge.
+        ticks = itertools.count() if shards > 1 else None
+
+        def make_stream(shard, seat):
+            if bus == "sequencer":
+                stream = SequencerBus(
+                    nodes, self.events, self.clock, self.transport,
+                    sequencer_node=seat, service_time=sequencer_service_time)
+            else:
+                stream = TokenRingBus(nodes, self.events, self.clock,
+                                      self.transport)
+            stream.shard_id, stream.journal, stream.tick_counter = \
+                shard, journal, ticks
+            stream.event_log, stream.tracer = self.event_log, self.tracer
+            stream.deliver = lambda node, seq, op: \
+                coordinators[node].on_bus_delivery(seq, op)
+            stream.applied = [c._shard_cursors for c in coordinators]
+            return stream
+
+        self.bus = ShardedBus(self.shard_map, make_stream)
 
         #: Bounded capture of undeliverable envelopes, redelivered on
         #: recovery (self-healing delivery).
@@ -386,9 +399,6 @@ class ActorSpaceSystem:
         recovered = self.coordinators[node]
         recovered.crashed = False
         self._network_transport.recover_node(node)  # type: ignore[attr-defined]
-        # Per-shard state transfer: each shard replays from this
-        # replica's own cursor into that shard's stream.
-        self.bus.replay_to(node, dict(enumerate(recovered._shard_cursors)))
         unmasked: list[Coordinator] = []
         for coordinator in self.coordinators:
             if node in coordinator.directory.quarantined_nodes:

@@ -58,7 +58,7 @@ def populate(runtime, tag, count=4):
 
 
 def log_length(runtime):
-    return sum(len(bus.log) for bus in runtime.bus.shards.values())
+    return sum(len(bus.core.log) for bus in runtime.bus.shards.values())
 
 
 def close(runtime):
@@ -174,7 +174,8 @@ class TestNodeRuntimeRecovery:
 
             def wire(node, kind, payload):  # the seat's fan-out, no socket
                 if kind == FrameKind.BUS_OP:
-                    replica.bus.on_op(payload["seq"], payload["op"])
+                    replica.bus.shards[payload["shard"]].on_op(
+                        payload["seq"], payload["op"])
                 return True
 
             seat.hub.send = wire
@@ -197,7 +198,7 @@ class TestNodeRuntimeRecovery:
         assert replica.coordinator._shard_cursors == cursors
         populate(seat, "gen2", count=2)
         turn(seat, replica)
-        assert not any(bus._unacked for bus in seat.bus.shards.values())
+        assert not any(bus.core.unacked for bus in seat.bus.shards.values())
         assert all(new > old for new, old in
                    zip(seat.coordinator._shard_cursors, cursors))
         directory = seat.coordinator.directory.snapshot()

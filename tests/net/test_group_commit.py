@@ -7,8 +7,8 @@ contract: an op is on disk before any replica, local or remote, can
 observe it, and each shard's ``seq`` order survives.
 
 The rig is node 0 of a 2-node / 2-shard cluster with no sockets: it
-holds shard 0's sequencer seat (``SHARD_FWD``/``BUS_SUBMIT`` from node 1
-are sequenced, persisted, applied and fanned out here) and is a replica
+holds shard 0's sequencer seat (``SHARD_FWD`` from node 1 is sequenced,
+persisted, applied and fanned out here) and is a replica
 of shard 1 (``BUS_OP`` from node 1 is persisted and applied here).  The
 hub, ``os.fsync``, every store append and the coordinator's apply hook
 write one shared tape, so "what happened before what" is a list lookup.
@@ -135,7 +135,7 @@ def dead_envelope(index):
 def build_frames(script):
     """Concrete frames for a list of abstract steps.
 
-    ``fwd``/``submit`` carry node 1's next shard-0 op to the seat here;
+    ``fwd`` carries node 1's next shard-0 op to the seat here;
     ``op`` is the next shard-1 op already sequenced on node 1; ``env``
     is an undeliverable envelope (one dead-letter capture); ``again``
     repeats an earlier frame (a re-driven submission or a SYNC replay);
@@ -144,9 +144,9 @@ def build_frames(script):
     frames: list[tuple] = []
     submitted = sequenced = envelopes = 0
     for step, pick in script:
-        if step in ("fwd", "submit"):
-            kind = FrameKind.SHARD_FWD if step == "fwd" else FrameKind.BUS_SUBMIT
-            frames.append((kind, {"op": vis_op(0, submitted), "shard": 0}))
+        if step == "fwd":
+            frames.append((FrameKind.SHARD_FWD,
+                           {"op": vis_op(0, submitted), "shard": 0}))
             submitted += 1
         elif step == "op":
             frames.append((FrameKind.BUS_OP, {"seq": sequenced, "shard": 1,
@@ -227,7 +227,7 @@ def check_tape(tape):
 
 
 STEPS = st.tuples(
-    st.sampled_from(["fwd", "submit", "op", "env", "again", "swap"]),
+    st.sampled_from(["fwd", "op", "env", "again", "swap"]),
     st.integers(min_value=0, max_value=63))
 
 
@@ -245,7 +245,7 @@ class TestOutboxUnderBatching:
             # Nothing is left behind: every submission that reached the
             # seat was sequenced and fanned out exactly once.
             submitted = {p["op"].origin_seq for kind, p in frames
-                         if kind in (FrameKind.SHARD_FWD, FrameKind.BUS_SUBMIT)}
+                         if kind == FrameKind.SHARD_FWD}
             assert [e[3] for e in r.tape if e[0] == "send"] \
                 == list(range(len(submitted)))
 
@@ -403,15 +403,6 @@ class TestBatchPolicyOnTheNode:
             assert [e for e in r.tape if e[0] == "fsync"] == [("fsync", 1)]
 
 
-class TestRetiredAck:
-    def test_seat_sends_no_ack_and_ignores_one(self):
-        with rig() as r:
-            r.feed([(FrameKind.SHARD_FWD, {"op": vis_op(0, 0), "shard": 0}),
-                    (FrameKind.BUS_ACK, {"op_id": 7})])  # from a v5 peer
-            assert [e[1] for e in r.tape if e[0] == "send"] == [FrameKind.BUS_OP]
-            assert not hasattr(r.runtime.bus, "on_ack")
-
-
 class TestSyncReplay:
     def test_replay_walks_the_dense_log_and_skips_holes(self):
         with rig() as r:
@@ -420,7 +411,10 @@ class TestSyncReplay:
                                             "op": vis_op(1, seq)})])
             del r.tape[:]
             r.feed([(FrameKind.SYNC_REQ, {"node": 1, "from_seq": 1, "shard": 1})])
-            assert [e[3] for e in r.tape if e[0] == "send"] == [1, 3, 4]
+            *ops, done = [e for e in r.tape if e[0] == "send"]
+            assert [(e[1], e[3]) for e in ops] \
+                == [(FrameKind.BUS_OP, seq) for seq in (1, 3, 4)]
+            assert done[1] == FrameKind.SYNC_DONE  # the replay's end marker
 
     def test_replay_in_the_same_batch_waits_for_the_commit(self):
         """A SYNC_REQ behind a submission in one batch must not leak the
@@ -428,6 +422,7 @@ class TestSyncReplay:
         with rig() as r:
             r.feed([(FrameKind.SHARD_FWD, {"op": vis_op(0, 0), "shard": 0}),
                     (FrameKind.SYNC_REQ, {"node": 1, "from_seq": 0, "shard": 0})])
-            sends = [i for i, e in enumerate(r.tape) if e[0] == "send"]
+            sends = [i for i, e in enumerate(r.tape)
+                     if e[:2] == ("send", FrameKind.BUS_OP)]
             assert [r.tape[i][3] for i in sends] == [0, 0]  # fan-out + replay
             assert r.tape.index(("fsync", 0)) < sends[0]

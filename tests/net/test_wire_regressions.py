@@ -40,12 +40,14 @@ def test_every_bus_frame_kind_is_data_class():
     credit-gated (and never silently shed) data plane."""
     assert FrameKind.ENVELOPE in _DATA_KINDS
     assert FrameKind.SHARD_FWD in _DATA_KINDS
-    assert FrameKind.BUS_SUBMIT in _DATA_KINDS
     assert FrameKind.BUS_OP in _DATA_KINDS
     # Liveness and flow control stay control-class: they must cross even
     # while data is stalled.
     assert FrameKind.HEARTBEAT not in _DATA_KINDS
     assert FrameKind.CREDIT not in _DATA_KINDS
+    # A sync replay's end marker carries no op: control-class, like the
+    # request it answers.
+    assert FrameKind.SYNC_DONE not in _DATA_KINDS
 
 
 @pytest.mark.parametrize("kind", [FrameKind.SHARD_FWD, FrameKind.BUS_OP])

@@ -171,17 +171,28 @@ class TestBatchPolicyTail:
         store.close()
 
 
-#: sha256 over the segment files the scenario below left behind at the
-#: parent commit (503ec1d), where every append was followed by its own
-#: commit inside the bus and the dead-letter queue.
-SEGMENT_SHA256_BEFORE_GROUP_COMMIT = \
-    "54e6c96b2ed580a58e9ab8a331a885760b887c60cf91af60567ae7b9d688600e"
+#: What the scenario below persisted at the commit before the sequencer
+#: core (e8eb014), decoded: (seq, kind, origin node, origin seq, op id).
+OPS_BEFORE_SEQUENCER_CORE = [
+    (0, "make_visible", 0, 0, 0), (1, "add_space", 0, 1, 1),
+    (2, "make_visible", 0, 2, 2), (3, "make_visible", 0, 3, 3),
+    (4, "change_attributes", 0, 4, 4)]
+#: sha256 over the segment files it leaves behind now.
+SEGMENT_SHA256 = \
+    "da48fe65b8903a104874942befb2dbe1a39955abdfb71add1a0d345d12273138"
 
 
 def test_simulator_segment_bytes_are_unchanged(tmp_path, monkeypatch):
-    """The simulator still commits right behind each sequenced op, so a
-    run with a store attached writes byte for byte what it wrote before
-    the commit point moved to the host (ops and dead-letter journal)."""
+    """The simulator commits right behind each sequenced op, so a run
+    with a store attached writes the same bytes every time (ops and
+    dead-letter journal).
+
+    The digest was re-recorded once, when the sequencer became one core
+    per node: the op records decode to exactly what they were (asserted
+    here), and so do the three dead-letter captures; only the order of
+    the three ``resolve`` records moved, because node 1's recovery now
+    exchanges ``SYNC_REQ``/``SYNC_DONE`` frames whose latency draws come
+    from the stream the redeliveries draw from."""
     for module, counter in ((messages_mod, "_envelope_ids"),
                             (messages_mod, "_message_ids"),
                             (bus_mod, "_op_ids")):
@@ -207,8 +218,13 @@ def test_simulator_segment_bytes_are_unchanged(tmp_path, monkeypatch):
     system.run()
     store.close()
     assert (len(hits), store.ops_appended, store.dlq_appended) == (3, 5, 6)
+    recovered = load_data_dir(str(tmp_path))
+    assert [(seq, op.kind.value, op.origin_node, op.origin_seq, op.op_id)
+            for seq, op in recovered.ops.items()] == OPS_BEFORE_SEQUENCER_CORE
+    assert [e["kind"] for e in recovered.dlq_events] \
+        == ["capture"] * 3 + ["resolve"] * 3
     digest = hashlib.sha256()
     for path in segment_paths(str(tmp_path)):
         with open(path, "rb") as segment:
             digest.update(segment.read())
-    assert digest.hexdigest() == SEGMENT_SHA256_BEFORE_GROUP_COMMIT
+    assert digest.hexdigest() == SEGMENT_SHA256
