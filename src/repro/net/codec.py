@@ -28,8 +28,30 @@ receiver allocate gigabytes).
 
 Value layout: one tag byte followed by tag-specific content.  Containers
 nest recursively.  Integers are arbitrary-precision (length-prefixed
-big-endian two's complement), so envelope ids rebased to ``node << 44``
-and 128-bit capability tokens ride the same path.
+big-endian two's complement), so op ids rebased to ``node << 44`` and
+ids of any width in payloads ride the same path.
+
+The one exception is the unit of transmission.  An ``Envelope`` (tag
+``V``, its ``Message`` inlined) is a *packed record*: a fixed head, the
+optional fixed-width fields its presence flags announce, and only the
+open-ended fields — destination, payload, headers (flagged: omitted when
+empty) — as ordinary tagged values.  In wire order::
+
+    head          u16 flags | u8 mode | u8 port | u16 hop count | f64 sent_at
+                  | i64 envelope_id | i64 trace_id | i64 parent_id | i64 message_id
+    delivered_at  f64
+    sender, target, message.reply_to, origin_space
+                  u32 node | u64 serial each (a flag holds the target's kind,
+                  actor or space; the other three have one type)
+    hops          u32 each
+
+A field that does not fit its width or type is a :class:`WireError` at
+encode time, never a wrap; an unknown flag bit, a bad mode or port index
+or a record cut short is one at decode time.
+
+Decode-only tags: ``E``, the schema-2 envelope (every field a tagged
+value).  Stores and snapshots written before schema 3 hold dead-letter
+captures in it, so it is still read; nothing writes it.
 """
 
 from __future__ import annotations
@@ -47,7 +69,7 @@ from repro.core.patterns import Pattern, parse_pattern
 from repro.runtime.bus import OpKind, VisibilityOp
 
 PROTOCOL_VERSION = 6  # v6: SYNC_DONE ends every sync replay; BUS_SUBMIT/BUS_ACK retired
-SCHEMA_VERSION = 2    # v2: VisibilityOp carries shard / tick / fan_of
+SCHEMA_VERSION = 3    # v3: Envelope is one packed record (tag ``V``); ``E`` is decode-only
 
 #: Hard ceiling on a single frame (length prefix included payload).
 MAX_FRAME_BYTES = 8 * 1024 * 1024
@@ -58,6 +80,10 @@ WIRE_MAGIC = "actorspace"
 _U8 = struct.Struct("!B")
 _U32 = struct.Struct("!I")
 _F64 = struct.Struct("!d")
+#: The packed envelope's fixed head and its mail-address slot (see "Value layout").
+_ENV_HEAD = struct.Struct("!HBBHdqqqq")
+_ENV_ADDR = struct.Struct("!IQ")
+_ENV_BLANK_HEAD = bytes(_ENV_HEAD.size)
 
 
 class WireError(Exception):
@@ -96,9 +122,13 @@ _OP_KINDS = (
     OpKind.BIND_CAPABILITY,
     OpKind.PURGE,
 )
-_MODE_INDEX = {m: i for i, m in enumerate(_MODES)}
-_PORT_INDEX = {p: i for i, p in enumerate(_PORTS)}
 _OP_KIND_INDEX = {k: i for i, k in enumerate(_OP_KINDS)}
+
+#: Presence flags of the packed envelope record (wire-stable: append-only).
+_ENV_FLAGS = (_ENV_DELIVERED_AT, _ENV_SENDER, _ENV_TARGET, _ENV_TARGET_IS_SPACE,
+              _ENV_REPLY_TO, _ENV_ORIGIN_SPACE, _ENV_PARENT_ID,
+              _ENV_HEADERS) = tuple(1 << bit for bit in range(8))
+_ENV_KNOWN_FLAGS = sum(_ENV_FLAGS)
 
 
 # -- registries -----------------------------------------------------------------
@@ -253,22 +283,43 @@ def _enc_message(out: bytearray, obj: Message) -> None:
 
 
 def _enc_envelope(out: bytearray, obj: Envelope) -> None:
-    out += b"E"
-    _enc(out, obj.message)
-    _enc(out, obj.sender)
-    out += _U8.pack(_MODE_INDEX[obj.mode])
-    _enc(out, obj.target)
+    """The packed record (tag ``V``); the only writer of an envelope tag."""
+    message, target = obj.message, obj.target
+    flags = _ENV_TARGET_IS_SPACE if isinstance(target, SpaceAddress) else 0
+    if obj.parent_id is not None:
+        flags |= _ENV_PARENT_ID
+    if message.headers != {}:
+        flags |= _ENV_HEADERS
+    out += b"V"
+    head = len(out)
+    out += _ENV_BLANK_HEAD  # backpatched once the presence flags are known
+    try:
+        if obj.delivered_at is not None:
+            flags |= _ENV_DELIVERED_AT
+            out += _F64.pack(obj.delivered_at)
+        for flag, kinds, address in (
+                (_ENV_SENDER, ActorAddress, obj.sender),
+                (_ENV_TARGET, (ActorAddress, SpaceAddress), target),
+                (_ENV_REPLY_TO, ActorAddress, message.reply_to),
+                (_ENV_ORIGIN_SPACE, SpaceAddress, obj.origin_space)):
+            if address is not None:
+                if not isinstance(address, kinds):
+                    raise WireError(f"envelope field holds {address!r}, "
+                                    f"which its packed slot cannot carry")
+                flags |= flag
+                out += _ENV_ADDR.pack(address.node, address.serial)
+        out += struct.pack(f"!{len(obj.trace)}I", *obj.trace)
+        _ENV_HEAD.pack_into(
+            out, head, flags, _MODES.index(obj.mode), _PORTS.index(obj.port),
+            len(obj.trace), obj.sent_at, obj.envelope_id, obj.trace_id,
+            obj.parent_id or 0, message.message_id)
+    except (struct.error, ValueError) as exc:
+        raise WireError(f"envelope #{obj.envelope_id!r}: a field does not "
+                        f"fit its wire width ({exc})") from exc
     _enc(out, obj.destination)
-    out += _U8.pack(_PORT_INDEX[obj.port])
-    out += _F64.pack(obj.sent_at)
-    _enc(out, obj.delivered_at)
-    out += _U32.pack(len(obj.trace))
-    for hop in obj.trace:
-        _enc_int(out, hop)
-    _enc(out, obj.origin_space)
-    _enc_int(out, obj.envelope_id)
-    _enc_int(out, obj.trace_id)
-    _enc(out, obj.parent_id)
+    _enc(out, message.payload)
+    if flags & _ENV_HEADERS:
+        _enc(out, message.headers)
 
 
 def _enc_visibility_op(out: bytearray, obj: VisibilityOp) -> None:
@@ -334,42 +385,17 @@ def _enc(out: bytearray, obj: Any) -> None:
 
 
 def _enc_other(out: bytearray, obj: Any) -> None:
-    """Slow path: subclasses, patterns, and late-registered wire types."""
-    if isinstance(obj, int) and not isinstance(obj, enum.Enum):
-        _enc_tagged_int(out, obj)
-    elif isinstance(obj, float):
-        _enc_float(out, obj)
-    elif isinstance(obj, str):
-        _enc_text(out, obj)
-    elif isinstance(obj, (bytes, bytearray)):
-        _enc_bytes(out, obj)
-    elif isinstance(obj, list):
-        _enc_list(out, obj)
-    elif isinstance(obj, tuple):
-        _enc_tuple(out, obj)
-    elif isinstance(obj, (set, frozenset)):
-        _enc_set(out, obj)
-    elif isinstance(obj, dict):
-        _enc_dict(out, obj)
-    elif isinstance(obj, SpaceAddress):
-        _enc_space_address(out, obj)
-    elif isinstance(obj, ActorAddress):
-        _enc_actor_address(out, obj)
-    elif isinstance(obj, AttributePath):
-        _enc_attribute_path(out, obj)
-    elif isinstance(obj, Pattern):
-        _enc_pattern(out, obj)
-    elif isinstance(obj, Destination):
-        _enc_destination(out, obj)
-    elif isinstance(obj, Capability):
-        _enc_capability(out, obj)
-    elif isinstance(obj, Message):
-        _enc_message(out, obj)
-    elif isinstance(obj, Envelope):
-        _enc_envelope(out, obj)
-    elif isinstance(obj, VisibilityOp):
-        _enc_visibility_op(out, obj)
-    elif callable(obj) and obj in _MANAGER_FACTORY_NAMES:
+    """Slow path: subclasses of a table type (found by walking the MRO
+    through :data:`_ENC_BY_TYPE`), manager factories, and late-registered
+    wire dataclasses.  An enum that is also an ``int`` is not an int on
+    the wire; ``bool`` never gets here (:func:`_enc` checks identity)."""
+    for base in type(obj).__mro__[1:]:
+        handler = _ENC_BY_TYPE.get(base)
+        if handler is not None and not (base is int
+                                        and isinstance(obj, enum.Enum)):
+            handler(out, obj)
+            return
+    if callable(obj) and obj in _MANAGER_FACTORY_NAMES:
         out += b"g"
         _enc_str(out, _MANAGER_FACTORY_NAMES[obj])
     elif type(obj) in _WIRE_TYPE_NAMES:
@@ -545,16 +571,16 @@ def _dec_message(buf: bytes, pos: int) -> tuple[Message, int]:
                    message_id=message_id), pos
 
 
-def _dec_envelope(buf: bytes, pos: int) -> tuple[Envelope, int]:
+def _dec_schema2_envelope(buf: bytes, pos: int) -> tuple[Envelope, int]:
+    """Tag ``E``, decode-only: schema-2 data dirs and snapshots hold
+    dead-letter captures in this layout; nothing writes it any more."""
     message, pos = _dec(buf, pos)
     sender, pos = _dec(buf, pos)
     mode, pos = _dec_enum(buf, pos, _MODES, "mode")
     target, pos = _dec(buf, pos)
     destination, pos = _dec(buf, pos)
     port, pos = _dec_enum(buf, pos, _PORTS, "port")
-    _need(buf, pos, 8)
-    sent_at = _F64.unpack_from(buf, pos)[0]
-    pos += 8
+    sent_at, pos = _dec_float(buf, pos)
     delivered_at, pos = _dec(buf, pos)
     hop_count, pos = _dec_u32(buf, pos)
     trace = []
@@ -571,6 +597,47 @@ def _dec_envelope(buf: bytes, pos: int) -> tuple[Envelope, int]:
         delivered_at=delivered_at, trace=trace, origin_space=origin_space,
         envelope_id=envelope_id, trace_id=trace_id, parent_id=parent_id,
     ), pos
+
+
+def _dec_envelope(buf: bytes, pos: int) -> tuple[Envelope, int]:
+    try:
+        (flags, mode, port, hops, sent_at, envelope_id, trace_id, parent_id,
+         message_id) = _ENV_HEAD.unpack_from(buf, pos)
+        pos += _ENV_HEAD.size
+        if flags & ~_ENV_KNOWN_FLAGS or mode >= len(_MODES) or port >= len(_PORTS):
+            raise WireError(f"envelope record with unknown flags {flags:#x}, "
+                            f"mode index {mode} or port index {port}")
+        delivered_at = sender = target = reply_to = origin_space = None
+        if flags & _ENV_DELIVERED_AT:
+            delivered_at = _F64.unpack_from(buf, pos)[0]
+            pos += 8
+        if flags & _ENV_SENDER:
+            sender = ActorAddress(*_ENV_ADDR.unpack_from(buf, pos))
+            pos += 12
+        if flags & _ENV_TARGET:
+            kind = SpaceAddress if flags & _ENV_TARGET_IS_SPACE else ActorAddress
+            target = kind(*_ENV_ADDR.unpack_from(buf, pos))
+            pos += 12
+        if flags & _ENV_REPLY_TO:
+            reply_to = ActorAddress(*_ENV_ADDR.unpack_from(buf, pos))
+            pos += 12
+        if flags & _ENV_ORIGIN_SPACE:
+            origin_space = SpaceAddress(*_ENV_ADDR.unpack_from(buf, pos))
+            pos += 12
+        trace = list(struct.unpack_from(f"!{hops}I", buf, pos))
+        pos += 4 * hops
+    except struct.error as exc:
+        raise WireError(f"truncated envelope record at offset {pos}") from exc
+    destination, pos = _dec(buf, pos)
+    payload, pos = _dec(buf, pos)
+    headers, pos = _dec(buf, pos) if flags & _ENV_HEADERS else ({}, pos)
+    # Positional, in dataclass field order: half the constructor's cost
+    # is keyword matching, and this runs once per inbound envelope.
+    return Envelope(
+        Message(payload, reply_to, headers, message_id), sender, _MODES[mode],
+        target, destination, _PORTS[port], sent_at, delivered_at, trace,
+        origin_space, envelope_id, trace_id,
+        parent_id if flags & _ENV_PARENT_ID else None), pos
 
 
 def _dec_visibility_op(buf: bytes, pos: int) -> tuple[VisibilityOp, int]:
@@ -634,7 +701,8 @@ _DEC_BY_TAG: dict[int, Callable] = {
     ord("D"): _dec_destination,
     ord("c"): _dec_capability,
     ord("M"): _dec_message,
-    ord("E"): _dec_envelope,
+    ord("E"): _dec_schema2_envelope,
+    ord("V"): _dec_envelope,
     ord("O"): _dec_visibility_op,
     ord("g"): _dec_manager_factory,
     ord("X"): _dec_wire_type,
@@ -660,33 +728,18 @@ def decode_value(data: bytes) -> Any:
 
 # -- framing --------------------------------------------------------------------
 
-def encode_frame_into(out: bytearray, kind: FrameKind, payload: Any = None) -> int:
-    """Append one frame to ``out`` in a single pass; return its byte size.
-
-    The length prefix is reserved up front and backpatched after the
-    body is encoded, so the hot path never materializes the body as a
-    separate ``bytes`` object — callers reuse one growing ``bytearray``
-    across many frames (the send queue's coalescing buffer).
-    """
+def encode_frame(kind: FrameKind, payload: Any = None) -> bytes:
+    """One complete frame: ``u32 length | u8 kind | encoded payload``."""
     if kind == FrameKind.BATCH:
         raise WireError("BATCH frames are built with wrap_batch(), "
                         "not encode_frame()")
-    start = len(out)
-    out += b"\x00\x00\x00\x00"  # length placeholder, backpatched below
+    out = bytearray(b"\x00\x00\x00\x00")  # length placeholder, backpatched below
     out += _U8.pack(int(kind))
     _enc(out, payload)
-    length = len(out) - start - 4
+    length = len(out) - 4
     if length > MAX_FRAME_BYTES:
-        del out[start:]
         raise WireError(f"frame too large: {length} > {MAX_FRAME_BYTES}")
-    _U32.pack_into(out, start, length)
-    return length + 4
-
-
-def encode_frame(kind: FrameKind, payload: Any = None) -> bytes:
-    """One complete frame: ``u32 length | u8 kind | encoded payload``."""
-    out = bytearray()
-    encode_frame_into(out, kind, payload)
+    _U32.pack_into(out, 0, length)
     return bytes(out)
 
 
@@ -850,8 +903,9 @@ def hello_problem(payload: Any, cluster_id: str) -> str | None:
     if payload.get("cluster") != cluster_id:
         return (f"cluster id mismatch: theirs={payload.get('cluster')!r} "
                 f"ours={cluster_id!r}")
-    if not isinstance(payload.get("node"), int):
-        return "missing node id"
+    node = payload.get("node")
+    if not isinstance(node, int) or isinstance(node, bool) or node < 0:
+        return f"missing or invalid node id {node!r}"
     if payload.get("role") not in ("node", "control"):
         return f"unknown role {payload.get('role')!r}"
     return None

@@ -508,7 +508,7 @@ class NodeRuntime:
         target = envelope.target
         assert target is not None
         self.in_flight.pop(envelope.envelope_id, None)
-        if self.hub.send(target.node, FrameKind.ENVELOPE, {"envelope": envelope}):
+        if self.hub.send(target.node, FrameKind.ENVELOPE, envelope):
             # The envelope left this node's authority: any dead-letter
             # attempt record for it is finished business (the receiving
             # node starts its own accounting from zero).
@@ -557,7 +557,11 @@ class NodeRuntime:
             self.transport.on_heartbeat(src, payload)
             return
         if kind == FrameKind.ENVELOPE:
-            self.coordinator._deliver(payload["envelope"])
+            if isinstance(payload, Envelope):
+                self.coordinator._deliver(payload)
+            else:
+                self._log(f"dropped ENVELOPE frame from node {src}: payload "
+                          f"is a {type(payload).__name__}, not an envelope")
         elif kind == FrameKind.CONTROL:
             self._on_control(payload, link)
         # The sequencer protocol: a frame's shard stamp names its stream.

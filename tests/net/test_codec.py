@@ -10,12 +10,13 @@ must all raise :class:`WireError` (or reject) rather than misparse.
 
 import dataclasses
 import string
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.addresses import ActorAddress, SpaceAddress
+from repro.core.addresses import ActorAddress, MailAddress, SpaceAddress
 from repro.core.atoms import AttributePath
 from repro.core.capabilities import Capability
 from repro.core.messages import (
@@ -74,16 +75,56 @@ values = st.recursive(
 )
 
 
-@given(values)
+actor_addresses = st.builds(ActorAddress, st.integers(0, 2 ** 32 - 1),
+                            st.integers(0, 2 ** 64 - 1))
+space_addresses = st.builds(SpaceAddress, st.integers(0, 7),
+                            st.integers(0, 1 << 50))
+#: Ids as the runtime mints them (``node << 44 | n``) and up to the
+#: widest the packed record carries.
+ids = st.one_of(
+    st.integers(0, 2 ** 63 - 1),
+    st.builds(lambda node, n: (node << 44) | n,
+              st.integers(0, 1 << 18), st.integers(0, (1 << 44) - 1)))
+destinations = st.builds(
+    Destination,
+    st.sampled_from(["svc/*", "w3/r1", "**", "a/?/c"]),
+    st.one_of(st.none(), space_addresses, st.sampled_from(["pools/*", "p"])))
+envelopes = st.builds(
+    Envelope,
+    message=st.builds(
+        Message, values, reply_to=st.one_of(st.none(), actor_addresses),
+        headers=st.dictionaries(st.text(max_size=6), scalars, max_size=3),
+        message_id=ids),
+    sender=st.one_of(st.none(), actor_addresses),
+    mode=st.sampled_from(list(Mode)),
+    target=st.one_of(st.none(), actor_addresses, space_addresses),
+    destination=st.one_of(st.none(), destinations),
+    port=st.sampled_from(list(Port)),
+    sent_at=st.floats(allow_nan=False),
+    delivered_at=st.one_of(st.none(), st.floats(allow_nan=False)),
+    trace=st.lists(st.integers(0, 2 ** 32 - 1), max_size=6),
+    origin_space=st.one_of(st.none(), space_addresses),
+    envelope_id=ids, trace_id=ids, parent_id=st.one_of(st.none(), ids),
+)
+#: Everything a frame or a store record may hold: generic values, and
+#: envelopes bare (an ENVELOPE frame) or nested (a dead-letter capture).
+wire_values = st.one_of(
+    values, envelopes,
+    st.fixed_dictionaries({"rec": st.just("dlq"), "envelope": envelopes}))
+
+
+@given(wire_values)
 @settings(max_examples=400)
 def test_value_round_trip(value):
     assert decode_value(encode_value(value)) == value
 
 
-@given(values)
+@given(wire_values)
 @settings(max_examples=200)
 def test_encoding_is_deterministic(value):
-    assert encode_value(value) == encode_value(value)
+    encoded = encode_value(value)
+    assert encode_value(value) == encoded
+    assert encode_value(decode_value(encoded)) == encoded
 
 
 def test_set_encoding_ignores_construction_order():
@@ -96,7 +137,7 @@ def test_set_encoding_ignores_construction_order():
 VALUE_KINDS = [k for k in FrameKind if k != FrameKind.BATCH]
 
 
-@given(st.lists(st.tuples(st.sampled_from(VALUE_KINDS), values),
+@given(st.lists(st.tuples(st.sampled_from(VALUE_KINDS), wire_values),
                 min_size=1, max_size=5),
        st.integers(min_value=1, max_value=64))
 @settings(max_examples=150)
@@ -259,6 +300,175 @@ def test_unencodable_type_raises_at_encode_time():
         encode_value(object())
 
 
+def test_subclasses_encode_through_the_one_type_table():
+    """The slow path walks the MRO through the table the fast path uses."""
+    import collections
+    import enum
+
+    from repro.core.manager import default_manager
+
+    class Serial(int):
+        pass
+
+    class Tone(str, enum.Enum):
+        LOW = "low"
+
+    point = collections.namedtuple("point", "x y")(1, 2)
+    assert encode_value(Serial(7)) == encode_value(7)
+    assert encode_value(point) == encode_value((1, 2))
+    assert encode_value(Tone.LOW) == encode_value("low")
+    assert decode_value(encode_value(default_manager)) is default_manager
+    # An enum that is also an int is not an int on the wire, and a plain
+    # enum is nothing the wire knows.
+    for unencodable in (FrameKind.HELLO, OpKind.PURGE, Mode.SEND):
+        with pytest.raises(WireError, match="not encodable"):
+            encode_value(unencodable)
+
+
+# -- the packed envelope record ---------------------------------------------------
+
+def sample_envelope(**overrides):
+    fields = dict(
+        message=Message(("job", 7), reply_to=ActorAddress(1, 2), message_id=9),
+        sender=ActorAddress(2, 5), mode=Mode.SEND, target=ActorAddress(0, 1),
+        destination=Destination("proc/*", SpaceAddress(0, 4)), sent_at=1.5,
+        trace=[3, 1], origin_space=SpaceAddress(0, 0),
+        envelope_id=(3 << 44) | 17, trace_id=12, parent_id=11)
+    fields.update(overrides)
+    return Envelope(**fields)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"envelope_id": 2 ** 63},
+    {"trace_id": -(2 ** 63) - 1},
+    {"parent_id": 2 ** 63},
+    {"message": Message("m", message_id=2 ** 63)},
+    {"sender": ActorAddress(2 ** 32, 1)},
+    {"sender": ActorAddress(-1, 1)},
+    {"target": SpaceAddress(0, 2 ** 64)},
+    {"target": MailAddress(0, 1)},
+    {"sender": SpaceAddress(0, 1)},
+    {"message": Message("m", reply_to=SpaceAddress(0, 1))},
+    {"origin_space": ActorAddress(0, 1)},
+    {"trace": [2 ** 32]},
+    {"trace": [0] * (2 ** 16)},
+    {"mode": "send"},
+    {"sent_at": "now"},
+], ids=lambda o: "-".join(o))
+def test_envelope_field_beyond_its_slot_is_refused_at_encode(overrides):
+    """Never a wrap, a truncation or a silent change of address kind —
+    and always ``WireError``, the one exception ``send_link`` catches."""
+    with pytest.raises(WireError):
+        encode_value(sample_envelope(**overrides))
+    with pytest.raises(WireError):
+        encode_frame(FrameKind.ENVELOPE, sample_envelope(**overrides))
+
+
+def test_envelope_fields_at_the_edge_of_their_slots_round_trip():
+    edge = sample_envelope(
+        message=Message(None, reply_to=ActorAddress(2 ** 32 - 1, 2 ** 64 - 1),
+                        message_id=2 ** 63 - 1),
+        target=SpaceAddress(2 ** 32 - 1, 2 ** 64 - 1), envelope_id=2 ** 63 - 1,
+        trace_id=-(2 ** 63), parent_id=0, trace=[2 ** 32 - 1] * 6,
+        delivered_at=float("inf"))
+    back = decode_value(encode_value(edge))
+    assert back == edge
+    assert type(back.target) is SpaceAddress and back.parent_id == 0
+
+
+def test_empty_headers_are_omitted_and_any_others_survive():
+    bare = sample_envelope()
+    assert decode_value(encode_value(bare)).message.headers == {}
+    for headers in ({"k": 1}, None, ()):
+        message = Message(("job", 7), reply_to=ActorAddress(1, 2),
+                          headers=headers, message_id=9)
+        encoded = encode_value(sample_envelope(message=message))
+        assert decode_value(encoded).message.headers == headers
+        assert len(encoded) > len(encode_value(bare))
+
+
+@pytest.mark.parametrize("offset, value", [
+    (1, 0x80),  # high byte of the u16 flags: bit 15
+    (1, 0x01),  # bit 8, the first unassigned one
+    (3, 3),     # mode index past the table
+    (4, 3),     # port index past the table
+])
+def test_corrupt_envelope_head_rejected(offset, value):
+    encoded = bytearray(encode_value(sample_envelope()))
+    assert encoded[:1] == b"V"
+    encoded[offset] |= value
+    with pytest.raises(WireError, match="unknown flags"):
+        decode_value(bytes(encoded))
+
+
+def schema2_bytes(envelope):
+    """``envelope`` the way schema 2 wrote it under tag ``E``: every
+    field a tagged value, bare ints (hops, ids) without their tag."""
+    def bare_int(value):
+        return encode_value(value)[1:]
+
+    message = envelope.message
+    return b"".join([
+        b"E", b"M", encode_value(message.payload),
+        encode_value(message.reply_to), encode_value(message.headers),
+        bare_int(message.message_id), encode_value(envelope.sender),
+        bytes([list(Mode).index(envelope.mode)]), encode_value(envelope.target),
+        encode_value(envelope.destination),
+        bytes([list(Port).index(envelope.port)]),
+        struct.pack("!d", envelope.sent_at), encode_value(envelope.delivered_at),
+        struct.pack("!I", len(envelope.trace)),
+        *(bare_int(hop) for hop in envelope.trace),
+        encode_value(envelope.origin_space), bare_int(envelope.envelope_id),
+        bare_int(envelope.trace_id), encode_value(envelope.parent_id)])
+
+
+@given(envelopes)
+def test_schema2_envelope_still_decodes_and_is_never_written(envelope):
+    old = schema2_bytes(envelope)
+    assert decode_value(old) == envelope
+    assert encode_value(decode_value(old))[:1] == b"V"
+    for cut in range(len(old)):
+        with pytest.raises(WireError):
+            decode_value(old[:cut])
+
+
+def test_schema2_bytes_match_a_recorded_schema2_journal_record():
+    """The reference writer above against bytes schema 2 really wrote:
+    the first capture in the recorded fixture store."""
+    import os
+
+    from repro.store.segment import ReadReport, pack_record, scan_segment
+
+    segment = os.path.join(os.path.dirname(__file__), os.pardir, "store",
+                           "fixtures", "schema2", "data", "log",
+                           "seg-00000001.log")
+    with open(segment, "rb") as fh:
+        raw = fh.read()
+    capture = next(rec for rec in scan_segment(segment, ReadReport())
+                   if rec.get("kind") == "capture")
+    assert schema2_bytes(capture["envelope"]) in raw
+    assert pack_record(capture) not in raw  # today's bytes differ
+
+
+def test_envelope_frame_without_an_envelope_is_dropped(capsys):
+    """``_on_frame`` hands the coordinator envelopes only: a peer that
+    speaks the schema but sends the retired ``{"envelope": ...}`` wrapper
+    (or anything else) is logged and dropped."""
+    from repro.net.peer import PeerLink
+    from repro.net.runtime import NodeRuntime
+
+    runtime = NodeRuntime(0, {0: 1, 1: 2}, trace=False, quiet=False)
+    delivered = []
+    runtime.coordinator._deliver = delivered.append
+    link = PeerLink(1, "node", None, None)
+    for payload in ({"envelope": sample_envelope()}, None, [sample_envelope()]):
+        runtime._on_frame(1, FrameKind.ENVELOPE, payload, link)
+    assert delivered == []
+    assert capsys.readouterr().err.count("dropped ENVELOPE frame from node 1") == 3
+    runtime._on_frame(1, FrameKind.ENVELOPE, sample_envelope(), link)
+    assert delivered == [sample_envelope()]
+
+
 def test_unknown_tag_rejected():
     with pytest.raises(WireError):
         decode_value(b"Q")
@@ -269,13 +479,15 @@ def test_trailing_garbage_rejected():
         decode_value(encode_value(3) + b"\x00")
 
 
-@given(st.sampled_from([None, True, [1, "x"], {"k": 2.0}]),
-       st.data())
-def test_truncated_value_rejected(value, data):
+@given(st.one_of(st.sampled_from([None, True, [1, "x"], {"k": 2.0}]),
+                 envelopes))
+def test_truncated_value_rejected(value):
+    """Cut short at *every* offset: always ``WireError``, never a
+    ``struct.error`` or ``IndexError`` from a fixed-width read."""
     encoded = encode_value(value)
-    cut = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
-    with pytest.raises(WireError):
-        decode_value(encoded[:cut])
+    for cut in range(len(encoded)):
+        with pytest.raises(WireError):
+            decode_value(encoded[:cut])
 
 
 def test_incomplete_frame_returns_none_not_error():
@@ -324,6 +536,8 @@ def test_matching_hello_accepted():
     ({"cluster": "other"}, "cluster id"),
     ({"node": "zero"}, "node id"),
     ({"role": "admin"}, "role"),
+    ({"node": True}, "node id"),  # isinstance(True, int): would key as node 1
+    ({"node": -1}, "node id"),
 ])
 def test_mismatched_hello_rejected(mutation, fragment):
     payload = hello_payload(0, "node", "c1")

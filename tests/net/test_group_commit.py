@@ -153,8 +153,7 @@ def build_frames(script):
                                               "op": vis_op(1, sequenced)}))
             sequenced += 1
         elif step == "env":
-            frames.append((FrameKind.ENVELOPE,
-                           {"envelope": dead_envelope(envelopes)}))
+            frames.append((FrameKind.ENVELOPE, dead_envelope(envelopes)))
             envelopes += 1
         elif step == "again" and frames:
             kind, payload = frames[pick % len(frames)]
@@ -361,8 +360,8 @@ class TestOneFrameTurn:
 class TestDeadLetterJournalRidesTheTurn:
     def test_capture_is_on_disk_when_the_turn_ends(self):
         with rig() as r:
-            r.runtime._on_frame(1, FrameKind.ENVELOPE,
-                                {"envelope": dead_envelope(0)}, r.link)
+            r.runtime._on_frame(1, FrameKind.ENVELOPE, dead_envelope(0),
+                                r.link)
             assert r.runtime.dead_letters.pending(0) == 1
             assert load_data_dir(r.data_dir).dlq_events == []  # only staged
             r.runtime._commit_turn()

@@ -9,13 +9,16 @@ what it leaves on disk must not have changed at all.
 
 import hashlib
 import itertools
+import json
 import os
+import shutil
 from unittest import mock
 
 import pytest
 
 from repro.core import messages as messages_mod
 from repro.core.addresses import ActorAddress, SpaceAddress
+from repro.core.messages import Destination, Envelope, Message, Mode
 from repro.runtime import bus as bus_mod
 from repro.runtime.clock import VirtualClock
 from repro.runtime.events import EventQueue
@@ -177,9 +180,22 @@ OPS_BEFORE_SEQUENCER_CORE = [
     (0, "make_visible", 0, 0, 0), (1, "add_space", 0, 1, 1),
     (2, "make_visible", 0, 2, 2), (3, "make_visible", 0, 3, 3),
     (4, "change_attributes", 0, 4, 4)]
+
+
+
+def capture_before_packed_record(i):
+    """Probe ``i`` as that scenario's dead-letter journal held it at the
+    commit before the packed envelope record (11c880b), decoded."""
+    return Envelope(
+        Message(("probe", i), message_id=i), sender=None, mode=Mode.SEND,
+        target=ActorAddress(1, 0), destination=Destination("svc/victim"),
+        sent_at=0.08310243775720488, trace=[0],
+        origin_space=SpaceAddress(0, 0), envelope_id=i)
+
+
 #: sha256 over the segment files it leaves behind now.
 SEGMENT_SHA256 = \
-    "da48fe65b8903a104874942befb2dbe1a39955abdfb71add1a0d345d12273138"
+    "7cc7c7674bb3d8578f88e04b015cfc3d52ef894abf78e2b6543742f23c8edb18"
 
 
 def test_simulator_segment_bytes_are_unchanged(tmp_path, monkeypatch):
@@ -187,12 +203,15 @@ def test_simulator_segment_bytes_are_unchanged(tmp_path, monkeypatch):
     with a store attached writes the same bytes every time (ops and
     dead-letter journal).
 
-    The digest was re-recorded once, when the sequencer became one core
-    per node: the op records decode to exactly what they were (asserted
-    here), and so do the three dead-letter captures; only the order of
-    the three ``resolve`` records moved, because node 1's recovery now
-    exchanges ``SYNC_REQ``/``SYNC_DONE`` frames whose latency draws come
-    from the stream the redeliveries draw from."""
+    The digest was re-recorded twice, and both times what the records
+    decode to stayed put.  When the sequencer became one core per node,
+    only the order of the three ``resolve`` records moved (node 1's
+    recovery exchanges ``SYNC_REQ``/``SYNC_DONE`` frames whose latency
+    draws come from the stream the redeliveries draw from).  When the
+    envelope became one packed record (schema 3), only the bytes of the
+    three ``capture`` records moved — they hold an envelope each: the
+    five op records and the captured envelopes decode equal to the
+    parent's (asserted here), and the op records are byte-identical."""
     for module, counter in ((messages_mod, "_envelope_ids"),
                             (messages_mod, "_message_ids"),
                             (bus_mod, "_op_ids")):
@@ -223,8 +242,42 @@ def test_simulator_segment_bytes_are_unchanged(tmp_path, monkeypatch):
             for seq, op in recovered.ops.items()] == OPS_BEFORE_SEQUENCER_CORE
     assert [e["kind"] for e in recovered.dlq_events] \
         == ["capture"] * 3 + ["resolve"] * 3
+    assert [e["envelope"] for e in recovered.dlq_events[:3]] \
+        == [capture_before_packed_record(i) for i in range(3)]
     digest = hashlib.sha256()
     for path in segment_paths(str(tmp_path)):
         with open(path, "rb") as segment:
             digest.update(segment.read())
     assert digest.hexdigest() == SEGMENT_SHA256
+
+
+SCHEMA2_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "schema2")
+
+
+def test_a_schema2_data_dir_still_loads(tmp_path):
+    """Stores written before schema 3 hold envelopes under the old tag
+    ``E`` (dead-letter captures, in the journal and in snapshots).  The
+    fixture is such a store, recorded at 11c880b by ``record.py`` beside
+    it; it must recover to exactly what its sidecar lists — a codec that
+    no longer read ``E`` would see corruption and truncate instead."""
+    data_dir = str(tmp_path / "data")
+    shutil.copytree(os.path.join(SCHEMA2_FIXTURE, "data"), data_dir)
+    with open(os.path.join(SCHEMA2_FIXTURE, "expected.json")) as sidecar:
+        expected = json.load(sidecar)
+
+    def letter(envelope):
+        target = envelope.target
+        return {"envelope_id": envelope.envelope_id,
+                "payload": list(envelope.message.payload),
+                "target": [target.kind, target.node, target.serial]}
+
+    recovered = load_data_dir(data_dir)
+    assert recovered.report.clean
+    assert [[seq, op.kind.value, op.origin_node, op.origin_seq, op.op_id]
+            for seq, op in recovered.ops.items()] == expected["ops"]
+    assert recovered.snapshot_seq == expected["snapshot_seq"]
+    assert [letter(parked["envelope"]) for parked in recovered.snapshot["dlq"]] \
+        == expected["snapshot_dlq"]
+    assert [{"n": e["n"], "kind": e["kind"],
+             **(letter(e["envelope"]) if "envelope" in e else {"id": e["id"]})}
+            for e in recovered.dlq_events] == expected["dlq_events"]
