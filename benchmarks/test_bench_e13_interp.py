@@ -104,7 +104,7 @@ def test_bench_e13_interp(benchmark):
     compiled = _counter_run("bytecode", 2000)
     overhead.add_row(["native (Python)", native, 1.0])
     overhead.add_row(["interpreted (tree walker)", tree, tree / native])
-    overhead.add_row(["interpreted (bytecode VM)", compiled, compiled / native])
+    overhead.add_row(["compiled (closures)", compiled, compiled / native])
 
     crunch = TextTable(
         ["behavior kind", "host ms for spin(3000)", "vs tree walker"],
@@ -127,7 +127,7 @@ def test_bench_e13_interp(benchmark):
         results[kind] = (time.perf_counter() - t0) * 1e3
     for kind, label in (("native", "native (Python)"),
                         ("tree", "interpreted (tree walker)"),
-                        ("bytecode", "interpreted (bytecode VM)")):
+                        ("bytecode", "compiled (closures)")):
         crunch.add_row([label, results[kind],
                         results[kind] / results["tree"]])
 

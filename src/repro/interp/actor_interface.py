@@ -193,7 +193,8 @@ class InterpretedBehavior(Behavior):
         if self.engine == "bytecode":
             from .vm import VM
 
-            code = self.library.compiled(self.definition.name, method)
+            code = self.library.compiled(self.definition.name, method,
+                                         self.definition.params)
             VM(interface, max_steps=self.max_steps).run(code, env)
         else:
             evaluator = Evaluator(interface, max_steps=self.max_steps)

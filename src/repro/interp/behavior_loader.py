@@ -96,7 +96,7 @@ def parse_behavior(form) -> BehaviorDef:
 class BehaviorLibrary:
     """A mutable registry of behavior definitions, loadable at run time.
 
-    Also owns the bytecode cache for the compiled engine: method bodies
+    Also owns the code cache for the compiled engine: method bodies
     are compiled on first dispatch and the cache entry is invalidated
     when its behavior is re-loaded (hot-swap keeps working under both
     engines).
@@ -104,7 +104,7 @@ class BehaviorLibrary:
 
     def __init__(self):
         self._defs: dict[str, BehaviorDef] = {}
-        self._code_cache: dict[tuple[str, str], object] = {}
+        self._code_cache: dict[tuple[str, str], tuple[MethodDef, object]] = {}
 
     def load(self, source: str) -> list[BehaviorDef]:
         """Parse ``source`` and register every behavior it defines.
@@ -123,16 +123,23 @@ class BehaviorLibrary:
                 del self._code_cache[key]
         return loaded
 
-    def compiled(self, behavior_name: str, method: MethodDef):
-        """The compiled :class:`~repro.interp.compiler.Code` for a method."""
+    def compiled(self, behavior_name: str, method: MethodDef,
+                 acquaintances: tuple[str, ...] = ()):
+        """The compiled :class:`~repro.interp.compiler.Code` for a method
+        of a behavior with these acquaintance parameters.
+
+        An entry answers only for the method it was compiled from: an
+        actor still running a definition that a re-load has replaced
+        gets its own code, not its successor's.
+        """
         key = (behavior_name, method.name)
-        code = self._code_cache.get(key)
-        if code is None:
+        cached = self._code_cache.get(key)
+        if cached is None or cached[0] is not method:
             from .compiler import compile_body
 
-            code = compile_body(list(method.body))
-            self._code_cache[key] = code
-        return code
+            code = compile_body(method.body, acquaintances + method.params)
+            cached = self._code_cache[key] = (method, code)
+        return cached[1]
 
     def get(self, name: str) -> BehaviorDef:
         definition = self._defs.get(name)

@@ -9,6 +9,7 @@ into a pure position.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Any, Callable
 
 from repro.core.errors import InterpreterRuntimeError
@@ -20,8 +21,19 @@ def _num(op: str, x: Any) -> float | int:
     return x
 
 
+#: Operand types the two-operand fast paths below take, matched exactly:
+#: ``bool``, subclasses and every other arity go the generic way, which
+#: checks and complains as it always did, so results and errors agree.
+_NUMBERS = (int, float)
+_COMPARABLE = (int, float, str)
+
+
 def _arith(op: str, fn: Callable, identity: int | None = None):
     def impl(*args):
+        if len(args) == 2:
+            a, b = args
+            if type(a) in _NUMBERS and type(b) in _NUMBERS:
+                return fn(a, b)
         if not args:
             if identity is None:
                 raise InterpreterRuntimeError(f"{op}: needs at least one argument")
@@ -41,6 +53,10 @@ def _arith(op: str, fn: Callable, identity: int | None = None):
 
 def _chain(op: str, fn: Callable):
     def impl(*args):
+        if len(args) == 2:
+            a, b = args
+            if type(a) in _COMPARABLE and type(b) in _COMPARABLE:
+                return fn(a, b)
         if len(args) < 2:
             raise InterpreterRuntimeError(f"{op}: needs at least two arguments")
         return all(fn(_cmp_ok(op, a), _cmp_ok(op, b)) for a, b in zip(args, args[1:]))
@@ -81,9 +97,9 @@ def _nth(lst, i):
 
 BUILTINS: dict[str, Callable[..., Any]] = {
     # arithmetic
-    "+": _arith("+", lambda a, b: a + b, identity=0),
-    "-": _arith("-", lambda a, b: a - b),
-    "*": _arith("*", lambda a, b: a * b, identity=1),
+    "+": _arith("+", operator.add, identity=0),
+    "-": _arith("-", operator.sub),
+    "*": _arith("*", operator.mul, identity=1),
     "/": _arith("/", _safe_div),
     "mod": lambda a, b: _safe_mod(_num("mod", a), _num("mod", b)),
     "abs": lambda x: abs(_num("abs", x)),
@@ -95,10 +111,10 @@ BUILTINS: dict[str, Callable[..., Any]] = {
     # comparison
     "=": lambda a, b: a == b,
     "!=": lambda a, b: a != b,
-    "<": _chain("<", lambda a, b: a < b),
-    ">": _chain(">", lambda a, b: a > b),
-    "<=": _chain("<=", lambda a, b: a <= b),
-    ">=": _chain(">=", lambda a, b: a >= b),
+    "<": _chain("<", operator.lt),
+    ">": _chain(">", operator.gt),
+    "<=": _chain("<=", operator.le),
+    ">=": _chain(">=", operator.ge),
     "not": lambda x: x is False or x is None,
     # lists
     "list": lambda *xs: list(xs),

@@ -4,317 +4,370 @@
 code into an intermediary form, similar to early implementations of
 other object-oriented programming languages (such as SmallTalk)."
 
-This module compiles parsed behavior bodies into a compact linear
-bytecode executed by :mod:`repro.interp.vm`.  The compiled engine is
-semantically identical to the tree-walking evaluator (a hypothesis
-property test cross-checks them on random programs) and measurably
-faster, which E13 quantifies.
+The intermediary form here is *closure-threaded code*: a method body is
+compiled once into nested Python closures ``(env, vm) -> value``, one per
+form, and running it is calling the outermost one.  Everything that can
+be decided from the text alone is decided at compile time — which
+special form a list is, how many operands it has, the behavior name of a
+``become``/``create``, the strings a quoted symbol turns into, whether a
+form is malformed — so a step at run time is one Python call.
 
-Instruction set (op, arg):
+**The scope pass.**  A name that is a builtin, and that nothing in the
+method can rebind — no acquaintance or method parameter, no ``let``,
+``define`` or ``for`` target anywhere in the body carries it — can only
+ever resolve to the shared builtins frame, which is frozen; the compiler
+binds such a name to the builtin itself.  Every other name goes through
+:class:`~repro.interp.env.Env` at run time exactly as the tree walker's
+does, so ``set!`` on a builtin, local shadowing and hot reload behave the
+same under both engines.
 
-======== =============================================================
-CONST    push a literal value
-LOAD     push the value of a variable
-STORE    ``set!``: rebind nearest binding to popped value; push it back
-DEFINE   bind name in the current frame to popped value; push it back
-POP      discard top of stack
-JUMP     unconditional jump to instruction index
-JIF      jump if popped value is falsy (False/None)
-JIF_KEEP jump if *top* is falsy without popping (for and/or chains)
-POP_KEEP pop unconditionally (companion of JIF_KEEP fall-through)
-CALL     arg=n: pop n args + callable, push result
-ENTER    push a fresh scope frame
-EXIT     pop the innermost scope frame
-EFFECT   arg=(name, n): pop n operands, run the named bridge effect,
-         push its result
-QUOTE    push deep-copied quoted datum (symbols already stripped)
-======== =============================================================
+**Fuel.**  A closure spends one step of ``vm.fuel`` per form evaluated,
+atoms included: the tree walker's unit, so ``max_steps`` cuts both
+engines off at the same form.  (A two-operand call of a builtin bound at
+compile time pays for its head in the same subtraction; a bound builtin
+cannot fail, so nothing can be observed between the two steps.)  Every
+closure opens with the same three lines on purpose: a shared helper
+would make each step two Python calls.
 
-``become``/``create`` compile their *behavior name* as a constant operand
-of the EFFECT call, matching the evaluator's call-by-name semantics.
+The compiled engine is semantically identical to the tree-walking
+evaluator — value, effects, error text and fuel — which a hypothesis
+property cross-checks on random programs, and faster, which E13 and the
+``pool-script`` workload quantify.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.errors import InterpreterRuntimeError
 
 from .astnodes import Symbol, to_source
-from .evaluator import _strip_symbols
+from .builtins import BUILTINS
+from .effects import EFFECT_FORMS, effect_form
+from .evaluator import _strip_symbols, check_shape, out_of_fuel
 
-# Integer opcodes (VM dispatch is measurably faster than string compare).
-(OP_CONST, OP_LOAD, OP_STORE, OP_DEFINE, OP_POP, OP_JUMP, OP_JIF,
- OP_JIF_KEEP, OP_JTRUE_KEEP, OP_NORM, OP_CALL, OP_ENTER, OP_EXIT,
- OP_QUOTE, OP_ITER_NEW, OP_ITER_NEXT, OP_EFFECT) = range(17)
-
-#: Mnemonic -> opcode (the Compiler emits mnemonics for readability).
-OPCODES = {
-    "CONST": OP_CONST, "LOAD": OP_LOAD, "STORE": OP_STORE,
-    "DEFINE": OP_DEFINE, "POP": OP_POP, "JUMP": OP_JUMP, "JIF": OP_JIF,
-    "JIF_KEEP": OP_JIF_KEEP, "JTRUE_KEEP": OP_JTRUE_KEEP,
-    "NORM_AND": OP_NORM, "NORM_OR": OP_NORM, "CALL": OP_CALL,
-    "ENTER": OP_ENTER, "EXIT": OP_EXIT, "QUOTE": OP_QUOTE,
-    "ITER_NEW": OP_ITER_NEW, "ITER_NEXT": OP_ITER_NEXT,
-    "EFFECT": OP_EFFECT,
-}
+#: A compiled form: called with the environment and the running VM.
+Thunk = Callable[[Any, Any], Any]
 
 
 class Code:
-    """A compiled body: a flat instruction list."""
+    """A compiled body: ``entry(env, vm)`` runs it."""
 
-    __slots__ = ("instructions", "source_hint")
+    __slots__ = ("entry", "source_hint")
 
-    def __init__(self, instructions: list[tuple], source_hint: str = ""):
-        self.instructions = instructions
+    def __init__(self, entry: Thunk, source_hint: str = ""):
+        self.entry = entry
         self.source_hint = source_hint
 
-    def __len__(self):
-        return len(self.instructions)
-
     def __repr__(self):
-        return f"<Code {len(self.instructions)} instrs {self.source_hint!r}>"
+        return f"<Code {self.source_hint!r}>"
 
 
-#: Effect forms with fixed arity ranges: name -> (min_args, max_args).
-_EFFECTS: dict[str, tuple[int, int]] = {
-    "self": (0, 0),
-    "host-space": (0, 0),
-    "reply-addr": (0, 0),
-    "now": (0, 0),
-    "send-to": (2, 2),
-    "send": (2, 3),
-    "broadcast": (2, 3),
-    "create-actorspace": (0, 1),
-    "make-visible": (2, 4),
-    "make-invisible": (1, 3),
-    "change-attributes": (2, 4),
-    "new-capability": (0, 0),
-    "terminate": (0, 0),
-    "schedule": (2, 2),
-}
+def binding_targets(form: Any, found: set[str]) -> set[str]:
+    """Every name a ``let``, ``define`` or ``for`` anywhere in ``form``
+    binds.  Quoted data is searched too: a name too many only costs a
+    run-time lookup."""
+    if isinstance(form, list) and form:
+        if form[0] == "let" and len(form) > 1 and isinstance(form[1], list):
+            found.update(str(b[0]) for b in form[1] if isinstance(b, list) and b)
+        elif form[0] in ("define", "for") and len(form) > 1:
+            found.add(str(form[1]))
+        for sub in form:
+            binding_targets(sub, found)
+    return found
 
 
 class Compiler:
-    """Single-pass compiler from parsed forms to :class:`Code`."""
+    """Compiles parsed forms to closures; ``rebindable`` is the scope
+    pass's result, the names that may not be bound at compile time."""
 
-    def __init__(self):
-        self.instructions: list[tuple] = []
+    def __init__(self, rebindable: set[str]):
+        self.rebindable = rebindable
 
-    # -- emission helpers ---------------------------------------------------
+    def sequence(self, forms: list) -> Thunk:
+        """The forms in order, for the value of the last; a sequence is
+        not itself a form, so it spends no fuel."""
+        thunks = [self.compile(form) for form in forms]
+        if len(thunks) == 1:
+            return thunks[0]
 
-    def emit(self, op: str, arg: Any = None) -> int:
-        self.instructions.append((OPCODES[op], arg))
-        return len(self.instructions) - 1
-
-    def patch(self, index: int, arg: Any) -> None:
-        op, _old = self.instructions[index]
-        self.instructions[index] = (op, arg)
-
-    @property
-    def here(self) -> int:
-        return len(self.instructions)
-
-    # -- top level ------------------------------------------------------------
-
-    def compile_body(self, body: list) -> Code:
-        """Compile a sequence of forms; the last value is left on the stack."""
-        if not body:
-            self.emit("CONST", None)
-        for i, form in enumerate(body):
-            self.compile(form)
-            if i < len(body) - 1:
-                self.emit("POP")
-        return Code(self.instructions,
-                    source_hint=to_source(body[0]) if body else "")
+        def run(env, vm):
+            result = None
+            for thunk in thunks:
+                result = thunk(env, vm)
+            return result
+        return run
 
     # -- expression dispatch ------------------------------------------------------
 
-    def compile(self, form: Any) -> None:
+    def compile(self, form: Any) -> Thunk:
         if isinstance(form, Symbol):
-            self.emit("LOAD", str(form))
-            return
+            name = str(form)
+            if self._is_builtin(name):
+                return _constant(BUILTINS[name])
+            return _variable(name)
         if not isinstance(form, list):
-            self.emit("CONST", form)
-            return
+            return _constant(form)
         if not form:
-            raise InterpreterRuntimeError("cannot compile the empty form ()")
+            raise InterpreterRuntimeError("cannot evaluate the empty form ()")
         head = form[0]
         if isinstance(head, Symbol):
-            name = str(head)
-            handler = getattr(self, f"_c_{name.replace('!', '_bang').replace('-', '_')}", None)
-            if name in _SPECIAL_NAMES and handler is not None:
-                handler(form)
-                return
-            if name in _EFFECTS:
-                self._compile_effect(name, form)
-                return
-            if name in ("become", "create"):
-                self._compile_behavior_effect(name, form)
-                return
-            if name == "print":
-                self._compile_print(form)
-                return
-        # Plain application: callable then args, CALL n.
-        self.compile(head)
-        for arg in form[1:]:
-            self.compile(arg)
-        self.emit("CALL", len(form) - 1)
+            special = _SPECIAL.get(str(head))
+            if special is not None:
+                return special(self, form)
+        return self._application(form)
+
+    def _is_builtin(self, name: str) -> bool:
+        return name in BUILTINS and name not in self.rebindable
+
+    def _application(self, form: list) -> Thunk:
+        head = form[0]
+        args = [self.compile(arg) for arg in form[1:]]
+
+        def failed(exc: Exception) -> InterpreterRuntimeError:
+            return InterpreterRuntimeError(f"error in {to_source(form)}: {exc}")
+
+        if (len(args) == 2 and isinstance(head, Symbol)
+                and self._is_builtin(str(head))):
+            # The shape scripts spend their time in — (+ a b), (< i n) —
+            # with no argument list and no head to evaluate or test.
+            builtin = BUILTINS[str(head)]
+            first, second = args
+
+            def run(env, vm):
+                vm.fuel = left = vm.fuel - 2  # the form and its head
+                if left < 0:
+                    raise out_of_fuel(vm.max_steps)
+                x = first(env, vm)
+                y = second(env, vm)
+                try:
+                    return builtin(x, y)
+                except InterpreterRuntimeError:
+                    raise
+                except Exception as exc:
+                    raise failed(exc) from exc
+            return run
+
+        callee = self.compile(head)
+
+        def run(env, vm):
+            vm.fuel = left = vm.fuel - 1
+            if left < 0:
+                raise out_of_fuel(vm.max_steps)
+            fn = callee(env, vm)
+            values = [arg(env, vm) for arg in args]
+            if not callable(fn):
+                raise InterpreterRuntimeError(
+                    f"not callable: {to_source(head)}")
+            try:
+                return fn(*values)
+            except InterpreterRuntimeError:
+                raise
+            except Exception as exc:
+                raise failed(exc) from exc
+        return run
 
     # -- special forms ----------------------------------------------------------
 
-    def _expect(self, cond: bool, form: list, why: str) -> None:
-        if not cond:
-            raise InterpreterRuntimeError(f"{why} in {to_source(form)}")
+    def _quote(self, form):
+        check_shape(form)
+        datum = _strip_symbols(form[1])
+        if not isinstance(datum, list):
+            return _constant(datum)
 
-    def _c_quote(self, form):
-        self._expect(len(form) == 2, form, "quote takes one argument")
-        self.emit("QUOTE", _strip_symbols(form[1]))
+        def run(env, vm):
+            vm.fuel = left = vm.fuel - 1
+            if left < 0:
+                raise out_of_fuel(vm.max_steps)
+            return _strip_symbols(datum)  # a fresh copy per execution
+        return run
 
-    def _c_if(self, form):
-        self._expect(len(form) in (3, 4), form, "if takes 2 or 3 arguments")
-        self.compile(form[1])
-        jif = self.emit("JIF")
-        self.compile(form[2])
-        jend = self.emit("JUMP")
-        self.patch(jif, self.here)
-        if len(form) == 4:
-            self.compile(form[3])
-        else:
-            self.emit("CONST", None)
-        self.patch(jend, self.here)
+    def _if(self, form):
+        check_shape(form)
+        test, then = self.compile(form[1]), self.compile(form[2])
+        otherwise = self.compile(form[3]) if len(form) == 4 else None
 
-    def _c_let(self, form):
-        self._expect(len(form) >= 3 and isinstance(form[1], list), form,
-                     "let needs a binding list and a body")
-        self.emit("ENTER")
-        for binding in form[1]:
-            self._expect(
-                isinstance(binding, list) and len(binding) == 2
-                and isinstance(binding[0], Symbol),
-                form, "let bindings are (name expr) pairs")
-            self.compile(binding[1])
-            self.emit("DEFINE", str(binding[0]))
-            self.emit("POP")
-        self._sequence(form[2:])
-        self.emit("EXIT")
+        def run(env, vm):
+            vm.fuel = left = vm.fuel - 1
+            if left < 0:
+                raise out_of_fuel(vm.max_steps)
+            tested = test(env, vm)
+            if tested is not False and tested is not None:
+                return then(env, vm)
+            if otherwise is not None:
+                return otherwise(env, vm)
+            return None
+        return run
 
-    def _c_begin(self, form):
-        self._sequence(form[1:])
+    def _let(self, form):
+        check_shape(form)
+        bindings = [(str(name), self.compile(expr)) for name, expr in form[1]]
+        body = self.sequence(form[2:])
 
-    def _sequence(self, forms):
-        if not forms:
-            self.emit("CONST", None)
-            return
-        for i, sub in enumerate(forms):
-            self.compile(sub)
-            if i < len(forms) - 1:
-                self.emit("POP")
+        def run(env, vm):
+            vm.fuel = left = vm.fuel - 1
+            if left < 0:
+                raise out_of_fuel(vm.max_steps)
+            child = env.child()
+            for name, expr in bindings:
+                child.define(name, expr(child, vm))
+            return body(child, vm)
+        return run
 
-    def _c_and(self, form):
-        if len(form) == 1:
-            self.emit("CONST", True)
-            return
-        ends = []
-        for i, sub in enumerate(form[1:]):
-            self.compile(sub)
-            if i < len(form) - 2:
-                ends.append(self.emit("JIF_KEEP"))
-                self.emit("POP")
-        after = self.here
-        for j in ends:
-            self.patch(j, after)
-        # A falsy short-circuit leaves the falsy value; normalize to False.
-        self.emit("NORM_AND")
+    def _begin(self, form):
+        body = self.sequence(form[1:])
 
-    def _c_or(self, form):
-        if len(form) == 1:
-            self.emit("CONST", False)
-            return
-        ends = []
-        for i, sub in enumerate(form[1:]):
-            self.compile(sub)
-            if i < len(form) - 2:
-                ends.append(self.emit("JTRUE_KEEP"))
-                self.emit("POP")
-        after = self.here
-        for j in ends:
-            self.patch(j, after)
-        self.emit("NORM_OR")
+        def run(env, vm):
+            vm.fuel = left = vm.fuel - 1
+            if left < 0:
+                raise out_of_fuel(vm.max_steps)
+            return body(env, vm)
+        return run
 
-    def _c_set_bang(self, form):
-        self._expect(len(form) == 3 and isinstance(form[1], Symbol), form,
-                     "set! takes a name and a value")
-        self.compile(form[2])
-        self.emit("STORE", str(form[1]))
+    def _and(self, form):
+        operands = [self.compile(sub) for sub in form[1:]]
 
-    def _c_define(self, form):
-        self._expect(len(form) == 3 and isinstance(form[1], Symbol), form,
-                     "define takes a name and a value")
-        self.compile(form[2])
-        self.emit("DEFINE", str(form[1]))
+        def run(env, vm):
+            vm.fuel = left = vm.fuel - 1
+            if left < 0:
+                raise out_of_fuel(vm.max_steps)
+            result = True
+            for operand in operands:
+                result = operand(env, vm)
+                if result is False or result is None:
+                    return False
+            return result
+        return run
 
-    def _c_while(self, form):
+    def _or(self, form):
+        operands = [self.compile(sub) for sub in form[1:]]
+
+        def run(env, vm):
+            vm.fuel = left = vm.fuel - 1
+            if left < 0:
+                raise out_of_fuel(vm.max_steps)
+            for operand in operands:
+                result = operand(env, vm)
+                if result is not False and result is not None:
+                    return result
+            return False
+        return run
+
+    def _set(self, form):
+        check_shape(form)
+        name, expr = str(form[1]), self.compile(form[2])
+
+        def run(env, vm):
+            vm.fuel = left = vm.fuel - 1
+            if left < 0:
+                raise out_of_fuel(vm.max_steps)
+            value = expr(env, vm)
+            env.assign(name, value)
+            return value
+        return run
+
+    def _define(self, form):
+        check_shape(form)
+        name, expr = str(form[1]), self.compile(form[2])
+
+        def run(env, vm):
+            vm.fuel = left = vm.fuel - 1
+            if left < 0:
+                raise out_of_fuel(vm.max_steps)
+            value = expr(env, vm)
+            env.define(name, value)
+            return value
+        return run
+
+    def _while(self, form):
         """Loops evaluate for effect; their value is ``nil``."""
-        self._expect(len(form) >= 2, form, "while needs a condition")
-        top = self.here
-        self.compile(form[1])
-        jexit = self.emit("JIF")
-        self._sequence(form[2:])
-        self.emit("POP")
-        self.emit("JUMP", top)
-        self.patch(jexit, self.here)
-        self.emit("CONST", None)
+        check_shape(form)
+        test = self.compile(form[1])
+        body = [self.compile(sub) for sub in form[2:]]
 
-    def _c_for(self, form):
-        self._expect(len(form) >= 3 and isinstance(form[1], Symbol), form,
-                     "for needs (for name list body...)")
-        name = str(form[1])
-        self.compile(form[2])
-        self.emit("ITER_NEW")           # moves the list to the VM loop stack
-        top = self.here
-        jdone = self.emit("ITER_NEXT")  # pushes next item, or jumps when done
-        self.emit("ENTER")
-        self.emit("DEFINE", name)
-        self.emit("POP")
-        self._sequence(form[3:])
-        self.emit("POP")
-        self.emit("EXIT")
-        self.emit("JUMP", top)
-        self.patch(jdone, self.here)    # ITER_NEXT also pops the loop stack
-        self.emit("CONST", None)
+        def run(env, vm):
+            vm.fuel = left = vm.fuel - 1
+            if left < 0:
+                raise out_of_fuel(vm.max_steps)
+            while True:
+                tested = test(env, vm)
+                if tested is False or tested is None:
+                    return None
+                for thunk in body:
+                    thunk(env, vm)
+        return run
 
-    # -- effects ---------------------------------------------------------------------
+    def _for(self, form):
+        check_shape(form)
+        name, source = str(form[1]), self.compile(form[2])
+        body = [self.compile(sub) for sub in form[3:]]
 
-    def _compile_effect(self, name: str, form: list) -> None:
-        lo, hi = _EFFECTS[name]
-        n = len(form) - 1
-        self._expect(lo <= n <= hi, form,
-                     f"{name} takes {lo}..{hi} arguments")
-        for arg in form[1:]:
-            self.compile(arg)
-        self.emit("EFFECT", (name, n))
+        def run(env, vm):
+            vm.fuel = left = vm.fuel - 1
+            if left < 0:
+                raise out_of_fuel(vm.max_steps)
+            items = source(env, vm)
+            if not isinstance(items, list):
+                raise InterpreterRuntimeError(
+                    f"for: expected a list, got {items!r}")
+            for item in items:
+                child = env.child({name: item})
+                for thunk in body:
+                    thunk(child, vm)
+            return None
+        return run
 
-    def _compile_behavior_effect(self, name: str, form: list) -> None:
-        self._expect(len(form) >= 2 and isinstance(form[1], Symbol), form,
-                     f"{name} needs a behavior name")
-        self.emit("CONST", str(form[1]))
-        for arg in form[2:]:
-            self.compile(arg)
-        self.emit("EFFECT", (name, len(form) - 1))
+    def _effect(self, form):
+        apply, named, exprs = effect_form(form)
+        operands = [self.compile(expr) for expr in exprs]
 
-    def _compile_print(self, form: list) -> None:
-        for arg in form[1:]:
-            self.compile(arg)
-        self.emit("EFFECT", ("print", len(form) - 1))
+        def run(env, vm):
+            vm.fuel = left = vm.fuel - 1
+            if left < 0:
+                raise out_of_fuel(vm.max_steps)
+            return apply(vm.bridge,
+                         named + [operand(env, vm) for operand in operands])
+        return run
 
 
-_SPECIAL_NAMES = {
-    "quote", "if", "let", "begin", "and", "or", "set!", "define",
-    "while", "for",
+def _constant(value: Any) -> Thunk:
+    def run(env, vm):
+        vm.fuel = left = vm.fuel - 1
+        if left < 0:
+            raise out_of_fuel(vm.max_steps)
+        return value
+    return run
+
+
+def _variable(name: str) -> Thunk:
+    def run(env, vm):
+        vm.fuel = left = vm.fuel - 1
+        if left < 0:
+            raise out_of_fuel(vm.max_steps)
+        return env.lookup(name)
+    return run
+
+
+_SPECIAL = {
+    "quote": Compiler._quote,
+    "if": Compiler._if,
+    "let": Compiler._let,
+    "begin": Compiler._begin,
+    "and": Compiler._and,
+    "or": Compiler._or,
+    "set!": Compiler._set,
+    "define": Compiler._define,
+    "while": Compiler._while,
+    "for": Compiler._for,
+    **dict.fromkeys(EFFECT_FORMS, Compiler._effect),
 }
 
 
-def compile_body(body: list) -> Code:
-    """Compile a method body into :class:`Code`."""
-    return Compiler().compile_body(list(body))
+def compile_body(body: list, params: tuple[str, ...] = ()) -> Code:
+    """Compile a method body into :class:`Code`.  ``params`` names what
+    the caller's environment binds above the builtins frame (acquaintance
+    and method parameters)."""
+    body = list(body)
+    compiler = Compiler(binding_targets(body, set(params)))
+    return Code(compiler.sequence(body),
+                source_hint=to_source(body[0]) if body else "")

@@ -1,49 +1,34 @@
 """The small sequential interpreter (paper section 7.2).
 
-A tree-walking evaluator over parsed forms.  Pure computation comes from
-``builtins``; every *effect* — message sends, actor creation, ``become``,
-visibility changes — is a special form dispatched to an
-:class:`EffectBridge` (implemented by the ActorInterface), mirroring the
-prototype's split: "the interpreter ... occasionally accesses the
-ActorInterface for sending and receiving messages from the Coordinator".
+A tree-walking evaluator over parsed forms, kept naive on purpose: it is
+the readable reference the compiled engine is checked against.  Pure
+computation comes from ``builtins``; every *effect* is one of the
+:data:`~repro.interp.effects.EFFECT_FORMS`, applied to an
+:class:`EffectBridge` (implemented by the ActorInterface).
 
 The evaluator is fuel-limited: each method invocation may execute at most
-``max_steps`` evaluation steps, so a buggy script loops visibly (an
-error) instead of hanging the simulation — an untrusted-client guard in
-the spirit of the paper's open-systems discussion (section 2).
+``max_steps`` evaluation steps — one per form evaluated, atoms included —
+so a buggy script loops visibly (an error) instead of hanging the
+simulation — an untrusted-client guard in the spirit of the paper's
+open-systems discussion (section 2).
 """
 
 from __future__ import annotations
 
-from typing import Any, Protocol
+from typing import Any
 
 from repro.core.errors import InterpreterRuntimeError
 
 from .astnodes import Symbol, to_source
 from .builtins import BUILTINS
+from .effects import EFFECT_FORMS, EffectBridge, effect_form
 from .env import Env
 
 
-class EffectBridge(Protocol):
-    """The effectful operations a script may perform (the ActorInterface)."""
-
-    def self_address(self) -> Any: ...
-    def host_space(self) -> Any: ...
-    def reply_addr(self) -> Any: ...
-    def now(self) -> float: ...
-    def send_to(self, target: Any, payload: Any) -> None: ...
-    def send_pattern(self, dest: str, payload: Any, reply_to: Any | None) -> None: ...
-    def broadcast_pattern(self, dest: str, payload: Any, reply_to: Any | None) -> None: ...
-    def become(self, name: str, args: list) -> None: ...
-    def create(self, name: str, args: list) -> Any: ...
-    def create_actorspace(self, capability: Any | None) -> Any: ...
-    def make_visible(self, target: Any, attrs: Any, space: Any, cap: Any) -> None: ...
-    def make_invisible(self, target: Any, space: Any, cap: Any) -> None: ...
-    def change_attributes(self, target: Any, attrs: Any, space: Any, cap: Any) -> None: ...
-    def new_capability(self) -> Any: ...
-    def terminate(self) -> None: ...
-    def schedule(self, delay: float, payload: Any) -> None: ...
-    def emit(self, text: str) -> None: ...
+def out_of_fuel(max_steps: int) -> InterpreterRuntimeError:
+    """The error either engine raises when a body spends its fuel."""
+    return InterpreterRuntimeError(
+        f"script exceeded {max_steps} evaluation steps")
 
 
 class Evaluator:
@@ -69,9 +54,7 @@ class Evaluator:
     def eval(self, form: Any, env: Env) -> Any:
         self._steps += 1
         if self._steps > self.max_steps:
-            raise InterpreterRuntimeError(
-                f"script exceeded {self.max_steps} evaluation steps"
-            )
+            raise out_of_fuel(self.max_steps)
         # Atoms ------------------------------------------------------------
         if isinstance(form, Symbol):
             return env.lookup(str(form))
@@ -98,25 +81,43 @@ class Evaluator:
                 ) from exc
         raise InterpreterRuntimeError(f"not callable: {to_source(head)}")
 
-    # -- helpers used by special forms ------------------------------------------
-
-    def _expect(self, cond: bool, form: list, why: str) -> None:
-        if not cond:
-            raise InterpreterRuntimeError(f"{why} in {to_source(form)}")
-
-    def _name(self, form: list, idx: int) -> str:
-        self._expect(len(form) > idx and isinstance(form[idx], Symbol), form,
-                     f"expected a symbol at position {idx}")
-        return str(form[idx])
-
 
 # ---------------------------------------------------------------------------
 # Special forms
 # ---------------------------------------------------------------------------
 
 
+def _binding(form: Any) -> bool:
+    return isinstance(form, list) and len(form) == 2 and isinstance(form[0], Symbol)
+
+
+#: The control forms that can be malformed: name -> (well shaped?, complaint).
+_SHAPES = {
+    "quote": (lambda f: len(f) == 2, "quote takes one argument"),
+    "if": (lambda f: len(f) in (3, 4), "if takes 2 or 3 arguments"),
+    "let": (lambda f: len(f) >= 3 and isinstance(f[1], list)
+            and all(_binding(b) for b in f[1]),
+            "let needs a list of (name expr) bindings and a body"),
+    "set!": (lambda f: len(f) == 3 and isinstance(f[1], Symbol),
+             "set! takes a name and a value"),
+    "define": (lambda f: len(f) == 3 and isinstance(f[1], Symbol),
+               "define takes a name and a value"),
+    "while": (lambda f: len(f) >= 2, "while needs a condition"),
+    "for": (lambda f: len(f) >= 3 and isinstance(f[1], Symbol),
+            "for needs (for name list body...)"),
+}
+
+
+def check_shape(form: list) -> None:
+    """Reject a malformed control form: the walker when it evaluates one,
+    the compiler when it compiles one, in the same words."""
+    well_shaped, complaint = _SHAPES[str(form[0])]
+    if not well_shaped(form):
+        raise InterpreterRuntimeError(f"{complaint} in {to_source(form)}")
+
+
 def _sf_quote(ev: Evaluator, form: list, env: Env) -> Any:
-    ev._expect(len(form) == 2, form, "quote takes one argument")
+    check_shape(form)
     return _strip_symbols(form[1])
 
 
@@ -130,7 +131,7 @@ def _strip_symbols(form: Any) -> Any:
 
 
 def _sf_if(ev: Evaluator, form: list, env: Env) -> Any:
-    ev._expect(len(form) in (3, 4), form, "if takes 2 or 3 arguments")
+    check_shape(form)
     cond = ev.eval(form[1], env)
     if cond is not False and cond is not None:
         return ev.eval(form[2], env)
@@ -140,14 +141,10 @@ def _sf_if(ev: Evaluator, form: list, env: Env) -> Any:
 
 
 def _sf_let(ev: Evaluator, form: list, env: Env) -> Any:
-    ev._expect(len(form) >= 3 and isinstance(form[1], list), form,
-               "let needs a binding list and a body")
+    check_shape(form)
     child = env.child()
-    for binding in form[1]:
-        ev._expect(isinstance(binding, list) and len(binding) == 2
-                   and isinstance(binding[0], Symbol), form,
-                   "let bindings are (name expr) pairs")
-        child.define(str(binding[0]), ev.eval(binding[1], child))
+    for name, expr in form[1]:
+        child.define(str(name), ev.eval(expr, child))
     result = None
     for body_form in form[2:]:
         result = ev.eval(body_form, child)
@@ -179,24 +176,22 @@ def _sf_or(ev: Evaluator, form: list, env: Env) -> Any:
 
 
 def _sf_set(ev: Evaluator, form: list, env: Env) -> Any:
-    ev._expect(len(form) == 3, form, "set! takes a name and a value")
-    name = ev._name(form, 1)
+    check_shape(form)
     value = ev.eval(form[2], env)
-    env.assign(name, value)
+    env.assign(str(form[1]), value)
     return value
 
 
 def _sf_define(ev: Evaluator, form: list, env: Env) -> Any:
-    ev._expect(len(form) == 3, form, "define takes a name and a value")
-    name = ev._name(form, 1)
+    check_shape(form)
     value = ev.eval(form[2], env)
-    env.define(name, value)
+    env.define(str(form[1]), value)
     return value
 
 
 def _sf_while(ev: Evaluator, form: list, env: Env) -> Any:
     """Loops evaluate for effect; their value is ``nil`` (both engines)."""
-    ev._expect(len(form) >= 2, form, "while needs a condition")
+    check_shape(form)
     while True:
         cond = ev.eval(form[1], env)
         if cond is False or cond is None:
@@ -206,8 +201,8 @@ def _sf_while(ev: Evaluator, form: list, env: Env) -> Any:
 
 
 def _sf_for(ev: Evaluator, form: list, env: Env) -> Any:
-    ev._expect(len(form) >= 3, form, "for needs (for name list body...)")
-    name = ev._name(form, 1)
+    check_shape(form)
+    name = str(form[1])
     items = ev.eval(form[2], env)
     if not isinstance(items, list):
         raise InterpreterRuntimeError(f"for: expected a list, got {items!r}")
@@ -221,123 +216,10 @@ def _sf_for(ev: Evaluator, form: list, env: Env) -> Any:
 # -- effect forms -------------------------------------------------------------
 
 
-def _sf_self(ev: Evaluator, form: list, env: Env) -> Any:
-    return ev.bridge.self_address()
-
-
-def _sf_host_space(ev: Evaluator, form: list, env: Env) -> Any:
-    return ev.bridge.host_space()
-
-
-def _sf_reply_addr(ev: Evaluator, form: list, env: Env) -> Any:
-    return ev.bridge.reply_addr()
-
-
-def _sf_now(ev: Evaluator, form: list, env: Env) -> Any:
-    return ev.bridge.now()
-
-
-def _sf_send_to(ev: Evaluator, form: list, env: Env) -> Any:
-    ev._expect(len(form) == 3, form, "send-to takes target and payload")
-    target = ev.eval(form[1], env)
-    payload = ev.eval(form[2], env)
-    ev.bridge.send_to(target, payload)
-    return None
-
-
-def _sf_send(ev: Evaluator, form: list, env: Env) -> Any:
-    ev._expect(len(form) in (3, 4), form, "send takes dest, payload[, reply-to]")
-    dest = ev.eval(form[1], env)
-    payload = ev.eval(form[2], env)
-    reply = ev.eval(form[3], env) if len(form) == 4 else None
-    ev.bridge.send_pattern(dest, payload, reply)
-    return None
-
-
-def _sf_broadcast(ev: Evaluator, form: list, env: Env) -> Any:
-    ev._expect(len(form) in (3, 4), form, "broadcast takes dest, payload[, reply-to]")
-    dest = ev.eval(form[1], env)
-    payload = ev.eval(form[2], env)
-    reply = ev.eval(form[3], env) if len(form) == 4 else None
-    ev.bridge.broadcast_pattern(dest, payload, reply)
-    return None
-
-
-def _sf_become(ev: Evaluator, form: list, env: Env) -> Any:
-    ev._expect(len(form) >= 2, form, "become needs a behavior name")
-    name = ev._name(form, 1)
-    args = [ev.eval(a, env) for a in form[2:]]
-    ev.bridge.become(name, args)
-    return None
-
-
-def _sf_create(ev: Evaluator, form: list, env: Env) -> Any:
-    ev._expect(len(form) >= 2, form, "create needs a behavior name")
-    name = ev._name(form, 1)
-    args = [ev.eval(a, env) for a in form[2:]]
-    return ev.bridge.create(name, args)
-
-
-def _sf_create_actorspace(ev: Evaluator, form: list, env: Env) -> Any:
-    cap = ev.eval(form[1], env) if len(form) > 1 else None
-    return ev.bridge.create_actorspace(cap)
-
-
-def _sf_make_visible(ev: Evaluator, form: list, env: Env) -> Any:
-    ev._expect(3 <= len(form) <= 5, form,
-               "make-visible takes target, attrs[, space[, capability]]")
-    target = ev.eval(form[1], env)
-    attrs = ev.eval(form[2], env)
-    space = ev.eval(form[3], env) if len(form) > 3 else None
-    cap = ev.eval(form[4], env) if len(form) > 4 else None
-    ev.bridge.make_visible(target, attrs, space, cap)
-    return None
-
-
-def _sf_make_invisible(ev: Evaluator, form: list, env: Env) -> Any:
-    ev._expect(2 <= len(form) <= 4, form,
-               "make-invisible takes target[, space[, capability]]")
-    target = ev.eval(form[1], env)
-    space = ev.eval(form[2], env) if len(form) > 2 else None
-    cap = ev.eval(form[3], env) if len(form) > 3 else None
-    ev.bridge.make_invisible(target, space, cap)
-    return None
-
-
-def _sf_change_attributes(ev: Evaluator, form: list, env: Env) -> Any:
-    ev._expect(3 <= len(form) <= 5, form,
-               "change-attributes takes target, attrs[, space[, capability]]")
-    target = ev.eval(form[1], env)
-    attrs = ev.eval(form[2], env)
-    space = ev.eval(form[3], env) if len(form) > 3 else None
-    cap = ev.eval(form[4], env) if len(form) > 4 else None
-    ev.bridge.change_attributes(target, attrs, space, cap)
-    return None
-
-
-def _sf_new_capability(ev: Evaluator, form: list, env: Env) -> Any:
-    return ev.bridge.new_capability()
-
-
-def _sf_terminate(ev: Evaluator, form: list, env: Env) -> Any:
-    ev.bridge.terminate()
-    return None
-
-
-def _sf_schedule(ev: Evaluator, form: list, env: Env) -> Any:
-    ev._expect(len(form) == 3, form, "schedule takes delay and payload")
-    delay = ev.eval(form[1], env)
-    payload = ev.eval(form[2], env)
-    ev.bridge.schedule(delay, payload)
-    return None
-
-
-def _sf_print(ev: Evaluator, form: list, env: Env) -> Any:
-    from .builtins import _to_str
-
-    parts = [_to_str(ev.eval(a, env)) for a in form[1:]]
-    ev.bridge.emit(" ".join(parts))
-    return None
+def _sf_effect(ev: Evaluator, form: list, env: Env) -> Any:
+    apply, operands, exprs = effect_form(form)
+    operands += [ev.eval(expr, env) for expr in exprs]
+    return apply(ev.bridge, operands)
 
 
 _SPECIAL = {
@@ -351,23 +233,7 @@ _SPECIAL = {
     "define": _sf_define,
     "while": _sf_while,
     "for": _sf_for,
-    "self": _sf_self,
-    "host-space": _sf_host_space,
-    "reply-addr": _sf_reply_addr,
-    "now": _sf_now,
-    "send-to": _sf_send_to,
-    "send": _sf_send,
-    "broadcast": _sf_broadcast,
-    "become": _sf_become,
-    "create": _sf_create,
-    "create-actorspace": _sf_create_actorspace,
-    "make-visible": _sf_make_visible,
-    "make-invisible": _sf_make_invisible,
-    "change-attributes": _sf_change_attributes,
-    "new-capability": _sf_new_capability,
-    "terminate": _sf_terminate,
-    "schedule": _sf_schedule,
-    "print": _sf_print,
+    **dict.fromkeys(EFFECT_FORMS, _sf_effect),
 }
 
 

@@ -1,192 +1,33 @@
-"""The bytecode VM executing :class:`~repro.interp.compiler.Code`.
+"""The entry point of the compiled engine.
 
-A straightforward stack machine over the same :class:`~repro.interp.env.Env`
-chain and :class:`EffectBridge` the tree-walking evaluator uses, so the
-two engines are interchangeable per behavior.  Fuel-limited like the
-evaluator: each body execution may run at most ``max_steps`` instructions.
+A :class:`VM` is what the closures of :mod:`repro.interp.compiler` share
+while one body runs: the :class:`EffectBridge` their effect forms call
+and the fuel they spend.  It runs over the same
+:class:`~repro.interp.env.Env` chain and bridge as the tree-walking
+evaluator, and is cut off after the same ``max_steps`` evaluation steps,
+so the two engines are interchangeable per behavior.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Any
 
-from repro.core.errors import InterpreterRuntimeError
-
-from .compiler import (
-    Code,
-    OP_CALL,
-    OP_CONST,
-    OP_DEFINE,
-    OP_EFFECT,
-    OP_ENTER,
-    OP_EXIT,
-    OP_ITER_NEW,
-    OP_ITER_NEXT,
-    OP_JIF,
-    OP_JIF_KEEP,
-    OP_JTRUE_KEEP,
-    OP_JUMP,
-    OP_LOAD,
-    OP_NORM,
-    OP_POP,
-    OP_QUOTE,
-    OP_STORE,
-)
+from .compiler import Code
+from .effects import EffectBridge
 from .env import Env
-from .evaluator import EffectBridge
 
 
 class VM:
     """Executes compiled bodies against an environment and a bridge."""
 
+    __slots__ = ("bridge", "max_steps", "fuel")
+
     def __init__(self, bridge: EffectBridge, max_steps: int = 100_000):
         self.bridge = bridge
         self.max_steps = max_steps
+        self.fuel = max_steps
 
     def run(self, code: Code, env: Env) -> Any:
-        instructions = code.instructions
-        stack: list[Any] = []
-        loops: list[list] = []  # (list, index) pairs for for-loops
-        pc = 0
-        steps = 0
-        n = len(instructions)
-        current_env = env
-        env_stack: list[Env] = []
-        while pc < n:
-            steps += 1
-            if steps > self.max_steps:
-                raise InterpreterRuntimeError(
-                    f"script exceeded {self.max_steps} vm steps"
-                )
-            op, arg = instructions[pc]
-            pc += 1
-            if op == OP_CONST:
-                stack.append(arg)
-            elif op == OP_LOAD:
-                stack.append(current_env.lookup(arg))
-            elif op == OP_STORE:
-                current_env.assign(arg, stack[-1])
-            elif op == OP_DEFINE:
-                current_env.define(arg, stack[-1])
-            elif op == OP_POP:
-                stack.pop()
-            elif op == OP_JUMP:
-                pc = arg
-            elif op == OP_JIF:
-                value = stack.pop()
-                if value is False or value is None:
-                    pc = arg
-            elif op == OP_JIF_KEEP:
-                if stack[-1] is False or stack[-1] is None:
-                    pc = arg
-            elif op == OP_JTRUE_KEEP:
-                if not (stack[-1] is False or stack[-1] is None):
-                    pc = arg
-            elif op == OP_NORM:
-                if stack[-1] is False or stack[-1] is None:
-                    stack[-1] = False
-            elif op == OP_CALL:
-                args = stack[-arg:] if arg else []
-                del stack[len(stack) - arg:]
-                fn = stack.pop()
-                if not callable(fn):
-                    raise InterpreterRuntimeError(f"not callable: {fn!r}")
-                try:
-                    stack.append(fn(*args))
-                except InterpreterRuntimeError:
-                    raise
-                except Exception as exc:
-                    raise InterpreterRuntimeError(
-                        f"error calling {fn!r}: {exc}"
-                    ) from exc
-            elif op == OP_ENTER:
-                env_stack.append(current_env)
-                current_env = current_env.child()
-            elif op == OP_EXIT:
-                current_env = env_stack.pop()
-            elif op == OP_QUOTE:
-                stack.append(copy.deepcopy(arg))
-            elif op == OP_ITER_NEW:
-                items = stack.pop()
-                if not isinstance(items, list):
-                    raise InterpreterRuntimeError(
-                        f"for: expected a list, got {items!r}"
-                    )
-                loops.append([items, 0])
-            elif op == OP_ITER_NEXT:
-                frame = loops[-1]
-                if frame[1] >= len(frame[0]):
-                    loops.pop()
-                    pc = arg
-                else:
-                    stack.append(frame[0][frame[1]])
-                    frame[1] += 1
-            elif op == OP_EFFECT:
-                name, count = arg
-                operands = stack[-count:] if count else []
-                if count:
-                    del stack[len(stack) - count:]
-                stack.append(self._effect(name, operands))
-            else:  # pragma: no cover - compiler/vm agree on the ISA
-                raise AssertionError(f"unknown opcode {op}")
-        if not stack:  # pragma: no cover - bodies always leave one value
-            return None
-        return stack[-1]
-
-    # -- effect dispatch -------------------------------------------------------
-
-    def _effect(self, name: str, operands: list) -> Any:
-        bridge = self.bridge
-        if name == "self":
-            return bridge.self_address()
-        if name == "host-space":
-            return bridge.host_space()
-        if name == "reply-addr":
-            return bridge.reply_addr()
-        if name == "now":
-            return bridge.now()
-        if name == "send-to":
-            bridge.send_to(operands[0], operands[1])
-            return None
-        if name == "send":
-            bridge.send_pattern(operands[0], operands[1],
-                                operands[2] if len(operands) > 2 else None)
-            return None
-        if name == "broadcast":
-            bridge.broadcast_pattern(operands[0], operands[1],
-                                     operands[2] if len(operands) > 2 else None)
-            return None
-        if name == "become":
-            bridge.become(operands[0], operands[1:])
-            return None
-        if name == "create":
-            return bridge.create(operands[0], operands[1:])
-        if name == "create-actorspace":
-            return bridge.create_actorspace(operands[0] if operands else None)
-        if name == "make-visible":
-            ops = operands + [None] * (4 - len(operands))
-            bridge.make_visible(ops[0], ops[1], ops[2], ops[3])
-            return None
-        if name == "make-invisible":
-            ops = operands + [None] * (3 - len(operands))
-            bridge.make_invisible(ops[0], ops[1], ops[2])
-            return None
-        if name == "change-attributes":
-            ops = operands + [None] * (4 - len(operands))
-            bridge.change_attributes(ops[0], ops[1], ops[2], ops[3])
-            return None
-        if name == "new-capability":
-            return bridge.new_capability()
-        if name == "terminate":
-            bridge.terminate()
-            return None
-        if name == "schedule":
-            bridge.schedule(operands[0], operands[1])
-            return None
-        if name == "print":
-            from .builtins import _to_str
-
-            bridge.emit(" ".join(_to_str(o) for o in operands))
-            return None
-        raise AssertionError(f"unknown effect {name}")  # pragma: no cover
+        """Run a compiled body; fresh fuel."""
+        self.fuel = self.max_steps
+        return code.entry(env, self)

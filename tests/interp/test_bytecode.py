@@ -1,7 +1,8 @@
-"""Tests: the byte-compiler and VM (section 7's planned extension).
+"""Tests: the compiled engine (section 7's planned extension).
 
-Includes the cross-engine equivalence property: random programs evaluate
-to the same value under the tree-walker and the bytecode VM.
+Includes the cross-engine equivalence property: random programs produce
+the same value, the same effects and the same error — and run out of
+fuel at the same form — under the tree walker and the compiled closures.
 """
 
 import pytest
@@ -39,14 +40,25 @@ class NullBridge:
         return record
 
 
-def run_tree(src, bridge=None):
-    return Evaluator(bridge or NullBridge()).run_body(
+def run_tree(src, bridge=None, max_steps=100_000):
+    return Evaluator(bridge or NullBridge(), max_steps).run_body(
         [parse_one(src)], base_env())
 
 
-def run_vm(src, bridge=None):
+def run_vm(src, bridge=None, max_steps=100_000):
     code = compile_body([parse_one(src)])
-    return VM(bridge or NullBridge()).run(code, base_env())
+    return VM(bridge or NullBridge(), max_steps).run(code, base_env())
+
+
+def outcome(run, src, max_steps=100_000):
+    """What a run can be observed to do: its value or the text of its
+    error, and every bridge call it made on the way."""
+    bridge = NullBridge()
+    try:
+        result = ("value", run(src, bridge, max_steps))
+    except InterpreterRuntimeError as exc:
+        result = ("error", str(exc))
+    return result, bridge.calls
 
 
 EXPRESSIONS = [
@@ -71,7 +83,17 @@ EXPRESSIONS = [
     "(let ((x 1)) (let ((x 2)) x))",
     "(while false 1)",
     "(contains? (append (list 1) (list 2)) 2)",
+    "(let ((+ -)) (+ 3 1))",
+    "(begin (define max 5) max)",
+    "(let ((+ -)) (set! + *) (+ 3 2))",
+    "((if true + -) 3 2)",
+    "(< 1.5 2)",
+    '(< "a" "b")',
 ]
+
+#: 200 forms deep: neither engine may lean on Python's stack more than
+#: a few frames per level.
+DEEP = "(+ 1 " * 100 + "(if true " * 100 + "1" + " 0)" * 100 + ")" * 100
 
 
 class TestCrossEngineFixedCases:
@@ -86,15 +108,37 @@ class TestCrossEngineFixedCases:
         "(1 2)",
         "(set! ghost 1)",
         "(for x 42 x)",
+        '(< 1 "a")',
+        "(+ 1 true)",
+        "(mod 1 0)",
+        "(set! + 42)",
+        "(begin (define max 5) (max 1 2))",
+        "(self 1 2)",
+        "(terminate 1)",
+        "(now 1)",
+        "(new-capability 1)",
+        "(become 42)",
+        "(let (x) 1)",
+        "()",
     ])
     def test_same_errors(self, src):
-        with pytest.raises(InterpreterRuntimeError):
+        with pytest.raises(InterpreterRuntimeError) as tree_error:
             run_tree(src)
-        with pytest.raises(InterpreterRuntimeError):
+        with pytest.raises(InterpreterRuntimeError) as vm_error:
             run_vm(src)
+        assert str(vm_error.value) == str(tree_error.value)
+        assert " at 0x" not in str(vm_error.value)
+
+    def test_deeply_nested_form(self):
+        assert run_tree(DEEP) == run_vm(DEEP) == 101
 
     def test_effects_agree(self):
-        src = '(begin (print "a" 1) (send-to (self) (list 1)) (schedule 1 2))'
+        src = """(begin (print "a" 1) (send-to (self) (list 1)) (schedule 1 2)
+                   (send "p/*" 1) (broadcast "p/**" 2 (reply-addr))
+                   (make-visible (create w 1) "a" (create-actorspace))
+                   (make-invisible (self) (host-space) (new-capability))
+                   (change-attributes (self) (list "b")) (now)
+                   (become w (now)) (terminate))"""
         tree_bridge, vm_bridge = NullBridge(), NullBridge()
         run_tree(src, tree_bridge)
         run_vm(src, vm_bridge)
@@ -106,49 +150,82 @@ class TestCrossEngineFixedCases:
         with pytest.raises(InterpreterRuntimeError):
             VM(NullBridge(), max_steps=500).run(code, base_env())
 
+    def test_fuel_buys_the_same_work_under_both_engines(self):
+        """``max_steps`` counts forms evaluated, whichever engine runs."""
+        loop = "(begin (define n 0) (while (< n 30) (set! n (+ n 1))) n)"
+        assert outcome(run_tree, loop, 279) == outcome(run_vm, loop, 279)
+        assert outcome(run_vm, loop, 279)[0] == ("value", 30)
+        assert outcome(run_tree, loop, 278) == outcome(run_vm, loop, 278)
+        assert outcome(run_vm, loop, 278)[0] == (
+            "error", "script exceeded 278 evaluation steps")
+
 
 # -- property: random programs agree ---------------------------------------------
 
+ARITH = ["+", "-", "*", "max", "min"]
+VARS = ["x", "y", "z"]
+
 
 def exprs(depth=3):
+    """Programs over ``x``, ``y``, ``z``: arithmetic and comparisons,
+    every control form, assignment, bounded loops, quoted data, effects,
+    and builtins shadowed or assigned to — so a builtin is sometimes
+    bound at compile time and sometimes must be looked up."""
     ints = st.integers(-20, 20)
+    atoms = st.one_of(ints, st.sampled_from(VARS), st.booleans().map(
+        lambda b: "true" if b else "false"))
     if depth == 0:
-        return st.one_of(ints, st.just("x"), st.just("y"),
-                         st.just(True), st.just(False))
+        return atoms
     sub = exprs(depth - 1)
-    binop = st.sampled_from(["+", "-", "*", "max", "min"])
+    binop = st.sampled_from(ARITH)
     cmp_ = st.sampled_from(["<", ">", "=", "<=", ">="])
+    var = st.sampled_from(VARS)
+
+    def form(template, *parts):
+        return st.tuples(*parts).map(lambda t: template.format(*t))
+
     return st.one_of(
-        ints,
-        st.just("x"),
-        st.just("y"),
-        st.tuples(binop, sub, sub).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
-        st.tuples(cmp_, sub, sub).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
-        st.tuples(sub, sub, sub).map(
-            lambda t: f"(if {t[0]} {t[1]} {t[2]})"),
-        st.tuples(sub, sub).map(lambda t: f"(and {t[0]} {t[1]})"),
-        st.tuples(sub, sub).map(lambda t: f"(or {t[0]} {t[1]})"),
-        st.tuples(sub, sub).map(
-            lambda t: f"(let ((x {t[0]})) {t[1]})"),
-        st.tuples(sub, sub).map(lambda t: f"(begin {t[0]} {t[1]})"),
-        st.tuples(sub).map(lambda t: f"(list {t[0]} 1)"),
+        atoms,
+        form("({} {} {})", binop, sub, sub),
+        form("({} {} {})", cmp_, sub, sub),
+        form("(if {} {} {})", sub, sub, sub),
+        form("(and {} {})", sub, sub),
+        form("(or {} {})", sub, sub),
+        form("(let (({} {})) {})", var, sub, sub),
+        form("(begin {} {})", sub, sub),
+        form("(list {} 1)", sub),
+        form("(set! {} {})", var, sub),
+        form("(begin (define {} {}) {})", var, sub, sub),
+        form("(let ((k 0)) (while (< k {}) (set! k (+ k 1)) {}) k)",
+             st.integers(0, 3), sub),
+        form("(for {} (range {}) {})", var, st.integers(0, 3), sub),
+        form("(cons {} '(a 1 (b 2)))", sub),
+        form("(len '({} b))", var),
+        form("(begin (print {}) (send-to (self) {}))", sub, sub),
+        form("(let (({} {})) {})", binop, binop, sub),
+        form("(begin (define {} {}) {})", binop, sub, sub),
+        form("(set! {} {})", binop, sub),
     )
+
+
+def program(inner):
+    return f"(let ((x 3) (y 5) (z 7)) {inner})"
 
 
 @given(exprs())
 @settings(max_examples=400, deadline=None)
 def test_engines_agree_on_random_programs(src_inner):
-    src = f"(let ((x 3) (y 5)) {src_inner})"
-    try:
-        expected = run_tree(src)
-        failed = False
-    except InterpreterRuntimeError:
-        failed = True
-    if failed:
-        with pytest.raises(InterpreterRuntimeError):
-            run_vm(src)
-    else:
-        assert run_vm(src) == expected
+    src = program(src_inner)
+    assert outcome(run_vm, src) == outcome(run_tree, src)
+
+
+@given(exprs(), st.integers(0, 150))
+@settings(max_examples=400, deadline=None)
+def test_engines_run_out_of_fuel_at_the_same_form(src_inner, max_steps):
+    """Same value, or the same error — the fuel error included — after
+    the same effects, for any budget."""
+    src = program(src_inner)
+    assert outcome(run_vm, src, max_steps) == outcome(run_tree, src, max_steps)
 
 
 # -- end-to-end: bytecode actors in the runtime --------------------------------------
@@ -218,6 +295,24 @@ class TestBytecodeActors:
         out_new = system.actor_record(fresh).behavior.output
         assert out_old == ["v1"]
         assert out_new == ["v2"]
+
+    @pytest.mark.parametrize("engine", ["tree", "bytecode"])
+    def test_actor_of_a_replaced_definition_keeps_its_own_code(self, engine):
+        """An old actor dispatching after a re-load must neither run the
+        new code nor leave its own in the cache for new actors."""
+        system = ActorSpaceSystem(seed=0)
+        lib = BehaviorLibrary()
+        lib.load("(behavior b (tag) (method m () (print tag \"v1\")))")
+        old = system.create_actor(
+            InterpretedBehavior(lib, lib.get("b"), ["old"], engine=engine))
+        lib.load("(behavior b (max) (method m () (print (max 1 2) \"v2\")))")
+        new = system.create_actor(
+            InterpretedBehavior(lib, lib.get("b"), [min], engine=engine))
+        for actor in (old, new, old):
+            system.send_to(actor, ["m"])
+            system.run()
+        assert system.actor_record(old).behavior.output == ["old v1"] * 2
+        assert system.actor_record(new).behavior.output == ["1 v2"]
 
     def test_unknown_engine_rejected(self):
         lib = BehaviorLibrary()

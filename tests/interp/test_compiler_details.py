@@ -1,11 +1,12 @@
-"""Compiler/VM details not covered by the cross-engine property."""
+"""Compiler details not covered by the cross-engine property."""
 
 import pytest
 
 from repro.core.errors import InterpreterRuntimeError
 from repro.interp import BehaviorLibrary
-from repro.interp.compiler import OPCODES, compile_body
-from repro.interp.evaluator import base_env
+from repro.interp.compiler import compile_body
+from repro.interp.env import Env
+from repro.interp.evaluator import Evaluator, base_env
 from repro.interp.parser import parse_one, parse_program
 from repro.interp.vm import VM
 
@@ -48,8 +49,6 @@ class TestCompilation:
                 compile_body([parse_one(bad)])
 
     def test_builtin_rebinding_rejected_in_both_engines(self):
-        from repro.interp.evaluator import Evaluator
-
         src = "(set! + 42)"
         with pytest.raises(InterpreterRuntimeError):
             run(src)
@@ -60,14 +59,58 @@ class TestCompilation:
         # define creates a new binding in the local frame: fine.
         assert run("(begin (define max 5) max)") == 5
 
-    def test_all_mnemonics_map_to_distinct_ranges(self):
-        assert len(set(OPCODES.values())) == len(set(OPCODES.values()))
-        assert all(isinstance(v, int) for v in OPCODES.values())
+    def test_code_is_one_callable_per_body(self):
+        """The compiled form is a closure, not an instruction list."""
+        code = compile_body(parse_program("(define n 2) (* n 21)"))
+        vm = VM(NullBridge())
+        assert callable(code.entry)
+        assert code.entry(base_env(), vm) == vm.run(code, base_env()) == 42
+        assert repr(code) == "<Code '(define n 2)'>"
 
-    def test_code_repr_and_len(self):
-        code = compile_body([parse_one("(+ 1 2)")])
-        assert len(code) >= 3
-        assert "Code" in repr(code)
+    def test_every_form_in_one_place(self):
+        """Both engines know the same special forms and no others."""
+        from repro.interp import compiler, evaluator
+        from repro.interp.effects import EFFECT_FORMS
+
+        assert set(compiler._SPECIAL) == set(evaluator._SPECIAL)
+        assert set(EFFECT_FORMS) < set(evaluator._SPECIAL)
+
+
+class TestScopePass:
+    """A builtin nothing can rebind is bound at compile time; every
+    other name is looked up in the Env at run time."""
+
+    def run_without_builtins(self, src, params=()):
+        code = compile_body([parse_one(src)], params)
+        return VM(NullBridge()).run(code, Env(dict.fromkeys(params, 7)))
+
+    def test_unshadowed_builtins_never_touch_the_env(self):
+        assert self.run_without_builtins("(+ 1 (max 2 3))") == 4
+        assert self.run_without_builtins("(list + 1)")[1] == 1
+
+    @pytest.mark.parametrize("src", [
+        "(begin (+ 1 2) (let ((+ 1)) +))",       # a let target, anywhere
+        "(begin (+ 1 2) (define + 1))",          # a define target
+        "(begin (+ 1 2) (for + (list) 1))",      # a for target
+    ])
+    def test_a_body_that_binds_the_name_looks_it_up(self, src):
+        with pytest.raises(InterpreterRuntimeError, match="unbound variable: \\+"):
+            self.run_without_builtins(src)
+
+    def test_parameters_are_rebindable(self):
+        assert self.run_without_builtins("max", params=("max",)) == 7
+        with pytest.raises(InterpreterRuntimeError, match="not callable: max"):
+            self.run_without_builtins("(max 1 2)", params=("max",))
+
+    def test_acquaintance_named_like_a_builtin_wins(self):
+        lib = BehaviorLibrary()
+        lib.load("(behavior b (max) (method m (min) (list max min)))")
+        definition = lib.get("b")
+        code = lib.compiled("b", definition.method("m"), definition.params)
+        env = base_env().child({"max": 1}).child({"min": 2})
+        assert VM(NullBridge()).run(code, env) == [1, 2]
+        assert Evaluator(NullBridge()).run_body(
+            list(definition.method("m").body), env) == [1, 2]
 
 
 class TestCacheBehavior:

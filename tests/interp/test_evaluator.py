@@ -65,6 +65,31 @@ class TestArithmeticAndComparison:
         with pytest.raises(InterpreterRuntimeError):
             run('(+ 1 "two")')
 
+    @pytest.mark.parametrize("src,expected", [
+        ("(+ 1 2.5)", 3.5),
+        ("(- 1.5 1)", 0.5),
+        ("(/ 7 2)", 3.5),
+        ("(<= 2 2.0)", True),
+        ('(< "a" "b")', True),
+    ])
+    def test_two_operands_of_exact_type(self, src, expected):
+        result = run(src)
+        assert result == expected and type(result) is type(expected)
+
+    @pytest.mark.parametrize("src,complaint", [
+        ("(+ 1 true)", "+: expected a number, got True"),
+        ('(* "a" 2)', "*: expected a number, got 'a'"),
+        ("(< true 1)", "<: cannot compare True"),
+        ("(> 1 (list))", ">: cannot compare []"),
+        ("(/ 1.0 0)", "division by zero"),
+        ('(< 1 "a")', "error in (< 1 \"a\"): '<' not supported between "
+                      "instances of 'int' and 'str'"),
+    ])
+    def test_two_operand_fast_path_keeps_the_checks(self, src, complaint):
+        with pytest.raises(InterpreterRuntimeError) as err:
+            run(src)
+        assert str(err.value) == complaint
+
 
 class TestListsAndStrings:
     @pytest.mark.parametrize("src,expected", [
