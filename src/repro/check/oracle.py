@@ -45,7 +45,7 @@ from repro.runtime.network import LatencyModel, Topology
 from repro.runtime.system import ActorSpaceSystem
 
 from .model import ReferenceModel
-from .scenario import COMMAND_CLASS, Scenario
+from .scenario import COMMAND_CLASS, Scenario, run_visibility
 
 #: Per-settle event budget; a boundary that cannot drain within this is
 #: itself a conformance failure (livelock / runaway feedback).
@@ -254,38 +254,13 @@ class _Run:
 
     def _exec(self, index: int, cmd: dict) -> None:
         op = cmd["op"]
-        if op == "actor":
-            address = self.system.create_actor(_sink, node=cmd["node"])
-            self.name2addr[cmd["name"]] = address
-            self.addr2name[address] = cmd["name"]
-            self.model.add_actor(cmd["name"], cmd["node"])
-        elif op == "space":
-            parent = cmd.get("parent")
-            address = self.system.create_space(
-                node=cmd["node"], attributes=cmd.get("attrs"),
-                parent=self.name2addr[parent] if parent else None,
-            )
-            self.name2addr[cmd["name"]] = address
-            self.addr2name[address] = cmd["name"]
-            self.model.note_space(cmd["name"], cmd["node"])
-        elif op == "vis":
-            self.system.make_visible(
-                self.name2addr[cmd["target"]], cmd["attrs"],
-                self.name2addr[cmd["space"]], node=cmd["node"],
-            )
-        elif op == "invis":
-            self.system.make_invisible(
-                self.name2addr[cmd["target"]],
-                self.name2addr[cmd["space"]], node=cmd["node"],
-            )
-        elif op == "chattr":
-            self.system.change_attributes(
-                self.name2addr[cmd["target"]], cmd["attrs"],
-                self.name2addr[cmd["space"]], node=cmd["node"],
-            )
-        elif op == "destroy":
-            self.system.destroy_space(self.name2addr[cmd["target"]],
-                                      node=cmd["node"])
+        if op in ("actor", "space", "vis", "invis", "chattr", "destroy"):
+            run_visibility(cmd, self.name2addr, self._call, _sink)
+            if op in ("actor", "space"):
+                self.addr2name[self.name2addr[cmd["name"]]] = cmd["name"]
+                note = self.model.add_actor if op == "actor" \
+                    else self.model.note_space
+                note(cmd["name"], cmd["node"])
         elif op in ("send", "bcast"):
             space = cmd.get("space")
             destination = Destination(
@@ -331,6 +306,9 @@ class _Run:
             pass  # the boundary already ran
         else:  # pragma: no cover - repair filters unknown ops
             raise AssertionError(f"unknown command {op!r}")
+
+    def _call(self, node: int, verb: str, **args):
+        return getattr(self.system, verb)(node=node, **args)
 
     def _exec_recover(self, index: int, node: int) -> None:
         """Recovery is its own boundary: drain the runtime's replay,
@@ -480,11 +458,11 @@ class _Run:
 
     def _exec_probe(self, index: int, cmd: dict) -> None:
         space = cmd.get("space", "ROOT")
-        space_addr = self.name2addr[space]
         for node in range(self.scenario.nodes):
             if self.system.coordinators[node].crashed:
                 continue
-            found = self.system.resolve(cmd["pattern"], space_addr, node=node)
+            found = run_visibility({**cmd, "node": node}, self.name2addr,
+                                   self._call, _sink)
             actual = {self.addr2name[a] for a in found}
             expected = self.model.resolve_actors(cmd["pattern"], space, node)
             if actual != expected:

@@ -99,6 +99,52 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
+# The visibility vocabulary, executed
+# ---------------------------------------------------------------------------
+
+#: The commands that create, place and look up: what a host's driver
+#: verbs (:class:`repro.runtime.host.Host`) can be asked over any door.
+VISIBILITY_OPS = ("actor", "space", "vis", "invis", "chattr", "destroy",
+                  "probe")
+
+
+def run_visibility(cmd: dict, names: dict, call, behavior):
+    """Execute one :data:`VISIBILITY_OPS` command on a host.
+
+    ``call(node, verb, **args)`` invokes driver verb ``verb`` at ``node``
+    and returns its value — a method call on a simulator, a control
+    request to a node process.  ``names`` binds scenario names to
+    addresses (the caller seeds ``"ROOT"``) and gains the name a
+    creation binds; ``behavior`` is what an ``actor`` runs.  A ``probe``
+    resolves at ``cmd["node"]``: the caller asks once per replica.
+    """
+    op, node = cmd["op"], cmd["node"]
+    if op == "actor":
+        names[cmd["name"]] = call(node, "create_actor", behavior=behavior)
+    elif op == "space":
+        parent = cmd.get("parent")
+        names[cmd["name"]] = call(
+            node, "create_space", attributes=cmd.get("attrs"),
+            parent=names[parent] if parent else None)
+    elif op == "vis":
+        call(node, "make_visible", target=names[cmd["target"]],
+             attributes=cmd["attrs"], space=names[cmd["space"]])
+    elif op == "invis":
+        call(node, "make_invisible", target=names[cmd["target"]],
+             space=names[cmd["space"]])
+    elif op == "chattr":
+        call(node, "change_attributes", target=names[cmd["target"]],
+             attributes=cmd["attrs"], space=names[cmd["space"]])
+    elif op == "destroy":
+        call(node, "destroy_space", address=names[cmd["target"]])
+    elif op == "probe":
+        return call(node, "resolve", pattern=cmd["pattern"],
+                    space=names[cmd.get("space", "ROOT")])
+    else:
+        raise ValueError(f"not a visibility command: {op!r}")
+
+
+# ---------------------------------------------------------------------------
 # Validity repair
 # ---------------------------------------------------------------------------
 

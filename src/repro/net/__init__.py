@@ -21,14 +21,13 @@ Modules
     graceful drain on shutdown.
 ``remote``
     ``TcpTransport`` (the :class:`~repro.runtime.transport.Transport`
-    interface over real sockets), ``RemoteSequencerBus`` (the driver of
-    ``runtime.sequencer.SequencerCore`` that speaks frames), and
-    ``NetFailureDetector`` (the simulator's suspect/confirm path driven
-    by real missed heartbeats).
+    interface over real sockets; the simulator's failure detector runs
+    over it, driven by real missed heartbeats) and ``RemoteSequencerBus``
+    (the driver of ``runtime.sequencer.SequencerCore`` that speaks frames).
 ``runtime``
-    ``NodeRuntime`` — the per-process system facade that hosts one real
-    :class:`~repro.runtime.coordinator.Coordinator` and stands in
-    proxies for every remote node.
+    ``NodeRuntime`` — the per-process :class:`~repro.runtime.host.Host`
+    of one real :class:`~repro.runtime.coordinator.Coordinator`, with
+    proxies standing in for every remote node.
 ``cluster``
     The ``python -m repro serve`` / ``python -m repro cluster`` entry
     points: spawn N node processes on localhost, drive an example

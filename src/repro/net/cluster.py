@@ -13,11 +13,12 @@ travel in wire form, and every verification reads actor state back over
 the sockets — nothing in the driver peeks into the node processes.
 
 ``run_tcp_conformance`` reuses the same machinery as an oracle check:
-the identical creation/visibility script is applied to a single-process
+the visibility commands of a generated conformance scenario are applied
+through the same driver verbs to a single-process
 :class:`~repro.runtime.system.ActorSpaceSystem` and to a real TCP
-cluster (all ops through node 0, so both mint identical addresses and
-the sequencer orders identically), then the directory replicas and
-pattern resolutions are compared value-for-value.
+cluster (each at the node the scenario names, so both mint identical
+addresses), then the directory replicas and probe resolutions are
+compared value-for-value.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ import time
 from collections import deque
 from pathlib import Path
 from typing import Any, Callable
-
-import numpy as np
 
 from repro.apps.process_pool import Job, expected_result
 from repro.core.messages import Destination
@@ -949,154 +948,82 @@ DRIVERS: dict[str, Callable[..., dict]] = {
 # -- sim-as-oracle conformance over TCP ---------------------------------------
 
 
-_ATTR_NAMES = ["alpha", "beta", "gamma", "delta", "svc", "db", "gui", "proc"]
-
-
-def _conformance_script(seed: int, ops: int) -> list[dict]:
-    """A deterministic creation/visibility script (seed-derived)."""
-    rng = np.random.default_rng(seed)
-    script: list[dict] = []
-    spaces = 0  # count of created spaces; references are by creation index
-    actors = 0
-    for _ in range(ops):
-        roll = float(rng.random())
-        if roll < 0.4 or spaces == 0:
-            script.append({
-                "op": "create_space",
-                "attr": str(rng.choice(_ATTR_NAMES)),
-                "parent": int(rng.integers(-1, spaces)),  # -1 = root
-            })
-            spaces += 1
-        elif roll < 0.8:
-            script.append({
-                "op": "create_actor",
-                "attr": str(rng.choice(_ATTR_NAMES)),
-                "space": int(rng.integers(-1, spaces)),
-            })
-            actors += 1
-        else:
-            script.append({
-                "op": "make_visible",
-                "actor": int(rng.integers(0, actors)) if actors else -1,
-                "attr": str(rng.choice(_ATTR_NAMES)),
-                "space": int(rng.integers(-1, spaces)),
-            })
-    queries = ["*", "**"] + _ATTR_NAMES[:4]
-    script.append({"op": "queries", "patterns": queries,
-                   "spaces": list(range(-1, spaces))})
-    return script
-
-
-def _apply_to_oracle(system, script: list[dict]):
-    from repro.net import registry
-
-    root = system.root_space
-    spaces = [root]
-    actors = []
-    for step in script:
-        if step["op"] == "create_space":
-            parent = root if step["parent"] < 0 else spaces[1:][step["parent"]]
-            spaces.append(system.create_space(
-                node=0, attributes=step["attr"], parent=parent))
-        elif step["op"] == "create_actor":
-            space = root if step["space"] < 0 else spaces[1:][step["space"]]
-            address = system.create_actor(
-                registry.build_behavior("counter", {}), node=0)
-            system.make_visible(address, step["attr"], space, node=0)
-            actors.append(address)
-        elif step["op"] == "make_visible":
-            if step["actor"] < 0:
-                continue
-            space = root if step["space"] < 0 else spaces[1:][step["space"]]
-            system.make_visible(actors[step["actor"]], step["attr"],
-                                space, node=0)
-    system.run()
-    final = script[-1]
-    resolves = {}
-    for space_index in final["spaces"]:
-        scope = root if space_index < 0 else spaces[1:][space_index]
-        for pattern in final["patterns"]:
-            resolves[(space_index, pattern)] = system.resolve(
-                pattern, scope, node=0)
-    return system.coordinators[0].directory.snapshot(), resolves
-
-
 def _replication_barrier(cluster: LocalCluster, *,
                          nodes: list[int] | None = None,
                          timeout: float = 20.0,
                          what: str = "visibility ops replicated") -> None:
-    """Block until every (listed) node has applied what the first has.
+    """Block until every (listed) node has applied every op submitted.
 
-    A summed ``applied_seq`` is meaningless across nodes mid-flight (two
-    nodes can hold the same total while trailing on *different* shards),
-    so the barrier compares each shard's apply cursor separately.
+    Nothing unacked anywhere means every op has been sequenced and has
+    come back to its origin; equal cursors then mean everyone has applied
+    all of them.  A summed ``applied_seq`` is meaningless across nodes
+    mid-flight (two nodes can hold the same total while trailing on
+    *different* shards), so each shard's cursor is compared separately.
     """
     members = list(nodes) if nodes is not None else list(range(cluster.n))
-    shards = cluster.call(members[0], "status")["shards"]
-    floors = {k: info["applied"] for k, info in shards.items()}
 
     def caught_up() -> bool:
-        for node in members:
-            node_shards = cluster.call(node, "status")["shards"]
-            for k, floor in floors.items():
-                if node_shards[k]["applied"] < floor:
-                    return False
-        return True
+        rows = [cluster.call(node, "status")["shards"] for node in members]
+        return all(info["unacked"] == 0
+                   and info["applied"] == rows[0][k]["applied"]
+                   for shards in rows for k, info in shards.items())
 
     cluster.wait_until(caught_up, timeout=timeout, what=what)
 
 
-def _apply_to_cluster(cluster: LocalCluster, script: list[dict]):
-    spaces: list = []  # root is addressed implicitly (space=None)
-    actors: list = []
+def _drive_visibility(commands: list, nodes: int, names: dict, call, barrier,
+                      behavior, refusal) -> list[dict]:
+    """Run a visibility script through one host; what each probe resolved.
 
-    def scope_of(index: int):
-        return None if index < 0 else spaces[index]
+    ``barrier()`` returns once every replica has applied everything
+    submitted so far.  It runs between consecutive commands issued at
+    different nodes — one origin's ops are FIFO on their own, so the
+    order of the script is the order of the bus and the end state does
+    not depend on how the host interleaves origins — and before every
+    probe, which then asks every replica.
+    """
+    from repro.check.scenario import run_visibility
 
-    for step in script:
-        if step["op"] == "create_space":
-            spaces.append(cluster.call(
-                0, "create_space", attributes=step["attr"],
-                parent=scope_of(step["parent"]))["address"])
-        elif step["op"] == "create_actor":
-            address = cluster.call(
-                0, "create_actor", behavior="counter",
-                visible={"attributes": step["attr"],
-                         "space": scope_of(step["space"])},
-            )["address"]
-            actors.append(address)
-        elif step["op"] == "make_visible":
-            if step["actor"] < 0:
-                continue
-            cluster.call(0, "make_visible", target=actors[step["actor"]],
-                         attributes=step["attr"],
-                         space=scope_of(step["space"]))
-
-    # Barrier: every replica has applied exactly what node 0 applied.
-    _replication_barrier(cluster)
-
-    final = script[-1]
-    snapshots = {i: cluster.call(i, "directory")["snapshot"]
-                 for i in range(cluster.n)}
-    resolves = {i: {} for i in range(cluster.n)}
-    for node in range(cluster.n):
-        for space_index in final["spaces"]:
-            for pattern in final["patterns"]:
-                resolves[node][(space_index, pattern)] = cluster.call(
-                    node, "resolve", pattern=pattern,
-                    space=scope_of(space_index))
-    return snapshots, resolves
+    probes: list[dict] = []
+    at = None
+    for cmd in commands:
+        if cmd["op"] == "probe" or (at is not None and cmd["node"] != at):
+            barrier()
+        if cmd["op"] == "probe":
+            probes.append({
+                node: sorted(run_visibility({**cmd, "node": node}, names,
+                                            call, behavior))
+                for node in range(nodes)})
+            continue
+        at = cmd["node"]
+        try:
+            run_visibility(cmd, names, call, behavior)
+        except refusal:
+            # The synchronous precheck saw a cycle.  Whether it fires
+            # depends on what the origin had applied by then; when it does
+            # not, every replica refuses the op at apply time instead —
+            # the vocabulary never removes a space-in-space edge (invis
+            # and chattr name actors), so the end state is the same.
+            if cmd["op"] in ("actor", "space"):
+                raise
+    barrier()
+    return probes
 
 
-def run_tcp_conformance(seeds: list[int], *, nodes: int = 3, ops: int = 10,
-                        shards: int = 1,
+def run_tcp_conformance(seeds: list[int], *, nodes: int = 3, shards: int = 1,
                         out_dir: str | Path | None = None,
                         log: Callable[[str], None] = print) -> dict:
-    """Diff real TCP clusters against the single-process oracle.
+    """Diff real TCP clusters against the single-process simulator.
 
     Returns ``{"seeds": ..., "divergences": [...]}`` — empty divergences
-    means every node's directory replica and every pattern resolution
-    matched the simulator exactly.
+    means every node's directory replica and every probe's resolution
+    on every node matched the simulator exactly.
+
+    The script is the visibility vocabulary of a generated conformance
+    scenario (:data:`repro.check.scenario.VISIBILITY_OPS`), its commands
+    issued at the nodes the scenario names, through the same driver
+    verbs on both sides: method calls on an ``ActorSpaceSystem`` of
+    ``nodes`` nodes, control requests to ``nodes`` processes.
 
     Both sides run the visibility plane on ``shards`` streams.  The
     cluster keeps the default spread seat assignment (shard k's
@@ -1104,45 +1031,74 @@ def run_tcp_conformance(seeds: list[int], *, nodes: int = 3, ops: int = 10,
     traverse the SHARD_FWD wire path; the quiescent end state is
     interleaving-independent, so it still has to equal the simulator's.
     """
+    from repro.check.scenario import (
+        VISIBILITY_OPS,
+        generate_scenario,
+        repair_commands,
+    )
+    from repro.core.errors import ActorSpaceError
+    from repro.runtime.network import Topology
     from repro.runtime.system import ActorSpaceSystem
 
     divergences: list[dict] = []
     for seed in seeds:
-        script = _conformance_script(seed, ops)
-        oracle = ActorSpaceSystem(seed=seed, shards=shards)
-        oracle_snapshot, oracle_resolves = _apply_to_oracle(oracle, script)
+        scenario = generate_scenario(seed, nodes=nodes, bus="sequencer",
+                                     faults=False)
+        script = repair_commands(nodes, [
+            cmd for cmd in scenario.commands if cmd["op"] in VISIBILITY_OPS])
+        origins = sorted({cmd["node"] for cmd in script if "node" in cmd})
+
+        oracle = ActorSpaceSystem(topology=Topology.lan(nodes), seed=seed,
+                                  shards=shards)
+        oracle_probes = _drive_visibility(
+            script, nodes, {"ROOT": oracle.root_space},
+            lambda node, verb, **args: getattr(oracle, verb)(node=node, **args),
+            oracle.run, lambda ctx, message: None, ActorSpaceError)
+        oracle_snapshots = [oracle.directory_of(node).snapshot()
+                            for node in range(nodes)]
 
         cluster = LocalCluster(nodes, seed=seed, out_dir=out_dir,
                                shards=shards)
+
+        def call(node: int, verb: str, **args):
+            value = cluster.call(node, verb, **args)
+            return value["address"] if verb.startswith("create_") else value
+
         try:
             cluster.start()
-            snapshots, resolves = _apply_to_cluster(cluster, script)
+            probes = _drive_visibility(
+                script, nodes, {"ROOT": oracle.root_space}, call,
+                lambda: _replication_barrier(cluster), "counter",
+                ControlError)
+            snapshots = {i: cluster.call(i, "directory")["snapshot"]
+                         for i in range(cluster.n)}
         finally:
             cluster.shutdown()
 
         for node in range(nodes):
-            if snapshots[node] != oracle_snapshot:
+            if snapshots[node] != oracle_snapshots[node]:
                 divergences.append({
                     "seed": seed, "node": node, "kind": "directory",
                     "cluster": _jsonable(snapshots[node]),
-                    "oracle": _jsonable(oracle_snapshot),
+                    "oracle": _jsonable(oracle_snapshots[node]),
                 })
-            for key, expected in oracle_resolves.items():
-                got = resolves[node].get(key)
-                if got != expected:
+            for index, expected in enumerate(oracle_probes):
+                if probes[index][node] != expected[node]:
                     divergences.append({
                         "seed": seed, "node": node, "kind": "resolve",
-                        "query": _jsonable(key),
-                        "cluster": _jsonable(got),
-                        "oracle": _jsonable(expected),
+                        "probe": index,
+                        "cluster": _jsonable(probes[index][node]),
+                        "oracle": _jsonable(expected[node]),
                     })
         verdict = "MATCH" if not divergences else "DIVERGED"
-        log(f"seed {seed}: tcp cluster vs oracle -> {verdict} "
-            f"({len(script) - 1} ops, {nodes} nodes, shards={shards})")
+        log(f"seed {seed}: tcp cluster vs simulator -> {verdict} "
+            f"({len(script)} commands issued at nodes {origins}, "
+            f"shards={shards})")
         if divergences:
+            divergences[0]["script"] = script  # replayable as it stands
             break  # first divergence is the story; don't pile on
-    return {"seeds": list(seeds), "nodes": nodes, "ops": ops,
-            "shards": shards, "divergences": divergences}
+    return {"seeds": list(seeds), "nodes": nodes, "shards": shards,
+            "divergences": divergences}
 
 
 # -- durability drill ----------------------------------------------------------
@@ -1669,7 +1625,7 @@ def serve_main(argv: list[str]) -> int:
     import argparse
     import asyncio
 
-    from .runtime import NodeRuntime, maybe_install_uvloop
+    from .runtime import NodeRuntime
 
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
@@ -1716,8 +1672,6 @@ def serve_main(argv: list[str]) -> int:
     parser.add_argument("--snapshot-interval", type=float, default=30.0,
                         help="seconds between directory snapshots "
                              "(0 disables periodic snapshots)")
-    parser.add_argument("--no-uvloop", action="store_true",
-                        help="stay on stdlib asyncio even if uvloop exists")
     parser.add_argument("--no-trace", action="store_true",
                         help="disable the flight-recorder event log "
                              "(benchmarks: removes per-message trace cost)")
@@ -1727,8 +1681,6 @@ def serve_main(argv: list[str]) -> int:
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
-    if not args.no_uvloop:
-        maybe_install_uvloop()
     ports = {i: int(p) for i, p in enumerate(args.ports.split(","))}
     if args.node not in ports:
         parser.error(f"--node {args.node} has no entry in --ports")

@@ -68,7 +68,7 @@ from repro.core.messages import Destination, Envelope, Message, Mode, Port
 from repro.core.patterns import Pattern, parse_pattern
 from repro.runtime.bus import OpKind, VisibilityOp
 
-PROTOCOL_VERSION = 6  # v6: SYNC_DONE ends every sync replay; BUS_SUBMIT/BUS_ACK retired
+PROTOCOL_VERSION = 7  # v7: SYNC_REQ/SYNC_DONE carry the asker's adoption round
 SCHEMA_VERSION = 3    # v3: Envelope is one packed record (tag ``V``); ``E`` is decode-only
 
 #: Hard ceiling on a single frame (length prefix included payload).

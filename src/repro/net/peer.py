@@ -25,10 +25,9 @@ Throughput: sends never touch the socket directly.  Each link owns a
 FIFO send queue and a flusher task that drains it, coalescing whatever
 is queued into one ``writer.write`` (wrapped in a single BATCH frame
 when more than one frame is pending) and honoring asyncio's write
-backpressure via ``drain()`` between writes.  The flush policy is
-three-trigger: queue-empty (write whatever accumulated while the last
-write drained), size (cut a batch at ``batch_max_bytes``), and time (an
-optional ``flush_delay`` lingers briefly to coalesce sparse traffic).
+backpressure via ``drain()`` between writes.  The flush policy has two
+triggers: queue-empty (write whatever accumulated while the last write
+drained) and size (cut a batch at ``batch_max_bytes``).
 The queue itself is bounded: once ``max_pending_bytes`` of frames are
 waiting (a peer stalled mid-``drain``), further sends are *shed* and
 counted — a frozen peer must cost bounded memory, not the process.
@@ -164,8 +163,6 @@ class PeerHub:
         inbound read batch, before the link awaits more bytes.
     on_peer_up:
         Optional ``(node)`` callback when a *node* link registers.
-    on_peer_lost:
-        Optional ``(node)`` callback when a registered node link dies.
     """
 
     def __init__(
@@ -178,13 +175,11 @@ class PeerHub:
         cluster_id: str = "actorspace",
         on_batch_end: Callable[[], None] | None = None,
         on_peer_up: Callable[[int], None] | None = None,
-        on_peer_lost: Callable[[int], None] | None = None,
         log: Callable[[str], None] | None = None,
         batch_max_bytes: int = BATCH_MAX_BYTES,
         max_pending_bytes: int = MAX_PENDING_BYTES,
         ctrl_pending_bytes: int = CTRL_PENDING_BYTES,
         credit_window: int = CREDIT_WINDOW_FRAMES,
-        flush_delay: float = 0.0,
         metrics: MetricsRegistry | None = None,
         clock: Callable[[], float] | None = None,
     ):
@@ -195,7 +190,6 @@ class PeerHub:
         self.on_frame = on_frame
         self.on_batch_end = on_batch_end
         self.on_peer_up = on_peer_up
-        self.on_peer_lost = on_peer_lost
         self._log = log or (lambda text: None)
         self.batch_max_bytes = batch_max_bytes
         self.max_pending_bytes = max_pending_bytes
@@ -203,7 +197,6 @@ class PeerHub:
         #: Data frames a peer may have in flight to us before pausing;
         #: 0 disables credit gating entirely.
         self.credit_window = credit_window
-        self.flush_delay = flush_delay
         #: The node's wall clock (elapsed seconds); handshake/heartbeat
         #: timestamps and the per-peer offset estimates live on it.
         self.clock = clock if clock is not None else time.monotonic
@@ -450,10 +443,6 @@ class PeerHub:
             while True:
                 await link.wake.wait()
                 link.wake.clear()
-                if self.flush_delay > 0 and not link.closing \
-                        and link.queue_bytes + link.ctrl_bytes < self.batch_max_bytes:
-                    # Time trigger: linger to coalesce sparse traffic.
-                    await asyncio.sleep(self.flush_delay)
                 while True:
                     chunks = self._next_chunks(link)
                     if not chunks:
@@ -750,8 +739,6 @@ class PeerHub:
             return
         if self.links.get(link.node) is link:
             del self.links[link.node]
-            if self.on_peer_lost is not None:
-                self.on_peer_lost(link.node)
 
     def metrics_snapshot(self) -> dict:
         """Link-layer counters for the node's metrics snapshot."""

@@ -1,6 +1,6 @@
-"""The distribution seam: Transport, FailureDetector, and bus over TCP.
+"""The distribution seam: Transport and bus over TCP.
 
-Three pieces make a node process a full ActorSpace replica:
+Two pieces make a node process a full ActorSpace replica:
 
 * :class:`TcpTransport` — the existing
   :class:`~repro.runtime.transport.Transport` interface backed by real
@@ -9,9 +9,8 @@ Three pieces make a node process a full ActorSpace replica:
   heartbeat oracle: probing *peer -> me* consults how recently the hub
   heard real bytes from the peer.  This is what lets the PR-3
   :class:`~repro.runtime.failure.FailureDetector` run unmodified — its
-  suspect/confirm path is now driven by genuinely missed heartbeats.
-* :class:`NetFailureDetector` — the simulator's detector narrowed to a
-  single observer (this process's node); every process runs its own.
+  suspect/confirm path is now driven by genuinely missed heartbeats,
+  observed from the host's one local node.
 * :class:`RemoteSequencerBus` — the driver that runs one shard's
   :class:`~repro.runtime.sequencer.SequencerCore` (the protocol the
   simulator runs) over SHARD_FWD/BUS_OP/SYNC_REQ/SYNC_DONE frames; a
@@ -24,7 +23,6 @@ import time
 from typing import TYPE_CHECKING
 
 from repro.runtime.bus import BUS_PRIORITY, VisibilityOp
-from repro.runtime.failure import FailureDetector
 from repro.runtime.sequencer import OP, SUBMIT, SYNC_REQ, SequencerCore
 from repro.runtime.transport import Transport
 
@@ -162,26 +160,6 @@ class TcpTransport(Transport):
         return self.heartbeat_window
 
 
-class NetFailureDetector(FailureDetector):
-    """The PR-3 detector with one real vantage point: this process.
-
-    ``_tick`` runs on the node's wall-clock event pump; the heartbeat
-    probe consults the hub's last-heard table through
-    :meth:`TcpTransport.try_deliver`.  Suspicion and confirmation
-    therefore reflect genuinely missing bytes, not a model.  Recovery is
-    *not* detected here — a confirmed-down peer reads as down forever in
-    the transport — the frame-receive path notices returning peers and
-    calls ``runtime.on_peer_recovered`` instead.
-    """
-
-    def __init__(self, runtime: "NodeRuntime", interval: float = 0.2,
-                 suspect_after: int = 2, confirm_after: int = 4):
-        super().__init__(runtime, interval=interval,
-                         suspect_after=suspect_after,
-                         confirm_after=confirm_after)
-        self.observers = [runtime.node_id]
-
-
 class RemoteSequencerBus:
     """The TCP driver of one shard's sequencer protocol.
 
@@ -218,8 +196,8 @@ class RemoteSequencerBus:
     def on_op(self, seq: int, op: VisibilityOp) -> None:
         self.core.on_op(seq, op)
 
-    def on_sync_req(self, node: int, from_seq: int) -> None:
-        self.core.on_sync_req(node, from_seq)
+    def on_sync_req(self, node: int, from_seq: int, round: int) -> None:
+        self.core.on_sync_req(node, from_seq, round)
 
     def on_peer_up(self, node: int) -> None:
         """A peer link registered: catch up across it if either end holds
@@ -242,9 +220,11 @@ class RemoteSequencerBus:
         elif msg is SUBMIT:
             kind, payload = FrameKind.SHARD_FWD, {"op": a}
         elif msg is SYNC_REQ:
-            kind, payload = FrameKind.SYNC_REQ, {"node": core.me, "from_seq": a}
+            kind, payload = FrameKind.SYNC_REQ, {
+                "node": core.me, "from_seq": a, "round": b}
         else:
-            kind, payload = FrameKind.SYNC_DONE, {"node": core.me, "upto": a}
+            kind, payload = FrameKind.SYNC_DONE, {
+                "node": core.me, "upto": a, "round": b}
         payload["shard"] = self.shard_id
         self.runtime.hub.send(to, kind, payload)
 

@@ -2,7 +2,8 @@
 
 The simulator's :class:`~repro.runtime.system.ActorSpaceSystem` plays
 every node from a single process; a :class:`NodeRuntime` is the same
-wiring diagram collapsed to *one* node plus stand-ins for the others:
+:class:`~repro.runtime.host.Host` with *one* local node plus stand-ins
+for the others:
 
 * one real :class:`~repro.runtime.coordinator.Coordinator` — actors,
   directory replica, resolution cache, parked messages: all unchanged;
@@ -14,8 +15,13 @@ wiring diagram collapsed to *one* node plus stand-ins for the others:
   :class:`~repro.net.remote.RemoteSequencerBus` per shard of the map —
   ordering visibility ops in frames instead of simulated latency draws;
 * the PR-3 :class:`~repro.runtime.failure.DeadLetterQueue` and
-  :class:`~repro.net.remote.NetFailureDetector`, unchanged in logic but
-  driven by wall-clock heartbeats;
+  :class:`~repro.runtime.failure.FailureDetector`, unchanged in logic
+  but driven by wall-clock heartbeats: the probe consults the hub's
+  last-heard table through :meth:`TcpTransport.try_deliver`, so
+  suspicion and confirmation reflect genuinely missing bytes.  Recovery
+  is *not* detected there — a confirmed-down peer reads as down for
+  ever in the transport — the frame-receive path notices returning
+  peers and calls :meth:`NodeRuntime.on_peer_recovered` instead;
 * a wall clock and an asyncio event pump replacing virtual time — the
   event queue is the same heap, it just waits for real time to pass.
 
@@ -35,57 +41,25 @@ import sys
 import time
 from typing import Any
 
-from repro.core.actorspace import SpaceRecord
-from repro.core.addresses import ActorAddress, SpaceAddress
-from repro.core.capabilities import CapabilityIssuer
+from repro.core.addresses import ActorAddress
 from repro.core.mailbox import DEFAULT_MAILBOX_CAPACITY, ShedPolicy
-from repro.core.manager import SpaceManager
-from repro.core.messages import (
-    Envelope,
-    Mode,
-    parse_destination,
-)
-from repro.runtime.admission import AdmissionControl
-from repro.runtime.context import RuntimeContext, external_envelope
-from repro.runtime.coordinator import Coordinator
-from repro.runtime.eventlog import EventLog, JsonlSink
+from repro.core.messages import Envelope
+from repro.runtime.eventlog import JsonlSink
 from repro.runtime.events import EventQueue
-from repro.runtime.failure import DeadLetterQueue
-from repro.runtime.metrics import MetricsRegistry
+from repro.runtime.failure import DeadLetterQueue, FailureDetector
+from repro.runtime.host import Host
 from repro.runtime.network import Topology
-from repro.runtime.rng import RngHub
-from repro.runtime.tracing import Tracer
-from repro.shard import ShardedBus, ShardMap, ShardRouter
+from repro.shard import ShardedBus
 from repro.shard.merge import shard_dir
 
 from . import registry
 from .codec import FrameKind, WireError, encode_value
 from .peer import PeerHub, PeerLink
-from .remote import NetFailureDetector, RemoteSequencerBus, TcpTransport
+from .remote import RemoteSequencerBus, TcpTransport
 
 #: Detectors on a server run effectively forever; the PR-3 horizon only
 #: exists so the *simulator* can quiesce.
 _FOREVER = 1e12
-
-
-def maybe_install_uvloop() -> bool:
-    """Install uvloop as the event-loop policy when available.
-
-    Purely optional: the wire path is stdlib-asyncio correct, uvloop
-    just makes the same sockets cheaper.  Gated by ``REPRO_UVLOOP``
-    (set to ``0`` to force stdlib asyncio); returns whether uvloop is
-    active so callers can report it.
-    """
-    import os
-
-    if os.environ.get("REPRO_UVLOOP", "1") == "0":
-        return False
-    try:
-        import uvloop
-    except ImportError:
-        return False
-    uvloop.install()
-    return True
 
 
 def rebase_wire_counters(node_id: int) -> None:
@@ -187,15 +161,14 @@ class RemoteNodeProxy:
         return f"<RemoteNodeProxy n{self.node_id}>"
 
 
-class NodeRuntime:
-    """One process's ActorSpace node (see module docstring).
-
-    Duck-types the ``ActorSpaceSystem`` surface the runtime classes
-    reach for (``clock``, ``events``, ``coordinators``, ``transport``,
-    ``bus``, ``dead_letters``, ``tracer``, ``in_flight``, ...), so
-    ``Coordinator``, ``DeadLetterQueue``, ``FailureDetector``, and
-    ``RuntimeContext`` run here unmodified.
+class NodeRuntime(Host):
+    """One process's ActorSpace node: the :class:`Host` of ``node_id``
+    alone, plus the process — wall clock, peer hub, event pump, commit
+    turn, recovery and snapshots, control plane (see module docstring).
     """
+
+    #: A server runs for ever: everything the tracer keeps is bounded.
+    keep_samples = 256
 
     def __init__(
         self,
@@ -228,72 +201,30 @@ class NodeRuntime:
         rebase_wire_counters(node_id)
         self.node_id = node_id
         self.nodes = sorted(ports)
+        self.local_nodes = [node_id]
         self.quiet = quiet
         self.topology = Topology.lan(len(self.nodes))
         self.clock = WallClock()
         self.events: EventQueue = _WakingEventQueue(self._kick)
-        self.event_log = EventLog(enabled=trace)
+        super().__init__(
+            seed, trace, mailbox_capacity, mailbox_policy, admission_rate,
+            admission_burst, breaker_threshold, breaker_window,
+            breaker_cooldown, shards, shard_sequencer)
         if trace_jsonl and trace:
             # Flush-on-write sink: a SIGKILLed node (the fault drills)
             # still leaves its flight recording on disk.
             self.event_log.add_sink(JsonlSink(trace_jsonl))
-        self.metrics = MetricsRegistry()
-        self.tracer = Tracer(keep_samples=256, registry=self.metrics,
-                             log=self.event_log)
+        self.coordinator = self.coordinators[node_id]
         self.heartbeat_interval = heartbeat_interval
         self.transport = TcpTransport(
             self, heartbeat_window=heartbeat_interval * 2.5)
-        self.rng = RngHub(seed)
-        self.capabilities = CapabilityIssuer(
-            self.rng.stream(f"capabilities-node{node_id}"))
-        self.rng_arbitration = self.rng.stream(f"arbitration-node{node_id}")
-        self.processing_delay = 0.0
-        self.in_flight: dict[int, Envelope] = {}
-        self._held_roots: set = set()
-        #: Overload knobs, read by the coordinator exactly like the
-        #: simulator's (bounded mailboxes at creation, admission in
-        #: ``_route``).  TCP nodes default to bounded-but-roomy.
-        self.mailbox_capacity = mailbox_capacity
-        self.mailbox_policy = ShedPolicy.parse(mailbox_policy)
-        if admission_rate is not None or breaker_threshold is not None:
-            self.admission = AdmissionControl(
-                self, rate=admission_rate, burst=admission_burst,
-                breaker_threshold=breaker_threshold,
-                breaker_window=breaker_window,
-                breaker_cooldown=breaker_cooldown)
-        else:
-            self.admission = None
-
-        #: Visibility-plane partition count: one sequencer per shard,
-        #: spaces routed by their root attribute atom (repro.shard).  One
-        #: shard is the same machinery with one stream.
-        self.shards = shards
-        self.shard_map = ShardMap.for_plane(shards, self.nodes,
-                                            shard_sequencer)
-        self.shard_router = ShardRouter(self.shard_map)
-        self.coordinator = Coordinator(node_id, self)
-        self.coordinators: list = [
-            self.coordinator if n == self.node_id else RemoteNodeProxy(self, n)
-            for n in self.nodes
-        ]
         self.bus = ShardedBus(
             self.shard_map,
             lambda shard, seat: RemoteSequencerBus(self, shard, seat))
         self.dead_letters = DeadLetterQueue(self)
-        self.failure_detector = NetFailureDetector(
+        self.failure_detector = FailureDetector(
             self, interval=heartbeat_interval,
             suspect_after=suspect_after, confirm_after=confirm_after)
-
-        # Root-space bootstrap, byte-identical to the simulator: the root
-        # is SpaceAddress(0, 0) everywhere, and node 0's factory consumes
-        # serial 0 for it (other factories start untouched at 0).
-        if node_id == 0:
-            self.root_space = self.coordinator.addresses.new_space_address()
-        else:
-            self.root_space = SpaceAddress(0, 0)
-        self.coordinator.directory.add_space(SpaceRecord(self.root_space, None, 0))
-        self.coordinator.managers[self.root_space] = SpaceManager()
-        self._held_roots.add(self.root_space)
 
         hub_kw = {} if credit_window is None else {"credit_window": credit_window}
         self.hub = PeerHub(
@@ -308,18 +239,17 @@ class NodeRuntime:
         self._detector_armed = False
         self._retry_scheduled: set[int] = set()
         self._control_handlers = {
+            # The driver verbs are the inherited Host methods.
+            **{verb: getattr(self, verb) for verb in (
+                "make_visible", "make_invisible", "change_attributes",
+                "destroy_space", "send", "broadcast", "send_to",
+                "resolve", "visible_attributes")},
+            "create_space": lambda **args: {
+                "address": self.create_space(**args)},
+            "create_actor": self._ctl_create_actor,
             "ping": self._ctl_ping,
             "status": self._ctl_status,
-            "create_space": self._ctl_create_space,
-            "create_actor": self._ctl_create_actor,
-            "make_visible": self._ctl_make_visible,
-            "make_invisible": self._ctl_make_invisible,
-            "send": self._ctl_send,
-            "broadcast": self._ctl_broadcast,
-            "send_to": self._ctl_send_to,
-            "resolve": self._ctl_resolve,
             "has_space": self._ctl_has_space,
-            "visible_attributes": self._ctl_visible_attributes,
             "actor_state": self._ctl_actor_state,
             "directory": self._ctl_directory,
             "vis_burst": self._ctl_vis_burst,
@@ -440,10 +370,8 @@ class NodeRuntime:
             except Exception as exc:  # noqa: BLE001 - keep serving
                 self._log(f"snapshot failed: {exc!r}")
 
-    # -- system-facade duck typing ----------------------------------------------
-
-    def make_context(self, record, cause=None) -> RuntimeContext:
-        return RuntimeContext(self, record, cause=cause)  # type: ignore[arg-type]
+    def _remote_coordinator(self, node: int) -> RemoteNodeProxy:
+        return RemoteNodeProxy(self, node)
 
     def _log(self, text: str) -> None:
         if not self.quiet:
@@ -456,19 +384,11 @@ class NodeRuntime:
 
     # -- failure handling --------------------------------------------------------
 
-    def _on_node_confirmed_down(self, node: int) -> None:
-        """First local confirmation: quarantine + bus failover.
-
-        The simulator quarantines the dead node on every live replica in
-        one call; here each process runs this independently when its own
-        detector confirms — same global outcome, reached per-replica.
-        """
+    def _on_node_confirmed_down(self, node: int) -> int:
         self.transport.crash_node(node)
-        masked = self.coordinator.directory.quarantine_node(node)
-        self.tracer.on_quarantine("quarantined", self.node_id, self.clock.now,
-                                  target_node=node, masked=masked)
-        self.bus.on_node_down(node)
+        masked = super()._on_node_confirmed_down(node)
         self._log(f"confirmed node {node} down (masked {masked} entries)")
+        return masked
 
     def on_peer_recovered(self, node: int) -> None:
         """Real bytes arrived from a peer we had confirmed down.
@@ -572,10 +492,10 @@ class NodeRuntime:
                                                     payload["op"])
         elif kind == FrameKind.SYNC_REQ:
             self.bus.shards[payload["shard"]].on_sync_req(
-                payload["node"], payload["from_seq"])
+                payload["node"], payload["from_seq"], payload["round"])
         elif kind == FrameKind.SYNC_DONE:
             self.bus.shards[payload["shard"]].core.on_sync_done(
-                payload["node"], payload["upto"])
+                payload["node"], payload["upto"], payload["round"])
 
     def _on_peer_up(self, node: int) -> None:
         """A node link registered (first connect or reconnect)."""
@@ -699,7 +619,9 @@ class NodeRuntime:
             if handler is None:
                 raise WireError(f"unknown control command {payload.get('cmd')!r}")
             value = handler(**(payload.get("args") or {}))
-            reply = {"id": request_id, "ok": True, "value": value}
+            # A verb that returns nothing reads as done: ``True``.
+            reply = {"id": request_id, "ok": True,
+                     "value": True if value is None else value}
         except Exception as exc:  # noqa: BLE001 - fault back to the launcher
             reply = {"id": request_id, "ok": False,
                      "error": f"{type(exc).__name__}: {exc}"}
@@ -772,73 +694,20 @@ class NodeRuntime:
             "dlq_recovered": self.dead_letters.recovered_total,
         }
 
-    def _ctl_create_space(self, attributes=None, parent=None, capability=None):
-        # Forward the placement hints: the coordinator homes a new space's
-        # visibility shard by hashing its root attribute atom (falling back
-        # to the parent's shard, then the address).  Dropping them here
-        # would silently hash the address instead — spaces would land on
-        # arbitrary shards and every affine submit would take the remote
-        # SHARD_FWD path.
-        address = self.coordinator.create_space(
-            capability, attributes=attributes, parent=parent)
-        self._held_roots.add(address)
-        if attributes is not None:
-            self.coordinator.make_visible(
-                address, attributes,
-                parent if parent is not None else self.root_space, capability)
-        return {"address": address}
-
     def _ctl_create_actor(self, behavior: str, params=None, space=None,
-                          visible=None, capability=None):
-        built = registry.build_behavior(behavior, params)
-        address = self.coordinator.create_actor(
-            built, host_space=space if space is not None else self.root_space,
-            capability=capability)
-        self._held_roots.add(address)
+                          visible=None, capability=None, node=None):
+        """Code does not cross the wire: ``behavior`` names a registered
+        one.  ``visible`` makes the new actor visible in the same turn."""
+        address = self.create_actor(
+            registry.build_behavior(behavior, params), node=node,
+            space=space, capability=capability)
         if visible is not None:
-            self.coordinator.make_visible(
-                address, visible["attributes"],
-                visible.get("space") or self.root_space, capability)
+            self.make_visible(address, visible["attributes"],
+                              visible.get("space"), capability, node)
         return {"address": address}
-
-    def _ctl_make_visible(self, target, attributes, space=None, capability=None):
-        self.coordinator.make_visible(
-            target, attributes,
-            space if space is not None else self.root_space, capability)
-        return True
-
-    def _ctl_make_invisible(self, target, space=None, capability=None):
-        self.coordinator.make_invisible(
-            target, space if space is not None else self.root_space, capability)
-        return True
-
-    def _ctl_send(self, destination, payload, reply_to=None):
-        self.coordinator.send_pattern(external_envelope(
-            self, Mode.SEND, payload, destination=parse_destination(destination),
-            reply_to=reply_to))
-        return True
-
-    def _ctl_broadcast(self, destination, payload, reply_to=None):
-        self.coordinator.broadcast_pattern(external_envelope(
-            self, Mode.BROADCAST, payload,
-            destination=parse_destination(destination), reply_to=reply_to))
-        return True
-
-    def _ctl_send_to(self, target, payload, reply_to=None):
-        self.coordinator.send_direct(external_envelope(
-            self, Mode.DIRECT, payload, target=target, reply_to=reply_to))
-        return True
-
-    def _ctl_resolve(self, pattern, space=None):
-        return self.coordinator.resolve(
-            pattern, space if space is not None else self.root_space)
 
     def _ctl_has_space(self, address):
         return self.coordinator.directory.has_space(address)
-
-    def _ctl_visible_attributes(self, target, space=None):
-        return self.coordinator.visible_attributes(
-            target, space if space is not None else self.root_space)
 
     def _ctl_actor_state(self, address, attrs):
         record = self.coordinator.actors.get(address)
@@ -940,18 +809,9 @@ class NodeRuntime:
     # -- observability -----------------------------------------------------------
 
     def metrics_snapshot(self) -> dict:
-        depth = sum(r.mailbox.pending for r in self.coordinator.actors.values()
-                    if not r.terminated)
-        self.metrics.gauge(f"queue_depth_node_{self.node_id}").set(depth)
-        self.metrics.gauge(f"parked_node_{self.node_id}").set(
-            len(self.coordinator.suspended) + len(self.coordinator.persistent))
-        self.metrics.gauge("in_flight").set(len(self.in_flight))
         self.metrics.gauge("heartbeats_suppressed").set(
             self.heartbeats_suppressed)
-        for name, value in self.transport.metrics_snapshot().items():
-            if not isinstance(value, dict):
-                self.metrics.gauge(f"transport_{name}").set(value)
-        return self.metrics.snapshot()
+        return super().metrics_snapshot()
 
     def __repr__(self):
         return (f"<NodeRuntime n{self.node_id}/{len(self.nodes)} "

@@ -14,6 +14,7 @@ from .eventlog import (
 )
 from .events import EventQueue
 from .failure import DeadLetter, DeadLetterQueue, FailureDetector
+from .host import Host
 from .metrics import (
     CounterMetric,
     GaugeMetric,
@@ -22,7 +23,6 @@ from .metrics import (
     MetricsRegistry,
 )
 from .network import LatencyModel, LinkKind, Network, Topology
-from .node import Node
 from .rng import RngHub
 from .system import ActorSpaceSystem
 from .tracing import LatencySample, Tracer
@@ -45,6 +45,7 @@ __all__ = [
     "FailureDetector",
     "GaugeMetric",
     "HistogramMetric",
+    "Host",
     "JsonlSink",
     "LabeledCounter",
     "MetricsRegistry",
@@ -56,7 +57,6 @@ __all__ = [
     "LossyTransport",
     "Network",
     "NetworkTransport",
-    "Node",
     "OpKind",
     "RngHub",
     "RuntimeContext",

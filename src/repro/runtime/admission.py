@@ -34,7 +34,7 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .system import ActorSpaceSystem
+    from .host import Host
 
 
 class TokenBucket:
@@ -113,13 +113,13 @@ class AdmissionControl:
 
     ``rate``/``burst`` of ``None`` disables rate limiting; a
     ``breaker_threshold`` of ``None`` disables the breaker.  With both
-    off the system never constructs this object, so the default hot
-    path pays only a ``getattr`` check.
+    off the host never constructs this object, so the default hot
+    path pays only an attribute read.
     """
 
     def __init__(
         self,
-        system: "ActorSpaceSystem",
+        system: "Host",
         *,
         rate: float | None = None,
         burst: float | None = None,

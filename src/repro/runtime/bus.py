@@ -42,7 +42,7 @@ from repro.core.errors import NodeDownError, TransportError
 
 from .clock import VirtualClock
 from .events import EventQueue
-from .sequencer import OP, SUBMIT, SYNC_DONE, SYNC_REQ, SequencerCore
+from .sequencer import OP, SUBMIT, SYNC_REQ, SequencerCore
 from .transport import Transport
 
 #: Event priority for bus traffic: applied before same-instant actor work,
@@ -309,15 +309,19 @@ class _NodePort:
             def arrive() -> None:
                 if not is_down(to):
                     core.on_op(a, b)
-        else:
-            when, tag = bus.clock.now, _FRAME_TAGS[msg]
-            handler = (core.on_submit if msg is SUBMIT else
-                       core.on_sync_req if msg is SYNC_REQ else
-                       core.on_sync_done)
+        elif msg is SUBMIT:
+            when, tag, on_submit = bus.clock.now, ("bus_seq",), core.on_submit
 
             def arrive() -> None:
                 if not is_down(to):
-                    handler(src, a)
+                    on_submit(src, a)
+        else:  # a sync frame: (from_seq | upto, the asker's round)
+            when, tag = bus.clock.now, ("bus_ctl",)
+            handler = core.on_sync_req if msg is SYNC_REQ else core.on_sync_done
+
+            def arrive() -> None:
+                if not is_down(to):
+                    handler(src, a, b)
         bus.events.schedule(when + latency, arrive,
                             priority=BUS_PRIORITY, tag=tag)
 
@@ -363,11 +367,6 @@ class _NodePort:
     def failover(self, leader: int, reason: str) -> None:
         if leader == self.node:  # one report per move: the gainer's
             self.bus._record_failover("sequencer", reason, new_leader=leader)
-
-
-#: Schedule tags of the frames that are not sequenced ops.
-_FRAME_TAGS = {SUBMIT: ("bus_seq",), SYNC_REQ: ("bus_ctl",),
-               SYNC_DONE: ("bus_ctl",)}
 
 
 class SequencerBus(Bus):

@@ -16,16 +16,16 @@ from repro.core.capabilities import Capability
 from repro.core.messages import Destination, Envelope, Message, Mode, Port, parse_destination
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .system import ActorSpaceSystem
+    from .host import Host
 
 
-def external_envelope(host, mode: Mode, payload: Any, *,
+def external_envelope(host: "Host", mode: Mode, payload: Any, *,
                       target: ActorAddress | None = None,
                       destination: Destination | None = None,
                       reply_to: ActorAddress | None = None,
                       headers: dict | None = None) -> Envelope:
     """An envelope from outside the actor world — no sender, resolved from
-    the root space — entering at ``host`` (a system or a node runtime)."""
+    the root space — entering at ``host``."""
     return Envelope(
         message=Message(payload, reply_to=reply_to, headers=headers or {}),
         sender=None, mode=mode, target=target, destination=destination,
@@ -53,7 +53,7 @@ class RuntimeContext(ActorContext):
 
     __slots__ = ("_system", "_record", "_cause", "claimed")
 
-    def __init__(self, system: "ActorSpaceSystem", record: ActorRecord,
+    def __init__(self, system: "Host", record: ActorRecord,
                  cause: "Envelope | None" = None):
         self._system = system
         self._record = record

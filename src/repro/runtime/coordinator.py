@@ -59,7 +59,7 @@ from repro.core.visibility import Directory
 from .bus import OpKind, VisibilityOp
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .system import ActorSpaceSystem
+    from .host import Host
 
 #: Event priority for actor message processing (after bus traffic).
 ACTOR_PRIORITY = 0
@@ -95,7 +95,7 @@ def _behavior_addresses(behavior: Behavior):
 class Coordinator:
     """Run-time support for one node."""
 
-    def __init__(self, node_id: int, system: "ActorSpaceSystem"):
+    def __init__(self, node_id: int, system: "Host"):
         self.node_id = node_id
         self.system = system
         self.addresses = AddressFactory(node_id)
@@ -295,11 +295,9 @@ class Coordinator:
             address, beh, self.node_id, space, capability,
             created_at=self.system.clock.now,
         )
-        capacity = getattr(self.system, "mailbox_capacity", None)
-        if capacity is not None:
-            record.mailbox = Mailbox(
-                capacity, getattr(self.system, "mailbox_policy",
-                                  "drop-oldest"))
+        if self.system.mailbox_capacity is not None:
+            record.mailbox = Mailbox(self.system.mailbox_capacity,
+                                     self.system.mailbox_policy)
         self.actors[address] = record
         # Conservative acquaintances: addresses reachable from behavior state.
         known: set[MailAddress] = set(_behavior_addresses(beh))
@@ -612,7 +610,7 @@ class Coordinator:
         envelope.target = target
         system = self.system
         dst_node = target.node
-        admission = getattr(system, "admission", None)
+        admission = system.admission
         if admission is not None and envelope.port is not Port.BEHAVIOR \
                 and envelope.port is not Port.RPC:
             # Control traffic (behavior installs, RPC replies) is never
@@ -679,7 +677,7 @@ class Coordinator:
             system.dead_letters.capture(envelope, self.node_id, "dead_letter")
             return
         if shed:
-            admission = getattr(system, "admission", None)
+            admission = system.admission
             if admission is not None:
                 admission.on_overflow(self.node_id, system.clock.now,
                                       len(shed))

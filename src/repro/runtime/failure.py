@@ -41,7 +41,7 @@ from .coordinator import ACTOR_PRIORITY
 from .bus import BUS_PRIORITY
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .system import ActorSpaceSystem
+    from .host import Host
 
 
 class FailureDetector:
@@ -64,7 +64,7 @@ class FailureDetector:
 
     def __init__(
         self,
-        system: "ActorSpaceSystem",
+        system: "Host",
         interval: float = 0.5,
         suspect_after: int = 2,
         confirm_after: int = 4,
@@ -80,13 +80,12 @@ class FailureDetector:
         self.interval = interval
         self.suspect_after = suspect_after
         self.confirm_after = confirm_after
-        nodes = list(system.topology.nodes)
-        self.nodes = nodes
-        #: The nodes this detector instance observes *as*.  The simulator
-        #: plays every node from one process, so all of them; a TCP node
-        #: process narrows this to its own node id (each process runs its
-        #: own detector and only its local vantage point is real).
-        self.observers = list(nodes)
+        nodes = self.nodes = system.nodes
+        #: The nodes this detector observes *as*: the host's local ones.
+        #: The simulator plays every node from one process, so all of
+        #: them; a node process runs its own detector and only its own
+        #: vantage point is real.
+        self.observers = system.local_nodes
         #: Consecutive missed heartbeats, per (observer, peer).
         self._misses: dict[int, dict[int, int]] = {
             o: {p: 0 for p in nodes if p != o} for o in nodes
@@ -220,7 +219,7 @@ class DeadLetterQueue:
 
     def __init__(
         self,
-        system: "ActorSpaceSystem",
+        system: "Host",
         capacity: int = 256,
         max_redeliveries: int = 4,
         base_backoff: float = 0.05,

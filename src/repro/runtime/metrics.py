@@ -18,6 +18,9 @@ Metric flavours:
   reservoir: below the cap every observation is kept; beyond it,
   reservoir sampling keeps a uniform sample of everything seen, so
   long runs get honest percentiles in bounded memory.
+* :class:`RecentHistogram` — the same summary over the last ``cap``
+  observations, with no RNG draw per observation (a serving node's
+  per-delivery histograms).
 * :class:`LabeledCounter` — a ``collections.Counter`` keyed by label
   (mode, link kind, drop reason...), registered under one name.
 
@@ -28,7 +31,7 @@ RNG, not global randomness.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from typing import Any, Iterable
 
 
@@ -137,6 +140,41 @@ class HistogramMetric:
         return f"<Histogram {self.name} n={self.count} held={len(self.samples)}>"
 
 
+class RecentHistogram(HistogramMetric):
+    """A value distribution over the most recent ``cap`` observations.
+
+    For a process that observes for ever: appending to a bounded deque
+    costs what a list append costs and draws no random number.
+    ``count``, ``mean`` and ``max`` stay exact over everything seen; the
+    percentiles describe the window.
+    """
+
+    __slots__ = ("peak",)
+
+    def __init__(self, name: str, cap: int):
+        super().__init__(name)
+        self.cap = cap
+        self.samples = deque(maxlen=cap)
+        self.peak = float("-inf")
+
+    def observe(self, value: float) -> None:
+        self.count += 1
+        self.total += value
+        if value > self.peak:
+            self.peak = value
+        self.samples.append(value)
+
+    def summary(self) -> dict[str, float]:
+        summary = super().summary()
+        if self.count:
+            summary["max"] = self.peak
+        return summary
+
+    def reset(self) -> None:
+        super().reset()
+        self.peak = float("-inf")
+
+
 class LabeledCounter(Counter):
     """A per-label counter family registered under one name.
 
@@ -191,6 +229,10 @@ class MetricsRegistry:
         return self._get_or_create(
             name, HistogramMetric, lambda: HistogramMetric(name, cap=cap)
         )
+
+    def recent(self, name: str, cap: int) -> RecentHistogram:
+        return self._get_or_create(
+            name, RecentHistogram, lambda: RecentHistogram(name, cap))
 
     def labeled(self, name: str) -> LabeledCounter:
         return self._get_or_create(name, LabeledCounter, lambda: LabeledCounter(name))

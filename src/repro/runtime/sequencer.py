@@ -23,8 +23,10 @@ code the schedule explorer drives is the code that runs on the wire.
   live peer for what it has not applied (``SYNC_REQ``) and holds
   submissions and inbound ``SYNC_REQ``s until each has answered
   (``SYNC_DONE``) or been reported down and the answers are applied;
-  then it mints above the highest sequence number it heard of.  Losing
-  the seat mid-round abandons the round.
+  then it mints above the highest sequence number it heard of.  Rounds
+  are numbered and an answer echoes the number it was asked with, so an
+  answer to an earlier round never ends a later one.  Losing the seat
+  mid-round abandons the round.
 * **Catch-up.**  Every replay ends with ``SYNC_DONE{upto}``; the highest
   ``upto`` heard is ``known_high``.  An op landing beyond the applied
   cursor arms the gap timer, which asks again after an interval without
@@ -44,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .bus import VisibilityOp
 
 #: The four messages.  ``send(to, msg, a, b)`` carries ``(op, None)``,
-#: ``(seq, op)``, ``(from_seq, None)`` and ``(upto, None)`` respectively.
+#: ``(seq, op)``, ``(from_seq, round)`` and ``(upto, round)`` respectively.
 SUBMIT, OP, SYNC_REQ, SYNC_DONE = "submit", "op", "sync_req", "sync_done"
 
 
@@ -109,8 +111,11 @@ class SequencerCore:
         #: object (it carries the origin-side callbacks).
         self.unacked: dict[int, "VisibilityOp"] = {}
         #: Peers whose ``SYNC_DONE`` an adoption round still awaits
-        #: (``None``: not adopting), and what the round holds back.
+        #: (``None``: not adopting), the round's number (in memory only:
+        #: it tells this incarnation's rounds apart, it is not a term),
+        #: and what the round holds back.
         self._adopting: set[int] | None = None
+        self._round = 0
         self._held: list[tuple[str, int, Any]] = []
         self._redrive_armed = False
         self._gap_armed = False
@@ -227,35 +232,37 @@ class SequencerCore:
         cursor = self._cursor()
         for node in (self.seat,) if self.seat != self.me else self._live():
             if node != self.me:
-                self._send(node, SYNC_REQ, cursor, None)
+                self._send(node, SYNC_REQ, cursor, self._round)
 
-    def on_sync_req(self, node: int, from_seq: int) -> None:
+    def on_sync_req(self, node: int, from_seq: int, round: int) -> None:
         """Replay every logged op >= ``from_seq`` to ``node``, then say
-        how far the order goes.  Queued behind this turn's commit: the
-        log may hold ops that are staged but not yet durable."""
+        how far the order goes, echoing the asker's ``round``.  Queued
+        behind this turn's commit: the log may hold ops that are staged
+        but not yet durable."""
         if self._adopting is not None:
-            self._held.append((SYNC_REQ, node, from_seq))
+            self._held.append((SYNC_REQ, node, (from_seq, round)))
         else:
-            self._after_commit(lambda: self._replay(node, from_seq))
+            self._after_commit(lambda: self._replay(node, from_seq, round))
 
-    def _replay(self, node: int, from_seq: int) -> None:
+    def _replay(self, node: int, from_seq: int, round: int) -> None:
         send, log = self._send, self.log
         for seq in range(max(from_seq, 0), self.log_high + 1):
             op = log.get(seq)  # dense bar lost frames: skip the holes
             if op is not None:
                 send(node, OP, seq, op)
-        send(node, SYNC_DONE, max(self.log_high, self.next_seq - 1), None)
+        send(node, SYNC_DONE, max(self.log_high, self.next_seq - 1), round)
 
-    def on_sync_done(self, node: int, upto: int) -> None:
-        """``node`` finished a replay; its order reaches ``upto``."""
-        self._after_commit(lambda: self._sync_done(node, upto))
+    def on_sync_done(self, node: int, upto: int, round: int) -> None:
+        """``node`` finished the replay round ``round`` of ours asked
+        for; its order reaches ``upto``."""
+        self._after_commit(lambda: self._sync_done(node, upto, round))
 
-    def _sync_done(self, node: int, upto: int) -> None:
-        if upto > self.known_high:
+    def _sync_done(self, node: int, upto: int, round: int) -> None:
+        if upto > self.known_high:  # true whichever round asked
             self.known_high = upto
         if self._cursor() <= self.known_high:
             self._arm_gap()  # the source itself was behind, or frames fell
-        if self._adopting is not None:
+        if self._adopting is not None and round == self._round:
             self._adopting.discard(node)
             self._maybe_serve()
 
@@ -324,6 +331,7 @@ class SequencerCore:
     def _adopt(self, live: list[int]) -> None:
         """Gained the seat: learn the order so far before extending it."""
         self._adopting = {n for n in live if n != self.me}
+        self._round += 1
         self.request_sync()
         self._arm_gap()  # a lost answer is asked for again
         self._maybe_serve()
@@ -338,7 +346,7 @@ class SequencerCore:
         held, self._held = self._held, []
         for kind, src, arg in held:
             if kind is SYNC_REQ:
-                self.on_sync_req(src, arg)
+                self.on_sync_req(src, *arg)
             elif serving:
                 self._sequence(arg)
 

@@ -23,34 +23,30 @@ is hit; virtual time then tells you how long the computation "took".
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Iterable
+from typing import Callable
 
-from repro.core.actor import ActorRecord, Behavior
-from repro.core.addresses import ActorAddress, MailAddress, SpaceAddress
-from repro.core.capabilities import Capability, CapabilityIssuer
+from repro.core.actor import ActorRecord
+from repro.core.addresses import ActorAddress, MailAddress
 from repro.core.gc import GarbageCollector, GcReport, scan_addresses
-from repro.core.mailbox import ShedPolicy
 from repro.core.manager import SpaceManager
-from repro.core.messages import Destination, Envelope, Mode, parse_destination
-from repro.core.visibility import Directory
+from repro.core.messages import Envelope
 
-from .admission import AdmissionControl
 from .bus import SequencerBus, TokenRingBus
 from .clock import VirtualClock
-from .context import RuntimeContext, external_envelope
 from .coordinator import Coordinator
 from .eventlog import EventLog, export_chrome_trace
 from .events import EventQueue
 from .failure import DeadLetterQueue, FailureDetector
-from .metrics import MetricsRegistry
+from .host import Host
 from .network import LatencyModel, Network, Topology
-from .rng import RngHub
-from .tracing import Tracer
 from .transport import LossyTransport, NetworkTransport, Transport
 
 
-class ActorSpaceSystem:
-    """A complete simulated ActorSpace deployment.
+class ActorSpaceSystem(Host):
+    """A complete simulated ActorSpace deployment: the :class:`Host` of
+    every node, plus the simulation — topology and (lossy) network, the
+    virtual clock, in-process bus streams, ``run``/``step``, crash and
+    recovery injection, GC.
 
     Parameters
     ----------
@@ -127,48 +123,36 @@ class ActorSpaceSystem:
         sequencer_service_time: float = 0.0,
         shard_sequencer: int | None = None,
     ):
+        from repro.shard import ShardedBus
+
+        if bus not in ("sequencer", "token-ring"):
+            raise ValueError(f"unknown bus protocol {bus!r}")
+        if bus == "token-ring" and shards > 1:
+            raise ValueError("a partitioned plane requires bus='sequencer'")
         self.topology = topology or Topology.single()
-        self.rng = RngHub(seed)
         self.clock = VirtualClock()
         self.events = EventQueue()
-        if isinstance(trace, EventLog):
-            self.event_log = trace
-        else:
-            self.event_log = EventLog(enabled=bool(trace))
-        self.metrics = MetricsRegistry()
-        self.tracer = Tracer(keep_samples=keep_samples,
-                             registry=self.metrics, log=self.event_log)
+        self.nodes = self.local_nodes = nodes = list(self.topology.nodes)
+        self.keep_samples = keep_samples
+        super().__init__(
+            seed, trace, mailbox_capacity, mailbox_policy, admission_rate,
+            admission_burst, breaker_threshold, breaker_window,
+            breaker_cooldown, shards, shard_sequencer)
+        self.processing_delay = processing_delay
+        if root_manager_factory is not None:
+            for coordinator in self.coordinators:
+                coordinator.managers[self.root_space] = root_manager_factory()
         self.network = Network(self.topology, latency_model, self.rng.stream("latency"))
         base_transport: Transport = NetworkTransport(self.network)
         self._network_transport = base_transport
         if loss > 0.0:
             base_transport = LossyTransport(base_transport, loss, self.rng.stream("loss"))
         self.transport: Transport = base_transport
-        self.capabilities = CapabilityIssuer(self.rng.stream("capabilities"))
-        self.rng_arbitration = self.rng.stream("arbitration")
-        self.processing_delay = processing_delay
-        #: Envelopes scheduled but not yet delivered (pins GC roots).
-        self.in_flight: dict[int, Envelope] = {}
-        #: External handles pinned as GC roots by the driver.
-        self._held_roots: set[MailAddress] = set()
+        self.dead_letters = DeadLetterQueue(
+            self, capacity=dlq_capacity, max_redeliveries=dlq_max_redeliveries
+        )
 
-        nodes = list(self.topology.nodes)
-        # The visibility plane: a shard map of ``shards >= 1`` streams, a
-        # router shared by every coordinator, and one total-order bus per
-        # shard behind a facade (section 7.3 asks for one order per space,
-        # so how many streams carry it is a parameter of the map).
-        from repro.shard import ShardedBus, ShardMap, ShardRouter
-
-        if bus not in ("sequencer", "token-ring"):
-            raise ValueError(f"unknown bus protocol {bus!r}")
-        if bus == "token-ring" and shards > 1:
-            raise ValueError("a partitioned plane requires bus='sequencer'")
-        self.shards = shards
-        self.shard_map = ShardMap.for_plane(shards, nodes, shard_sequencer)
-        self.shard_router = ShardRouter(self.shard_map)
-        self.coordinators: list[Coordinator] = [
-            Coordinator(n, self) for n in self.topology.nodes
-        ]
+        # One total-order bus per shard of the map, behind a facade.
         coordinators = self.coordinators
         journal: list[tuple[int, int]] = []
         # The tick is the offline merge key across streams: stamped (and
@@ -192,139 +176,6 @@ class ActorSpaceSystem:
             return stream
 
         self.bus = ShardedBus(self.shard_map, make_stream)
-
-        #: Bounded capture of undeliverable envelopes, redelivered on
-        #: recovery (self-healing delivery).
-        self.dead_letters = DeadLetterQueue(
-            self, capacity=dlq_capacity, max_redeliveries=dlq_max_redeliveries
-        )
-        #: Overload protection: bounded mailboxes for every actor created
-        #: from here on (``None`` = unbounded, the historical default)...
-        self.mailbox_capacity = mailbox_capacity
-        self.mailbox_policy = ShedPolicy.parse(mailbox_policy)
-        #: ...plus optional admission control consulted by ``_route``.
-        self.admission: AdmissionControl | None = None
-        if admission_rate is not None or breaker_threshold is not None:
-            self.admission = AdmissionControl(
-                self, rate=admission_rate, burst=admission_burst,
-                breaker_threshold=breaker_threshold,
-                breaker_window=breaker_window,
-                breaker_cooldown=breaker_cooldown,
-            )
-        #: Heartbeat-based failure detector; armed on demand via
-        #: :meth:`start_failure_detector`.
-        self.failure_detector: FailureDetector | None = None
-
-        # Bootstrap the globally visible root actorSpace (section 7.1)
-        # identically in every replica, outside the bus: it must exist
-        # before the first operation can be ordered.
-        from repro.core.actorspace import SpaceRecord
-
-        self.root_space: SpaceAddress = self.coordinators[0].addresses.new_space_address()
-        factory = root_manager_factory or SpaceManager
-        for coordinator in self.coordinators:
-            coordinator.directory.add_space(SpaceRecord(self.root_space, None, 0))
-            coordinator.managers[self.root_space] = factory()
-        # The root is globally visible by construction; it is therefore a
-        # permanent GC root (which is exactly why section 7.1 adds explicit
-        # space destruction).
-        self._held_roots.add(self.root_space)
-
-    # ------------------------------------------------------------------
-    # Driver-level (manager-role) API
-    # ------------------------------------------------------------------
-
-    def new_capability(self) -> Capability:
-        """Mint a fresh unforgeable capability."""
-        return self.capabilities.new_capability()
-
-    def create_actor(
-        self,
-        behavior: "Behavior | Callable",
-        *args: Any,
-        node: int = 0,
-        space: SpaceAddress | None = None,
-        capability: Capability | None = None,
-        **kwargs: Any,
-    ) -> ActorAddress:
-        """Create an actor from outside the system (driver/manager role)."""
-        address = self.coordinators[node].create_actor(
-            behavior, args, kwargs,
-            host_space=space if space is not None else self.root_space,
-            capability=capability,
-        )
-        self._held_roots.add(address)
-        return address
-
-    def create_space(
-        self,
-        capability: Capability | None = None,
-        node: int = 0,
-        manager_factory: Callable[[], SpaceManager] | None = None,
-        attributes=None,
-        parent: SpaceAddress | None = None,
-    ) -> SpaceAddress:
-        """Create an actorSpace; optionally make it visible under ``attributes``."""
-        address = self.coordinators[node].create_space(
-            capability, manager_factory, attributes=attributes,
-            parent=parent,
-        )
-        self._held_roots.add(address)
-        if attributes is not None:
-            self.coordinators[node].make_visible(
-                address, attributes, parent if parent is not None else self.root_space,
-                capability,
-            )
-        return address
-
-    def destroy_space(self, address: SpaceAddress, node: int = 0) -> None:
-        """Explicitly destroy a space (section 7.1)."""
-        self.coordinators[node].destroy_space(address)
-
-    def make_visible(self, target, attributes, space: SpaceAddress | None = None,
-                     capability: Capability | None = None, node: int = 0) -> None:
-        self.coordinators[node].make_visible(
-            target, attributes, space if space is not None else self.root_space, capability
-        )
-
-    def make_invisible(self, target, space: SpaceAddress | None = None,
-                       capability: Capability | None = None, node: int = 0) -> None:
-        self.coordinators[node].make_invisible(
-            target, space if space is not None else self.root_space, capability
-        )
-
-    def change_attributes(self, target, attributes, space: SpaceAddress | None = None,
-                          capability: Capability | None = None, node: int = 0) -> None:
-        self.coordinators[node].change_attributes(
-            target, attributes, space if space is not None else self.root_space, capability
-        )
-
-    # -- external messaging --------------------------------------------------------
-
-    def send_to(self, target: ActorAddress, payload: Any, *,
-                reply_to: ActorAddress | None = None, node: int = 0,
-                headers: dict | None = None) -> None:
-        """Direct external send (e.g. the initial job injection)."""
-        self.coordinators[node].send_direct(external_envelope(
-            self, Mode.DIRECT, payload, target=target, reply_to=reply_to,
-            headers=headers))
-
-    def send(self, destination: "Destination | str", payload: Any, *,
-             reply_to: ActorAddress | None = None, node: int = 0,
-             headers: dict | None = None) -> None:
-        """External pattern-directed send resolved at ``node``'s replica."""
-        self.coordinators[node].send_pattern(external_envelope(
-            self, Mode.SEND, payload, destination=parse_destination(destination),
-            reply_to=reply_to, headers=headers))
-
-    def broadcast(self, destination: "Destination | str", payload: Any, *,
-                  reply_to: ActorAddress | None = None, node: int = 0,
-                  headers: dict | None = None) -> None:
-        """External pattern-directed broadcast."""
-        self.coordinators[node].broadcast_pattern(external_envelope(
-            self, Mode.BROADCAST, payload,
-            destination=parse_destination(destination),
-            reply_to=reply_to, headers=headers))
 
     # ------------------------------------------------------------------
     # Simulation control
@@ -462,46 +313,10 @@ class ActorSpaceSystem:
             )
         return self.failure_detector.start(duration)
 
-    def _on_node_confirmed_down(self, node: int) -> None:
-        """First detector confirmation: quarantine and fail over.
-
-        Every live replica masks the dead node's actor entries (bumping
-        the epochs of the spaces that hosted them, so resolution caches
-        invalidate), and the bus gets a failure notification.
-        ``Directory.snapshot()`` ignores masks, so replica coherence
-        checks are unaffected; only *resolution* stops returning actors
-        that can no longer answer.
-        """
-        for coordinator in self.coordinators:
-            if coordinator.crashed:
-                continue
-            masked = coordinator.directory.quarantine_node(node)
-            self.tracer.on_quarantine(
-                "quarantined", coordinator.node_id, self.clock.now,
-                target_node=node, masked=masked,
-            )
-        self.bus.on_node_down(node)
-
     # -- introspection -------------------------------------------------------------
 
     def actor_record(self, address: ActorAddress) -> ActorRecord | None:
         return self.coordinators[address.node].actors.get(address)
-
-    def directory_of(self, node: int = 0) -> Directory:
-        """One node's visibility replica (node 0 by convention)."""
-        return self.coordinators[node].directory
-
-    def resolve(self, pattern, space: SpaceAddress | None = None,
-                node: int = 0) -> list[ActorAddress]:
-        """Who would ``send(pattern@space)`` currently consider? (sorted)
-
-        Pure introspection against ``node``'s replica — no message moves.
-        Useful for assertions, monitoring dashboards, and the examples.
-        Goes through the node's resolution cache, exactly like a real
-        dispatch would.
-        """
-        return self.coordinators[node].resolve(
-            pattern, space if space is not None else self.root_space)
 
     def resolution_cache_stats(self, node: int | None = None) -> dict:
         """Resolution-cache counters, per node or summed across nodes."""
@@ -513,20 +328,10 @@ class ActorSpaceSystem:
                 total[key] = total.get(key, 0) + value
         return total
 
-    def visible_attributes(self, target: MailAddress,
-                           space: SpaceAddress | None = None,
-                           node: int = 0) -> frozenset:
-        """The attributes ``target`` is visible under in ``space`` (or empty)."""
-        return self.coordinators[node].visible_attributes(
-            target, space if space is not None else self.root_space)
-
     def replicas_coherent(self) -> bool:
         """Do all directory replicas currently agree?  (Run to quiescence first.)"""
         snapshots = [c.directory.snapshot() for c in self.coordinators if not c.crashed]
         return all(s == snapshots[0] for s in snapshots[1:])
-
-    def make_context(self, record: ActorRecord, cause=None) -> RuntimeContext:
-        return RuntimeContext(self, record, cause=cause)
 
     # -- observability ----------------------------------------------------------
 
@@ -565,39 +370,7 @@ class ActorSpaceSystem:
             "crashed": {c.node_id for c in self.coordinators if c.crashed},
         }
 
-    def metrics_snapshot(self) -> dict:
-        """Plain-data dump of every registered metric, plus live gauges."""
-        for coordinator in self.coordinators:
-            depth = sum(r.mailbox.pending for r in coordinator.actors.values()
-                        if not r.terminated)
-            self.metrics.gauge(f"queue_depth_node_{coordinator.node_id}").set(depth)
-            self.metrics.gauge(f"parked_node_{coordinator.node_id}").set(
-                len(coordinator.suspended) + len(coordinator.persistent))
-        self.metrics.gauge("in_flight").set(len(self.in_flight))
-        if self.admission is not None:
-            for name, value in self.admission.metrics().items():
-                self.metrics.gauge(f"admission_{name}").set(value)
-        # Transport accounting rides along as gauges (nested counters of a
-        # wrapped transport — e.g. LossyTransport's inner — are flattened).
-        for name, value in self.transport.metrics_snapshot().items():
-            if isinstance(value, dict):
-                for inner_name, inner_value in value.items():
-                    if not isinstance(inner_value, dict):
-                        self.metrics.gauge(
-                            f"transport_{name}_{inner_name}").set(inner_value)
-            else:
-                self.metrics.gauge(f"transport_{name}").set(value)
-        return self.metrics.snapshot()
-
     # -- GC ---------------------------------------------------------------------------
-
-    def hold(self, address: MailAddress) -> None:
-        """Pin ``address`` as an external GC root."""
-        self._held_roots.add(address)
-
-    def release(self, address: MailAddress) -> None:
-        """Drop the external root pin on ``address``."""
-        self._held_roots.discard(address)
 
     def collect_garbage(self, delete: bool = True) -> GcReport:
         """Run a collection cycle over the whole system (driver privilege).

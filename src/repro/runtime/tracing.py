@@ -16,12 +16,15 @@ façade over two structured subsystems:
 historical behavior), ``False`` (keep none), or an integer cap ``N``:
 reservoir sampling then keeps a uniform ``N``-sample of all deliveries,
 so long runs stop growing memory linearly while percentiles stay honest.
+The cap bounds everything that grows per delivery: the two histograms
+and ``release_marks`` keep their most recent ``N`` entries (counts, means
+and maxima stay exact).
 """
 
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from repro.core.addresses import ActorAddress
@@ -96,10 +99,15 @@ class Tracer:
         self.dropped = reg.labeled("messages_dropped_total")
         #: Visibility operations applied per node replica (coherence checks).
         self.visibility_ops_applied = reg.labeled("visibility_ops_applied_total")
-        #: Per-mode end-to-end latency (bounded reservoir; see keep_samples).
-        self.latency_hist = reg.histogram("delivery_latency")
+        # An integer ``keep_samples`` bounds the per-delivery stores too.
+        cap = None if isinstance(self.keep_samples, bool) else self.keep_samples
+
+        def histogram(name):
+            return reg.histogram(name) if cap is None else reg.recent(name, cap)
+        #: End-to-end delivery latency, all modes.
+        self.latency_hist = histogram("delivery_latency")
         #: Pattern-resolution work distribution (entries examined).
-        self.resolution_hist = reg.histogram("resolution_entries_examined")
+        self.resolution_hist = histogram("resolution_entries_examined")
         # Scalar counters (registered so snapshots include them even at 0).
         for name in (
             "messages_suspended_total",
@@ -128,7 +136,8 @@ class Tracer:
         self._samples_seen = 0
         self._sample_rng = random.Random(0xACE5)
         #: (time, node) marks of suspension releases, for the timeline view.
-        self.release_marks: list[tuple[float, int]] = []
+        self.release_marks: "list | deque[tuple[float, int]]" = \
+            [] if cap is None else deque(maxlen=cap)
         #: Time series the experiments can append to: name -> [(t, value)].
         self.series: dict[str, list[tuple[float, float]]] = defaultdict(list)
 

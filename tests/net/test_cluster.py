@@ -39,9 +39,12 @@ def test_process_pool_computes_across_two_processes(tmp_path):
 
 
 def test_tcp_cluster_matches_single_process_oracle(tmp_path):
+    """The scenario vocabulary, with commands issued at both nodes."""
+    lines = []
     report = run_tcp_conformance(
-        [0], nodes=2, ops=8, out_dir=tmp_path, log=lambda text: None)
+        [0], nodes=2, out_dir=tmp_path, log=lines.append)
     assert report["divergences"] == []
+    assert "issued at nodes [0, 1]" in lines[0]
 
 
 def test_closed_loop_pump_completes_and_batches(tmp_path):

@@ -49,9 +49,9 @@ def populate(runtime, tag, count=4):
         runtime.coordinator.make_visible(
             addr, f"{tag}/worker{i}", runtime.root_space, None)
         atom = last_shard_atom(runtime.shards, f"{tag}{i}")
-        space = runtime._ctl_create_space(attributes=f"{atom}/home")
+        space = runtime.create_space(attributes=f"{atom}/home")
         runtime.coordinator.make_visible(
-            addr, f"{tag}/homed{i}", space["address"], None)
+            addr, f"{tag}/homed{i}", space, None)
         created.append(addr)
     runtime._commit_turn()  # the turn ends: one fsync, then the applies
     return created

@@ -409,7 +409,8 @@ class TestSyncReplay:
                 r.feed([(FrameKind.BUS_OP, {"seq": seq, "shard": 1,
                                             "op": vis_op(1, seq)})])
             del r.tape[:]
-            r.feed([(FrameKind.SYNC_REQ, {"node": 1, "from_seq": 1, "shard": 1})])
+            r.feed([(FrameKind.SYNC_REQ, {"node": 1, "from_seq": 1, "round": 0,
+                                          "shard": 1})])
             *ops, done = [e for e in r.tape if e[0] == "send"]
             assert [(e[1], e[3]) for e in ops] \
                 == [(FrameKind.BUS_OP, seq) for seq in (1, 3, 4)]
@@ -420,7 +421,8 @@ class TestSyncReplay:
         op that is staged but not yet fsynced."""
         with rig() as r:
             r.feed([(FrameKind.SHARD_FWD, {"op": vis_op(0, 0), "shard": 0}),
-                    (FrameKind.SYNC_REQ, {"node": 1, "from_seq": 0, "shard": 0})])
+                    (FrameKind.SYNC_REQ, {"node": 1, "from_seq": 0, "round": 0,
+                                          "shard": 0})])
             sends = [i for i, e in enumerate(r.tape)
                      if e[:2] == ("send", FrameKind.BUS_OP)]
             assert [r.tape[i][3] for i in sends] == [0, 0]  # fan-out + replay

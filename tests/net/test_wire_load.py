@@ -3,7 +3,7 @@ liveness, and the broadcast encode-once guarantee.
 
 The flush-policy tests drive ``PeerHub._flush_loop`` against an
 in-memory writer — no sockets — so each trigger (queue-empty, size
-watermark, linger expiry) is exercised deterministically.  The liveness
+watermark) is exercised deterministically.  The liveness
 and broadcast tests run real loopback hubs like the rest of the link
 layer suite.
 """
@@ -17,7 +17,6 @@ import repro.net.peer as peer_module
 from repro.net.cluster import _free_ports, loopback_available
 from repro.net.codec import FrameDecoder, FrameKind, encode_frame
 from repro.net.peer import PeerHub, PeerLink
-from repro.net.runtime import maybe_install_uvloop
 
 pytestmark = pytest.mark.skipif(
     not loopback_available(), reason="loopback TCP unavailable")
@@ -118,21 +117,6 @@ def test_size_watermark_splits_writes():
         flusher = asyncio.ensure_future(hub._flush_loop(link))
         assert await _poll(lambda: len(_frames(link.writer)) == 6)
         assert len(link.writer.writes) >= 3  # capped at ~2 frames per write
-        flusher.cancel()
-
-    asyncio.run(scenario())
-
-
-def test_linger_delays_then_flushes():
-    """With flush_delay set, a lone frame still leaves after the linger."""
-    async def scenario():
-        hub = _quiet_hub(flush_delay=0.05)
-        link = _bench_link(hub)
-        flusher = asyncio.ensure_future(hub._flush_loop(link))
-        start = time.monotonic()
-        assert hub.send(1, FrameKind.HEARTBEAT, {"n": 1})
-        assert await _poll(lambda: link.writer.writes)
-        assert time.monotonic() - start >= 0.04
         flusher.cancel()
 
     asyncio.run(scenario())
@@ -333,15 +317,3 @@ def test_broadcast_encodes_payload_exactly_once(monkeypatch):
                 await hub.stop()
 
     asyncio.run(scenario())
-
-
-# -- uvloop gate -------------------------------------------------------------------
-
-
-def test_uvloop_gate_declines_gracefully(monkeypatch):
-    """Absent uvloop (this container) or with REPRO_UVLOOP=0 the gate
-    reports False instead of raising."""
-    monkeypatch.setenv("REPRO_UVLOOP", "0")
-    assert maybe_install_uvloop() is False
-    monkeypatch.delenv("REPRO_UVLOOP", raising=False)
-    assert maybe_install_uvloop() in (True, False)  # no ImportError leak

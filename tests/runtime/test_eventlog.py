@@ -17,7 +17,6 @@ from repro.runtime.eventlog import (
 )
 from repro.runtime.metrics import HistogramMetric, MetricsRegistry
 from repro.runtime.network import Topology
-from repro.runtime.node import Node
 from repro.runtime.system import ActorSpaceSystem
 from repro.runtime.tracing import Tracer
 
@@ -317,6 +316,41 @@ class TestTracerFacade:
         # Latency stats still computable from the reservoir.
         assert tracer.latency_stats()["count"] == 16
 
+    def test_an_integer_keep_samples_bounds_every_per_delivery_store(self):
+        """What a serving node builds (``Tracer(keep_samples=N)``) must
+        not grow with the number of deliveries, only its counts do."""
+        from repro.core.matching import MatchStats
+
+        cap, tracer = 32, Tracer(keep_samples=32)
+        stats = MatchStats()
+        for i in range(10 * cap):
+            tracer.on_delivered(Mode.SEND, None, 0.0, float(i), 0, 0)
+            stats.entries_examined = i
+            tracer.on_resolution(stats)
+            tracer.on_released(t=float(i))
+        for store in (tracer.samples, tracer.release_marks,
+                      tracer.latency_hist.samples,
+                      tracer.resolution_hist.samples):
+            assert len(store) == cap
+        for hist in (tracer.latency_hist, tracer.resolution_hist):
+            summary = hist.summary()
+            assert summary["count"] == 10 * cap
+            assert summary["mean"] == pytest.approx((10 * cap - 1) / 2)
+            assert summary["max"] == 10 * cap - 1
+        # The window is the most recent N; the first observation, long
+        # evicted, would be the max of a descending stream all the same.
+        tracer.reset()
+        for value in range(10 * cap, 0, -1):
+            tracer.latency_hist.observe(value)
+        assert tracer.latency_hist.summary()["max"] == 10 * cap
+        assert max(tracer.latency_hist.samples) == cap
+        # Across processes a latency is a difference of two clocks: it
+        # can be negative, and nothing observed reads as all zeros.
+        tracer.reset()
+        assert tracer.latency_hist.summary()["max"] == 0.0
+        tracer.latency_hist.observe(-0.003)
+        assert tracer.latency_hist.summary()["max"] == -0.003
+
     def test_keep_samples_bool_behavior_unchanged(self):
         assert Tracer(keep_samples=True).keep_samples is True
         assert Tracer(keep_samples=False).keep_samples is False
@@ -380,11 +414,11 @@ class TestNodeTelemetry:
         addr = system.create_actor(lambda ctx, m: None, node=1)
         system.make_visible(addr, "a/b")
         system.run()
-        view = Node(system, 1).telemetry()
-        assert view["node"] == 1
-        assert view["actors"] == 1
-        assert view["queue_depth"] == 0
-        assert view["visibility_ops_applied"] >= 1
+        assert len(system.coordinators[1].actors) == 1
+        assert (system.queue_depth(1), system.parked(1)) == (0, 0)
+        assert system.tracer.visibility_ops_applied[1] >= 1
+        snap = system.metrics_snapshot()
+        assert (snap["queue_depth_node_1"], snap["parked_node_1"]) == (0, 0)
 
     def test_system_metrics_snapshot_includes_gauges(self):
         system = traced_system()

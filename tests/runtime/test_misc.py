@@ -4,33 +4,49 @@ import pytest
 
 from repro.core.messages import Destination, Mode
 from repro.runtime.network import LatencyModel, LinkKind, Topology
-from repro.runtime.node import Node
 from repro.runtime.system import ActorSpaceSystem
 
 
+def live_actors(system, node):
+    return sum(not r.terminated
+               for r in system.coordinators[node].actors.values())
+
+
 class TestNodeView:
+    """Per-node accounting, read through the host."""
+
     def test_counts_and_cluster(self):
         system = ActorSpaceSystem(topology=Topology.wan(2, 2), seed=0)
-        node = Node(system, 2)
-        assert node.cluster == 1
-        assert node.actor_count == 0
-        system.create_actor(lambda ctx, m: None, node=2)
-        assert node.actor_count == 1
-        assert not node.crashed
+        assert system.topology.cluster_of(2) == 1
+        assert live_actors(system, 2) == 0
+        addr = system.create_actor(lambda ctx, m: None, node=2)
+        assert live_actors(system, 2) == 1
+        system.send_to(addr, "job", node=2)
+        system.send("nobody/home", "parked", node=2)
+        system.run(max_events=1)  # the job is in the mailbox, not yet run
+        assert (system.queue_depth(2), system.parked(2)) == (1, 1)
+        assert (system.queue_depth(0), system.parked(0)) == (0, 0)
+        system.run()
+        assert (system.queue_depth(2), system.parked(2)) == (0, 1)
+        assert not system.coordinators[2].crashed
         system.crash_node(2)
-        assert node.crashed
+        assert system.coordinators[2].crashed
 
     def test_terminated_actors_not_counted(self):
         system = ActorSpaceSystem(seed=0)
         addr = system.create_actor(lambda ctx, m: None)
-        node = Node(system, 0)
-        assert node.actor_count == 1
+        system.send_to(addr, "job")
+        system.run(max_events=1)
+        assert (live_actors(system, 0), system.queue_depth()) == (1, 1)
         system.coordinators[0].terminate_actor(addr)
-        assert node.actor_count == 0
+        assert (live_actors(system, 0), system.queue_depth()) == (0, 0)
 
     def test_coordinator_accessor(self):
         system = ActorSpaceSystem(topology=Topology.lan(2), seed=0)
-        assert Node(system, 1).coordinator is system.coordinators[1]
+        assert system._local(1) is system.coordinators[1]
+        assert system._local(None) is system.coordinators[0]
+        with pytest.raises(ValueError, match="not local"):
+            system.queue_depth(2)
 
 
 class TestSystemOptions:
