@@ -1,8 +1,8 @@
 """Overload drill: open-loop flood at 2-10x capacity, sim and TCP.
 
-``bench_load.py`` is closed-loop — offered load tracks service rate by
-construction, so it can never overload anything.  This drill does the
-opposite on purpose: an :class:`OverloadPumpBehavior` offers a *fixed*
+A closed-loop pump (the ``rpc-*`` workloads of ``benchmarks/perf``) has
+offered load track service rate by construction, so it can never
+overload anything.  This drill does the opposite on purpose: an :class:`OverloadPumpBehavior` offers a *fixed*
 rate at a sink whose capacity is known (``processing_delay`` in the
 simulator, a ``busy_ms`` busy-wait on TCP), at multiples of that
 capacity, and then checks that the overload-protection stack holds the

@@ -41,12 +41,12 @@ def _run_policy(policy, senders=10, waves=2):
         system.run()
         received.append(len(got))
     return {
-        "suspended": system.tracer.suspended_count,
-        "released": system.tracer.released_count,
+        "suspended": system.tracer.count("messages_suspended_total"),
+        "released": system.tracer.count("messages_released_total"),
         "discarded": system.tracer.dropped.get("unmatched_discarded", 0),
         "errors": errors,
         "wave_deliveries": received,
-        "persistent": system.tracer.persistent_deliveries,
+        "persistent": system.tracer.count("persistent_deliveries_total"),
     }
 
 
@@ -83,7 +83,7 @@ def test_bench_e6_suspension(benchmark):
         system.events.schedule(arrival, arrive)
         system.run()
         delay.add_row([
-            arrival, system.tracer.suspended_count, len(got),
+            arrival, system.tracer.count("messages_suspended_total"), len(got),
             got[0] if got else "-",
         ])
     emit("e6_suspension", policies, delay)

@@ -20,12 +20,12 @@ def test_bench_direct_send_throughput(benchmark):
     """1000 point-to-point messages across a 4-node LAN."""
 
     def run():
-        system = _system(keep_samples=False)
+        system = _system()
         sink = system.create_actor(lambda ctx, m: None, node=3)
         for i in range(1000):
             system.send_to(sink, i)
         system.run()
-        return system.tracer.invocations
+        return system.tracer.count("behavior_invocations_total")
 
     assert benchmark(run) == 1000
 
@@ -34,7 +34,7 @@ def test_bench_pattern_send_throughput(benchmark):
     """1000 pattern sends resolved against a 100-actor registry."""
 
     def run():
-        system = _system(keep_samples=False)
+        system = _system()
         for i in range(100):
             addr = system.create_actor(lambda ctx, m: None, node=i % 4)
             system.make_visible(addr, f"svc/kind{i % 10}/i{i}")
@@ -51,7 +51,7 @@ def test_bench_broadcast_fanout(benchmark):
     """100 broadcasts, each fanning out to 100 receivers."""
 
     def run():
-        system = _system(keep_samples=False)
+        system = _system()
         for i in range(100):
             addr = system.create_actor(lambda ctx, m: None, node=i % 4)
             system.make_visible(addr, f"grp/m{i}")
@@ -68,7 +68,7 @@ def test_bench_visibility_op_throughput(benchmark):
     """500 visibility changes sequenced, fanned out, and applied on 4 replicas."""
 
     def run():
-        system = _system(keep_samples=False)
+        system = _system()
         addrs = [
             system.create_actor(lambda ctx, m: None, node=i % 4)
             for i in range(50)
@@ -88,7 +88,7 @@ def _e10_style_workload(trace: bool) -> tuple[float, int]:
     import time
 
     start = time.perf_counter()
-    system = _system(keep_samples=False, trace=trace)
+    system = _system(trace=trace)
     for i in range(100):
         addr = system.create_actor(lambda ctx, m: None, node=i % 4)
         system.make_visible(addr, f"svc/kind{i % 10}/i{i}")
@@ -140,7 +140,7 @@ def test_bench_token_ring_burst_drain(benchmark):
     """
 
     def run():
-        system = _system(keep_samples=False, bus="token-ring")
+        system = _system(bus="token-ring")
         addrs = [
             system.create_actor(lambda ctx, m: None, node=i % 4)
             for i in range(50)

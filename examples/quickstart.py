@@ -66,7 +66,8 @@ def main() -> None:
     # -- 4. suspension: send before the receiver exists ---------------------
     system.send("services/translator", "bonjour")  # nobody matches yet
     system.run()
-    log.append(f"[suspend] message parked: {system.tracer.suspended_count} suspended so far")
+    suspended = system.tracer.count("messages_suspended_total")
+    log.append(f"[suspend] message parked: {suspended} suspended so far")
     translator = system.create_actor(
         lambda ctx, m: log.append(f"[translator] late delivery of {m.payload!r}"))
     system.make_visible(translator, "services/translator")

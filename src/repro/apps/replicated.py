@@ -229,5 +229,5 @@ def run_replicated_service(
         dead_letters_queued=system.dead_letters.queued_total,
         dead_letters_redelivered=system.dead_letters.redelivered_total,
         failovers=system.bus.failovers,
-        quarantined_entries=system.tracer.quarantined_entries,
+        quarantined_entries=system.tracer.count("quarantined_entries_total"),
     )

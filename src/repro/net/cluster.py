@@ -425,6 +425,12 @@ def _event_from_dict(record: dict) -> TraceEvent:
     )
 
 
+#: The hub counters an operator summary carries (:meth:`TelemetryCollector.
+#: summary`, the cluster driver's per-node log line).
+WIRE_KEYS = ("frames_in", "frames_out", "frames_shed", "batches_in",
+             "batches_out", "queue_peak_bytes")
+
+
 class TelemetryCollector:
     """Launcher-side scraper: pull every node's telemetry onto one timeline.
 
@@ -433,9 +439,10 @@ class TelemetryCollector:
     frames, so sharing the cluster's own control links from a background
     thread would eat each other's replies.
 
-    Each pull grabs (a) the node's metric/hub/bus/transport snapshots,
-    (b) the flight-recorder events past the previous pull's high-water
-    mark, and (c) a control-plane ``ping`` round trip that feeds an
+    Each pull is one ``snapshot`` scrape — the node's registry dump in
+    sections, its ``status`` view, and the flight-recorder events past
+    the previous pull's high-water mark — after a control-plane ``ping``
+    (an empty round trip, so its timing is all wire) that feeds an
     NTP-style :class:`ClockSync` over the collector's own
     ``time.monotonic``.  :meth:`merged_events` then maps every node's
     wall-clock events onto the collector timeline, rebases the earliest
@@ -508,7 +515,7 @@ class TelemetryCollector:
         """One telemetry pull from ``node`` (events are incremental)."""
         self.sample_clock(node)
         value = self._client(node).call(
-            "telemetry", since_seq=self._since.get(node, 0),
+            "snapshot", since_seq=self._since.get(node, 0),
             max_events=self.max_events_per_pull)
         self._since[node] = int(value.get("next_seq", 0))
         fresh = [_event_from_dict(r) for r in value.get("events", [])]
@@ -633,13 +640,9 @@ class TelemetryCollector:
             for node, snap in sorted(self.snapshots.items()):
                 hub = snap.get("hub") or {}
                 out[node] = {
-                    "frames_in": hub.get("frames_in"),
-                    "frames_out": hub.get("frames_out"),
-                    "frames_shed": hub.get("frames_shed"),
-                    "batches_in": hub.get("batches_in"),
-                    "batches_out": hub.get("batches_out"),
-                    "queue_peak_bytes": hub.get("queue_peak_bytes"),
-                    "heartbeats_suppressed": snap.get("heartbeats_suppressed"),
+                    **{key: hub.get(key) for key in WIRE_KEYS},
+                    "heartbeats_suppressed": (snap.get("metrics") or {}).get(
+                        "heartbeats_suppressed"),
                     "events": len(self.events.get(node, [])),
                     "events_missed": self.events_missed.get(node, 0),
                     "clock": snap.get("clock"),
@@ -1797,11 +1800,9 @@ def cluster_main(argv: list[str]) -> int:
         collector.drain()
         report["telemetry"] = collector.summary()
         for node, counters in report["telemetry"].items():
-            log(f"node {node} wire: shed={counters['frames_shed']} "
-                f"batches_in={counters['batches_in']} "
-                f"batches_out={counters['batches_out']} "
-                f"hb_suppressed={counters['heartbeats_suppressed']} "
-                f"queue_peak={counters['queue_peak_bytes']}B")
+            log(f"node {node} wire: " + " ".join(
+                f"{key}={counters[key]}"
+                for key in (*WIRE_KEYS, "heartbeats_suppressed")))
         if args.trace_out is not None:
             merged = collector.merged_events()
             trace = export_chrome_trace(merged, args.trace_out, us_per_t=1e6)

@@ -60,7 +60,7 @@ import time
 from collections import deque
 from typing import Any, Callable
 
-from repro.runtime.metrics import MetricsRegistry
+from repro.runtime.metrics import HistogramMetric
 
 from .clocksync import ClockSync
 from .codec import (
@@ -180,7 +180,6 @@ class PeerHub:
         max_pending_bytes: int = MAX_PENDING_BYTES,
         ctrl_pending_bytes: int = CTRL_PENDING_BYTES,
         credit_window: int = CREDIT_WINDOW_FRAMES,
-        metrics: MetricsRegistry | None = None,
         clock: Callable[[], float] | None = None,
     ):
         self.node_id = node_id
@@ -201,11 +200,10 @@ class PeerHub:
         #: timestamps and the per-peer offset estimates live on it.
         self.clock = clock if clock is not None else time.monotonic
         self.clock_sync = ClockSync(clock=self.clock)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Wire-path stage timers (seconds, perf_counter deltas).
-        self.h_send_queue = self.metrics.histogram("wire_send_queue_s", cap=4096)
-        self.h_decode = self.metrics.histogram("wire_decode_s", cap=4096)
-        self.h_deliver = self.metrics.histogram("wire_deliver_s", cap=4096)
+        self.h_send_queue = HistogramMetric("send_queue", 4096)
+        self.h_decode = HistogramMetric("decode", 4096)
+        self.h_deliver = HistogramMetric("deliver", 4096)
         #: Registered node links: peer node id -> live link.
         self.links: dict[int, PeerLink] = {}
         #: Wall-clock (monotonic) instant we last received any frame from
@@ -741,20 +739,13 @@ class PeerHub:
             del self.links[link.node]
 
     def metrics_snapshot(self) -> dict:
-        """Link-layer counters for the node's metrics snapshot."""
-        # ``send_buffer_bytes`` stays data-queue-only: the fault drill's
-        # bounded-memory assertion gates it against ``max_pending_bytes``.
-        send_buffer = sum(link.queue_bytes for link in self.links.values())
-        ctrl_buffer = sum(link.ctrl_bytes for link in self.links.values())
-        # Mirror the sampled depths into registry gauges so a metrics
-        # scrape and this snapshot tell one story.
-        self.metrics.gauge("wire_send_buffer_bytes").set(send_buffer)
-        self.metrics.gauge("wire_queue_peak_bytes").set(self.queue_peak_bytes)
-        self.metrics.gauge("wire_ctrl_buffer_bytes").set(ctrl_buffer)
-        self.metrics.gauge("wire_credit_stalls").set(self.credit_stalls)
+        """Link-layer counters, read now (the counters stay plain
+        attributes: nothing becomes a call per frame).  The host registers
+        this as its registry's ``hub`` source."""
         return {
             "links_up": len(self.links),
-            "ctrl_buffer_bytes": ctrl_buffer,
+            "ctrl_buffer_bytes": sum(
+                link.ctrl_bytes for link in self.links.values()),
             "credit": {
                 "window": self.credit_window,
                 "stalls": self.credit_stalls,
@@ -771,7 +762,10 @@ class PeerHub:
             "batches_out": self.batches_out,
             "batches_in": self.batches_in,
             "frames_shed": self.frames_shed,
-            "send_buffer_bytes": send_buffer,
+            # Data queues only: the fault drill's bounded-memory
+            # assertion gates it against ``max_pending_bytes``.
+            "send_buffer_bytes": sum(
+                link.queue_bytes for link in self.links.values()),
             "queue_peak_bytes": self.queue_peak_bytes,
             "handshakes_rejected": self.handshakes_rejected,
             "reconnects": self.reconnects,

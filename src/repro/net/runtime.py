@@ -167,9 +167,6 @@ class NodeRuntime(Host):
     turn, recovery and snapshots, control plane (see module docstring).
     """
 
-    #: A server runs for ever: everything the tracer keeps is bounded.
-    keep_samples = 256
-
     def __init__(
         self,
         node_id: int,
@@ -231,10 +228,16 @@ class NodeRuntime(Host):
             node_id, ports, self._on_frame, host=host, cluster_id=cluster_id,
             on_batch_end=self._commit_turn,
             on_peer_up=self._on_peer_up, log=self._log,
-            metrics=self.metrics, clock=lambda: self.clock.now, **hub_kw)
+            clock=lambda: self.clock.now, **hub_kw)
         self._wake: asyncio.Event | None = None
         self._stopping = False
         self.heartbeats_suppressed = 0
+        # The process's own numbers, read when a dump is taken.
+        source = self.metrics.source
+        source("hub", self.hub.metrics_snapshot)
+        source("bus", self.bus.status)
+        source("store", self._store_status)
+        source("heartbeats_suppressed", lambda: self.heartbeats_suppressed)
         self._seen_peers: set[int] = set()
         self._detector_armed = False
         self._retry_scheduled: set[int] = set()
@@ -257,7 +260,6 @@ class NodeRuntime(Host):
             "rebalance": self._ctl_rebalance,
             "snapshot": self._ctl_snapshot,
             "dlq": self._ctl_dlq,
-            "telemetry": self._ctl_telemetry,
             "shutdown": self._ctl_shutdown,
         }
 
@@ -747,47 +749,43 @@ class NodeRuntime(Host):
         return {"version": version,
                 "sequencer": self.bus.shards[int(shard)].sequencer_node}
 
-    def _ctl_snapshot(self, events: bool = True):
-        return {
-            "node": self.node_id,
-            "metrics": self.metrics_snapshot(),
-            "transport": self.transport.metrics_snapshot(),
-            "hub": self.hub.metrics_snapshot(),
-            "bus": self.bus.status(),
-            "events": [self._wire_safe(e.to_dict()) for e in self.event_log]
-                      if events else [],
-        }
+    def _ctl_snapshot(self, events: bool = True, since_seq: int = 0,
+                      max_events: int | None = None):
+        """The one scrape: a dump of the registry, the ``status`` view and
+        a window of the flight recorder.
 
-    def _ctl_telemetry(self, since_seq: int = 0, max_events: int = 2000):
-        """One telemetry pull: every snapshot + an incremental event window.
-
-        ``since_seq`` is the caller's high-water mark (the ``next_seq``
-        of its previous pull); only events at or past it are returned,
-        capped at ``max_events``.  ``events_missed`` counts ring-buffer
-        evictions the caller can never see — an honest collector reports
-        them instead of pretending the window was complete.
+        The dump's ``hub`` / ``bus`` / ``transport`` sources are lifted
+        out of ``metrics`` into sections of their own.  ``since_seq`` is
+        the caller's high-water mark (the ``next_seq`` of its previous
+        pull); only events at or past it are returned, capped at
+        ``max_events``.  ``events_missed`` counts ring-buffer evictions
+        the caller can never see — an honest collector reports them
+        instead of pretending the window was complete.
         """
-        buffered = list(self.event_log.events)
-        oldest = buffered[0].seq if buffered else self.event_log.next_seq
-        missed = max(0, oldest - since_seq)
-        window = [e for e in buffered if e.seq >= since_seq][:max_events]
-        if window:
-            next_seq = window[-1].seq + 1
-        else:
-            next_seq = max(since_seq, self.event_log.next_seq)
+        metrics = self.metrics.snapshot()
+        hub = metrics.pop("hub")
+        log = self.event_log
+        window, next_seq, missed = [], since_seq, 0
+        if events:
+            buffered = list(log.events)
+            oldest = buffered[0].seq if buffered else log.next_seq
+            missed = max(0, oldest - since_seq)
+            window = [e for e in buffered if e.seq >= since_seq][:max_events]
+            next_seq = window[-1].seq + 1 if window \
+                else max(since_seq, log.next_seq)
         return {
             "node": self.node_id,
             "t": self.clock.now,
-            "metrics": self.metrics_snapshot(),
-            "hub": self.hub.metrics_snapshot(),
-            "bus": self.bus.status(),
-            "transport": self.transport.metrics_snapshot(),
-            "clock": self.hub.clock_sync.snapshot(),
-            "heartbeats_suppressed": self.heartbeats_suppressed,
+            "status": self._ctl_status(),
+            "hub": hub,
+            "bus": metrics.pop("bus"),
+            "transport": metrics.pop("transport"),
+            "clock": hub["clock"],
+            "metrics": metrics,
             "events": [self._wire_safe(e.to_dict()) for e in window],
             "next_seq": next_seq,
             "events_missed": missed,
-            "events_total": self.event_log.emitted_count,
+            "events_total": log.emitted_count,
         }
 
     def _ctl_dlq(self):
@@ -805,13 +803,6 @@ class NodeRuntime(Host):
         # next pump turn.
         self.events.schedule(self.clock.now + 0.05, self.request_shutdown)
         return True
-
-    # -- observability -----------------------------------------------------------
-
-    def metrics_snapshot(self) -> dict:
-        self.metrics.gauge("heartbeats_suppressed").set(
-            self.heartbeats_suppressed)
-        return super().metrics_snapshot()
 
     def __repr__(self):
         return (f"<NodeRuntime n{self.node_id}/{len(self.nodes)} "

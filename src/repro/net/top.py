@@ -26,7 +26,7 @@ from pathlib import Path
 from repro.runtime.eventlog import validate_chrome_trace
 from repro.util.tables import TextTable
 
-from .cluster import ControlError, TelemetryCollector
+from .cluster import TelemetryCollector
 
 #: ANSI: clear screen + home cursor (between live refreshes).
 _CLEAR = "\x1b[2J\x1b[H"
@@ -118,15 +118,21 @@ def _shard_table(statuses: dict[int, dict],
     return table
 
 
-def _render(collector: TelemetryCollector, statuses: dict[int, dict],
+def _render(collector: TelemetryCollector, pulled: dict[int, dict],
             prev: dict[int, tuple[float, int, int]],
             prev_shards: dict[int, tuple[float, int]]) -> str:
-    """One refresh: the per-node table + the wire-stage histogram table.
+    """One refresh from one scrape per node (``pulled``, what
+    :meth:`TelemetryCollector.pull` just returned): the per-node table
+    from each reply's ``status`` section and the collector's wire
+    summary, + the wire-stage histogram table.
 
     ``prev`` maps node -> (monotonic, frames_in, frames_out) from the
     previous refresh; frame rates are the deltas.  Updated in place.
     """
     now = time.monotonic()
+    statuses = {node: reply["status"] for node, reply in pulled.items()
+                if isinstance(reply.get("status"), dict)}
+    wire_summary = collector.summary()
     node_table = TextTable(
         ["node", "actors", "pend", "infl", "dlq", "ops/fsync", "links",
          "fr_in/s", "fr_out/s", "shed", "mb_shed", "adm_rej",
@@ -139,20 +145,19 @@ def _render(collector: TelemetryCollector, statuses: dict[int, dict],
         title="wire path stage latency (enqueue->flush / decode / deliver)")
     for node in range(len(collector.ports)):
         status = statuses.get(node)
-        snap = collector.snapshots.get(node) or {}
-        hub = snap.get("hub") or {}
-        if not isinstance(status, dict):
+        if status is None:
             node_table.add_row([node, "DOWN"] + ["-"] * 16)
             continue
-        frames_in = hub.get("frames_in", 0) or 0
-        frames_out = hub.get("frames_out", 0) or 0
+        wire = wire_summary[node]
+        frames_in = wire["frames_in"] or 0
+        frames_out = wire["frames_out"] or 0
         rate_in = rate_out = 0.0
         last = prev.get(node)
         if last is not None and now > last[0]:
             rate_in = (frames_in - last[1]) / (now - last[0])
             rate_out = (frames_out - last[2]) / (now - last[0])
         prev[node] = (now, frames_in, frames_out)
-        peak = hub.get("queue_peak_bytes")
+        peak = wire["queue_peak_bytes"]
         node_table.add_row([
             node,
             status.get("actors", "-"),
@@ -163,17 +168,17 @@ def _render(collector: TelemetryCollector, statuses: dict[int, dict],
             len(status.get("links", [])),
             f"{rate_in:.0f}",
             f"{rate_out:.0f}",
-            status.get("frames_shed", "-"),
+            wire["frames_shed"],
             status.get("mailbox_shed", "-"),
             _admission_rejected(status.get("admission")),
             status.get("credit_stalls", "-"),
-            status.get("batches_in", "-"),
-            status.get("batches_out", "-"),
-            status.get("heartbeats_suppressed", "-"),
+            wire["batches_in"],
+            wire["batches_out"],
+            wire["heartbeats_suppressed"],
             f"{peak / 1024:.1f}" if isinstance(peak, (int, float)) else "-",
-            _peer_offsets(status.get("clock")),
+            _peer_offsets(wire["clock"]),
         ])
-        stages = hub.get("stage_latency") or {}
+        stages = wire["stage_latency"] or {}
         for stage in ("send_queue", "decode", "deliver"):
             summary = stages.get(stage)
             if not isinstance(summary, dict):
@@ -221,14 +226,7 @@ def top_main(argv: list[str]) -> int:
     count = 0
     try:
         while True:
-            collector.pull()
-            statuses: dict[int, dict] = {}
-            for node in range(len(collector.ports)):
-                try:
-                    statuses[node] = collector._client(node).call("status")
-                except (ControlError, OSError):
-                    collector._drop_client(node)
-            screen = _render(collector, statuses, prev, prev_shards)
+            screen = _render(collector, collector.pull(), prev, prev_shards)
             if args.once:
                 print(screen)
             else:

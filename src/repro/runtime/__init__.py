@@ -17,7 +17,6 @@ from .failure import DeadLetter, DeadLetterQueue, FailureDetector
 from .host import Host
 from .metrics import (
     CounterMetric,
-    GaugeMetric,
     HistogramMetric,
     LabeledCounter,
     MetricsRegistry,
@@ -25,7 +24,7 @@ from .metrics import (
 from .network import LatencyModel, LinkKind, Network, Topology
 from .rng import RngHub
 from .system import ActorSpaceSystem
-from .tracing import LatencySample, Tracer
+from .tracing import Tracer
 from .transport import (
     InstantTransport,
     LossyTransport,
@@ -43,7 +42,6 @@ __all__ = [
     "EventLog",
     "EventQueue",
     "FailureDetector",
-    "GaugeMetric",
     "HistogramMetric",
     "Host",
     "JsonlSink",
@@ -52,7 +50,6 @@ __all__ = [
     "TraceEvent",
     "InstantTransport",
     "LatencyModel",
-    "LatencySample",
     "LinkKind",
     "LossyTransport",
     "Network",

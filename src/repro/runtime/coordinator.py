@@ -581,7 +581,7 @@ class Coordinator:
             for target in receivers:
                 if target not in delivered_to:
                     delivered_to.add(target)
-                    tracer.persistent_deliveries += 1
+                    tracer.on_persistent_delivery()
                     self._route(envelope.clone_for(target), target)
 
     def _load_of(self) -> Callable[[ActorAddress], int]:

@@ -16,6 +16,7 @@ test, an experiment or a node's control plane calls.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.actor import ActorRecord, Behavior
@@ -70,8 +71,6 @@ class Host:
     #: recovery (self-healing delivery).
     dead_letters: DeadLetterQueue
     failure_detector: FailureDetector | None = None
-    #: The tracer's sample policy (see :class:`Tracer`).
-    keep_samples: "bool | int" = True
 
     def __init__(self, seed: int, trace: "bool | EventLog",
                  mailbox_capacity: int | None, mailbox_policy: "ShedPolicy | str",
@@ -84,9 +83,9 @@ class Host:
         self.rng = RngHub(seed)
         self.event_log = trace if isinstance(trace, EventLog) \
             else EventLog(enabled=bool(trace))
+        #: The one place a number lives; ``metrics.snapshot()`` is the dump.
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(keep_samples=self.keep_samples,
-                             registry=self.metrics, log=self.event_log)
+        self.tracer = Tracer(registry=self.metrics, log=self.event_log)
         # One process of many draws from its node's own streams, so two
         # processes started from one seed never mint the same capability.
         own = "" if self.local_nodes == self.nodes \
@@ -139,6 +138,17 @@ class Host:
         # permanent GC root (which is exactly why section 7.1 adds explicit
         # space destruction).
         self._held_roots.add(self.root_space)
+        # What is computed on demand, or counted in plain attributes by
+        # its owner, is read when a dump is taken, never copied.
+        source = self.metrics.source
+        source("in_flight", lambda: len(self.in_flight))
+        for node in self.local_nodes:
+            source(f"queue_depth_node_{node}", partial(self.queue_depth, node))
+            source(f"parked_node_{node}", partial(self.parked, node))
+        # (The subclass sets — and may wrap — the transport after this.)
+        source("transport", lambda: self.transport.metrics_snapshot())
+        if self.admission is not None:
+            source("admission", self.admission.metrics)
 
     def _remote_coordinator(self, node: int):
         """The stand-in for the coordinator of a node this host does not run."""
@@ -325,24 +335,3 @@ class Host:
         """Suspended pattern messages + persistent broadcasts held at ``node``."""
         coordinator = self._local(node)
         return len(coordinator.suspended) + len(coordinator.persistent)
-
-    def metrics_snapshot(self) -> dict:
-        """Plain-data dump of every registered metric, plus live gauges."""
-        gauge = self.metrics.gauge
-        for node in self.local_nodes:
-            gauge(f"queue_depth_node_{node}").set(self.queue_depth(node))
-            gauge(f"parked_node_{node}").set(self.parked(node))
-        gauge("in_flight").set(len(self.in_flight))
-        if self.admission is not None:
-            for name, value in self.admission.metrics().items():
-                gauge(f"admission_{name}").set(value)
-        # Transport accounting rides along as gauges (nested counters of a
-        # wrapped transport — e.g. LossyTransport's inner — are flattened).
-        for name, value in self.transport.metrics_snapshot().items():
-            if isinstance(value, dict):
-                for inner_name, inner_value in value.items():
-                    if not isinstance(inner_value, dict):
-                        gauge(f"transport_{name}_{inner_name}").set(inner_value)
-            else:
-                gauge(f"transport_{name}").set(value)
-        return self.metrics.snapshot()

@@ -1,28 +1,22 @@
-"""A named-metrics registry: counters, gauges, and histograms.
+"""A named-metrics registry: the one place a number lives.
 
-The experiments read a zoo of ad-hoc counters; this module gives them a
-single structured home.  A :class:`MetricsRegistry` owns every metric by
-name, so a run can be summarized (``registry.snapshot()``), reset between
-benchmark phases without losing the registered structure, and scraped by
-monitoring daemons.  :class:`~repro.runtime.tracing.Tracer` is a façade
-over one registry: its historical attributes (``sent``, ``dropped``,
-``suspended_count``, ...) are live views of registry metrics, so existing
-experiments keep working unchanged while new code can address metrics by
-name.
+A :class:`MetricsRegistry` owns every metric of a host by name, and
+:meth:`MetricsRegistry.snapshot` is the only function that assembles a
+dump: status replies, ``repro top``, the telemetry scrape and the tests
+are views of it.  A number gets there in one of two ways:
 
-Metric flavours:
-
-* :class:`CounterMetric` — a monotone scalar (``inc``).
-* :class:`GaugeMetric` — a settable scalar (queue depth, parked age).
-* :class:`HistogramMetric` — a value distribution with a bounded
-  reservoir: below the cap every observation is kept; beyond it,
-  reservoir sampling keeps a uniform sample of everything seen, so
-  long runs get honest percentiles in bounded memory.
-* :class:`RecentHistogram` — the same summary over the last ``cap``
-  observations, with no RNG draw per observation (a serving node's
-  per-delivery histograms).
-* :class:`LabeledCounter` — a ``collections.Counter`` keyed by label
-  (mode, link kind, drop reason...), registered under one name.
+* a **metric** is written where the thing happens —
+  :class:`CounterMetric` (a monotone scalar), :class:`LabeledCounter` (a
+  ``collections.Counter`` keyed by mode, link kind, drop reason...),
+  :class:`HistogramMetric` (a uniform reservoir of ``cap`` observations
+  of everything seen) and :class:`RecentHistogram` (the last ``cap``
+  observations, no RNG draw; ``count``/``mean``/``max`` exact);
+* a **source** is a function read at scrape time.  A component that
+  counts in plain attributes on its hot path (the peer hub, a store, a
+  transport) or whose value is computed on demand (a queue depth)
+  registers one with :meth:`MetricsRegistry.source` when it is built; its
+  value — a number or a plain-data dict — appears in every dump under
+  that name, always current, and nothing is copied into a second metric.
 
 Everything is deterministic: the histogram reservoir uses its own seeded
 RNG, not global randomness.
@@ -32,7 +26,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
-from typing import Any, Iterable
+from typing import Any, Callable
 
 
 class CounterMetric:
@@ -54,31 +48,6 @@ class CounterMetric:
         return f"<Counter {self.name}={self.value}>"
 
 
-class GaugeMetric:
-    """A named scalar that can move both ways."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, n: float = 1) -> None:
-        self.value += n
-
-    def dec(self, n: float = 1) -> None:
-        self.value -= n
-
-    def reset(self) -> None:
-        self.value = 0.0
-
-    def __repr__(self):
-        return f"<Gauge {self.name}={self.value}>"
-
-
 class HistogramMetric:
     """A value distribution kept in a bounded reservoir.
 
@@ -86,13 +55,12 @@ class HistogramMetric:
     classic reservoir sampling (Vitter's algorithm R) replaces a random
     held sample with probability ``cap / seen``, so the reservoir stays
     a uniform sample of the full stream and summaries remain unbiased.
-    ``cap=None`` keeps everything (the historical behavior).
     """
 
     __slots__ = ("name", "cap", "count", "total", "samples", "_rng")
 
-    def __init__(self, name: str, cap: int | None = None, seed: int = 0x5EED):
-        if cap is not None and cap <= 0:
+    def __init__(self, name: str, cap: int, seed: int = 0x5EED):
+        if cap <= 0:
             raise ValueError(f"histogram cap must be positive, got {cap}")
         self.name = name
         self.cap = cap
@@ -104,7 +72,7 @@ class HistogramMetric:
     def observe(self, value: float) -> None:
         self.count += 1
         self.total += value
-        if self.cap is None or len(self.samples) < self.cap:
+        if len(self.samples) < self.cap:
             self.samples.append(value)
             return
         slot = self._rng.randrange(self.count)
@@ -152,8 +120,7 @@ class RecentHistogram(HistogramMetric):
     __slots__ = ("peak",)
 
     def __init__(self, name: str, cap: int):
-        super().__init__(name)
-        self.cap = cap
+        super().__init__(name, cap)
         self.samples = deque(maxlen=cap)
         self.peak = float("-inf")
 
@@ -195,22 +162,26 @@ class LabeledCounter(Counter):
 
 
 class MetricsRegistry:
-    """All metrics of one run, addressable by name.
+    """All metrics of one host, addressable by name.
 
-    ``counter``/``gauge``/``histogram``/``labeled`` are get-or-create:
+    ``counter``/``histogram``/``recent``/``labeled`` are get-or-create:
     asking twice for the same name returns the same object, so producers
     and consumers need only agree on names.  Asking for an existing name
-    with a different flavour is an error (one name, one type).
+    with a different flavour is an error (one name, one type), and so is
+    registering a source under a name that is taken.
     """
 
-    __slots__ = ("_metrics",)
+    __slots__ = ("_metrics", "_sources")
 
     def __init__(self):
         self._metrics: dict[str, Any] = {}
+        self._sources: dict[str, Callable[[], Any]] = {}
 
     def _get_or_create(self, name: str, kind: type, factory):
         metric = self._metrics.get(name)
         if metric is None:
+            if name in self._sources:
+                raise TypeError(f"metric {name!r} is a read-at-scrape source")
             metric = factory()
             self._metrics[name] = metric
         elif not isinstance(metric, kind):
@@ -222,13 +193,9 @@ class MetricsRegistry:
     def counter(self, name: str) -> CounterMetric:
         return self._get_or_create(name, CounterMetric, lambda: CounterMetric(name))
 
-    def gauge(self, name: str) -> GaugeMetric:
-        return self._get_or_create(name, GaugeMetric, lambda: GaugeMetric(name))
-
-    def histogram(self, name: str, cap: int | None = None) -> HistogramMetric:
+    def histogram(self, name: str, cap: int) -> HistogramMetric:
         return self._get_or_create(
-            name, HistogramMetric, lambda: HistogramMetric(name, cap=cap)
-        )
+            name, HistogramMetric, lambda: HistogramMetric(name, cap))
 
     def recent(self, name: str, cap: int) -> RecentHistogram:
         return self._get_or_create(
@@ -237,47 +204,46 @@ class MetricsRegistry:
     def labeled(self, name: str) -> LabeledCounter:
         return self._get_or_create(name, LabeledCounter, lambda: LabeledCounter(name))
 
-    def get(self, name: str):
-        """The registered metric, or ``None``."""
-        return self._metrics.get(name)
+    def source(self, name: str, read: Callable[[], Any]) -> None:
+        """Have every dump carry ``read()`` — a number or a plain-data
+        dict, computed when the dump is taken — under ``name``."""
+        if name in self._metrics or name in self._sources:
+            raise TypeError(f"metric {name!r} is already registered")
+        self._sources[name] = read
 
-    def names(self) -> list[str]:
-        return sorted(self._metrics)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def __len__(self) -> int:
-        return len(self._metrics)
+    def __getitem__(self, name: str):
+        """The metric registered as ``name`` (``KeyError`` if none is)."""
+        return self._metrics[name]
 
     def snapshot(self) -> dict[str, Any]:
-        """A plain-data dump of every metric's current value.
+        """A plain-data dump of every current value, by name.
 
-        Counters/gauges map to numbers, labeled counters to
-        ``{str(label): count}`` dicts, histograms to their summary.
+        Counters map to numbers, labeled counters to ``{str(label):
+        count}`` dicts, histograms to their summary, sources to what
+        they return when read now.
         """
-        out: dict[str, Any] = {}
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            if isinstance(metric, (CounterMetric, GaugeMetric)):
+        out: dict[str, Any] = {name: read()
+                               for name, read in self._sources.items()}
+        for name, metric in self._metrics.items():
+            if isinstance(metric, CounterMetric):
                 out[name] = metric.value
             elif isinstance(metric, LabeledCounter):
                 out[name] = {str(k): v for k, v in sorted(
                     metric.items(), key=lambda kv: str(kv[0]))}
-            elif isinstance(metric, HistogramMetric):
+            else:
                 out[name] = metric.summary()
-            else:  # pragma: no cover - no other flavours registered
-                out[name] = repr(metric)
-        return out
+        return dict(sorted(out.items()))
 
     def reset(self) -> None:
         """Zero every metric *in place*.
 
-        Holders of metric objects (the tracer façade, daemons) keep
+        Holders of metric objects (the tracer's hooks, daemons) keep
         their references valid across a reset — only the values clear.
+        Sources have no value of their own to clear.
         """
         for metric in self._metrics.values():
             metric.reset()
 
     def __repr__(self):
-        return f"<MetricsRegistry {len(self._metrics)} metrics>"
+        return (f"<MetricsRegistry {len(self._metrics)} metrics, "
+                f"{len(self._sources)} sources>")

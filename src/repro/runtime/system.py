@@ -65,10 +65,6 @@ class ActorSpaceSystem(Host):
     loss:
         Per-attempt message loss probability (failure injection); the
         transport retransmits, preserving eventual delivery.
-    keep_samples:
-        Record per-delivery latency samples: ``True`` keeps all,
-        ``False`` none, an integer ``N`` a uniform reservoir of ``N``
-        (bounded memory on long runs).
     root_manager_factory:
         Manager policies for the root space (default: paper defaults).
     dlq_capacity / dlq_max_redeliveries:
@@ -107,7 +103,6 @@ class ActorSpaceSystem(Host):
         bus: str = "sequencer",
         processing_delay: float = 0.0,
         loss: float = 0.0,
-        keep_samples: "bool | int" = True,
         root_manager_factory: Callable[[], SpaceManager] | None = None,
         dlq_capacity: int = 256,
         dlq_max_redeliveries: int = 4,
@@ -133,7 +128,6 @@ class ActorSpaceSystem(Host):
         self.clock = VirtualClock()
         self.events = EventQueue()
         self.nodes = self.local_nodes = nodes = list(self.topology.nodes)
-        self.keep_samples = keep_samples
         super().__init__(
             seed, trace, mailbox_capacity, mailbox_policy, admission_rate,
             admission_burst, breaker_threshold, breaker_window,

@@ -1,9 +1,10 @@
-"""ASCII space-time diagrams from the tracer's latency samples.
+"""ASCII space-time diagrams from the flight recorder.
 
-Turns a run's recorded deliveries into a per-node message timeline — the
-quickest way to *see* locality (E4), suspension release bursts (E6), or
-load imbalance, straight in a terminal.  Purely presentational: reads the
-tracer, writes a string.
+Turns a run's recorded ``sent`` / ``delivered`` / ``released`` events
+(``ActorSpaceSystem(trace=True)``, then ``system.event_log``) into a
+per-node message timeline — the quickest way to *see* locality (E4),
+suspension release bursts (E6), or load imbalance, straight in a
+terminal.  Purely presentational: reads events, writes a string.
 
 Example output::
 
@@ -19,26 +20,33 @@ class that happened on that node in that bucket.
 
 from __future__ import annotations
 
-from repro.runtime.tracing import Tracer
+from typing import Iterable
+
+from repro.runtime.eventlog import TraceEvent
 
 
 def render_timeline(
-    tracer: Tracer,
+    events: Iterable[TraceEvent],
     node_count: int,
     width: int = 72,
     t_start: float | None = None,
     t_end: float | None = None,
 ) -> str:
-    """Render the tracer's samples as a per-node ASCII timeline.
+    """Render recorded events as a per-node ASCII timeline.
 
     ``width`` is the number of time buckets.  Returns a multi-line
-    string; empty tracers render an explanatory stub.
+    string; a record with no message in it renders an explanatory stub.
     """
-    samples = tracer.samples
-    if not samples:
-        return "(no latency samples recorded — construct the system with keep_samples=True)"
-    lo = t_start if t_start is not None else min(s.sent_at for s in samples)
-    hi = t_end if t_end is not None else max(s.delivered_at for s in samples)
+    marks: dict[str, list[tuple[float, int]]] = {
+        "sent": [], "delivered": [], "released": []}
+    for event in events:
+        if event.kind in marks:
+            marks[event.kind].append((event.t, event.node))
+    messages = marks["sent"] + marks["delivered"]
+    if not messages:
+        return "(no messages recorded — construct the system with trace=True)"
+    lo = t_start if t_start is not None else min(t for t, _ in messages)
+    hi = t_end if t_end is not None else max(t for t, _ in messages)
     if hi <= lo:
         hi = lo + 1e-9
     span = hi - lo
@@ -49,18 +57,15 @@ def render_timeline(
 
     # Priority per cell: delivery beats suspension release beats send.
     grid = [[" "] * width for _ in range(node_count)]
-    for sample in samples:
-        sb = bucket(sample.sent_at)
-        db = bucket(sample.delivered_at)
-        if 0 <= sample.src_node < node_count and grid[sample.src_node][sb] == " ":
-            grid[sample.src_node][sb] = "s"
-        if 0 <= sample.dst_node < node_count:
-            grid[sample.dst_node][db] = "d"
-    for t, node in getattr(tracer, "release_marks", ()):
+    for t, node in marks["sent"]:
+        if 0 <= node < node_count:
+            grid[node][bucket(t)] = "s"
+    for t, node in marks["released"]:
         if 0 <= node < node_count and lo <= t <= hi:
-            cell = bucket(t)
-            if grid[node][cell] != "d":
-                grid[node][cell] = "u"
+            grid[node][bucket(t)] = "u"
+    for t, node in marks["delivered"]:
+        if 0 <= node < node_count:
+            grid[node][bucket(t)] = "d"
 
     label_width = len(f"node {node_count - 1}")
     lines = [

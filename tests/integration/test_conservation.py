@@ -70,9 +70,10 @@ def test_direct_sends_fully_accounted(schedule, seed):
     suspended_now, _persistent_now = _parked(system)
     sends_settled = tracer.sent[Mode.SEND] + tracer.sent[Mode.BROADCAST]
     # Parked messages were counted suspended exactly once each.
-    assert tracer.suspended_count >= suspended_now
+    assert tracer.count("messages_suspended_total") >= suspended_now
     # Every released suspension ended in >= 1 delivery or a drop.
-    assert tracer.released_count <= tracer.suspended_count
+    assert tracer.count("messages_released_total") \
+        <= tracer.count("messages_suspended_total")
 
     # Global sanity: nothing remains in flight at quiescence.
     assert not system.in_flight

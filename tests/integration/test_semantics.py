@@ -41,7 +41,7 @@ class TestEventualDelivery:
             for i in range(50):
                 system.send_to(addr, i)
             system.run()
-            return system.tracer.latency_stats()["mean"]
+            return system.tracer.latency_hist.summary()["mean"]
 
         assert mean_latency(0.5) > mean_latency(0.0)
 
@@ -136,7 +136,7 @@ class TestCycleDefences:
         system.send("loop/a", "hot-potato")
         system.run(max_events=500)
         assert not system.idle  # the loop is still alive — by design
-        assert system.tracer.invocations <= 501
+        assert system.tracer.count("behavior_invocations_total") <= 501
 
 
 class TestGcDuringExecution:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.check.scenario import run_visibility
 from repro.core.messages import Destination
+from repro.net.peer import PeerLink
 from repro.net.runtime import NodeRuntime
 from repro.runtime.host import Host
 from repro.runtime.network import Topology
@@ -179,3 +180,127 @@ class TestControlRefusals:
                               "args": {**args, "node": 1}})
         assert reply["error"].startswith("ValueError")
         assert "node 1 is not local" in reply["error"]
+
+
+class TestScrape:
+    """One scrape verb, one dump: every number in a reply is read when
+    the reply is built, from the one place it lives."""
+
+    def scraper(self, **kw):
+        runtime = NodeRuntime(0, {0: 1, 1: 2}, trace=False, **kw)
+        request, _call = control_door(runtime)
+
+        def ask(cmd, **args):
+            reply = request({"id": 2, "cmd": cmd, "args": args})
+            assert reply["ok"], reply
+            return reply["value"]
+
+        return runtime, ask
+
+    def test_the_first_scrape_and_the_very_next_one_are_current(self):
+        runtime, ask = self.scraper()
+        first = ask("snapshot", events=False)
+        # The hub's numbers are in a reply once: its section *is* the
+        # registry's ``hub`` source, and no gauge mirrors it.
+        assert "hub" not in first["metrics"]
+        assert not [k for k in first["metrics"] if k.startswith("wire_")]
+        live = runtime.metrics.snapshot()["hub"]
+        for key in ("send_buffer_bytes", "queue_peak_bytes",
+                    "ctrl_buffer_bytes", "credit"):
+            assert first["hub"][key] == live[key], key
+        assert first["hub"]["send_buffer_bytes"] == 0
+        assert first["clock"] == first["hub"]["clock"]
+        assert first["status"]["credit_stalls"] \
+            == first["hub"]["credit"]["stalls"] == 0
+
+        # Queue a frame on a link to node 1 that nothing drains, count a
+        # stall and a suppressed beacon: the very next scrape shows all.
+        class Writer:
+            def is_closing(self):
+                return False
+
+        link = PeerLink(1, "node", None, Writer())
+        runtime.hub.links[1] = link
+        assert runtime.hub._enqueue(link, b"x" * 100)
+        runtime.hub.credit_stalls += 1
+        runtime.heartbeats_suppressed += 3
+        runtime.send_to(runtime.create_actor(sink), "queued, not run")
+        nxt = ask("snapshot", events=False)
+        assert nxt["hub"]["send_buffer_bytes"] == 100
+        assert nxt["hub"]["queue_peak_bytes"] == 100
+        assert nxt["hub"]["credit"]["stalls"] == 1
+        assert nxt["hub"]["links_up"] == 1
+        assert nxt["metrics"]["heartbeats_suppressed"] == 3
+        assert nxt["metrics"]["in_flight"] == 1
+        for view in (nxt["status"], ask("status")):
+            assert view["credit_stalls"] == 1
+            assert view["heartbeats_suppressed"] == 3
+            assert view["in_flight"] == 1
+            assert view["links"] == [1]
+        assert not hasattr(runtime, "metrics_snapshot")
+
+    def test_the_event_window_of_the_one_verb(self):
+        runtime = NodeRuntime(0, {0: 1}, trace=True)
+        request, _call = control_door(runtime)
+
+        def scrape(**args):
+            return request({"id": 3, "cmd": "snapshot", "args": args})["value"]
+
+        for i in range(6):
+            runtime.send_to(runtime.create_actor(sink), i)
+        pump(runtime)
+        total = runtime.event_log.emitted_count
+        assert total > 6
+        everything = scrape()
+        assert len(everything["events"]) == everything["next_seq"] == total
+        assert everything["events_missed"] == 0
+        assert everything["events_total"] == total
+        page = scrape(since_seq=2, max_events=3)
+        assert [e["seq"] for e in page["events"]] == [2, 3, 4]
+        assert page["next_seq"] == 5
+        assert scrape(since_seq=total)["events"] == []
+        assert scrape(since_seq=total)["next_seq"] == total
+        none = scrape(events=False, since_seq=4)
+        assert (none["events"], none["next_seq"], none["events_missed"]) \
+            == ([], 4, 0)
+        # Exactly one verb hands out events; the second one is gone.
+        assert "telemetry" not in runtime._control_handlers
+        refused = request({"id": 3, "cmd": "telemetry", "args": {}})
+        assert not refused["ok"] and "unknown control command" in refused["error"]
+
+    def test_the_keys_the_benchmark_binds(self, tmp_path):
+        """``benchmarks/perf`` reads these by name over the control
+        plane and off the simulator; an observability change that moves
+        one must fail here, not in the benchmark."""
+        runtime, ask = self.scraper(admission_rate=1000.0,
+                                    data_dir=str(tmp_path))
+        status = ask("status")
+        assert set(status) >= {
+            "applied_seq", "mailbox_shed", "frames_shed", "admission",
+            "heartbeats_suppressed", "shards", "links", "confirmed_down",
+            "store", "clock"}
+        assert {k for k in status["admission"] if "rejected" in k} \
+            == {"rejected_rate", "rejected_breaker"}
+        assert set(status["store"]) >= {"fsyncs", "ops_appended",
+                                        "bytes_written", "ops_per_fsync"}
+        scrape = ask("snapshot", events=False)
+        assert set(scrape["metrics"]) >= {"resolution_cache_hits_total",
+                                          "resolution_cache_misses_total"}
+        assert scrape["metrics"]["store"] == status["store"]
+        assert scrape["status"].keys() == status.keys()
+        hub = scrape["hub"]
+        assert set(hub) >= {"frames_in", "frames_out", "bytes_out", "writes",
+                            "frames_shed", "queue_peak_bytes"}
+        assert "stalls" in hub["credit"]
+        assert set(hub["stage_latency"]["send_queue"]) >= {"count", "p50",
+                                                           "p95"}
+        assert "queued" in ask("dlq")
+        for store in runtime._stores:
+            store.close()
+
+        system = ActorSpaceSystem(topology=Topology.lan(2), seed=0,
+                                  trace=False, shards=2, admission_rate=5.0)
+        assert set(system.resolution_cache_stats()) >= {"hits", "misses"}
+        assert {k for k in system.admission.metrics() if "rejected" in k}
+        assert system.dead_letters.queued_total == 0
+        assert system.replicas_coherent()

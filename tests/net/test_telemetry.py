@@ -154,7 +154,7 @@ def test_status_exposes_wire_counters_and_clock(tmp_path):
         clocks = [cluster.call(n, "status")["clock"] for n in (0, 1)]
         assert any(c["peers"] for c in clocks), "no clock samples after handshake"
 
-        telemetry = cluster.call(0, "telemetry", since_seq=0, max_events=10)
+        telemetry = cluster.call(0, "snapshot", since_seq=0, max_events=10)
         assert telemetry["node"] == 0
         assert len(telemetry["events"]) <= 10
         assert telemetry["next_seq"] >= len(telemetry["events"])

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.core.daemons import install_event_daemon, threshold_rule
+from repro.core.addresses import ActorAddress
 from repro.core.messages import Mode
 from repro.runtime.eventlog import (
     EventLog,
@@ -189,7 +190,7 @@ class TestCausality:
         system.run()
         assert not system.event_log.enabled
         assert system.event_log.emitted_count == 0
-        assert system.tracer.invocations == 1  # counters still work
+        assert system.tracer.count("behavior_invocations_total") == 1  # counters still work
 
 
 class TestChromeTrace:
@@ -238,21 +239,40 @@ class TestChromeTrace:
 
 class TestMetricsRegistry:
     def test_counter_gauge_histogram(self):
+        """The flavours: a counter, a histogram, and — what a gauge is
+        here — a source read when the dump is taken."""
         reg = MetricsRegistry()
         reg.counter("c").inc(3)
-        reg.gauge("g").set(1.5)
+        level = [1.5]
+        reg.source("g", lambda: level[0])
         for v in [1.0, 2.0, 3.0, 4.0]:
-            reg.histogram("h").observe(v)
+            reg.histogram("h", 16).observe(v)
         assert reg.counter("c").value == 3
-        assert reg.gauge("g").value == 1.5
-        assert reg.histogram("h").count == 4
-        assert reg.histogram("h").percentile(50) == pytest.approx(2.5, abs=1.0)
+        assert reg.snapshot()["g"] == 1.5
+        level[0] = 2.5  # nothing is copied: the next dump reads it again
+        assert reg.snapshot()["g"] == 2.5
+        assert reg.histogram("h", 16).count == 4
+        assert reg.histogram("h", 16).percentile(50) == pytest.approx(2.5, abs=1.0)
+        with pytest.raises(ValueError):
+            HistogramMetric("unbounded", 0)
 
     def test_get_or_create_is_idempotent(self):
         reg = MetricsRegistry()
         assert reg.counter("x") is reg.counter("x")
+        assert reg["x"] is reg.counter("x")
         with pytest.raises(TypeError):
-            reg.gauge("x")
+            reg.labeled("x")
+        # One name, one number: a source cannot shadow a metric, nor a
+        # metric a source, nor a source a source.
+        with pytest.raises(TypeError):
+            reg.source("x", lambda: 0)
+        reg.source("depth", lambda: 0)
+        with pytest.raises(TypeError):
+            reg.counter("depth")
+        with pytest.raises(TypeError):
+            reg.source("depth", lambda: 1)
+        with pytest.raises(KeyError):
+            reg["nothing-counts-here"]
 
     def test_histogram_reservoir_bounded(self):
         h = HistogramMetric("h", cap=100)
@@ -268,23 +288,33 @@ class TestMetricsRegistry:
         counter = reg.counter("n")
         counter.inc(5)
         reg.labeled("by_kind")["a"] += 2
+        reg.source("hub", lambda: {"frames_out": counter.value * 2})
         snap = reg.snapshot()
         assert snap["n"] == 5
         assert snap["by_kind"] == {"a": 2}
+        assert snap["hub"] == {"frames_out": 10}
+        assert list(snap) == sorted(snap)
         reg.reset()
         assert counter.value == 0  # zeroed in place, same object
         assert reg.counter("n") is counter
+        assert reg.snapshot()["hub"] == {"frames_out": 0}  # still read
 
 
 class TestTracerFacade:
     def test_legacy_counters_are_registry_views(self):
+        """A hook counts under one name; the handle, ``count`` and the
+        registry dump all read that one number."""
         tracer = Tracer()
         tracer.on_sent(Mode.SEND)
-        tracer.invocations += 1
-        snap = tracer.metrics_snapshot()
+        tracer.on_invocation()
+        snap = tracer.registry.snapshot()
         assert snap["messages_sent_total"] == {str(Mode.SEND): 1}
         assert snap["behavior_invocations_total"] == 1
+        assert tracer.count("behavior_invocations_total") == 1
         assert tracer.sent[Mode.SEND] == 1
+        assert tracer.sent is tracer.registry["messages_sent_total"]
+        with pytest.raises(KeyError):
+            tracer.count("behaviour_invocations_total")  # a typo is loud
 
     def test_reset_preserves_sinks_and_subscribers(self):
         """Regression: reset() used to re-run __init__, dropping sinks."""
@@ -302,41 +332,45 @@ class TestTracerFacade:
         assert len(seen) == 2
         assert tracer.sent[Mode.SEND] == 1  # but counters were cleared
 
-    def test_keep_samples_reservoir_cap(self):
-        system = ActorSpaceSystem(topology=Topology.lan(2), seed=0,
-                                  keep_samples=16)
-        sink = system.create_actor(lambda ctx, m: None, node=1)
-        for i in range(200):
-            system.send_to(sink, i)
-        system.run()
-        tracer = system.tracer
-        assert len(tracer.samples) == 16
-        assert tracer._samples_seen == 200
-        assert sum(tracer.delivered.values()) == 200
-        # Latency stats still computable from the reservoir.
-        assert tracer.latency_stats()["count"] == 16
-
     def test_an_integer_keep_samples_bounds_every_per_delivery_store(self):
-        """What a serving node builds (``Tracer(keep_samples=N)``) must
-        not grow with the number of deliveries, only its counts do."""
+        """Nothing the tracer keeps grows with the number of deliveries,
+        only its counts do — by construction, not by option: the same
+        holds for a bare ``Tracer()`` and for the tracer of a
+        default-constructed system."""
         from repro.core.matching import MatchStats
+        from repro.runtime.tracing import HISTOGRAM_CAP as cap
 
-        cap, tracer = 32, Tracer(keep_samples=32)
-        stats = MatchStats()
-        for i in range(10 * cap):
-            tracer.on_delivered(Mode.SEND, None, 0.0, float(i), 0, 0)
-            stats.entries_examined = i
-            tracer.on_resolution(stats)
-            tracer.on_released(t=float(i))
-        for store in (tracer.samples, tracer.release_marks,
-                      tracer.latency_hist.samples,
-                      tracer.resolution_hist.samples):
-            assert len(store) == cap
-        for hist in (tracer.latency_hist, tracer.resolution_hist):
-            summary = hist.summary()
-            assert summary["count"] == 10 * cap
-            assert summary["mean"] == pytest.approx((10 * cap - 1) / 2)
-            assert summary["max"] == 10 * cap - 1
+        def sizes_of(tracer):
+            """Length of every container the tracer or its registry holds."""
+            held = {**vars(tracer), **tracer.registry._metrics}
+            return {name: len(getattr(value, "samples", value))
+                    for name, value in held.items()
+                    if hasattr(value, "__len__") or hasattr(value, "samples")}
+
+        receiver = ActorAddress(0, 1)
+        for tracer in (Tracer(), ActorSpaceSystem(seed=0).tracer):
+            assert not tracer.log.enabled
+            stats = MatchStats()
+            n = 3 * cap
+            for i in range(n):
+                tracer.on_sent(Mode.SEND)
+                tracer.on_delivered(Mode.SEND, receiver, 0.0, float(i), 0, 0)
+                stats.entries_examined = i
+                tracer.on_resolution(stats)
+                tracer.on_released(t=float(i))
+            sizes = sizes_of(tracer)
+            assert sizes["delivery_latency"] == cap
+            assert sizes["resolution_entries_examined"] == cap
+            # One counter per receiver, by design; everything else is
+            # bounded by the cap whatever ``n`` is.
+            assert sizes.pop("deliveries_by_receiver") == 1
+            assert max(sizes.values()) <= cap, sizes
+            assert len(tracer.log.events) == 0
+            for hist in (tracer.latency_hist, tracer.resolution_hist):
+                summary = hist.summary()
+                assert summary["count"] == n
+                assert summary["mean"] == pytest.approx((n - 1) / 2)
+                assert summary["max"] == n - 1
         # The window is the most recent N; the first observation, long
         # evicted, would be the max of a descending stream all the same.
         tracer.reset()
@@ -350,14 +384,6 @@ class TestTracerFacade:
         assert tracer.latency_hist.summary()["max"] == 0.0
         tracer.latency_hist.observe(-0.003)
         assert tracer.latency_hist.summary()["max"] == -0.003
-
-    def test_keep_samples_bool_behavior_unchanged(self):
-        assert Tracer(keep_samples=True).keep_samples is True
-        assert Tracer(keep_samples=False).keep_samples is False
-        with pytest.raises(ValueError):
-            Tracer(keep_samples=-1)
-        with pytest.raises(ValueError):
-            Tracer(keep_samples=2.5)
 
 
 class TestEventDrivenDaemon:
@@ -417,11 +443,30 @@ class TestNodeTelemetry:
         assert len(system.coordinators[1].actors) == 1
         assert (system.queue_depth(1), system.parked(1)) == (0, 0)
         assert system.tracer.visibility_ops_applied[1] >= 1
-        snap = system.metrics_snapshot()
+        snap = system.metrics.snapshot()
         assert (snap["queue_depth_node_1"], snap["parked_node_1"]) == (0, 0)
 
     def test_system_metrics_snapshot_includes_gauges(self):
         system = traced_system()
-        snap = system.metrics_snapshot()
+        snap = system.metrics.snapshot()
         assert "queue_depth_node_0" in snap
         assert "in_flight" in snap
+
+    def test_a_dump_never_reads_a_stale_number(self):
+        """What is computed on demand is read when the dump is taken:
+        five sends that have not run yet are five envelopes in flight in
+        every dump there is, whether or not a dump was taken before."""
+        system = ActorSpaceSystem(topology=Topology.lan(2), seed=0)
+        sink = system.create_actor(lambda ctx, m: None, node=1)
+        assert system.metrics.snapshot()["in_flight"] == 0
+        for i in range(5):
+            system.send_to(sink, i)
+        for dump in (system.metrics.snapshot, system.tracer.registry.snapshot):
+            assert dump()["in_flight"] == 5
+            assert dump()["transport"]["attempts"] == system.transport.attempts
+        system.run()
+        snap = system.metrics.snapshot()
+        assert snap["in_flight"] == 0
+        assert snap["messages_delivered_total"] == {str(Mode.DIRECT): 5}
+        for owner in (system.tracer, system, type(system).__mro__[1]):
+            assert not hasattr(owner, "metrics_snapshot")

@@ -53,8 +53,8 @@ class TestFailureDetector:
         assert 2 not in detector.confirmed_down
         system.run(until=2.1)  # fourth tick: confirmed
         assert 2 in detector.confirmed_down
-        assert system.metrics.counter("node_suspected_total").value >= 1
-        assert system.metrics.counter("node_confirmed_down_total").value == 1
+        assert system.tracer.count("node_suspected_total") >= 1
+        assert system.tracer.count("node_confirmed_down_total") == 1
 
     def test_detector_is_horizon_bounded(self):
         system = lan(nodes=2)
@@ -75,7 +75,7 @@ class TestFailureDetector:
         for node in (0, 1):
             assert system.resolve("svc/*", node=node) == []
             assert 2 in system.directory_of(node).quarantined_nodes
-        assert system.tracer.quarantined_entries >= 2  # one entry x 2 replicas
+        assert system.tracer.count("quarantined_entries_total") >= 2  # one entry x 2 replicas
 
     def test_recovery_unmasks_and_resets_detector(self):
         system = lan(nodes=3)
@@ -91,7 +91,7 @@ class TestFailureDetector:
         for node in (0, 1, 2):
             assert system.directory_of(node).quarantined_nodes == frozenset()
         assert system.resolve("svc/*") == [addr]
-        assert system.metrics.counter("node_recovered_total").value >= 1
+        assert system.tracer.count("node_recovered_total") >= 1
 
     def test_quarantine_invalidates_cached_resolutions(self):
         """The PR-1 cache must not serve pre-quarantine results."""
@@ -140,7 +140,7 @@ class TestDeadLetterQueue:
         assert received == ["during-outage"]
         assert system.dead_letters.pending() == 0
         assert system.dead_letters.redelivered_total == 1
-        assert system.metrics.counter("dead_letters_redelivered_total").value == 1
+        assert system.tracer.count("dead_letters_redelivered_total") == 1
 
     def test_bounded_capacity_expires_oldest(self):
         system = lan(nodes=3, dlq_capacity=2)

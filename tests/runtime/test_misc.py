@@ -64,14 +64,6 @@ class TestSystemOptions:
 
         assert finish_time(0.1) > finish_time(0.0)
 
-    def test_keep_samples_false_suppresses_samples(self):
-        system = ActorSpaceSystem(seed=0, keep_samples=False)
-        addr = system.create_actor(lambda ctx, m: None)
-        system.send_to(addr, "x")
-        system.run()
-        assert system.tracer.samples == []
-        assert sum(system.tracer.delivered.values()) == 1  # still counted
-
     def test_custom_latency_model(self):
         slow = LatencyModel(lan=5.0, jitter=0.0)
         system = ActorSpaceSystem(topology=Topology.lan(2), seed=0,
@@ -183,27 +175,17 @@ class TestContextGuards:
 
 
 class TestTracerExtras:
-    def test_series_recording(self):
-        system = ActorSpaceSystem(seed=0)
-        system.tracer.record("queue-depth", 1.0, 5)
-        system.tracer.record("queue-depth", 2.0, 3)
-        assert system.tracer.series["queue-depth"] == [(1.0, 5.0), (2.0, 3.0)]
-
     def test_hop_summary_keys(self):
         system = ActorSpaceSystem(topology=Topology.wan(1, 1), seed=0)
         addr = system.create_actor(lambda ctx, m: None, node=1)
         system.send_to(addr, "x")
         system.run()
-        summary = system.tracer.hop_summary()
-        assert set(summary) == {"local", "lan", "wan"}
-        assert summary["wan"] == 1
+        summary = system.metrics.snapshot()["hops_total"]
+        assert set(summary) <= {str(kind) for kind in LinkKind}
+        assert summary[str(LinkKind.WAN)] == 1
+        assert system.tracer.hops[LinkKind.WAN] == 1
 
-    def test_reset_preserves_keep_samples(self):
-        system = ActorSpaceSystem(seed=0, keep_samples=False)
-        system.tracer.reset()
-        assert system.tracer.keep_samples is False
-
-    def test_latency_stats_filter_by_mode(self):
+    def test_deliveries_counted_by_mode_latency_once(self):
         system = ActorSpaceSystem(seed=0)
         addr = system.create_actor(lambda ctx, m: None)
         system.make_visible(addr, "a")
@@ -211,6 +193,11 @@ class TestTracerExtras:
         system.send_to(addr, 1)
         system.broadcast("a", 2)
         system.run()
-        assert system.tracer.latency_stats(Mode.DIRECT)["count"] == 1
-        assert system.tracer.latency_stats(Mode.BROADCAST)["count"] == 1
-        assert system.tracer.latency_stats()["count"] == 2
+        snap = system.metrics.snapshot()
+        assert snap["messages_delivered_total"] == {
+            str(Mode.BROADCAST): 1, str(Mode.DIRECT): 1}
+        # One distribution for all modes; who sent what when is the
+        # flight recorder's (``trace=True``), not a second copy here.
+        assert snap["delivery_latency"]["count"] == 2
+        system.tracer.reset()
+        assert system.metrics.snapshot()["delivery_latency"]["count"] == 0

@@ -187,7 +187,7 @@ class TestPatternCommunication:
         system.send("svc/*", "x", )
         system.run()
         assert r.received == []  # suspended, nobody matches
-        assert system.tracer.suspended_count == 1
+        assert system.tracer.count("messages_suspended_total") == 1
 
     def test_change_attributes(self):
         system = lan()
@@ -210,13 +210,13 @@ class TestSuspension:
         system = lan()
         system.send("late/arrival", "payload")
         system.run()
-        assert system.tracer.suspended_count == 1
+        assert system.tracer.count("messages_suspended_total") == 1
         r = Recorder()
         addr = system.create_actor(r)
         system.make_visible(addr, "late/arrival")
         system.run()
         assert [p for _t, p in r.received] == ["payload"]
-        assert system.tracer.released_count == 1
+        assert system.tracer.count("messages_released_total") == 1
 
     def test_broadcast_suspends_and_releases_to_all_current(self):
         system = lan()
@@ -241,7 +241,7 @@ class TestSuspension:
         system.send("ghost", "x")
         system.run()
         assert system.tracer.dropped["unmatched_discarded"] == 1
-        assert system.tracer.suspended_count == 0
+        assert system.tracer.count("messages_suspended_total") == 0
 
     def test_error_policy_raises_at_sender(self):
         system = ActorSpaceSystem(
@@ -474,7 +474,7 @@ class TestTracing:
         assert system.tracer.sent[Mode.SEND] == 1
         assert system.tracer.sent[Mode.BROADCAST] == 1
         assert sum(system.tracer.delivered.values()) == 3
-        stats = system.tracer.latency_stats()
+        stats = system.metrics.snapshot()["delivery_latency"]
         assert stats["count"] == 3 and stats["mean"] > 0
 
     def test_load_distribution(self):
@@ -484,7 +484,9 @@ class TestTracing:
         system.send_to(addr, 1)
         system.send_to(addr, 2)
         system.run()
-        assert system.tracer.load_distribution([addr]) == [2]
+        assert system.tracer.received_by[addr] == 2
+        assert system.metrics.snapshot()["deliveries_by_receiver"] == {
+            str(addr): 2}
 
 
 class TestResolutionCache:
@@ -501,7 +503,7 @@ class TestResolutionCache:
         system.run()
         stats = system.resolution_cache_stats(node=0)
         assert stats["hits"] >= 4
-        assert system.tracer.cache_hits >= 4
+        assert system.tracer.count("resolution_cache_hits_total") >= 4
         assert [p for _t, p in r.received] == ["job"] * 5
 
     def test_visibility_change_invalidates_then_rehits(self):
@@ -525,13 +527,13 @@ class TestResolutionCache:
         system = lan()
         system.send("late/*", payload="waiting")
         system.run()
-        assert system.tracer.suspended_count == 1
+        assert system.tracer.count("messages_suspended_total") == 1
         r = Recorder()
         w = system.create_actor(r, node=1)
         system.make_visible(w, "late/w")
         system.run()
         assert [p for _t, p in r.received] == ["waiting"]
-        assert system.tracer.released_count == 1
+        assert system.tracer.count("messages_released_total") == 1
 
     def test_introspective_resolve_uses_cache(self):
         system = lan()

@@ -4,7 +4,7 @@
 forgot its own assignments silently accumulated counts on the class,
 shared across every system in the process.  These tests pin the fixed
 contract: counters live on the instance, start at zero, and show up in
-``ActorSpaceSystem.metrics_snapshot`` as ``transport_*`` gauges.
+the system's ``metrics.snapshot()`` as its ``transport`` source.
 """
 
 import numpy as np
@@ -51,10 +51,10 @@ def test_system_metrics_surface_transport_counters():
     b = system.create_actor(lambda ctx, message: None, node=1)
     system.send_to(b, "hello")
     system.run()
-    metrics = system.metrics_snapshot()
-    assert metrics["transport_attempts"] >= 1
-    assert metrics["transport_drops"] == 0
-    assert metrics["transport_attempts"] == system.transport.attempts
+    transport = system.metrics.snapshot()["transport"]
+    assert transport["attempts"] >= 1
+    assert transport["drops"] == 0
+    assert transport["attempts"] == system.transport.attempts
 
     # A second system's transport starts from zero: no class-level bleed.
     fresh = ActorSpaceSystem(topology=Topology.lan(2), seed=1)
