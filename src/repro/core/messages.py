@@ -40,6 +40,10 @@ class Mode(enum.Enum):
     SEND = "send"          #: one matching actor, chosen nondeterministically
     BROADCAST = "broadcast"  #: all matching actors
 
+    # Members are singletons, so identity hashes them — in C, where
+    # ``Enum.__hash__`` is a Python ``hash(self._name_)`` per ``counts[mode]``.
+    __hash__ = object.__hash__
+
 
 class Port(enum.Enum):
     """The three message ports of an executing actor (paper section 7.2).
@@ -128,10 +132,13 @@ def _parse_destination_text(text: str) -> Destination:
     return Destination(text)
 
 
+#: Id counters.  A TCP node rebinds both to its own range (``net/runtime.py``):
+#: draw through the module global at call time, never through a kept reference.
 _message_ids = itertools.count()
+_envelope_ids = itertools.count()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """A user-level message.
 
@@ -150,10 +157,7 @@ class Message:
         return f"Message(#{self.message_id}, {self.payload!r})"
 
 
-_envelope_ids = itertools.count()
-
-
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     """The runtime's unit of transmission: message + routing metadata.
 
@@ -210,19 +214,31 @@ class Envelope:
         the original as its parent.
         """
         return Envelope(
-            message=self.message,
-            sender=self.sender,
-            mode=self.mode,
-            target=target,
-            destination=self.destination,
-            port=self.port,
-            sent_at=self.sent_at,
-            trace=list(self.trace),
-            origin_space=self.origin_space,
-            trace_id=self.trace_id,
-            parent_id=self.envelope_id,
-        )
+            self.message, self.sender, self.mode, target, self.destination,
+            self.port, self.sent_at, None, list(self.trace),
+            self.origin_space, next(_envelope_ids), self.trace_id,
+            self.envelope_id)
 
     def __repr__(self):
         where = self.target if self.target is not None else self.destination
         return f"<Envelope #{self.envelope_id} {self.mode.value} -> {where!r}>"
+
+
+def new_envelope(mode: Mode, payload: Any, sender: ActorAddress | None,
+                 origin_space: SpaceAddress | None, sent_at: float, *,
+                 target: ActorAddress | None = None,
+                 destination: Destination | None = None,
+                 reply_to: ActorAddress | None = None,
+                 headers: dict | None = None,
+                 cause: Envelope | None = None) -> Envelope:
+    """A fresh message in a fresh INVOCATION-port envelope, joined to
+    ``cause``'s causal tree (or rooting its own).  Ids and fields go in
+    positionally: default factories and keyword binding are most of what
+    an :class:`Envelope` costs to build."""
+    envelope_id = next(_envelope_ids)
+    return Envelope(
+        Message(payload, reply_to, headers or {}, next(_message_ids)),
+        sender, mode, target, destination, Port.INVOCATION, sent_at, None,
+        [], origin_space, envelope_id,
+        envelope_id if cause is None else cause.trace_id,
+        None if cause is None else cause.envelope_id)

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.core.actor import ActorContext, ActorRecord, Behavior, as_behavior
 from repro.core.addresses import ActorAddress, MailAddress, SpaceAddress
 from repro.core.capabilities import Capability
-from repro.core.messages import Destination, Envelope, Message, Mode, Port, parse_destination
+from repro.core.messages import Destination, Envelope, Mode, new_envelope, parse_destination
 
 if TYPE_CHECKING:  # pragma: no cover
     from .host import Host
@@ -26,12 +26,9 @@ def external_envelope(host: "Host", mode: Mode, payload: Any, *,
                       headers: dict | None = None) -> Envelope:
     """An envelope from outside the actor world — no sender, resolved from
     the root space — entering at ``host``."""
-    return Envelope(
-        message=Message(payload, reply_to=reply_to, headers=headers or {}),
-        sender=None, mode=mode, target=target, destination=destination,
-        port=Port.INVOCATION, sent_at=host.clock.now,
-        origin_space=host.root_space,
-    )
+    return new_envelope(mode, payload, None, host.root_space, host.clock.now,
+                        target=target, destination=destination,
+                        reply_to=reply_to, headers=headers)
 
 
 class RuntimeContext(ActorContext):
@@ -67,19 +64,10 @@ class RuntimeContext(ActorContext):
                   headers: dict | None = None) -> Envelope:
         """An envelope from this actor, joined to the cause's causal tree."""
         record = self._record
-        cause = self._cause
-        return Envelope(
-            message=Message(payload, reply_to=reply_to, headers=headers or {}),
-            sender=record.address,
-            mode=mode,
-            target=target,
-            destination=destination,
-            port=Port.INVOCATION,
-            sent_at=self._system.clock.now,
-            origin_space=record.host_space,
-            trace_id=cause.trace_id if cause is not None else None,
-            parent_id=cause.envelope_id if cause is not None else None,
-        )
+        return new_envelope(mode, payload, record.address, record.host_space,
+                            self._system.clock.now, target=target,
+                            destination=destination, reply_to=reply_to,
+                            headers=headers, cause=self._cause)
 
     # -- identity ---------------------------------------------------------------
 

@@ -24,7 +24,7 @@ target's node through the transport.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.actor import ActorRecord, Behavior, as_behavior
 from repro.core.actorspace import SpaceRecord
@@ -34,14 +34,13 @@ from repro.core.addresses import (
     MailAddress,
     SpaceAddress,
 )
-from repro.core.capabilities import Capability
+from repro.core.capabilities import Capability, authorize
 from repro.core.errors import (
     ActorSpaceError,
     CapabilityError,
     MailboxClosedError,
     NodeDownError,
     TransportError,
-    UnknownAddressError,
     VisibilityCycleError,
 )
 from repro.core.gc import scan_addresses
@@ -53,7 +52,7 @@ from repro.core.matching import (
     resolve_actors,
     resolve_destination_spaces,
 )
-from repro.core.messages import Destination, Envelope, Message, Mode, Port
+from repro.core.messages import Envelope, Mode, Port
 from repro.core.visibility import Directory
 
 from .bus import OpKind, VisibilityOp
@@ -397,8 +396,6 @@ class Coordinator:
             return  # unknown here yet: let apply-time decide
         rec = self.directory.space(space)
         manager = self.managers.get(space)
-        from repro.core.capabilities import authorize
-
         if not authorize(capability, rec.capability):
             raise CapabilityError(
                 f"capability does not authorize operations in {space!r}"
@@ -470,18 +467,23 @@ class Coordinator:
         self._route(envelope, envelope.target)  # type: ignore[arg-type]
 
     def send_pattern(self, envelope: Envelope) -> None:
-        """``send(pattern@space)``: resolve, arbitrate, deliver to one."""
+        """``send(pattern@space)``: resolve, arbitrate, deliver to one —
+        or, for a ``BROADCAST`` envelope, to all (:meth:`_fan_out`)."""
         assert envelope.destination is not None
-        self.system.tracer.on_sent(envelope.mode, envelope, node=self.node_id,
-                                   t=self.system.clock.now)
-        self._dispatch_pattern(envelope)
+        tracer, node, now = self.system.tracer, self.node_id, self.system.clock.now
+        tracer.on_sent(envelope.mode, envelope, node=node, t=now)
+        receivers, scope = self._resolve(envelope)
+        manager = self._manager_for(envelope, scope)
+        if manager.trap_cycling(envelope):
+            tracer.on_dropped("cycle_trapped", envelope, node=node, t=now)
+        elif not receivers:
+            self._handle_unmatched(envelope, manager, scope)
+        else:
+            self._fan_out(envelope, receivers, manager)
 
-    def broadcast_pattern(self, envelope: Envelope) -> None:
-        """``broadcast(pattern@space)``: resolve, deliver to all."""
-        assert envelope.destination is not None
-        self.system.tracer.on_sent(envelope.mode, envelope, node=self.node_id,
-                                   t=self.system.clock.now)
-        self._dispatch_pattern(envelope)
+    #: ``broadcast(pattern@space)``: the same entry under its own name —
+    #: the envelope's mode, not the verb, picks one receiver or all.
+    broadcast_pattern = send_pattern
 
     def _resolve(self, envelope: Envelope) -> tuple[tuple[ActorAddress, ...], SpaceAddress | None]:
         """Resolve receivers; returns (actors in address order, primary scope
@@ -508,19 +510,6 @@ class Coordinator:
         if scope is not None and scope in self.managers:
             return self.managers[scope]
         return self.managers.get(self.system.root_space) or default_manager()
-
-    def _dispatch_pattern(self, envelope: Envelope) -> None:
-        receivers, scope = self._resolve(envelope)
-        manager = self._manager_for(envelope, scope)
-        if manager.trap_cycling(envelope):
-            self.system.tracer.on_dropped("cycle_trapped", envelope,
-                                          node=self.node_id,
-                                          t=self.system.clock.now)
-            return
-        if not receivers:
-            self._handle_unmatched(envelope, manager, scope)
-            return
-        self._fan_out(envelope, receivers, manager)
 
     def _fan_out(self, envelope: Envelope, receivers: tuple[ActorAddress, ...],
                  manager: SpaceManager) -> None:
@@ -609,43 +598,39 @@ class Coordinator:
         """Forward ``envelope`` to ``target``'s home node and schedule delivery."""
         envelope.target = target
         system = self.system
-        dst_node = target.node
+        tracer = system.tracer
+        node, dst_node = self.node_id, target.node
+        now = system.clock.now
         admission = system.admission
         if admission is not None and envelope.port is not Port.BEHAVIOR \
                 and envelope.port is not Port.RPC:
             # Control traffic (behavior installs, RPC replies) is never
             # rate limited: shedding it wedges actors instead of
             # protecting them — same exemption as the bounded mailbox.
-            verdict = admission.check(self.node_id, dst_node,
-                                      system.clock.now)
+            verdict = admission.check(node, dst_node, now)
             if verdict is not None:
                 # Shed at the door: park with backoff retry so the
                 # rejection is load leveling, not silent loss.
-                system.tracer.on_overload(verdict, envelope,
-                                          node=self.node_id,
-                                          t=system.clock.now,
-                                          dst_node=dst_node)
+                tracer.on_overload(verdict, envelope, node=node, t=now,
+                                   dst_node=dst_node)
                 system.dead_letters.capture_retry(envelope, dst_node,
                                                   verdict)
                 return
-        envelope.hop(self.node_id)
-        kind = system.topology.link_kind(self.node_id, dst_node)
-        system.tracer.on_hop(kind, envelope, node=self.node_id,
-                             t=system.clock.now, dst_node=dst_node)
+        envelope.hop(node)
+        kind = system.topology.link_kind(node, dst_node)
+        tracer.on_hop(kind, envelope, node=node, t=now, dst_node=dst_node)
         try:
-            latency = system.transport.deliver_latency(self.node_id, dst_node)
+            latency = system.transport.deliver_latency(node, dst_node)
         except NodeDownError:
-            system.tracer.on_dropped("node_down", envelope, node=self.node_id,
-                                     t=system.clock.now)
+            tracer.on_dropped("node_down", envelope, node=node, t=now)
             system.dead_letters.capture(envelope, dst_node, "node_down")
             return
         except (TransportError, RuntimeError):
-            system.tracer.on_dropped("transport_failure", envelope,
-                                     node=self.node_id, t=system.clock.now)
+            tracer.on_dropped("transport_failure", envelope, node=node, t=now)
             return
         system.in_flight[envelope.envelope_id] = envelope
         system.events.schedule(
-            system.clock.now + latency,
+            now + latency,
             lambda: system.coordinators[dst_node]._deliver(envelope),
             priority=ACTOR_PRIORITY,
             tag=("deliver", target),
@@ -654,52 +639,48 @@ class Coordinator:
     def _deliver(self, envelope: Envelope) -> None:
         """Arrival at the target's node: enqueue and schedule processing."""
         system = self.system
+        tracer, dead_letters = system.tracer, system.dead_letters
+        node, now = self.node_id, system.clock.now
         system.in_flight.pop(envelope.envelope_id, None)
         if self.crashed:
-            system.tracer.on_dropped("node_down", envelope, node=self.node_id,
-                                     t=system.clock.now)
-            system.dead_letters.capture(envelope, self.node_id, "node_down")
+            tracer.on_dropped("node_down", envelope, node=node, t=now)
+            dead_letters.capture(envelope, node, "node_down")
             return
         target: ActorAddress = envelope.target  # type: ignore[assignment]
         record = self.actors.get(target)
         if record is None or record.terminated:
-            system.tracer.on_dropped("dead_letter", envelope, node=self.node_id,
-                                     t=system.clock.now)
-            system.dead_letters.capture(envelope, self.node_id, "dead_letter")
+            tracer.on_dropped("dead_letter", envelope, node=node, t=now)
+            dead_letters.capture(envelope, node, "dead_letter")
             return
-        envelope.delivered_at = system.clock.now
-        envelope.hop(self.node_id)
+        envelope.delivered_at = now
+        envelope.hop(node)
         try:
             shed = record.mailbox.deliver(envelope)
         except MailboxClosedError:
-            system.tracer.on_dropped("dead_letter", envelope, node=self.node_id,
-                                     t=system.clock.now)
-            system.dead_letters.capture(envelope, self.node_id, "dead_letter")
+            tracer.on_dropped("dead_letter", envelope, node=node, t=now)
+            dead_letters.capture(envelope, node, "dead_letter")
             return
         if shed:
             admission = system.admission
             if admission is not None:
-                admission.on_overflow(self.node_id, system.clock.now,
-                                      len(shed))
+                admission.on_overflow(node, now, len(shed))
             accepted = True
             for victim in shed:
                 if victim is envelope:
                     accepted = False
-                system.tracer.on_dropped("mailbox_overflow", victim,
-                                         node=self.node_id,
-                                         t=system.clock.now)
-                system.dead_letters.capture_retry(victim, self.node_id,
-                                                  "mailbox_overflow")
+                tracer.on_dropped("mailbox_overflow", victim, node=node, t=now)
+                dead_letters.capture_retry(victim, node, "mailbox_overflow")
             if not accepted:
                 return
-        system.dead_letters.note_delivered(envelope.envelope_id)
-        system.tracer.on_enqueued(envelope, node=self.node_id,
-                                  t=system.clock.now,
-                                  queue_depth=record.mailbox.pending,
-                                  receiver=target)
+        dead_letters.note_delivered(envelope.envelope_id)
+        tracer.on_enqueued(envelope, node=node, t=now,
+                           queue_depth=record.mailbox.pending,
+                           receiver=target)
         # Receiving a message extends the acquaintance set (addresses in
         # the payload become known to the receiver).
-        known = self.acquaintances.setdefault(target, set())
+        known = self.acquaintances.get(target)
+        if known is None:
+            known = self.acquaintances[target] = set()
         known.update(scan_addresses(envelope.message.payload))
         if envelope.message.headers:
             known.update(scan_addresses(envelope.message.headers))
@@ -707,9 +688,9 @@ class Coordinator:
             known.add(envelope.message.reply_to)
         if envelope.sender is not None:
             known.add(envelope.sender)
-        system.tracer.on_delivered(
-            envelope.mode, target, envelope.sent_at, system.clock.now,
-            envelope.trace[0] if envelope.trace else self.node_id, self.node_id,
+        tracer.on_delivered(
+            envelope.mode, target, envelope.sent_at, now,
+            envelope.trace[0], node,  # never empty: this node just hopped it
             envelope=envelope,
         )
         self._schedule_processing(record)

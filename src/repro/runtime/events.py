@@ -30,17 +30,17 @@ import heapq
 import itertools
 from typing import Callable
 
+_INF = float("inf")
+
 
 class EventQueue:
     """A deterministic time-ordered queue of zero-argument actions."""
 
-    __slots__ = ("_heap", "_counter", "scheduled_count", "executed_count",
-                 "tiebreaker")
+    __slots__ = ("_heap", "_counter", "executed_count", "tiebreaker")
 
     def __init__(self):
         self._heap: list[tuple[float, int, int, Callable[[], None], object]] = []
         self._counter = itertools.count()
-        self.scheduled_count = 0
         self.executed_count = 0
         #: Optional schedule controller: an object with a
         #: ``choose(tags: list) -> int`` method consulted whenever several
@@ -55,10 +55,9 @@ class EventQueue:
         an optional label (conventionally a small tuple) consumed by a
         schedule-exploration tiebreaker; it never affects default order.
         """
-        if time != time or time == float("inf"):  # NaN / unbounded guards
+        if not -_INF < time < _INF:  # NaN, +inf and -inf all fail the chain
             raise ValueError(f"event time must be finite, got {time}")
         heapq.heappush(self._heap, (time, priority, next(self._counter), action, tag))
-        self.scheduled_count += 1
 
     def pop(self) -> tuple[float, Callable[[], None]] | None:
         """Remove and return the next ``(time, action)``, or ``None`` if empty."""
@@ -93,9 +92,6 @@ class EventQueue:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
     def __repr__(self):
         nxt = f" next@{self._heap[0][0]:.4f}" if self._heap else ""

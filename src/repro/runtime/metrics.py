@@ -154,9 +154,6 @@ class LabeledCounter(Counter):
         super().__init__()
         self.name = name
 
-    def inc(self, label: Any, n: int = 1) -> None:
-        self[label] += n
-
     def reset(self) -> None:
         self.clear()
 
@@ -177,12 +174,12 @@ class MetricsRegistry:
         self._metrics: dict[str, Any] = {}
         self._sources: dict[str, Callable[[], Any]] = {}
 
-    def _get_or_create(self, name: str, kind: type, factory):
+    def _get_or_create(self, name: str, kind: type, *args):
         metric = self._metrics.get(name)
         if metric is None:
             if name in self._sources:
                 raise TypeError(f"metric {name!r} is a read-at-scrape source")
-            metric = factory()
+            metric = kind(name, *args)
             self._metrics[name] = metric
         elif not isinstance(metric, kind):
             raise TypeError(
@@ -191,18 +188,16 @@ class MetricsRegistry:
         return metric
 
     def counter(self, name: str) -> CounterMetric:
-        return self._get_or_create(name, CounterMetric, lambda: CounterMetric(name))
+        return self._get_or_create(name, CounterMetric)
 
     def histogram(self, name: str, cap: int) -> HistogramMetric:
-        return self._get_or_create(
-            name, HistogramMetric, lambda: HistogramMetric(name, cap))
+        return self._get_or_create(name, HistogramMetric, cap)
 
     def recent(self, name: str, cap: int) -> RecentHistogram:
-        return self._get_or_create(
-            name, RecentHistogram, lambda: RecentHistogram(name, cap))
+        return self._get_or_create(name, RecentHistogram, cap)
 
     def labeled(self, name: str) -> LabeledCounter:
-        return self._get_or_create(name, LabeledCounter, lambda: LabeledCounter(name))
+        return self._get_or_create(name, LabeledCounter)
 
     def source(self, name: str, read: Callable[[], Any]) -> None:
         """Have every dump carry ``read()`` — a number or a plain-data

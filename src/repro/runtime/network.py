@@ -11,7 +11,10 @@ with distinct latency classes:
 * ``WAN``    — nodes in different clusters.
 
 Latencies are a base per class plus seeded jitter, so interleaving is
-realistic but reproducible.
+realistic but reproducible.  :class:`Network` draws the jitter *uniforms*
+:data:`_DRAW_BLOCK` at a time, so a hop does not pay a call into numpy: a
+block of a ``Generator`` is draw for draw its scalar sequence, so a seed
+yields the stream it always did, and a model without jitter consumes none.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+#: Jitter uniforms :meth:`Network.latency` prefetches per refill.
+_DRAW_BLOCK = 256
+
 
 class LinkKind(enum.Enum):
     """Classification of one message hop, for locality accounting."""
@@ -28,6 +34,8 @@ class LinkKind(enum.Enum):
     LOCAL = "local"
     LAN = "lan"
     WAN = "wan"
+
+    __hash__ = object.__hash__  # identity, in C: see ``core.messages.Mode``
 
 
 @dataclass(frozen=True)
@@ -52,13 +60,15 @@ class LatencyModel:
             return self.lan
         return self.wan
 
+    def jittered(self, kind: LinkKind, u: float) -> float:
+        """The latency of a ``kind`` hop whose jitter draw on [-1, 1) is ``u``."""
+        return max(self.base(kind) * (1.0 + self.jitter * u), 1e-9)
+
     def sample(self, kind: LinkKind, rng: np.random.Generator) -> float:
         """One latency draw for a hop of the given kind."""
-        base = self.base(kind)
         if self.jitter <= 0:
-            return base
-        factor = 1.0 + self.jitter * float(rng.uniform(-1.0, 1.0))
-        return max(base * factor, 1e-9)
+            return self.base(kind)
+        return self.jittered(kind, float(rng.uniform(-1.0, 1.0)))
 
 
 @dataclass
@@ -133,7 +143,7 @@ class Topology:
 class Network:
     """Topology + latency model + the RNG stream for jitter draws."""
 
-    __slots__ = ("topology", "latency_model", "_rng", "hop_counts")
+    __slots__ = ("topology", "latency_model", "_rng", "_draws", "hop_counts")
 
     def __init__(
         self,
@@ -144,6 +154,8 @@ class Network:
         self.topology = topology
         self.latency_model = latency_model or LatencyModel()
         self._rng = rng if rng is not None else np.random.default_rng(0)
+        #: Prefetched jitter uniforms, next draw last (see the module doc).
+        self._draws: list[float] = []
         #: Cumulative hop counts by link kind (locality accounting, E4).
         self.hop_counts: dict[LinkKind, int] = {k: 0 for k in LinkKind}
 
@@ -151,7 +163,13 @@ class Network:
         """Sample the latency of one hop and account for it."""
         kind = self.topology.link_kind(src, dst)
         self.hop_counts[kind] += 1
-        return self.latency_model.sample(kind, self._rng)
+        model = self.latency_model
+        if model.jitter <= 0:
+            return model.base(kind)
+        draws = self._draws
+        if not draws:
+            draws.extend(self._rng.uniform(-1.0, 1.0, _DRAW_BLOCK)[::-1].tolist())
+        return model.jittered(kind, draws.pop())
 
     def reset_counts(self) -> None:
         """Zero the hop counters (between benchmark phases)."""

@@ -180,35 +180,36 @@ class ActorSpaceSystem(Host):
 
         Returns the virtual time at which the run stopped.
         """
+        events, clock = self.events, self.clock
+        pop = events.pop  # the one call per event; a tiebreaker acts in it
         executed = 0
-        while self.events:
-            next_time = self.events.peek_time()
-            if until is not None and next_time is not None and next_time > until:
-                if until > self.clock.now:
-                    self.clock.advance_to(until)
-                break
+        while True:
+            if until is not None:
+                next_time = events.peek_time()
+                if next_time is not None and next_time > until:
+                    if until > clock.now:
+                        clock.advance_to(until)
+                    break
             if max_events is not None and executed >= max_events:
                 break
-            time, action = self.events.pop()  # non-empty: guarded by `while`
-            if time > self.clock.now:
-                self.clock.advance_to(time)
+            popped = pop()
+            if popped is None:
+                break
+            time, action = popped
+            if time > clock.now:
+                clock.advance_to(time)
             # An event scheduled in the (virtual) past — e.g. a driver
             # hook armed after the clock already passed its time — fires
             # immediately at the current instant.
             action()
             executed += 1
-        return self.clock.now
+        return clock.now
 
     def step(self) -> bool:
         """Execute a single event; returns False when the queue is empty."""
-        popped = self.events.pop()
-        if popped is None:
-            return False
-        time, action = popped
-        if time > self.clock.now:
-            self.clock.advance_to(time)
-        action()
-        return True
+        executed = self.events.executed_count
+        self.run(max_events=1)
+        return self.events.executed_count > executed
 
     @property
     def idle(self) -> bool:

@@ -13,7 +13,13 @@ does two things and keeps nothing of its own:
 * it emits a typed per-envelope lifecycle event into the
   :class:`~repro.runtime.eventlog.EventLog` whenever tracing is enabled
   (``ActorSpaceSystem(trace=True)``); when disabled, that costs one
-  attribute check.
+  attribute check — made by the hook itself where every message pays it
+  or the event's data must be computed, by ``emit`` everywhere else.
+
+A hook asks the registry for nothing: every metric it touches is a handle
+bound when the tracer is built (``registry.reset()`` zeroes in place, so
+handles outlive it).  The hooks themselves are looked up on the tracer at
+each call: the conformance oracle replaces ``on_hop`` / ``on_enqueued``.
 
 Nothing grows per delivery: the two distributions (``delivery_latency``,
 ``resolution_entries_examined``) keep their last :data:`HISTOGRAM_CAP`
@@ -65,8 +71,8 @@ class Tracer:
         #: Pattern-resolution work distribution (entries examined).
         self.resolution_hist = reg.recent(
             "resolution_entries_examined", HISTOGRAM_CAP)
-        # Scalar counters (registered so snapshots include them even at 0).
-        for name in (
+        #: Scalar counters by name (registered here: a dump has them at 0).
+        self._counters = {name: reg.counter(name) for name in (
             "messages_suspended_total",
             "messages_released_total",
             "persistent_deliveries_total",
@@ -86,8 +92,10 @@ class Tracer:
             "overload_circuit_open_total",
             "overload_breaker_open_total",
             "overload_breaker_closed_total",
-        ):
-            reg.counter(name)
+            "daemon_updates_total",
+            "gc_cycles_total",
+            "gc_collected_total",
+        )}
 
     def count(self, name: str) -> int:
         """The scalar counter ``name`` (``KeyError`` if nothing counts
@@ -138,30 +146,28 @@ class Tracer:
                           dst_node=dst_node)
 
     def on_suspended(self, envelope=None, node: int = 0, t: float = 0.0) -> None:
-        self.registry.counter("messages_suspended_total").inc()
-        if self.log.enabled:
-            self.log.emit("suspended", t, node, envelope)
+        self._counters["messages_suspended_total"].inc()
+        self.log.emit("suspended", t, node, envelope)
 
     def on_released(self, n: int = 1, envelope=None, node: int = 0,
                     t: float = 0.0) -> None:
-        self.registry.counter("messages_released_total").inc(n)
+        self._counters["messages_released_total"].inc(n)
         if self.log.enabled:
             self.log.emit("released", t, node, envelope,
                           parked_age=(t - envelope.sent_at) if envelope else None)
 
     def on_persistent_delivery(self) -> None:
         """A persistent broadcast reached a late-arriving actor."""
-        self.registry.counter("persistent_deliveries_total").inc()
+        self._counters["persistent_deliveries_total"].inc()
 
     def on_dropped(self, reason: str, envelope=None, node: int = 0,
                    t: float = 0.0) -> None:
         self.dropped[reason] += 1
-        if self.log.enabled:
-            self.log.emit("dropped", t, node, envelope, reason=reason)
+        self.log.emit("dropped", t, node, envelope, reason=reason)
 
     def on_invocation(self, envelope=None, node: int = 0, t: float = 0.0,
                       actor=None, queue_depth: int = 0) -> None:
-        self.registry.counter("behavior_invocations_total").inc()
+        self._counters["behavior_invocations_total"].inc()
         if self.log.enabled:
             # ``invoked`` marks the queue-*down* edge (one message left the
             # mailbox for processing) — what event-driven daemons react to.
@@ -172,10 +178,10 @@ class Tracer:
                       t: float = 0.0) -> None:
         """Fold one resolution's :class:`~repro.core.matching.MatchStats` in."""
         self.resolution_hist.observe(stats.entries_examined)
-        reg = self.registry
-        reg.counter("resolution_cache_hits_total").inc(stats.cache_hits)
-        reg.counter("resolution_cache_misses_total").inc(stats.cache_misses)
-        reg.counter("resolution_cache_invalidations_total").inc(
+        counters = self._counters
+        counters["resolution_cache_hits_total"].inc(stats.cache_hits)
+        counters["resolution_cache_misses_total"].inc(stats.cache_misses)
+        counters["resolution_cache_invalidations_total"].inc(
             stats.cache_invalidations)
         if self.log.enabled:
             self.log.emit(
@@ -198,7 +204,7 @@ class Tracer:
     def on_daemon_fired(self, node: int, t: float, space, updates: int,
                         kind: str = "poll") -> None:
         """A monitoring daemon rewrote derived attributes (section 8)."""
-        self.registry.counter("daemon_updates_total").inc(updates)
+        self._counters["daemon_updates_total"].inc(updates)
         if self.log.enabled:
             # ``trigger`` not ``kind``: the latter is the event kind itself.
             self.log.emit("daemon_fired", t, node, None,
@@ -208,10 +214,9 @@ class Tracer:
                        t: float = 0.0, reason: str | None = None,
                        attempts: int = 0) -> None:
         """Dead-letter lifecycle: ``action`` is queued/redelivered/expired."""
-        self.registry.counter(f"dead_letters_{action}_total").inc()
-        if self.log.enabled:
-            self.log.emit(f"dead_letter_{action}", t, node, envelope,
-                          reason=reason, attempts=attempts)
+        self._counters[f"dead_letters_{action}_total"].inc()
+        self.log.emit(f"dead_letter_{action}", t, node, envelope,
+                      reason=reason, attempts=attempts)
 
     def on_overload(self, decision: str, envelope=None, node: int = 0,
                     t: float = 0.0, dst_node: int | None = None) -> None:
@@ -219,39 +224,35 @@ class Tracer:
         circuit-breaker transitions (``decision`` is e.g.
         ``admission_rate``, ``circuit_open``, ``breaker_open``,
         ``breaker_closed``)."""
-        self.registry.counter(f"overload_{decision}_total").inc()
-        if self.log.enabled:
-            self.log.emit(f"overload_{decision}", t, node, envelope,
-                          dst_node=dst_node)
+        self._counters[f"overload_{decision}_total"].inc()
+        self.log.emit(f"overload_{decision}", t, node, envelope,
+                      dst_node=dst_node)
 
     def on_failover(self, node: int = -1, t: float = 0.0, protocol: str = "",
                     reason: str = "", new_leader: int | None = None) -> None:
         """The bus survived a leadership/token loss."""
-        self.registry.counter("failovers_total").inc()
-        if self.log.enabled:
-            self.log.emit("failover", t, node, None, protocol=protocol,
-                          reason=reason, new_leader=new_leader)
+        self._counters["failovers_total"].inc()
+        self.log.emit("failover", t, node, None, protocol=protocol,
+                      reason=reason, new_leader=new_leader)
 
     def on_quarantine(self, kind: str, node: int, t: float = 0.0,
                       target_node: int | None = None, masked: int = 0) -> None:
         """One replica masked (``quarantined``) or unmasked a dead node."""
         if kind == "quarantined":
-            self.registry.counter("quarantined_entries_total").inc(masked)
-        if self.log.enabled:
-            self.log.emit(kind, t, node, None, target_node=target_node,
-                          masked=masked)
+            self._counters["quarantined_entries_total"].inc(masked)
+        self.log.emit(kind, t, node, None, target_node=target_node,
+                      masked=masked)
 
     def on_node_health(self, kind: str, observer: int, peer: int,
                        t: float = 0.0) -> None:
         """Failure-detector verdicts: node_suspected/confirmed_down/recovered."""
-        self.registry.counter(f"{kind}_total").inc()
-        if self.log.enabled:
-            self.log.emit(kind, t, observer, None, peer=peer)
+        self._counters[f"{kind}_total"].inc()
+        self.log.emit(kind, t, observer, None, peer=peer)
 
     def on_gc(self, node: int, t: float, report) -> None:
         """One garbage-collection cycle completed."""
-        self.registry.counter("gc_cycles_total").inc()
-        self.registry.counter("gc_collected_total").inc(report.collected_count)
+        self._counters["gc_cycles_total"].inc()
+        self._counters["gc_collected_total"].inc(report.collected_count)
         if self.log.enabled:
             self.log.emit(
                 "gc", t, node, None,

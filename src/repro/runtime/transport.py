@@ -28,6 +28,8 @@ import abc
 
 import numpy as np
 
+from repro.core.errors import NodeDownError
+
 from .network import Network
 
 
@@ -140,14 +142,12 @@ class NetworkTransport(Transport):
         return self.network.latency(src_node, dst_node)
 
     def deliver_latency(self, src_node: int, dst_node: int, max_retries: int = 100) -> float:
-        # Crashes are terminal, not transient: do not spin on retries.
-        if src_node in self.crashed or dst_node in self.crashed:
-            self.attempts += 1
-            self.drops += 1
-            from repro.core.errors import NodeDownError
-
+        # Crashes are terminal, not transient, and between two live nodes
+        # this transport loses nothing: one attempt decides, without the ladder.
+        latency = self.try_deliver(src_node, dst_node)
+        if latency is None:
             raise NodeDownError(f"node {dst_node if dst_node in self.crashed else src_node} is down")
-        return super().deliver_latency(src_node, dst_node, max_retries)
+        return latency
 
     def timeout_interval(self, src_node: int, dst_node: int) -> float:
         kind = self.network.topology.link_kind(src_node, dst_node)

@@ -1,7 +1,11 @@
 """Unit tests: messages, destinations, envelopes."""
 
+import dataclasses
+import itertools
+
 import pytest
 
+from repro.core import messages
 from repro.core.addresses import ActorAddress, SpaceAddress
 from repro.core.atoms import AttributePath
 from repro.core.errors import PatternSyntaxError
@@ -160,3 +164,67 @@ class TestEnvelope:
 
     def test_envelope_ids_unique(self):
         assert self._envelope().envelope_id != self._envelope().envelope_id
+
+
+class TestIdentitySurvivesSlots:
+    """``Envelope`` / ``Message`` are slotted and built positionally; what
+    the codec and a TCP node rely on must not have moved."""
+
+    def test_rebound_id_counters_are_honoured(self, monkeypatch):
+        # What ``net/runtime.py`` does per node: a later draw must read the
+        # module global, not a counter bound when the class was created.
+        monkeypatch.setattr(messages, "_envelope_ids", itertools.count(7000))
+        monkeypatch.setattr(messages, "_message_ids", itertools.count(9000))
+        assert Message("x").message_id == 9000
+        envelope = Envelope(Message("y"), None, Mode.DIRECT)
+        assert (envelope.envelope_id, envelope.message.message_id) == (7000, 9001)
+        assert envelope.clone_for(ActorAddress(1, 1)).envelope_id == 7001
+        fresh = messages.new_envelope(Mode.SEND, "z", None, None, 0.5,
+                                      destination=Destination("a/*"))
+        assert (fresh.envelope_id, fresh.message.message_id) == (7002, 9002)
+        assert fresh.trace_id == 7002 and fresh.parent_id is None
+        child = messages.new_envelope(Mode.DIRECT, "r", ActorAddress(0, 0),
+                                      None, 0.6, target=ActorAddress(1, 1),
+                                      cause=fresh)
+        assert (child.trace_id, child.parent_id) == (7002, 7002)
+        assert child.envelope_id == 7003
+
+    def test_field_names_and_order_are_the_codecs(self):
+        assert [f.name for f in dataclasses.fields(Envelope)] == [
+            "message", "sender", "mode", "target", "destination", "port",
+            "sent_at", "delivered_at", "trace", "origin_space",
+            "envelope_id", "trace_id", "parent_id"]
+        assert [f.name for f in dataclasses.fields(Message)] == [
+            "payload", "reply_to", "headers", "message_id"]
+
+    def test_no_stray_attributes_and_message_stays_frozen(self):
+        envelope = Envelope(Message("x"), None, Mode.DIRECT)
+        with pytest.raises(AttributeError):
+            envelope.retries = 3
+        # (TypeError on 3.10/3.11: a frozen+slots dataclass refuses a
+        # non-field name through a stale ``super()`` — it refuses, though.)
+        with pytest.raises((AttributeError, TypeError)):
+            envelope.message.colour = "red"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            envelope.message.payload = "y"
+        envelope.delivered_at = 2.0  # an envelope's own fields stay writable
+
+    def test_trace_id_defaults_to_envelope_id(self):
+        root = Envelope(Message("x"), None, Mode.DIRECT)
+        assert root.trace_id == root.envelope_id and root.parent_id is None
+        clone = root.clone_for(ActorAddress(0, 1))
+        assert (clone.trace_id, clone.parent_id) == (root.trace_id,
+                                                     root.envelope_id)
+        assert Envelope(Message("x"), None, Mode.DIRECT, trace_id=5).trace_id == 5
+
+    def test_enum_members_hash_by_identity_and_still_round_trip(self):
+        import pickle
+
+        from repro.runtime.network import LinkKind
+
+        for member in [*Mode, *LinkKind]:
+            assert type(member)(member.value) is member
+            assert pickle.loads(pickle.dumps(member)) is member
+            assert {member: 1}[type(member)(member.value)] == 1
+            assert hash(member) == object.__hash__(member)
+            assert not isinstance(member, str)  # the codec dispatches on it

@@ -201,3 +201,48 @@ class TestTracerExtras:
         assert snap["delivery_latency"]["count"] == 2
         system.tracer.reset()
         assert system.metrics.snapshot()["delivery_latency"]["count"] == 0
+
+    def test_handles_survive_reset_and_count_one_message_once(self):
+        system = ActorSpaceSystem(topology=Topology.lan(2), seed=0)
+        addr = system.create_actor(lambda ctx, m: None, node=1)
+        system.make_visible(addr, "a")
+        system.send("a", 0)
+        system.run()
+        tracer = system.tracer
+        tracer.reset()  # zeroes in place: the hooks' handles stay bound
+        system.send("a", 1)
+        system.run()
+        assert tracer.sent[Mode.SEND] == tracer.delivered[Mode.SEND] == 1
+        assert tracer.hops[LinkKind.LAN] == tracer.received_by[addr] == 1
+        assert tracer.count("behavior_invocations_total") == 1
+        assert tracer.count("resolution_cache_hits_total") \
+            + tracer.count("resolution_cache_misses_total") >= 1
+        assert tracer.latency_hist.count == tracer.resolution_hist.count == 1
+        snap = system.metrics.snapshot()
+        assert snap["messages_sent_total"] == {str(Mode.SEND): 1}
+        assert snap["hops_total"] == {str(LinkKind.LAN): 1}
+        assert snap["behavior_invocations_total"] == 1
+        assert snap["messages_suspended_total"] == 0  # registered at zero
+
+    def test_a_replaced_hook_is_seen_by_the_very_next_message(self):
+        # What ``check/oracle.py::_Recorder.install`` does to a live system.
+        system = ActorSpaceSystem(topology=Topology.lan(2), seed=0)
+        addr = system.create_actor(lambda ctx, m: None, node=1)
+        system.send_to(addr, 0)
+        system.run()
+        tracer, seen = system.tracer, []
+        on_hop, on_enqueued = tracer.on_hop, tracer.on_enqueued
+
+        def spy_hop(kind, envelope=None, **kw):
+            seen.append(("hop", kind, envelope.message.payload))
+            return on_hop(kind, envelope, **kw)
+
+        def spy_enqueued(envelope=None, **kw):
+            seen.append(("enqueued", kw["receiver"], envelope.message.payload))
+            return on_enqueued(envelope, **kw)
+
+        tracer.on_hop, tracer.on_enqueued = spy_hop, spy_enqueued
+        system.send_to(addr, 1)
+        system.run()
+        assert seen == [("hop", LinkKind.LAN, 1), ("enqueued", addr, 1)]
+        assert tracer.hops[LinkKind.LAN] == 2  # the real hook still counted

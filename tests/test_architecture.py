@@ -14,7 +14,7 @@ REPRO = SRC / "repro"
 
 #: ROADMAP aim 2: net ``src/`` line count is a tracked number; lower the
 #: cap with every PR that deletes.
-SRC_LINE_CAP = 23384
+SRC_LINE_CAP = 23380
 
 
 def read(relative: str) -> str:
@@ -148,3 +148,112 @@ def test_one_control_verb_returns_an_event_window():
                          read("net/runtime.py"))
     assert entries == ["snapshot"], (
         f"the scrape handler must back exactly one verb, found {entries}")
+
+
+# -- the benchmark's binding contract ------------------------------------------
+#
+# ``benchmarks/perf/spans.py`` gets its per-layer rows by wrapping methods
+# it takes from a class's *own* ``__dict__``: a method that moves to a base
+# class, is renamed, or changes its positional signature silently loses its
+# row.  ISSUEs 15, 16, 20 and 22 each restated the list in prose; it is
+# read from the file here instead.
+
+SPANS = SRC.parent / "benchmarks" / "perf" / "spans.py"
+
+
+def spans_binding_sites() -> set[tuple[str, str, str]]:
+    """``(module, class, attribute)`` for every ``_patch_method(rec, Cls,
+    "attr", ...)`` and ``Cls.__dict__["attr"]`` in ``spans.install``
+    (``for attr in (...)`` loops unrolled, ``cls`` parameters of local
+    helpers bound to the classes they are called with)."""
+    tree = ast.parse(SPANS.read_text())
+    install = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "install")
+    modules = {alias.asname or alias.name: node.module
+               for node in ast.walk(install)
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    helpers = {node.name: node for node in ast.walk(install)
+               if isinstance(node, ast.FunctionDef) and node.args.args
+               and node.args.args[0].arg == "cls"}
+    sites: set[tuple[str, str, str]] = set()
+
+    def visit(node, names: dict, classes: dict) -> None:
+        if isinstance(node, ast.For) and isinstance(node.target, ast.Name) \
+                and isinstance(node.iter, ast.Tuple):
+            names = {**names, node.target.id: [
+                item.value for item in node.iter.elts
+                if isinstance(item, ast.Constant)]}
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "_patch_method":
+                record(node.args[1], node.args[2], names, classes)
+            elif node.func.id in helpers:
+                bound = {**classes, "cls": node.args[0].id}
+                for statement in helpers[node.func.id].body:
+                    visit(statement, names, bound)
+        if isinstance(node, ast.Subscript) \
+                and isinstance(node.value, ast.Attribute) \
+                and node.value.attr == "__dict__":
+            record(node.value.value, node.slice, names, classes)
+        for child in ast.iter_child_nodes(node):
+            if child not in helpers.values():
+                visit(child, names, classes)
+
+    def record(owner, attr, names: dict, classes: dict) -> None:
+        if not isinstance(owner, ast.Name):
+            return
+        cls = classes.get(owner.id, owner.id)
+        if cls not in modules:
+            return  # a stdlib selector picked at run time
+        attrs = [attr.value] if isinstance(attr, ast.Constant) \
+            else names[attr.id]
+        sites.update((modules[cls], cls, name) for name in attrs)
+
+    visit(install, {}, {})
+    return sites
+
+
+def test_every_method_the_benchmark_wraps_is_defined_on_its_class():
+    import importlib
+    import inspect
+
+    sites = spans_binding_sites()
+    assert len(sites) >= 30, f"the spans.py parser lost its sites: {sites}"
+    for expected in [("repro.runtime.coordinator", "Coordinator",
+                      "broadcast_pattern"),
+                     ("repro.runtime.bus", "SequencerBus", "submit"),
+                     ("repro.core.mailbox", "Mailbox", "next_ready")]:
+        assert expected in sites
+    for module, cls, attr in sorted(sites):
+        owner = getattr(importlib.import_module(module), cls)
+        assert attr in owner.__dict__, (
+            f"benchmarks/perf/spans.py wraps {cls}.__dict__[{attr!r}]: "
+            f"define it on {cls} itself (an alias counts), not on a base")
+    from repro.runtime.events import EventQueue
+    positional = [p.name for p in inspect.signature(
+        EventQueue.schedule).parameters.values()
+        if p.kind is p.POSITIONAL_OR_KEYWORD]
+    assert positional == ["self", "time", "action", "priority", "tag"], (
+        "spans.py calls schedule(self, time, action, priority, tag) "
+        "positionally")
+
+
+def test_per_message_paths_pay_once():
+    """No registry look-up by name inside a tracer hook (handles are bound
+    in ``Tracer.__init__``) and no ``float(...)`` built per scheduled
+    event (the finite-time guard compares against a module constant)."""
+    def calls(function: ast.FunctionDef) -> set[str]:
+        return {node.func.attr if isinstance(node.func, ast.Attribute)
+                else getattr(node.func, "id", "")
+                for node in ast.walk(function) if isinstance(node, ast.Call)}
+
+    for name, hook in methods("runtime/tracing.py", "Tracer").items():
+        if name.startswith("on_"):
+            looked_up = calls(hook) & {"counter", "labeled", "recent",
+                                       "histogram"}
+            assert not looked_up, (
+                f"Tracer.{name} asks the registry for {sorted(looked_up)} "
+                f"per call: bind the handle in __init__")
+    schedule = methods("runtime/events.py", "EventQueue")["schedule"]
+    assert "float" not in calls(schedule), \
+        "EventQueue.schedule builds a float per event: use the module's _INF"
