@@ -22,8 +22,8 @@ Two engines run a behavior, chosen per actor with ``engine=``: ``"tree"``,
 the section 7.2 tree walker (:mod:`.evaluator`, the readable reference),
 and ``"bytecode"``, section 7's planned byte-compiler (:mod:`.compiler`:
 each method compiled once into closures, run by :class:`VM`).  They share
-the builtins, the environments and the table of effect forms
-(:mod:`.effects`), and agree on value, effects, errors and fuel.
+the builtins, the table of effect forms (:mod:`.effects`) and one
+semantics: they agree on value, effects, errors and fuel.
 """
 
 from .actor_interface import ActorInterface, InterpretedBehavior, PortCounters

@@ -17,16 +17,16 @@ E13 can verify the port discipline matches the figure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 from repro.core.actor import ActorContext, Behavior
 from repro.core.errors import InterpreterRuntimeError
+from repro.core.gc import scan_addresses
 from repro.core.messages import Message
 
 from .behavior_loader import BehaviorDef, BehaviorLibrary
-from .env import Env
 from .evaluator import Evaluator, base_env
+from .vm import VM
 
 
 @dataclass
@@ -44,7 +44,7 @@ class PortCounters:
 class ActorInterface:
     """Effect bridge for one behavior invocation (implements EffectBridge)."""
 
-    __slots__ = ("ctx", "library", "owner", "reply_to", "output")
+    __slots__ = ("ctx", "library", "owner", "reply_to")
 
     def __init__(self, ctx: ActorContext, library: BehaviorLibrary,
                  owner: "InterpretedBehavior", reply_to):
@@ -52,7 +52,6 @@ class ActorInterface:
         self.library = library
         self.owner = owner
         self.reply_to = reply_to
-        self.output: list[str] = []
 
     # -- identity ----------------------------------------------------------------
 
@@ -89,10 +88,15 @@ class ActorInterface:
 
     # -- lifecycle -------------------------------------------------------------------
 
+    def _instantiate(self, name: str, args: list) -> "InterpretedBehavior":
+        """Behavior ``name`` under its maker's engine and fuel limit."""
+        behavior = InterpretedBehavior(self.library, self.library.get(name),
+                                       args, engine=self.owner.engine)
+        behavior.max_steps = self.owner.max_steps
+        return behavior
+
     def become(self, name: str, args: list) -> None:
-        definition = self.library.get(name)
-        next_behavior = InterpretedBehavior(self.library, definition, args,
-                                            engine=self.owner.engine)
+        next_behavior = self._instantiate(name, args)
         # The actor's identity persists across become: port counters and
         # print output carry over to the replacement behavior.
         next_behavior.ports = self.owner.ports
@@ -101,11 +105,8 @@ class ActorInterface:
         self.ctx.become(next_behavior)
 
     def create(self, name: str, args: list):
-        definition = self.library.get(name)
         self.owner.ports.rpc += 1  # result (the new address) returns via RPC-port
-        return self.ctx.create(
-            InterpretedBehavior(self.library, definition, args,
-                                engine=self.owner.engine))
+        return self.ctx.create(self._instantiate(name, args))
 
     def create_actorspace(self, capability):
         self.owner.ports.rpc += 1
@@ -133,7 +134,6 @@ class ActorInterface:
         self.ctx.schedule(float(delay), payload)
 
     def emit(self, text: str) -> None:
-        self.output.append(text)
         self.owner.output.append(text)
 
 
@@ -189,16 +189,22 @@ class InterpretedBehavior(Behavior):
                 f"arguments, got {len(args)}"
             )
         interface = ActorInterface(ctx, self.library, self, message.reply_to)
-        env = base_env().child(dict(self.state)).child(dict(zip(method.params, args)))
         if self.engine == "bytecode":
-            from .vm import VM
-
             code = self.library.compiled(self.definition.name, method,
                                          self.definition.params)
-            VM(interface, max_steps=self.max_steps).run(code, env)
+            VM(interface, self.max_steps).run(
+                code, [*self.state.values(), *args])
         else:
-            evaluator = Evaluator(interface, max_steps=self.max_steps)
-            evaluator.run_body(list(method.body), env)
+            env = base_env().child(self.state).child(
+                dict(zip(method.params, args)))
+            Evaluator(interface, self.max_steps).run_body(method.body, env)
+
+    def __addresses__(self):
+        """The mail addresses this behavior holds, for the coordinator's
+        acquaintance scan: the program text's, found once per definition,
+        and the acquaintance values' — never fewer than a walk of
+        ``vars(self)`` finds, and no re-reading of the parsed program."""
+        return (*self.definition.addresses, *scan_addresses(self.state))
 
     @staticmethod
     def _decode(payload) -> tuple[str, list]:

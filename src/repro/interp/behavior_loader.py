@@ -21,10 +21,13 @@ chose an interpreter for (section 7).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.errors import InterpreterSyntaxError
+from repro.core.gc import scan_addresses
 
 from .astnodes import Symbol, is_symbol, to_source
+from .compiler import compile_body
 from .parser import parse_program
 
 
@@ -44,6 +47,12 @@ class BehaviorDef:
     name: str
     params: tuple[str, ...]
     methods: dict[str, MethodDef]
+    @cached_property
+    def addresses(self) -> tuple:
+        """The mail addresses in the program text, which every actor
+        running this definition pins: none in a parsed script, but a body
+        built by hand may hold address literals.  Found once."""
+        return tuple(scan_addresses((self.name, self.params, self.methods)))
 
     def method(self, name: str) -> MethodDef | None:
         return self.methods.get(name)
@@ -97,9 +106,9 @@ class BehaviorLibrary:
     """A mutable registry of behavior definitions, loadable at run time.
 
     Also owns the code cache for the compiled engine: method bodies
-    are compiled on first dispatch and the cache entry is invalidated
-    when its behavior is re-loaded (hot-swap keeps working under both
-    engines).
+    are compiled on first dispatch, and an entry answers only for the
+    method it was compiled from, so a re-load recompiles (hot-swap keeps
+    working under both engines).
     """
 
     def __init__(self):
@@ -118,9 +127,6 @@ class BehaviorLibrary:
             definition = parse_behavior(form)
             self._defs[definition.name] = definition
             loaded.append(definition)
-            # Drop stale compiled code for every re-loaded behavior.
-            for key in [k for k in self._code_cache if k[0] == definition.name]:
-                del self._code_cache[key]
         return loaded
 
     def compiled(self, behavior_name: str, method: MethodDef,
@@ -128,15 +134,12 @@ class BehaviorLibrary:
         """The compiled :class:`~repro.interp.compiler.Code` for a method
         of a behavior with these acquaintance parameters.
 
-        An entry answers only for the method it was compiled from: an
-        actor still running a definition that a re-load has replaced
+        An actor still running a definition that a re-load has replaced
         gets its own code, not its successor's.
         """
         key = (behavior_name, method.name)
         cached = self._code_cache.get(key)
         if cached is None or cached[0] is not method:
-            from .compiler import compile_body
-
             code = compile_body(method.body, acquaintances + method.params)
             cached = self._code_cache[key] = (method, code)
         return cached[1]

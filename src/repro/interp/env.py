@@ -24,14 +24,6 @@ class Env:
             env = env.parent
         raise InterpreterRuntimeError(f"unbound variable: {name}")
 
-    def is_bound(self, name: str) -> bool:
-        env: Env | None = self
-        while env is not None:
-            if name in env.bindings:
-                return True
-            env = env.parent
-        return False
-
     def define(self, name: str, value: Any) -> None:
         """Bind ``name`` in *this* frame (shadowing any outer binding)."""
         self.bindings[name] = value
@@ -55,27 +47,6 @@ class Env:
     def child(self, bindings: dict[str, Any] | None = None) -> "Env":
         return Env(bindings, parent=self)
 
-    def flatten(self) -> dict[str, Any]:
-        """All visible bindings (inner shadowing outer) — used by ``become``
-        to snapshot the state a behavior carries forward."""
-        frames = []
-        env: Env | None = self
-        while env is not None:
-            frames.append(env.bindings)
-            env = env.parent
-        merged: dict[str, Any] = {}
-        for frame in reversed(frames):
-            merged.update(frame)
-        return merged
-
-    def __repr__(self):
-        depth = 0
-        env = self.parent
-        while env is not None:
-            depth += 1
-            env = env.parent
-        return f"<Env {len(self.bindings)} bindings, depth {depth}>"
-
 
 class FrozenEnv(Env):
     """An immutable frame — used for the shared builtins table.
@@ -88,6 +59,3 @@ class FrozenEnv(Env):
 
     __slots__ = ()
     mutable = False
-
-    def define(self, name, value) -> None:
-        raise InterpreterRuntimeError(f"cannot rebind builtin frame ({name})")

@@ -15,14 +15,14 @@ open-systems discussion (section 2).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable
 
 from repro.core.errors import InterpreterRuntimeError
 
 from .astnodes import Symbol, to_source
 from .builtins import BUILTINS
 from .effects import EFFECT_FORMS, EffectBridge, effect_form
-from .env import Env
+from .env import Env, FrozenEnv
 
 
 def out_of_fuel(max_steps: int) -> InterpreterRuntimeError:
@@ -41,7 +41,7 @@ class Evaluator:
 
     # -- driver -------------------------------------------------------------------
 
-    def run_body(self, body: list, env: Env) -> Any:
+    def run_body(self, body: Iterable, env: Env) -> Any:
         """Evaluate a method body (a sequence of forms); fresh fuel."""
         self._steps = 0
         result: Any = None
@@ -237,7 +237,7 @@ _SPECIAL = {
 }
 
 
-_SHARED_BUILTINS: "Env | None" = None
+_SHARED_BUILTINS = FrozenEnv(BUILTINS)
 
 
 def base_env() -> Env:
@@ -246,9 +246,4 @@ def base_env() -> Env:
     Callers get a mutable frame for ``define``; the builtins themselves
     are shared across all actors and invocations and cannot be rebound.
     """
-    global _SHARED_BUILTINS
-    if _SHARED_BUILTINS is None:
-        from .env import FrozenEnv
-
-        _SHARED_BUILTINS = FrozenEnv(dict(BUILTINS))
     return _SHARED_BUILTINS.child()

@@ -72,11 +72,18 @@ _ACTOR_VISIBILITY_KINDS = frozenset({
 def _behavior_addresses(behavior: Behavior):
     """Conservatively enumerate mail addresses held in a behavior's state.
 
-    Covers instance ``__dict__``, ``__slots__``, and — for function
+    A behavior that answers ``__addresses__()`` — the hook
+    ``scan_addresses`` gives payload objects — is taken at its word: it
+    promises a superset of what the walk below would find.  The walk
+    covers instance ``__dict__``, ``__slots__``, and — for function
     behaviors — values captured in the function's closure cells: an
     address squirrelled away in a closure must pin its target exactly
     like one stored on an attribute.
     """
+    hook = getattr(behavior, "__addresses__", None)
+    if callable(hook):
+        yield from (a for a in hook() if isinstance(a, MailAddress))
+        return
     if hasattr(behavior, "__dict__"):
         yield from scan_addresses(vars(behavior))
     for slot in getattr(type(behavior), "__slots__", ()):

@@ -286,3 +286,127 @@ def test_gc_never_collects_reachable(edges, root_ids):
                 frontier.append(nxt)
     assert reachable.isdisjoint(report.collected_actors)
     assert reachable <= report.live_actors
+
+
+# -- a behavior's acquaintance scan: the ``__addresses__`` hook -------------------
+
+
+def vars_walk(behavior):
+    """``runtime/coordinator.py::_behavior_addresses`` as it was before
+    it honoured ``__addresses__`` on a behavior: the reference the hook's
+    answer must be a superset of."""
+    if hasattr(behavior, "__dict__"):
+        yield from scan_addresses(vars(behavior))
+    for slot in getattr(type(behavior), "__slots__", ()):
+        yield from scan_addresses(getattr(behavior, slot, None))
+    fn = getattr(behavior, "fn", None)
+    closure = getattr(fn, "__closure__", None)
+    if closure:
+        for cell in closure:
+            try:
+                yield from scan_addresses(cell.cell_contents)
+            except ValueError:  # empty cell
+                continue
+
+
+class CountedBody(list):
+    """A method body form that counts how often it is walked."""
+
+    walks = 0
+
+    def __iter__(self):
+        type(self).walks += 1
+        return super().__iter__()
+
+
+def scripted(body, n_state=0):
+    """A library with one hand-built definition ``held``: method ``m``
+    has ``body``, method ``again`` becomes ``held`` with the same state."""
+    from repro.interp import BehaviorDef, BehaviorLibrary, MethodDef
+    from repro.interp.parser import parse_one
+
+    params = tuple(f"p{i}" for i in range(n_state))
+    again = parse_one("(become held " + " ".join(params) + ")")
+    library = BehaviorLibrary()
+    library._defs["held"] = BehaviorDef("held", params, {
+        "m": MethodDef("m", (), tuple(body)),
+        "again": MethodDef("again", (), (again,))})
+    return library
+
+
+class TestBehaviorAddresses:
+    @given(st.lists(payloads, max_size=3), st.sampled_from(["tree", "bytecode"]))
+    @settings(max_examples=200, deadline=None)
+    def test_the_hook_never_finds_fewer_than_the_walk(self, state, engine):
+        from repro.interp import InterpretedBehavior
+        from repro.runtime.coordinator import _behavior_addresses
+
+        literal = ActorAddress(7, 7)
+        library = scripted([["list", literal]], len(state))
+        behavior = InterpretedBehavior(library, library.get("held"), state,
+                                       engine=engine)
+        found = set(_behavior_addresses(behavior))
+        assert found >= set(vars_walk(behavior)) >= {literal}
+
+    @pytest.mark.parametrize("engine", ["tree", "bytecode"])
+    def test_an_address_literal_in_a_hand_built_body_still_pins(self, engine):
+        from repro.interp import InterpretedBehavior
+        from repro.runtime.system import ActorSpaceSystem
+
+        system = ActorSpaceSystem(seed=0)
+        target = system.create_actor(lambda ctx, m: None)
+        library = scripted([["list", target]])
+        held = system.create_actor(InterpretedBehavior(
+            library, library.get("held"), [], engine=engine))
+        coordinator = system.coordinators[held.node]
+        assert target in coordinator.acquaintances[held]
+        system.send_to(held, ["again"])
+        system.run()
+        assert system.actor_record(held).behavior.ports.behavior == 1
+        assert target in coordinator.acquaintances[held]
+
+    def test_create_and_become_do_not_rewalk_the_program(self):
+        from repro.interp import InterpretedBehavior
+        from repro.runtime.system import ActorSpaceSystem
+
+        system = ActorSpaceSystem(seed=0)
+        library = scripted([CountedBody(["list", 1, 2])])
+        CountedBody.walks = 0
+        actors_made = [system.create_actor(InterpretedBehavior(
+            library, library.get("held"), [])) for _ in range(100)]
+        for actor in actors_made:
+            system.send_to(actor, ["again"])
+        system.run()
+        assert all(system.actor_record(actor).behavior.ports.behavior == 1
+                   for actor in actors_made)
+        assert CountedBody.walks <= 1
+
+    def test_a_native_behavior_is_walked_as_before(self):
+        from repro.core.actor import FunctionBehavior
+        from repro.runtime.coordinator import _behavior_addresses
+
+        a, b, c = actors(3)
+
+        class Slotted:
+            __slots__ = ("peer",)
+
+            def __init__(self):
+                self.peer = b
+
+            def receive(self, ctx, message):
+                pass
+
+        class Plain:
+            def __init__(self):
+                self.peers = {"k": [a, (b,)]}
+
+            def receive(self, ctx, message):
+                pass
+
+        captured = c
+        closure = FunctionBehavior(lambda ctx, m: captured)
+        for behavior in (Slotted(), Plain(), closure):
+            assert list(_behavior_addresses(behavior)) == list(
+                vars_walk(behavior))
+        assert list(_behavior_addresses(Plain())) == [a, b]
+        assert list(_behavior_addresses(closure)) == [c]

@@ -185,3 +185,40 @@ class TestInterpretedActors:
         assert system.actor_record(actor) is not None
         entry = system.directory_of(0).space(system.root_space).lookup(actor)
         assert entry is not None
+
+
+SPINNER = """
+(behavior spinner (turns)
+  (method turn () (become spinner (+ turns 1)))
+  (method spawn () (send-to (reply-addr) (create spinner 0)))
+  (method spin () (while true 1)))
+"""
+
+
+@pytest.mark.parametrize("engine", ["tree", "bytecode"])
+def test_fuel_limit_survives_become_and_create(engine):
+    """A tightened ``max_steps`` (the untrusted-client guard) is the
+    actor's, not one behavior object's: the behavior it becomes and the
+    children it creates are cut off at the same step."""
+    from repro.core.messages import Message
+
+    system = ActorSpaceSystem(seed=0)
+    lib = BehaviorLibrary()
+    lib.load(SPINNER)
+    guarded = InterpretedBehavior(lib, lib.get("spinner"), [0], engine=engine)
+    guarded.max_steps = 50
+    actor = system.create_actor(guarded)
+    children = []
+    probe = system.create_actor(lambda ctx, m: children.append(m.payload))
+    system.send_to(actor, ["turn"])
+    system.run()
+    system.send_to(actor, ["spawn"], reply_to=probe)  # by the new behavior
+    system.run()
+    [child] = children
+    for address in (actor, child):
+        record = system.actor_record(address)
+        assert record.behavior is not guarded
+        with pytest.raises(InterpreterRuntimeError,
+                           match="script exceeded 50 evaluation steps"):
+            record.behavior.receive(system.make_context(record),
+                                    Message(["spin"]))

@@ -47,7 +47,7 @@ def run_tree(src, bridge=None, max_steps=100_000):
 
 def run_vm(src, bridge=None, max_steps=100_000):
     code = compile_body([parse_one(src)])
-    return VM(bridge or NullBridge(), max_steps).run(code, base_env())
+    return VM(bridge or NullBridge(), max_steps).run(code, [])
 
 
 def outcome(run, src, max_steps=100_000):
@@ -148,7 +148,7 @@ class TestCrossEngineFixedCases:
     def test_vm_fuel_limit(self):
         code = compile_body([parse_one("(while true 1)")])
         with pytest.raises(InterpreterRuntimeError):
-            VM(NullBridge(), max_steps=500).run(code, base_env())
+            VM(NullBridge(), max_steps=500).run(code, [])
 
     def test_fuel_buys_the_same_work_under_both_engines(self):
         """``max_steps`` counts forms evaluated, whichever engine runs."""
@@ -160,17 +160,75 @@ class TestCrossEngineFixedCases:
             "error", "script exceeded 278 evaluation steps")
 
 
+class TestStaticResolutionPinned:
+    """The shapes a change to the compiler's name resolution breaks
+    first, each with the answer the tree walker gives."""
+
+    @pytest.mark.parametrize("src, expected", [
+        # sequential let: an init reads what its name meant outside
+        ("(let ((x 1)) (let ((x (+ x 1))) x))", ("value", 2)),
+        # a define that did not run binds nothing
+        ("(begin (if false (define w 1)) w)",
+         ("error", "unbound variable: w")),
+        # a for body is a new frame per item
+        ("(begin (for i (list 1 2) (if (= i 1) (define q i)) q) 0)",
+         ("error", "unbound variable: q")),
+        # a let that a while re-enters starts with its defines unbound:
+        # the second pass must not see the first pass's 7
+        ("(let ((k 0)) (while (< k 2) (let ((a k)) (if (= a 0) (define b 7))"
+         " (set! k (+ k 1)) b)))", ("error", "unbound variable: b")),
+        # the builtins frame is frozen; a local of the same name is not
+        ("(set! max 1)", ("error", "cannot rebind builtin: max")),
+        ("(begin (define max 5) (set! max 6) max)", ("value", 6)),
+        # an inner define shadows for one item, then the outer is back
+        ("(let ((x 1)) (for i (list 1 2) (if (= i 1) (define x 10))"
+         " (set! x (+ x 1))) x)", ("value", 2)),
+        # a define inside one let init is seen by the next
+        ("(let ((a (if true (define b 1) 2)) (b (+ b 1))) b)", ("value", 2)),
+        # a for's list is evaluated outside the frame its body gets
+        ("(begin (for i (begin (define z 4) (list 1 2)) z) z)", ("value", 4)),
+        # quoted data defines nothing
+        ("(begin '(define w 1) w)", ("error", "unbound variable: w")),
+    ])
+    def test_both_engines_give_the_walkers_answer(self, src, expected):
+        assert outcome(run_tree, src)[0] == expected
+        assert outcome(run_vm, src) == outcome(run_tree, src)
+
+    @pytest.mark.parametrize("engine", ["tree", "bytecode"])
+    def test_a_message_parameter_shadows_an_acquaintance_of_its_name(
+            self, engine):
+        system = ActorSpaceSystem(seed=0)
+        lib = BehaviorLibrary()
+        lib.load("(behavior b (v w) (method m (v) (print v w)))")
+        actor = system.create_actor(
+            InterpretedBehavior(lib, lib.get("b"), ["acq-v", "acq-w"],
+                                engine=engine))
+        system.send_to(actor, ["m", "param-v"])
+        system.run()
+        assert system.actor_record(actor).behavior.output == ["param-v acq-w"]
+
+
 # -- property: random programs agree ---------------------------------------------
 
 ARITH = ["+", "-", "*", "max", "min"]
-VARS = ["x", "y", "z"]
+#: ``program()`` binds x, y and z; nothing binds ``w`` but the program
+#: itself, so a reference to it may find it unbound, or bound by a
+#: ``define`` that may or may not have run.
+VARS = ["x", "y", "z", "w"]
+
+
+def _form(template, *parts):
+    return st.tuples(*parts).map(lambda t: template.format(*t))
 
 
 def exprs(depth=3):
-    """Programs over ``x``, ``y``, ``z``: arithmetic and comparisons,
-    every control form, assignment, bounded loops, quoted data, effects,
-    and builtins shadowed or assigned to — so a builtin is sometimes
-    bound at compile time and sometimes must be looked up."""
+    """Programs over ``x``, ``y``, ``z`` and the free ``w``: arithmetic
+    and comparisons, every control form, assignment, quoted data,
+    effects — and the shapes static name resolution can get wrong:
+    conditional and bare ``define``s, ``let`` bindings that read each
+    other's names, loops whose bodies ``define`` and are re-entered, a
+    variable in head position, and builtin names as ``let``, ``define``
+    and ``for`` targets."""
     ints = st.integers(-20, 20)
     atoms = st.one_of(ints, st.sampled_from(VARS), st.booleans().map(
         lambda b: "true" if b else "false"))
@@ -180,31 +238,33 @@ def exprs(depth=3):
     binop = st.sampled_from(ARITH)
     cmp_ = st.sampled_from(["<", ">", "=", "<=", ">="])
     var = st.sampled_from(VARS)
-
-    def form(template, *parts):
-        return st.tuples(*parts).map(lambda t: template.format(*t))
+    name = st.sampled_from(VARS + ARITH)
+    turns = st.integers(0, 3)
 
     return st.one_of(
         atoms,
-        form("({} {} {})", binop, sub, sub),
-        form("({} {} {})", cmp_, sub, sub),
-        form("(if {} {} {})", sub, sub, sub),
-        form("(and {} {})", sub, sub),
-        form("(or {} {})", sub, sub),
-        form("(let (({} {})) {})", var, sub, sub),
-        form("(begin {} {})", sub, sub),
-        form("(list {} 1)", sub),
-        form("(set! {} {})", var, sub),
-        form("(begin (define {} {}) {})", var, sub, sub),
-        form("(let ((k 0)) (while (< k {}) (set! k (+ k 1)) {}) k)",
-             st.integers(0, 3), sub),
-        form("(for {} (range {}) {})", var, st.integers(0, 3), sub),
-        form("(cons {} '(a 1 (b 2)))", sub),
-        form("(len '({} b))", var),
-        form("(begin (print {}) (send-to (self) {}))", sub, sub),
-        form("(let (({} {})) {})", binop, binop, sub),
-        form("(begin (define {} {}) {})", binop, sub, sub),
-        form("(set! {} {})", binop, sub),
+        _form("({} {} {})", binop, sub, sub),
+        _form("({} {} {})", cmp_, sub, sub),
+        _form("({} {} {})", var, sub, sub),
+        _form("(if {} {} {})", sub, sub, sub),
+        _form("(if {} (define {} {}) {})", sub, name, sub, sub),
+        _form("(and {} {})", sub, sub),
+        _form("(or {} {})", sub, sub),
+        _form("(let (({} {})) {})", name, sub, sub),
+        _form("(let (({} {}) ({} {})) {} {})", var, sub, var, sub, sub, sub),
+        _form("(begin {} {})", sub, sub),
+        _form("(begin {} {} {})", sub, sub, sub),
+        _form("(list {} 1)", sub),
+        _form("(set! {} {})", name, sub),
+        _form("(define {} {})", name, sub),
+        _form("(begin (define {} {}) {})", name, sub, sub),
+        _form("(let ((k 0)) (while (< k {}) (set! k (+ k 1)) {} {}) k)",
+              turns, sub, sub),
+        _form("(for {} (range {}) {} {})", name, turns, sub, sub),
+        _form("(cons {} '(a 1 (b 2)))", sub),
+        _form("(len '({} b))", var),
+        _form("(begin (print {}) (send-to (self) {}))", sub, sub),
+        _form("(let (({} {})) {})", binop, binop, sub),
     )
 
 
@@ -212,20 +272,68 @@ def program(inner):
     return f"(let ((x 3) (y 5) (z 7)) {inner})"
 
 
-@given(exprs())
-@settings(max_examples=400, deadline=None)
-def test_engines_agree_on_random_programs(src_inner):
-    src = program(src_inner)
-    assert outcome(run_vm, src) == outcome(run_tree, src)
+def scopes(name):
+    """A loop over ``k`` around an optional inner frame (a ``let``, a
+    ``for``) around statements that bind, shadow, assign and read the
+    names ``name`` draws.  Loops evaluate to nil, so the statements print
+    what the names hold; a ``define`` that runs on one turn only is what
+    a stale register would keep for the next."""
+    turn = st.integers(0, 2)
+    value = st.one_of(st.integers(0, 9), name, _form("(+ {} {})", name, turn))
+    once = _form("(if (= k {}) (define {} {}))", turn, name, value)
+    body = st.lists(st.one_of(
+        once, once,
+        _form("(print {})", name),
+        _form("(print (+ {} {}))", name, turn),
+        _form("(print ({} {} 1))", name, name),
+        _form("(define {} {})", name, value),
+        _form("(set! {} {})", name, value),
+    ), min_size=2, max_size=5).map(" ".join)
+    init = st.one_of(value, _form("(begin {} {})", once, name))
+    frame = st.one_of(
+        body,
+        _form("(let (({} {}) ({} {})) {})", name, init, name, init, body),
+        _form("(for {} (range 2) {})", name, body),
+        _form("(if (= k {}) (begin {}) (begin {}))", turn, body, body),
+    )
+    return st.one_of(
+        _form("(let ((x 3) (k 0)) {} (for k (range 3) {}) (print x k))",
+              body, frame),
+        _form("(let ((x 3) (k 0)) (while (< k 3) {} (set! k (+ k 1)))"
+              " (print x k))", frame),
+    )
 
 
-@given(exprs(), st.integers(0, 150))
-@settings(max_examples=400, deadline=None)
-def test_engines_run_out_of_fuel_at_the_same_form(src_inner, max_steps):
+#: What each example of the two properties draws: a general program, and
+#: a scoping puzzle over one or two of a name bound outside, a name
+#: nothing binds and a builtin (so few that a ``define`` and a read meet).
+PROGRAMS = st.tuples(
+    exprs().map(program),
+    st.lists(st.sampled_from(["x", "w", "max"]), min_size=1, max_size=2)
+    .flatmap(lambda names: scopes(st.sampled_from(names))))
+
+
+#: 400 examples a property in tier-1; a profile that asks for more (the
+#: ``conformance`` one of conftest.py) gets what it asks for.
+PROPERTY = settings(deadline=None,
+                    max_examples=max(400, settings.default.max_examples))
+
+
+@given(PROGRAMS)
+@PROPERTY
+def test_engines_agree_on_random_programs(programs):
+    for src in programs:
+        assert outcome(run_vm, src) == outcome(run_tree, src)
+
+
+@given(PROGRAMS, st.integers(0, 150))
+@PROPERTY
+def test_engines_run_out_of_fuel_at_the_same_form(programs, max_steps):
     """Same value, or the same error — the fuel error included — after
     the same effects, for any budget."""
-    src = program(src_inner)
-    assert outcome(run_vm, src, max_steps) == outcome(run_tree, src, max_steps)
+    for src in programs:
+        assert (outcome(run_vm, src, max_steps)
+                == outcome(run_tree, src, max_steps))
 
 
 # -- end-to-end: bytecode actors in the runtime --------------------------------------
