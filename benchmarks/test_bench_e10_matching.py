@@ -6,8 +6,9 @@ pattern class (literal / one-level wildcard / glob / deep ``**`` with
 nested spaces) and reports resolutions per second plus entries examined.
 E10d adds the epoch-invalidated resolution cache: repeated resolutions
 under stable visibility (a hot group re-resolved per send) cached vs
-uncached, and E10e the churn scenarios distinguishing on-path
-invalidation from unrelated-mutation revalidation.
+uncached, and E10e the churn scenarios distinguishing an on-path
+change (the one changed entry repaired) from unrelated-mutation
+revalidation.
 """
 
 import time
@@ -151,9 +152,10 @@ def test_bench_e10_matching(benchmark):
 
     churn = TextTable(
         ["registry", "churn kind", "ms/resolve", "hits", "misses",
-         "invalidations"],
+         "invalidations", "repairs"],
         title="E10e: one visibility op between resolutions "
-              "(on-path invalidates; unrelated revalidates by epoch)",
+              "(on-path repairs the changed entry; unrelated revalidates "
+              "by epoch)",
     )
     for n in (10_000,):
         for kind in ("on-path", "unrelated"):
@@ -173,7 +175,13 @@ def test_bench_e10_matching(benchmark):
                 resolve_actors(d, "services/kind7/*", root, cache=cache)
             elapsed = (time.perf_counter() - t0) / repeats
             churn.add_row([n, kind, elapsed * 1e3, cache.hits, cache.misses,
-                           cache.invalidations])
+                           cache.invalidations, cache.repairs])
+            if kind == "on-path":
+                # One re-test instead of a walk of the whole bucket.
+                _m, walk_ms, _e = _measure(d, root, "services/kind7/*")
+                assert walk_ms >= 50 * elapsed * 1e3, (
+                    f"on-path repair {elapsed * 1e3:.3f} ms is not 50x "
+                    f"cheaper than a {walk_ms:.3f} ms walk")
     emit("e10_matching", flat, index, nested, cached_tbl, churn)
 
     d, root = _registry(10_000)

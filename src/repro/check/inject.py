@@ -65,8 +65,30 @@ def inject_stale_resolution(system):
     return lambda: setattr(ResolutionCache, "lookup", original)
 
 
+def inject_repair_keeps_stale(system):
+    """The one-entry repair forgets to re-test the entry it repairs.
+
+    ``ResolutionCache._repair`` moves the epochs forward but hands back
+    the cached tuple, so a member hidden (or an actor shown) right after
+    a resolution stays in (or out of) the group until a second mutation
+    of the space forces a walk.
+    """
+    original = ResolutionCache._repair
+
+    def trusting(self, entry, space, pattern, directory):
+        stale = entry[0]
+        if original(self, entry, space, pattern, directory) is None:
+            return None
+        entry[0] = stale
+        return stale
+
+    ResolutionCache._repair = trusting
+    return lambda: setattr(ResolutionCache, "_repair", original)
+
+
 #: Name -> injection, for ``python -m repro check --inject NAME``.
 INJECTIONS = {
     "arbitration-stale": inject_arbitration_stale,
     "stale-resolution": inject_stale_resolution,
+    "repair-keeps-stale": inject_repair_keeps_stale,
 }

@@ -64,6 +64,7 @@ class SpaceRecord:
         "_by_first_atom",
         "destroyed",
         "epoch",
+        "last_change",
     )
 
     def __init__(
@@ -92,6 +93,11 @@ class SpaceRecord:
         #: (register with changed attributes, successful unregister,
         #: destroy).  Resolution caches key their validity on it.
         self.epoch = 0
+        #: ``(epoch, target)`` when the latest mutation re-registered or
+        #: removed the one *actor* entry ``target``; ``None`` after any
+        #: other (a space entry, :meth:`touch`, :meth:`destroy`).  Lets a
+        #: cached resolution one mutation behind be repaired, not re-walked.
+        self.last_change: tuple[int, MailAddress] | None = None
 
     # -- registry ---------------------------------------------------------------
 
@@ -125,7 +131,7 @@ class SpaceRecord:
         self._entries[target] = entry
         for path in entry.attributes:
             self._by_first_atom.setdefault(path.atoms[0], {})[target] = entry
-        self.epoch += 1
+        self._mutated(entry)
         return entry
 
     def unregister(self, target: MailAddress) -> bool:
@@ -135,8 +141,12 @@ class SpaceRecord:
         if entry is None:
             return False
         self._unindex(entry)
-        self.epoch += 1
+        self._mutated(entry)
         return True
+
+    def _mutated(self, entry: RegistryEntry) -> None:
+        self.epoch += 1
+        self.last_change = None if entry.is_space else (self.epoch, entry.target)
 
     def _unindex(self, entry: RegistryEntry) -> None:
         for path in entry.attributes:
@@ -155,6 +165,7 @@ class SpaceRecord:
         invalidate.
         """
         self.epoch += 1
+        self.last_change = None
 
     def lookup(self, target: MailAddress) -> RegistryEntry | None:
         """The entry for ``target``, or ``None``."""
@@ -174,10 +185,6 @@ class SpaceRecord:
         first matcher is the literal ``atom`` can only match these.
         """
         return iter(self._by_first_atom.get(atom, {}).values())
-
-    def first_atoms(self) -> Iterator[str]:
-        """The distinct first atoms present in the registry (index keys)."""
-        return iter(self._by_first_atom)
 
     def entries_matching_first(self, matcher) -> Iterator[RegistryEntry]:
         """Entries whose some attribute's first atom satisfies ``matcher``.
@@ -232,6 +239,7 @@ class SpaceRecord:
         self._by_first_atom.clear()
         self.destroyed = True
         self.epoch += 1
+        self.last_change = None
         return evicted
 
     def snapshot(self) -> dict[MailAddress, frozenset[AttributePath]]:

@@ -25,7 +25,6 @@ actorSpace specification ... may itself be pattern based" (section 5.3).
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable
 
 from .addresses import ActorAddress, MailAddress, SpaceAddress
 from .messages import Destination
@@ -48,6 +47,7 @@ class MatchStats:
         "cache_hits",
         "cache_misses",
         "cache_invalidations",
+        "cache_repairs",
     )
 
     def __init__(self):
@@ -57,18 +57,20 @@ class MatchStats:
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_invalidations = 0
+        self.cache_repairs = 0
 
     def __repr__(self):
         return (
             f"<MatchStats examined={self.entries_examined} "
             f"descended={self.spaces_descended} residuals={self.residuals_generated} "
-            f"cache={self.cache_hits}h/{self.cache_misses}m/{self.cache_invalidations}i>"
+            f"cache={self.cache_hits}h/{self.cache_misses}m/"
+            f"{self.cache_invalidations}i/{self.cache_repairs}r>"
         )
 
 
 class ResolutionCache:
     """Memoized ``resolve_actors``/``resolve_spaces`` results with epoch
-    invalidation.
+    invalidation and one-entry repair.
 
     A result is the group as a tuple in address order — the form
     arbitration indexes and fan-out iterates — and a hit returns that very
@@ -81,15 +83,7 @@ class ResolutionCache:
     1. **Global**: the directory epoch has not moved — nothing changed
        anywhere, the entry is valid (one integer compare; this is the
        stable-visibility fast path that E10d measures).
-    2. **Shard vector** (partitioned visibility plane only): the global
-       epoch moved, but none of the *shards* whose spaces this walk
-       crossed did — the mutation was sequenced on an unrelated shard.
-       A handful of integer compares (one per shard touched, plus the
-       quarantine-mask epoch) instead of one per visited space.  This
-       is the per-shard generalization of the single directory epoch:
-       under sharding the global epoch moves on every op anywhere, so
-       tier 1 alone would degrade to a per-op invalidation storm.
-    3. **Path**: some touched shard moved, but no space on the entry's
+    2. **Path**: the global epoch moved, but no space on the entry's
        resolution path did — the mutation happened somewhere this
        resolution never looked, so the result is still exact.  The
        global epoch is refreshed so the next lookup takes tier 1.
@@ -104,6 +98,20 @@ class ResolutionCache:
     skipped edge's attributes can only change by re-registering the
     child in the visited parent.
 
+    Where both fail, an ``"actors"`` entry whose walk expanded one state
+    (its scope under its own pattern: no descent) is **repaired** when the
+    scope moved by exactly one mutation of one actor entry
+    (:attr:`SpaceRecord.last_change`).  That walk's answer is the scope's
+    actor entries some attribute matches and no mask hides; space entries
+    and masks on the scope's actors did not change (either would bump it
+    with no ``last_change``), so re-testing the one target with the same
+    predicate is exact: the same tuple if membership held, else one with
+    the target added or dropped.  Anything else — two mutations behind, a
+    space entry, a quarantine ``touch``, a destroyed scope, a walk over
+    several states, a ``"spaces"`` entry — walks.  A repair counts as a
+    miss and an invalidation (a hit is a tuple served as stored) and as a
+    ``repair``.
+
     Entries are evicted least-recently-used once ``max_entries`` is
     exceeded.  The cache is a per-replica structure (one per coordinator
     in the runtime): replicas apply visibility ops independently, so
@@ -111,20 +119,16 @@ class ResolutionCache:
     """
 
     __slots__ = ("max_entries", "hits", "misses", "invalidations",
-                 "shard_hits", "_entries")
+                 "repairs", "_entries")
 
     def __init__(self, max_entries: int = 4096):
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        #: Hits that needed the shard-vector tier (tier 1 failed because
-        #: an op landed somewhere, but not on any shard this walk saw).
-        self.shard_hits = 0
+        self.repairs = 0
         #: (kind, space, pattern) ->
-        #:   [result, dir_epoch, {space: epoch}, shard_vector | None]
-        #: where shard_vector is [{shard: epoch}, mask_epoch] under a
-        #: partitioned plane and None otherwise.
+        #:   [result, dir_epoch, {space: epoch}, repairable]
         self._entries: dict[tuple, list] = {}
 
     def __len__(self) -> int:
@@ -139,7 +143,7 @@ class ResolutionCache:
             "hits": self.hits,
             "misses": self.misses,
             "invalidations": self.invalidations,
-            "shard_hits": self.shard_hits,
+            "repairs": self.repairs,
             "entries": len(self._entries),
         }
 
@@ -154,37 +158,52 @@ class ResolutionCache:
         stats: MatchStats | None = None,
     ) -> "tuple | None":
         key = (kind, space, pattern)
-        entry = self._entries.get(key)
+        # Popped and re-inserted when kept: that is the LRU refresh.
+        entry = self._entries.pop(key, None)
+        result = None
         if entry is not None:
-            result, dir_epoch, path_epochs, shard_vector = entry
-            valid = dir_epoch == directory.epoch
-            if not valid and shard_vector is not None:
-                shard_epochs, mask_epoch = shard_vector
-                if mask_epoch == directory.mask_epoch and all(
-                    directory.shard_epoch(k) == e
-                    for k, e in shard_epochs.items()
-                ):
-                    valid = True
-                    self.shard_hits += 1
-            if valid or all(
-                directory.space_epoch(s) == e for s, e in path_epochs.items()
+            epoch = directory.epoch
+            if entry[1] == epoch or all(
+                directory.space_epoch(s) == e for s, e in entry[2].items()
             ):
-                entry[1] = directory.epoch
-                # Refresh LRU position.
-                del self._entries[key]
+                entry[1] = epoch
                 self._entries[key] = entry
                 self.hits += 1
                 if stats is not None:
                     stats.cache_hits += 1
-                return result
-            del self._entries[key]
+                return entry[0]
             self.invalidations += 1
             if stats is not None:
                 stats.cache_invalidations += 1
+            if entry[3]:
+                result = self._repair(entry, space, pattern, directory)
+            if result is not None:
+                self._entries[key] = entry
+                self.repairs += 1
+                if stats is not None:
+                    stats.cache_repairs += 1
         self.misses += 1
         if stats is not None:
             stats.cache_misses += 1
-        return None
+        return result
+
+    def _repair(self, entry: list, space: SpaceAddress, pattern: Pattern,
+                directory: Directory) -> "tuple | None":
+        """Carry ``entry`` past the one actor-entry mutation its scope has
+        seen since it was stored; ``None`` when that is not the case."""
+        change = directory.last_change(space)
+        if change is None or change[0] != entry[2][space] + 1:
+            return None
+        epoch, target = change
+        now = directory.space(space).lookup(target)
+        member = now is not None and not directory.is_masked(target) and any(
+            pattern.matches(attr) for attr in now.attributes)
+        group = entry[0]
+        if member != (target in group):
+            group = (tuple(sorted(group + (target,), key=_address_order))
+                     if member else tuple(a for a in group if a != target))
+        entry[0:3] = group, directory.epoch, {space: epoch}
+        return group
 
     def store(
         self,
@@ -192,37 +211,20 @@ class ResolutionCache:
         space: SpaceAddress,
         pattern: Pattern,
         directory: Directory,
-        path_spaces: "Iterable[SpaceAddress]",
+        visited: "set[tuple[SpaceAddress, Pattern]]",
         result: tuple,
     ) -> None:
         while len(self._entries) >= self.max_entries:
             self._entries.pop(next(iter(self._entries)))
-        path_spaces = list(path_spaces)
-        path_epochs = {s: directory.space_epoch(s) for s in path_spaces}
-        shard_vector = None
-        if directory.sharded:
-            # Which shard streams can mutate the spaces this walk saw?
-            # A registry is only ever mutated by its home shard's stream
-            # or by shard 0 (space lifecycle + containment edges are
-            # always sequenced there), so those epochs — plus the mask
-            # epoch, because quarantine changes arrive outside any shard
-            # stream — validate the entry with a handful of integer
-            # compares (tier 2).  Shard 0 also covers spaces the walk
-            # found missing: their eventual ADD_SPACE lands on shard 0.
-            shard_epochs = {
-                k: directory.shard_epoch(k)
-                for k in directory.shards_of(path_spaces) | {0}
-            }
-            shard_vector = [shard_epochs, directory.mask_epoch]
+        path_epochs = {s: directory.space_epoch(s) for s, _ in visited}
         self._entries[(kind, space, pattern)] = [
-            result, directory.epoch, path_epochs, shard_vector,
+            result, directory.epoch, path_epochs,
+            kind == "actors" and len(visited) == 1,
         ]
 
     def __repr__(self):
-        return (
-            f"<ResolutionCache {len(self._entries)} entries "
-            f"{self.hits}h/{self.misses}m/{self.invalidations}i>"
-        )
+        return (f"<ResolutionCache {len(self._entries)} entries {self.hits}h/"
+                f"{self.misses}m/{self.invalidations}i/{self.repairs}r>")
 
 
 def resolve_actors(
@@ -250,9 +252,7 @@ def resolve_actors(
     _walk(directory, pattern, space, results, None, visited, stats)
     group = tuple(sorted(results, key=_address_order))
     if cache is not None:
-        cache.store(
-            "actors", space, pattern, directory, {s for s, _ in visited}, group
-        )
+        cache.store("actors", space, pattern, directory, visited, group)
     return group
 
 
@@ -280,9 +280,7 @@ def resolve_spaces(
     _walk(directory, pattern, space, None, results, visited, stats)
     group = tuple(sorted(results, key=_address_order))
     if cache is not None:
-        cache.store(
-            "spaces", space, pattern, directory, {s for s, _ in visited}, group
-        )
+        cache.store("spaces", space, pattern, directory, visited, group)
     return group
 
 

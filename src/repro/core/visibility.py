@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator
 
 from .actorspace import RegistryEntry, SpaceRecord
 from .addresses import MailAddress, SpaceAddress, is_space_address
-from .atoms import AttributePath, as_paths
+from .atoms import AttributePath
 from .capabilities import Capability, authorize
 from .errors import (
     CapabilityError,
@@ -39,13 +39,9 @@ class Directory:
     """All actorSpace registries plus the visibility DAG over spaces."""
 
     __slots__ = ("_spaces", "_containers", "_known_capabilities", "_op_count",
-                 "_quarantined", "_shard_epochs", "_mask_epoch", "sharded")
+                 "_quarantined")
 
     def __init__(self):
-        #: True when this replica's visibility plane has more than one
-        #: shard (set by the coordinator); gates the resolution cache's
-        #: shard-vector tier, which cannot pay off with one stream.
-        self.sharded = False
         self._spaces: dict[SpaceAddress, SpaceRecord] = {}
         #: Reverse index: target address -> set of spaces it is visible in.
         self._containers: dict[MailAddress, set[SpaceAddress]] = {}
@@ -59,17 +55,6 @@ class Directory:
         #: and therefore :meth:`snapshot` — are untouched, so replicas
         #: stay comparable while their quarantine views differ.
         self._quarantined: set[int] = set()
-        #: Per-shard mutation epochs under a partitioned visibility plane:
-        #: shard id -> count of mutating ops applied from that shard's
-        #: stream.  The resolution cache validates cached walks against
-        #: the epochs of only the shards its path crossed, so a mutation
-        #: sequenced on an unrelated shard no longer invalidates anything
-        #: (the per-shard generalization of the single directory epoch).
-        self._shard_epochs: dict[int, int] = {}
-        #: Quarantine-mask epoch: masks change outside the bus (no shard
-        #: stream carries them), so shard-vector cache validation checks
-        #: this alongside the shard epochs.
-        self._mask_epoch = 0
 
     # -- space lifecycle ---------------------------------------------------------
 
@@ -260,7 +245,7 @@ class Directory:
         if check_cycles and self.would_cycle(target, space):
             raise VisibilityCycleError(target, space)
         before = rec.epoch
-        entry = rec.register(target, as_paths(attributes), now)
+        entry = rec.register(target, attributes, now)
         self._containers.setdefault(target, set()).add(space)
         if rec.epoch != before:
             self._op_count += 1
@@ -282,7 +267,7 @@ class Directory:
         """
         rec = self.space(space)
         before = rec.epoch
-        entry = rec.register(target, as_paths(attributes), now)
+        entry = rec.register(target, attributes, now)
         self._containers.setdefault(target, set()).add(space)
         if rec.epoch != before:
             self._op_count += 1
@@ -337,7 +322,7 @@ class Directory:
                 f"{target!r} is not visible in {space!r}; make_visible first"
             )
         before = rec.epoch
-        entry = rec.register(target, as_paths(attributes), now)
+        entry = rec.register(target, attributes, now)
         if rec.epoch != before:
             self._op_count += 1
         return entry
@@ -357,9 +342,9 @@ class Directory:
 
         The purge is fanned across the plane's shards as one slice per
         stream, preserving the invariant that a registry is mutated only
-        by its home shard's stream (what keeps the resolution cache's
-        shard-vector tier sound); on a one-shard plane the shard-0 slice
-        is everything.
+        by its home shard's stream (so every replica applies one space's
+        ops in one order); on a one-shard plane the shard-0 slice is
+        everything.
 
         Returns the number of registries it was removed from.
         """
@@ -424,7 +409,6 @@ class Directory:
         self._quarantined.add(node)
         masked = self._touch_spaces_hosting(node)
         self._op_count += 1
-        self._mask_epoch += 1
         return masked
 
     def unquarantine_node(self, node: int) -> int:
@@ -434,7 +418,6 @@ class Directory:
         self._quarantined.discard(node)
         unmasked = self._touch_spaces_hosting(node)
         self._op_count += 1
-        self._mask_epoch += 1
         return unmasked
 
     def is_masked(self, target: MailAddress) -> bool:
@@ -469,29 +452,14 @@ class Directory:
         """
         return self._op_count
 
-    def note_shard_op(self, shard: int, since: int) -> None:
-        """An op from ``shard``'s stream applied: the shard's epoch moves
-        if it mutated anything, i.e. ``op_count`` moved past ``since``."""
-        if self._op_count != since:
-            self._shard_epochs[shard] = self._shard_epochs.get(shard, 0) + 1
-
-    def shard_epoch(self, shard: int) -> int:
-        """Mutation epoch of one shard's slice of the directory."""
-        return self._shard_epochs.get(shard, 0)
-
-    @property
-    def mask_epoch(self) -> int:
-        """Epoch of the quarantine mask overlay (moves outside the bus)."""
-        return self._mask_epoch
-
-    def shards_of(self, spaces) -> "set[int]":
-        """The home shards of the given space addresses (known ones)."""
-        shards: set[int] = set()
-        for address in spaces:
-            rec = self._spaces.get(address)
-            if rec is not None:
-                shards.add(rec.shard)
-        return shards
+    def last_change(
+        self, address: SpaceAddress
+    ) -> "tuple[int, MailAddress] | None":
+        """``(epoch, actor)`` of the registry's latest mutation when it
+        touched one actor entry, else ``None`` (see
+        :attr:`SpaceRecord.last_change`)."""
+        rec = self._spaces.get(address)
+        return rec.last_change if rec is not None else None
 
     def space_epoch(self, address: SpaceAddress) -> int:
         """The per-registry epoch of ``address``; ``-1`` if never known.

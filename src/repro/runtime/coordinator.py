@@ -110,7 +110,8 @@ class Coordinator:
         #: invalidated by directory/space epochs.  Suspended and
         #: persistent envelopes re-resolve through it, so a visibility
         #: change that cannot affect an envelope's resolution path costs
-        #: an epoch check instead of a fresh DAG walk.
+        #: an epoch check instead of a fresh DAG walk; one that changed a
+        #: single actor entry on it costs a re-test of that entry.
         self.resolution_cache = ResolutionCache()
         #: Per-space policy managers (replicated: constructed from op args).
         self.managers: dict[SpaceAddress, SpaceManager] = {}
@@ -126,9 +127,6 @@ class Coordinator:
         #: coordinators) says which stream sequences which op.
         self.router = system.shard_router
         n_shards = self.router.map.n_shards
-        #: The resolution cache's shard-vector tier only pays off when
-        #: there is more than one stream an op could have arrived on.
-        self.directory.sharded = n_shards > 1
         #: Per-stream state, indexed by shard — each shard carries an
         #: independent gap-free sequence: the next origin seq this node
         #: mints, the first seq not yet applied here, and the hold-back
@@ -225,7 +223,6 @@ class Coordinator:
         # Fan copies (the per-shard replicas of BIND_CAPABILITY / PURGE)
         # never fire result callbacks: the shard-0 primary owns those.
         is_origin = op.origin_node == self.node_id and op.fan_of is None
-        ops_before = self.directory.op_count
         try:
             if kind is OpKind.ADD_SPACE:
                 record = SpaceRecord(
@@ -260,14 +257,12 @@ class Coordinator:
             else:  # pragma: no cover - exhaustive
                 raise AssertionError(f"unknown op kind {kind}")
         except ActorSpaceError as exc:
-            self.directory.note_shard_op(op.shard, ops_before)
             if is_origin:
                 tracer.on_dropped(f"op_rejected:{type(exc).__name__}",
                                   node=self.node_id, t=self.system.clock.now)
                 if op.on_rejected is not None:
                     op.on_rejected(exc)
             return
-        self.directory.note_shard_op(op.shard, ops_before)
         if kind is OpKind.ADD_SPACE:
             # The space exists now: drain ops that arrived on its home
             # shard's stream before this replica knew the space, in

@@ -80,6 +80,7 @@ class Tracer:
             "resolution_cache_hits_total",
             "resolution_cache_misses_total",
             "resolution_cache_invalidations_total",
+            "resolution_cache_repairs_total",
             "dead_letters_queued_total",
             "dead_letters_redelivered_total",
             "dead_letters_expired_total",
@@ -183,6 +184,7 @@ class Tracer:
         counters["resolution_cache_misses_total"].inc(stats.cache_misses)
         counters["resolution_cache_invalidations_total"].inc(
             stats.cache_invalidations)
+        counters["resolution_cache_repairs_total"].inc(stats.cache_repairs)
         if self.log.enabled:
             self.log.emit(
                 "resolved", t, node, envelope,

@@ -19,8 +19,8 @@ while splitting the rest:
   per shard (``fan_of`` marks the copies); ``PURGE`` copies are *sliced*
   at apply time to registries homed on their own shard, preserving the
   invariant that a registry is mutated only by its home shard's stream or
-  shard 0 — the soundness condition of the resolution cache's
-  shard-vector tier.
+  shard 0, so every replica applies one registry's mutations in one
+  order.
 
 A space's home shard is fixed at creation: hash of its root attribute
 atom when it is created with attributes, else inherited from its parent

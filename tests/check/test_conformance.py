@@ -72,6 +72,15 @@ class TestInjectedBugs:
         assert not check_scenario(shrunk, inject=inject).ok
         assert check_scenario(shrunk).ok
 
+    def test_repair_bug_caught_and_shrunk(self):
+        inject = INJECTIONS["repair-keeps-stale"]
+        scenario, _report = first_divergence(inject, range(0, 40))
+        shrunk, _checks = shrink_scenario(
+            scenario, lambda s: check_scenario(s, inject=inject))
+        assert len(shrunk) <= 10
+        assert not check_scenario(shrunk, inject=inject).ok
+        assert check_scenario(shrunk).ok
+
     def test_injection_teardown_restores_runtime(self):
         inject = INJECTIONS["arbitration-stale"]
         scenario, _report = first_divergence(inject, range(30, 40))

@@ -4,17 +4,22 @@ The cache memoizes ``resolve_actors``/``resolve_spaces`` keyed on
 ``(space, pattern)`` and revalidates on two tiers of epoch evidence:
 the directory-wide epoch (nothing changed at all) and the per-space
 epochs of the resolution path (nothing changed *where this resolution
-looked*).  These tests pin the hit/miss/invalidation protocol, every
-invalidation rule, and — via randomized op sequences — equivalence with
-a fresh uncached walk.
+looked*); an entry one actor-entry mutation behind in its only space is
+repaired instead of re-walked.  These tests pin the hit/miss/invalidation
+protocol, every invalidation rule, each fallback of the repair, and —
+via randomized op sequences — equivalence with a fresh uncached walk.
 """
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.actorspace import SpaceRecord
 from repro.core.addresses import ActorAddress, SpaceAddress
+from repro.core.errors import ActorSpaceError
 from repro.core.matching import (
     MatchStats,
     ResolutionCache,
@@ -312,3 +317,229 @@ class TestRandomizedEquivalence:
                 assert group == tuple(sorted(set(group)))
                 assert again is group
         assert cache.hits > 0  # the scenario actually exercised reuse
+
+
+def resolve_counted(d, pattern, scope, cache):
+    """A cached resolution and the :class:`MatchStats` it filled."""
+    stats = MatchStats()
+    return resolve_actors(d, pattern, scope, stats, cache=cache), stats
+
+
+class TestRepair:
+    """One actor-entry mutation behind, in the only space the walk saw:
+    re-test that entry; anything else walks."""
+
+    def _warm(self, pattern="svc/*", n=3):
+        d, (root, other, _s2) = make_directory()
+        members = [ActorAddress(1, i) for i in range(n)]
+        for a in members:
+            d.make_visible(a, f"svc/{a.serial}", root)
+        cache = ResolutionCache()
+        group = resolve_actors(d, pattern, root, cache=cache)
+        assert group == tuple(members)
+        return d, root, other, members, cache, group
+
+    def test_repair_admits_a_member(self):
+        d, root, _o, members, cache, group = self._warm()
+        newcomer = ActorAddress(0, 7)  # sorts first: node 0
+        d.make_visible(newcomer, "svc/new", root)
+        got, stats = resolve_counted(d, "svc/*", root, cache)
+        assert got == (newcomer, *members)
+        assert stats.entries_examined == 0 and stats.cache_repairs == 1
+        assert (cache.hits, cache.misses, cache.invalidations,
+                cache.repairs) == (0, 2, 1, 1)
+        # The repaired tuple is stored with fresh epochs: a plain hit now.
+        again, stats = resolve_counted(d, "svc/*", root, cache)
+        assert again is got and stats.cache_hits == 1
+
+    def test_repair_drops_a_member(self):
+        d, root, _o, members, cache, _group = self._warm()
+        d.make_invisible(members[1], root)
+        got, stats = resolve_counted(d, "svc/*", root, cache)
+        assert got == (members[0], members[2])
+        assert stats.entries_examined == 0 and cache.repairs == 1
+        d.change_attributes(members[0], "other/x", root)
+        got, stats = resolve_counted(d, "svc/*", root, cache)
+        assert got == (members[2],) and cache.repairs == 2
+
+    def test_repair_keeps_the_tuple_when_membership_holds(self):
+        d, root, _o, members, cache, group = self._warm()
+        d.change_attributes(members[0], "svc/renamed", root)
+        got, _stats = resolve_counted(d, "svc/*", root, cache)
+        assert got is group
+        d.make_visible(ActorAddress(2, 0), "noise", root)  # never matches
+        got, _stats = resolve_counted(d, "svc/*", root, cache)
+        assert got is group and cache.repairs == 2 and cache.hits == 0
+
+    def test_two_mutations_behind_walks(self):
+        d, root, _o, members, cache, _group = self._warm()
+        d.make_invisible(members[0], root)
+        d.make_invisible(members[1], root)
+        got, stats = resolve_counted(d, "svc/*", root, cache)
+        assert got == (members[2],)
+        assert stats.entries_examined > 0 and cache.repairs == 0
+        assert cache.invalidations == 1
+
+    def test_space_entry_registered_or_changed_walks(self):
+        d, root, _o, members, cache, _group = self._warm()
+        sub = SpaceAddress(0, 9)
+        d.add_space(SpaceRecord(sub))
+        d.make_visible(sub, "pool", root)  # a space entry in the scope
+        got, stats = resolve_counted(d, "svc/*", root, cache)
+        assert got == tuple(members)
+        assert stats.entries_examined > 0 and cache.repairs == 0
+        d.change_attributes(sub, "dept", root)
+        got, stats = resolve_counted(d, "svc/*", root, cache)
+        assert got == tuple(members)
+        assert stats.entries_examined > 0 and cache.repairs == 0
+
+    def test_quarantine_touch_walks(self):
+        d, root, _o, members, cache, _group = self._warm()
+        d.quarantine_node(1)  # hosts every member: touches the scope
+        got, stats = resolve_counted(d, "svc/*", root, cache)
+        assert got == ()
+        assert stats.entries_examined > 0 and cache.repairs == 0
+        d.unquarantine_node(1)
+        got, stats = resolve_counted(d, "svc/*", root, cache)
+        assert got == tuple(members)
+        assert stats.entries_examined > 0 and cache.repairs == 0
+        # A touch right behind an actor change: the touch is the latest
+        # mutation, so the recorded actor change no longer describes it.
+        newcomer = ActorAddress(2, 0)
+        d.make_visible(newcomer, "svc/new", root)
+        d.quarantine_node(1)
+        got, stats = resolve_counted(d, "svc/*", root, cache)
+        assert got == (newcomer,) and cache.repairs == 0
+
+    def test_a_masked_newcomer_is_not_admitted(self):
+        d, root, _o, members, cache, group = self._warm()
+        d.quarantine_node(5)  # no entry on node 5 in scope: no touch
+        d.make_visible(ActorAddress(5, 0), "svc/masked", root)
+        got, stats = resolve_counted(d, "svc/*", root, cache)
+        assert got is group and cache.repairs == 1
+
+    def test_destroyed_space_walks(self):
+        d, root, other, _members, cache, _group = self._warm()
+        a = ActorAddress(1, 9)
+        d.make_visible(a, "svc/a", other)
+        assert resolve_actors(d, "svc/*", other, cache=cache) == (a,)
+        d.make_visible(ActorAddress(1, 10), "svc/b", other)  # one behind
+        d.destroy_space(other)  # ... and then the space goes
+        got, stats = resolve_counted(d, "svc/*", other, cache)
+        assert got == () and cache.repairs == 0
+        assert stats.cache_invalidations == 1
+
+    def test_multi_space_path_walks(self):
+        d, (root, *_r) = make_directory()
+        sub = SpaceAddress(0, 9)
+        d.add_space(SpaceRecord(sub))
+        d.make_visible(sub, "dept", root)
+        a, b = ActorAddress(1, 0), ActorAddress(1, 1)
+        d.make_visible(a, "dept/x", root)
+        cache = ResolutionCache()
+        assert resolve_actors(d, "dept/*", root, cache=cache) == (a,)
+        d.make_visible(b, "dept/y", root)  # one actor entry in the scope
+        got, stats = resolve_counted(d, "dept/*", root, cache)
+        assert got == (a, b)
+        assert stats.entries_examined > 0 and cache.repairs == 0
+
+    def test_space_resolutions_are_never_repaired(self):
+        d, (root, *_r) = make_directory()
+        cache = ResolutionCache()
+        assert resolve_spaces(d, "svc/*", root, cache=cache) == ()
+        d.make_visible(ActorAddress(1, 0), "svc/a", root)
+        assert resolve_spaces(d, "svc/*", root, cache=cache) == ()
+        assert cache.repairs == 0 and cache.invalidations == 1
+
+
+# -- repaired answers equal walked answers ----------------------------------
+
+REPAIR_ATOMS = ["a", "b"]
+REPAIR_PANEL = [parse_pattern(p) for p in ("a", "b", "a/*", "*", "**", "a/b",
+                                           "[ab]/b")]
+attr_text = st.lists(st.sampled_from(REPAIR_ATOMS), min_size=1,
+                     max_size=2).map("/".join)
+REPAIR_OPS = st.one_of(
+    st.tuples(st.just("show"), st.integers(0, 5), st.integers(0, 4),
+              st.lists(attr_text, min_size=1, max_size=2)),
+    st.tuples(st.just("hide"), st.integers(0, 5), st.integers(0, 4)),
+    st.tuples(st.just("chattr"), st.integers(0, 5), st.integers(0, 4),
+              attr_text),
+    st.tuples(st.just("nest"), st.integers(0, 4), st.integers(0, 4),
+              attr_text),
+    st.tuples(st.just("unnest"), st.integers(0, 4), st.integers(0, 4)),
+    st.tuples(st.just("renest"), st.integers(0, 4), st.integers(0, 4),
+              attr_text),
+    st.tuples(st.just("purge"), st.integers(0, 5)),
+    st.tuples(st.just("quarantine"), st.integers(1, 2)),
+    st.tuples(st.just("unquarantine"), st.integers(1, 2)),
+    st.tuples(st.just("destroy"), st.integers(1, 4)),
+)
+
+def apply_op(d, spaces, actors, op, args):
+    """One drawn op; a refused one (cycle, unknown entry, destroyed space)
+    changes nothing."""
+    try:
+        if op == "show":
+            d.make_visible(actors[args[0]], args[2], spaces[args[1]])
+        elif op == "hide":
+            d.make_invisible(actors[args[0]], spaces[args[1]])
+        elif op == "chattr":
+            d.change_attributes(actors[args[0]], args[2], spaces[args[1]])
+        elif op == "nest":
+            d.make_visible(spaces[args[0]], args[2], spaces[args[1]])
+        elif op == "unnest":
+            d.make_invisible(spaces[args[0]], spaces[args[1]])
+        elif op == "renest":
+            d.change_attributes(spaces[args[0]], args[2], spaces[args[1]])
+        elif op == "purge":
+            d.purge_target(actors[args[0]])
+        elif op == "quarantine":
+            d.quarantine_node(args[0])
+        elif op == "unquarantine":
+            d.unquarantine_node(args[0])
+        else:
+            d.destroy_space(spaces[args[0]])
+    except ActorSpaceError:
+        pass
+
+
+def test_repaired_answers_equal_walked_answers():
+    repaired = Counter()  # repairs seen, by whether the group changed
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps=st.lists(st.tuples(REPAIR_OPS, st.booleans()), max_size=30))
+    def repaired_equals_walked(steps):
+        d = Directory()
+        spaces = [SpaceAddress(0, i) for i in range(5)]
+        for s in spaces:
+            d.add_space(SpaceRecord(s))
+        d.make_visible(spaces[1], "a", spaces[0])  # a nested start
+        d.make_visible(spaces[2], "b", spaces[1])
+        # Actors on nodes 1 and 2, so a quarantine masks some of them.
+        actors = [ActorAddress(1 + i % 2, i) for i in range(6)]
+        cache = ResolutionCache()
+        last: dict = {}
+        for (op, *args), look in steps:
+            apply_op(d, spaces, actors, op, args)
+            if not look:  # let entries fall several mutations behind
+                continue
+            for scope in spaces:
+                for pattern in REPAIR_PANEL:
+                    got, stats = resolve_counted(d, pattern, scope, cache)
+                    want = resolve_actors(d, pattern, scope)
+                    assert got == want, (op, args, pattern, scope, got, want)
+                    assert type(got) is tuple
+                    assert got == tuple(sorted(set(got)))
+                    before = last.get((pattern, scope))
+                    if stats.cache_repairs:
+                        assert stats.entries_examined == 0
+                        repaired["same" if got == before else "changed"] += 1
+                    if (stats.cache_hits or stats.cache_repairs) \
+                            and got == before:
+                        assert got is before
+                    last[(pattern, scope)] = got
+
+    repaired_equals_walked()
+    # Not vacuous: repairs > 0, both keeping and changing the group.
+    assert repaired["same"] > 0 and repaired["changed"] > 0

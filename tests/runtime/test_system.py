@@ -523,6 +523,24 @@ class TestResolutionCache:
         assert [p for _t, p in b.received] == [2]
         assert system.resolution_cache_stats()["invalidations"] >= 1
 
+    def test_a_one_actor_change_is_repaired_and_counted(self):
+        system = lan()
+        a, b = Recorder(), Recorder()
+        wa = system.create_actor(a, node=0)
+        system.make_visible(wa, "workers/a")
+        system.run()
+        system.broadcast("workers/*", payload=1, node=0)
+        system.run()
+        wb = system.create_actor(b, node=1)
+        system.make_visible(wb, "workers/b")
+        system.run()
+        system.broadcast("workers/*", payload=2, node=0)
+        system.run()
+        assert [p for _t, p in b.received] == [2]
+        assert system.resolution_cache_stats(node=0)["repairs"] == 1
+        assert system.tracer.count("resolution_cache_repairs_total") == 1
+        assert system.metrics.snapshot()["resolution_cache_repairs_total"] == 1
+
     def test_suspended_send_released_with_cache_in_the_loop(self):
         system = lan()
         system.send("late/*", payload="waiting")
