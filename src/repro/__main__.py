@@ -41,7 +41,7 @@ Commands
     visibility log (``serve --data-dir``) deterministically, inspect
     the directory at any seq, diff two points in history, run the
     conformance oracle over the log, and export a Chrome trace.
-``durability [--nodes N] [--wave N] [--probes N] [--out DIR]``
+``durability [--nodes N] [--out DIR]``
     Total-crash drill: SIGKILL a whole TCP cluster mid-traffic and
     prove it recovers from its data directories — directories equal
     the pre-crash state, dead letters re-adopted, zero silent loss.
@@ -272,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
 
         return serve_main(args[1:])
     if command == "cluster":
-        from repro.net.cluster import cluster_main
+        from repro.net.drills import cluster_main
 
         return cluster_main(args[1:])
     if command == "replay":
@@ -280,11 +280,11 @@ def main(argv: list[str] | None = None) -> int:
 
         return replay_main(args[1:])
     if command == "durability":
-        from repro.net.cluster import durability_main
+        from repro.net.drills import durability_main
 
         return durability_main(args[1:])
     if command == "shard":
-        from repro.net.cluster import shard_main
+        from repro.net.drills import shard_main
 
         return shard_main(args[1:])
     if command == "version":

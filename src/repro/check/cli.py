@@ -74,7 +74,8 @@ def _run_tcp_check(args) -> int:
     Skips (exit 0) on platforms where loopback sockets are unavailable —
     the sweep is about the wire path, which such platforms cannot run.
     """
-    from repro.net.cluster import loopback_available, run_tcp_conformance
+    from repro.net.cluster import loopback_available
+    from repro.net.drills import run_tcp_conformance
 
     if not loopback_available():
         print("conformance[tcp]: loopback sockets unavailable; skipping")

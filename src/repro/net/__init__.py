@@ -29,10 +29,13 @@ Modules
     of one real :class:`~repro.runtime.coordinator.Coordinator`, with
     proxies standing in for every remote node.
 ``cluster``
-    The ``python -m repro serve`` / ``python -m repro cluster`` entry
-    points: spawn N node processes on localhost, drive an example
-    across them, inject failures, and collect per-node metrics and
-    eventlog snapshots back to the launcher.
+    The launcher: ``python -m repro serve`` (one node process),
+    ``LocalCluster`` (N of them on localhost, their control clients and
+    fault verbs) and ``TelemetryCollector``.
+``drills``
+    Scenarios over a cluster's control verbs — the example drivers, the
+    fault, durability and shard drills, the TCP conformance check — and
+    the ``cluster`` / ``durability`` / ``shard`` commands.
 """
 
 from .codec import (  # noqa: F401

@@ -3,18 +3,14 @@
 Slowest tests in the tree (each spawns OS processes), so they stay
 small: a 2-node pool run proving cross-process routing computes the
 right answer, and one conformance seed proving the TCP cluster's
-replicated directory matches the single-process oracle.  The heavier
-3-node fault drills run in CI via ``python -m repro cluster``.
+replicated directory matches the single-process oracle.  The drills run
+at their smallest size in ``test_drills.py``, at full size in CI.
 """
 
 import pytest
 
-from repro.net.cluster import (
-    LocalCluster,
-    drive_process_pool,
-    loopback_available,
-    run_tcp_conformance,
-)
+from repro.net.cluster import LocalCluster, loopback_available
+from repro.net.drills import drive_process_pool, run_tcp_conformance
 
 pytestmark = pytest.mark.skipif(
     not loopback_available(), reason="loopback TCP unavailable")

@@ -14,7 +14,7 @@ REPRO = SRC / "repro"
 
 #: ROADMAP aim 2: net ``src/`` line count is a tracked number; lower the
 #: cap with every PR that deletes.
-SRC_LINE_CAP = 23493
+SRC_LINE_CAP = 23315
 
 
 def read(relative: str) -> str:
@@ -155,6 +155,43 @@ def test_one_control_verb_returns_an_event_window():
                          read("net/runtime.py"))
     assert entries == ["snapshot"], (
         f"the scrape handler must back exactly one verb, found {entries}")
+
+
+def test_the_launcher_stays_a_launcher_and_drills_stay_scenarios():
+    """``net/cluster.py`` spawns, connects and scrapes; the drills in
+    ``net/drills.py`` reach a cluster only through ``call``, the waits and
+    the fault verbs, so they do not know their nodes are processes."""
+    lines = len(read("net/cluster.py").splitlines())
+    assert lines < 900, f"net/cluster.py has {lines} lines: keep it the launcher"
+    reaching_in = grep(r"\.procs|\.ports|\.controls|os\.kill|subprocess"
+                       r"|signal", "net/drills.py")
+    assert not reaching_in, f"a drill reaches past the cluster's verbs: " \
+        f"{reaching_in}"
+
+
+def test_every_attribute_the_benchmark_cluster_reads_is_set_by_the_launcher():
+    """``benchmarks/perf/harness.py::PerfCluster`` subclasses
+    ``LocalCluster`` and reads attributes it never sets: each must be
+    assigned in ``LocalCluster.__init__``."""
+    def self_attributes(tree: ast.AST, context: type) -> set[str]:
+        return {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"
+                and isinstance(node.ctx, context)}
+
+    harness = ast.parse((SRC.parent / "benchmarks" / "perf" / "harness.py")
+                        .read_text())
+    perf = next(node for node in ast.walk(harness)
+                if isinstance(node, ast.ClassDef) and node.name == "PerfCluster")
+    launcher = methods("net/cluster.py", "LocalCluster")
+    inherited = (self_attributes(perf, ast.Load)
+                 - self_attributes(perf, ast.Store) - set(launcher))
+    assert {"procs", "ports", "_logfiles"} <= inherited, \
+        f"the harness parser lost its reads: {sorted(inherited)}"
+    missing = inherited - self_attributes(launcher["__init__"], ast.Store)
+    assert not missing, (
+        f"PerfCluster reads {sorted(missing)}, which LocalCluster.__init__ "
+        f"no longer assigns")
 
 
 # -- the benchmark's binding contract ------------------------------------------
