@@ -77,6 +77,8 @@ EXPERIMENTS = [
     ("E15", "§8", "monitoring daemons", "test_bench_e15_daemons"),
     ("E16", "§5.3", "cost of ordering broadcasts", "test_bench_e16_ordering"),
     ("E17", "(modern)", "patterns vs topic pub/sub", "test_bench_e17_pubsub"),
+    ("E18", "(beyond)", "surviving overload", "test_bench_e18_overload"),
+    ("E19", "(beyond)", "sharding the visibility plane", "test_bench_e19_shard"),
 ]
 
 EXAMPLES = [

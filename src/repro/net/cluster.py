@@ -659,30 +659,18 @@ def serve_main(argv: list[str]) -> int:
     parser.add_argument("--cluster-id", default="actorspace")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--heartbeat", type=float, default=0.2)
-    parser.add_argument("--suspect-after", type=int, default=2)
-    parser.add_argument("--confirm-after", type=int, default=4)
     parser.add_argument("--shards", type=int, default=1,
                         help="visibility-plane shard count (>1 partitions "
                              "the directory across per-shard sequencers)")
-    parser.add_argument("--shard-sequencer", type=int, default=None,
-                        metavar="NODE",
-                        help="home every shard's sequencer on NODE instead "
-                             "of spreading seats round-robin")
     parser.add_argument("--mailbox-capacity", type=int, default=None,
                         help="per-actor invocation-port bound (0 = unbounded; "
                              "default: the bounded-but-roomy runtime default)")
     parser.add_argument("--mailbox-policy", default="drop-oldest",
                         choices=["drop-oldest", "drop-newest", "suspend-sender"],
                         help="what a full mailbox does with the overflow")
-    parser.add_argument("--admission-rate", type=float, default=None,
-                        help="per-route admitted envelopes/second "
-                             "(default: no rate limiting)")
     parser.add_argument("--breaker-threshold", type=int, default=None,
                         help="mailbox sheds within 1s that trip the per-"
                              "destination circuit breaker (default: off)")
-    parser.add_argument("--credit-window", type=int, default=None,
-                        help="data frames a peer may have in flight before "
-                             "the sender pauses (0 = no credit gating)")
     parser.add_argument("--data-dir", default=None,
                         help="durable data directory: persist the visibility "
                              "log + dead letters here and recover from it at "
@@ -705,24 +693,17 @@ def serve_main(argv: list[str]) -> int:
     ports = {i: int(p) for i, p in enumerate(args.ports.split(","))}
     if args.node not in ports:
         parser.error(f"--node {args.node} has no entry in --ports")
-    overload_kw: dict = {"mailbox_policy": args.mailbox_policy}
-    if args.mailbox_capacity is not None:
-        # 0 means explicitly unbounded; unset keeps the runtime default.
-        overload_kw["mailbox_capacity"] = args.mailbox_capacity or None
-    if args.admission_rate is not None:
-        overload_kw["admission_rate"] = args.admission_rate
-    if args.breaker_threshold is not None:
-        overload_kw["breaker_threshold"] = args.breaker_threshold
-    if args.credit_window is not None:
-        overload_kw["credit_window"] = args.credit_window
+    # 0 means explicitly unbounded; unset keeps the runtime default.
+    capacity = {} if args.mailbox_capacity is None \
+        else {"mailbox_capacity": args.mailbox_capacity or None}
     runtime = NodeRuntime(
         args.node, ports, host=args.host, cluster_id=args.cluster_id,
         seed=args.seed, heartbeat_interval=args.heartbeat,
-        suspect_after=args.suspect_after, confirm_after=args.confirm_after,
         trace=not args.no_trace, trace_jsonl=args.trace_jsonl,
         quiet=not args.verbose, data_dir=args.data_dir, fsync=args.fsync,
         snapshot_interval=args.snapshot_interval, shards=args.shards,
-        shard_sequencer=args.shard_sequencer, **overload_kw)
+        mailbox_policy=args.mailbox_policy,
+        breaker_threshold=args.breaker_threshold, **capacity)
 
     async def main() -> None:
         loop = asyncio.get_running_loop()

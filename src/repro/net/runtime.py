@@ -176,19 +176,12 @@ class NodeRuntime(Host):
         cluster_id: str = "actorspace",
         seed: int = 0,
         heartbeat_interval: float = 0.2,
-        suspect_after: int = 2,
-        confirm_after: int = 4,
         trace: bool = True,
         trace_jsonl: str | None = None,
         quiet: bool = True,
         mailbox_capacity: int | None = DEFAULT_MAILBOX_CAPACITY,
         mailbox_policy: ShedPolicy | str = ShedPolicy.DROP_OLDEST,
-        admission_rate: float | None = None,
-        admission_burst: float | None = None,
         breaker_threshold: int | None = None,
-        breaker_window: float = 1.0,
-        breaker_cooldown: float = 0.5,
-        credit_window: int | None = None,
         data_dir: str | None = None,
         fsync: str = "commit",
         snapshot_interval: float = 30.0,
@@ -203,10 +196,9 @@ class NodeRuntime(Host):
         self.topology = Topology.lan(len(self.nodes))
         self.clock = WallClock()
         self.events: EventQueue = _WakingEventQueue(self._kick)
-        super().__init__(
-            seed, trace, mailbox_capacity, mailbox_policy, admission_rate,
-            admission_burst, breaker_threshold, breaker_window,
-            breaker_cooldown, shards, shard_sequencer)
+        super().__init__(seed, trace, mailbox_capacity, mailbox_policy,
+                         shards, shard_sequencer,
+                         breaker_threshold=breaker_threshold)
         if trace_jsonl and trace:
             # Flush-on-write sink: a SIGKILLed node (the fault drills)
             # still leaves its flight recording on disk.
@@ -219,16 +211,12 @@ class NodeRuntime(Host):
             self.shard_map,
             lambda shard, seat: RemoteSequencerBus(self, shard, seat))
         self.dead_letters = DeadLetterQueue(self)
-        self.failure_detector = FailureDetector(
-            self, interval=heartbeat_interval,
-            suspect_after=suspect_after, confirm_after=confirm_after)
-
-        hub_kw = {} if credit_window is None else {"credit_window": credit_window}
+        self.failure_detector = FailureDetector(self, heartbeat_interval)
         self.hub = PeerHub(
             node_id, ports, self._on_frame, host=host, cluster_id=cluster_id,
             on_batch_end=self._commit_turn,
             on_peer_up=self._on_peer_up, log=self._log,
-            clock=lambda: self.clock.now, **hub_kw)
+            clock=lambda: self.clock.now)
         self._wake: asyncio.Event | None = None
         self._stopping = False
         self.heartbeats_suppressed = 0

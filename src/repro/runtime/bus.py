@@ -38,7 +38,7 @@ from collections import ChainMap, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.core.errors import NodeDownError, TransportError
+from repro.core.errors import TransportError
 
 from .clock import VirtualClock
 from .events import EventQueue
@@ -117,8 +117,8 @@ class Bus:
         self.transport = transport
         self.deliver: Callable[[int, int, VisibilityOp], None] | None = None
         #: node -> that node's per-shard applied cursors (the
-        #: coordinators' own lists), installed by the system; ``None`` on
-        #: a bare bus.
+        #: coordinators' own lists), installed by the host with
+        #: ``deliver`` and read by the protocol as each replica's cursor.
         self.applied: "list[list[int]] | None" = None
         #: The system's flight recorder, wired after construction; the bus
         #: emits ``bus_sequenced`` events when it assigns global order.
@@ -133,15 +133,13 @@ class Bus:
         #: regenerations), for E11-style reliability accounting.
         self.failovers = 0
         #: The sequenced-op log: seq -> op, as the simulator observes it
-        #: (the oracle and ``replay_to`` read it); a real deployment
-        #: would truncate it at the all-applied watermark.
+        #: (the oracle reads it); a real deployment would truncate it at
+        #: the all-applied watermark.
         self.log: dict[int, VisibilityOp] = {}
         #: Optional :class:`repro.store.NodeStore`.  When attached, every
         #: sequenced op is persisted and committed before any delivery
-        #: is scheduled (transactional outbox), and ``replay_to`` can
-        #: fall back to disk when no live replica can source a transfer.
+        #: is scheduled (transactional outbox).
         self.store = None
-        self.disk_replays = 0
         #: Plane hooks, set by the system, which runs one bus per shard:
         #: the shard id, a shared cross-shard sequencing journal
         #: (appended when an op is sequenced), and — with more than one
@@ -164,80 +162,6 @@ class Bus:
 
     def on_node_recovered(self, node: int) -> None:
         """Recovery notification; protocols resume work parked on ``node``."""
-
-    def replay_to(self, node: int, from_seq: int) -> int:
-        """State transfer: redeliver every logged op >= ``from_seq`` to ``node``.
-
-        The missed ops arrive with ordinary transport latency and flow
-        through the same hold-back application path, so recovery is just
-        catching up on the total order.  The transfer source is a *live*
-        replica — preferring the lowest live node other than ``node``
-        itself — because the historical fixed choice (node 0) silently
-        skipped the transfer whenever node 0 was down, leaving the
-        recovering replica diverged forever.  Returns the number of ops
-        scheduled for replay.
-
-        Raises
-        ------
-        NodeDownError
-            If there are ops to replay and no live node can source them.
-        """
-        assert self.deliver is not None, "bus not wired to a system"
-        pending = sorted(s for s in self.log if s >= from_seq)
-        live = self.live_nodes()
-        sources = [n for n in live if n != node] or ([node] if node in live else [])
-        if not sources and self.store is not None:
-            # The disk may hold ops the in-memory log cannot see (a fresh
-            # process starts with an empty log), so consult it whenever no
-            # live replica can source the transfer.
-            return self._replay_from_store(node, from_seq)
-        if not pending:
-            return 0
-        if not sources:
-            raise NodeDownError(
-                f"no live replica can source state transfer to node {node}"
-            )
-        source = sources[0]
-        count = 0
-        for seq in pending:
-            self.protocol_messages += 1
-            try:
-                latency = self.transport.deliver_latency(source, node)
-            except (TransportError, RuntimeError):  # pragma: no cover
-                break
-            count += 1
-            self._deliver_at(self.clock.now + latency, node, seq, self.log[seq])
-        return count
-
-    def _replay_from_store(self, node: int, from_seq: int) -> int:
-        """State transfer from the persisted log when no replica lives.
-
-        Before the store existed this case was a hard
-        :class:`NodeDownError` — ops pending, nobody alive to send them —
-        even though the recovering node itself had every op on disk.
-        Disk replay schedules the missed ops locally (no network to
-        cross, so they land at the next tick) through the same hold-back
-        path as a live transfer.
-        """
-        count = 0
-        for seq, op in self.store.read_ops(from_seq):
-            self.log.setdefault(seq, op)
-            count += 1
-            self._deliver_at(self.clock.now, node, seq, op)
-        self.disk_replays += 1
-        if self.event_log is not None and self.event_log.enabled:
-            self.event_log.emit(
-                "bus_disk_replay", self.clock.now, node, None,
-                from_seq=from_seq, ops=count,
-            )
-        return count
-
-    def _deliver_at(self, when: float, node: int, seq: int,
-                    op: VisibilityOp) -> None:
-        """Schedule the arrival of sequenced ``op`` at ``node``."""
-        self.events.schedule(
-            when, lambda: self.deliver(node, seq, op),
-            priority=BUS_PRIORITY, tag=("bus", node))
 
     def _record_failover(self, protocol: str, reason: str,
                          new_leader: int | None = None) -> None:
@@ -282,15 +206,12 @@ class Bus:
 class _NodePort:
     """One node's end of the simulated bus: the host port of its core."""
 
-    __slots__ = ("bus", "node", "is_down", "bare", "ahead")
+    __slots__ = ("bus", "node", "is_down")
 
     def __init__(self, bus: "SequencerBus", node: int):
         self.bus = bus
         self.node = node
         self.is_down = bus.transport.node_is_down
-        #: A bare bus (no system) counts as applied what it delivered.
-        self.bare = 0
-        self.ahead: set[int] = set()
 
     def send(self, to: int, msg: str, a, b) -> None:
         """One frame as one event — to this node itself too, so message
@@ -327,18 +248,10 @@ class _NodePort:
 
     def cursor(self) -> int:
         bus = self.bus
-        if bus.applied is None:
-            return self.bare
         return bus.applied[self.node][bus.shard_id]
 
     def deliver(self, seq: int, op: VisibilityOp) -> None:
-        bus = self.bus
-        bus.deliver(self.node, seq, op)
-        if bus.applied is None:
-            self.ahead.add(seq)
-            while self.bare in self.ahead:
-                self.ahead.discard(self.bare)
-                self.bare += 1
+        self.bus.deliver(self.node, seq, op)
 
     def timer(self, delay: float, fn: Callable[[], None]) -> None:
         bus, node = self.bus, self.node
@@ -390,14 +303,13 @@ class SequencerBus(Bus):
         #: makes the seat a real queueing station: ops are stamped in
         #: order but fanned out one service interval apart, so a single
         #: global sequencer saturates and per-shard sequencers visibly
-        #: divide the load (what ``bench_shard.py`` measures).
+        #: divide the load (what experiment E19 measures).
         self.service_time = service_time
         self._busy_until = 0.0
         self.cores = {n: SequencerCore(n, self.nodes, home, _NodePort(self, n))
                       for n in self.nodes}
-        # The observer's log is a view, not a copy: what any node has
-        # logged (ahead of them, what a disk replay read back).
-        self.log = ChainMap({}, *(core.log for core in self.cores.values()))
+        # The observer's log is a view, not a copy: what any node has logged.
+        self.log = ChainMap(*(core.log for core in self.cores.values()))
         #: Timers that came due on a crashed node: node -> callbacks.
         self._parked: dict[int, list[Callable[[], None]]] = {}
 
@@ -411,11 +323,6 @@ class SequencerBus(Bus):
         """Accept ``op`` at its origin's core.  Never raises on a crashed
         seat: the op parks as unacked and failover re-drives it."""
         self.cores[op.origin_node].submit(op)
-
-    def _deliver_at(self, when, node, seq, op) -> None:
-        self.events.schedule(
-            when, lambda: self.cores[node].on_op(seq, op),
-            priority=BUS_PRIORITY, tag=("bus", node))
 
     def on_node_down(self, node: int) -> None:
         for core in self.cores.values():
@@ -496,6 +403,12 @@ class TokenRingBus(Bus):
                 continue
             self._deliver_at(self.clock.now + latency, node, seq, op)
 
+    def _deliver_at(self, when: float, node: int, seq: int,
+                    op: VisibilityOp) -> None:
+        self.events.schedule(
+            when, lambda: self.deliver(node, seq, op),
+            priority=BUS_PRIORITY, tag=("bus", node))
+
     def _token_arrives(self) -> None:
         holder = self.nodes[self._token_holder_index]
         if self.transport.node_is_down(holder):
@@ -560,10 +473,28 @@ class TokenRingBus(Bus):
         return any(not down(origin) for origin, _ in self._holdback)
 
     def on_node_recovered(self, node: int) -> None:
-        if self.applied is not None:
-            self.replay_to(node, self.applied[node][self.shard_id])
+        self._replay_to(node)
         if self._any_pending():
             self._ensure_token()
+
+    def _replay_to(self, node: int) -> None:
+        """State transfer: redeliver every logged op the recovering
+        ``node`` has not applied, with ordinary transport latency and
+        through the same hold-back path, so recovery is catching up on
+        the total order.  The source is the lowest live node besides
+        ``node`` — or ``node`` itself, which is live again, if no other
+        is."""
+        cursor = self.applied[node][self.shard_id]
+        others = [n for n in self.live_nodes() if n != node]
+        source = others[0] if others else node
+        for seq in sorted(s for s in self.log if s >= cursor):
+            self.protocol_messages += 1
+            try:
+                latency = self.transport.deliver_latency(source, node)
+            except (TransportError, RuntimeError):  # pragma: no cover
+                break
+            self._deliver_at(self.clock.now + latency, node, seq,
+                             self.log[seq])
 
     def __repr__(self):
         return f"<TokenRingBus holder={self.nodes[self._token_holder_index]} seq={self._next_seq}>"

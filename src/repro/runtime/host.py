@@ -74,10 +74,11 @@ class Host:
 
     def __init__(self, seed: int, trace: "bool | EventLog",
                  mailbox_capacity: int | None, mailbox_policy: "ShedPolicy | str",
-                 admission_rate: float | None, admission_burst: float | None,
-                 breaker_threshold: int | None, breaker_window: float,
-                 breaker_cooldown: float, shards: int,
-                 shard_sequencer: int | None):
+                 shards: int, shard_sequencer: int | None, *,
+                 breaker_threshold: int | None = None,
+                 admission_rate: float | None = None,
+                 admission_burst: float | None = None,
+                 breaker_window: float = 1.0, breaker_cooldown: float = 0.5):
         from repro.shard import ShardMap, ShardRouter
 
         self.rng = RngHub(seed)

@@ -129,9 +129,10 @@ class ActorSpaceSystem(Host):
         self.events = EventQueue()
         self.nodes = self.local_nodes = nodes = list(self.topology.nodes)
         super().__init__(
-            seed, trace, mailbox_capacity, mailbox_policy, admission_rate,
-            admission_burst, breaker_threshold, breaker_window,
-            breaker_cooldown, shards, shard_sequencer)
+            seed, trace, mailbox_capacity, mailbox_policy, shards,
+            shard_sequencer, breaker_threshold=breaker_threshold,
+            admission_rate=admission_rate, admission_burst=admission_burst,
+            breaker_window=breaker_window, breaker_cooldown=breaker_cooldown)
         self.processing_delay = processing_delay
         if root_manager_factory is not None:
             for coordinator in self.coordinators:

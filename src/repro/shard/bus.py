@@ -26,7 +26,7 @@ reconstructed three ways:
 Coordinators submit straight to the owning stream
 (``bus.shards[op.shard]``) and a node's inbound frames are dispatched
 the same way; the facade carries what spans streams — failure
-notifications, rebalancing, state transfer, accounting.
+notifications, rebalancing, accounting.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ class ShardedBus:
     protocol_messages = property(lambda self: self._total("protocol_messages"))
     ops_sequenced = property(lambda self: self._total("ops_sequenced"))
     failovers = property(lambda self: self._total("failovers"))
-    disk_replays = property(lambda self: self._total("disk_replays"))
 
     # -- host-specific -----------------------------------------------------------
 
@@ -101,18 +100,6 @@ class ShardedBus:
         """
         for k, stream in self.shards.items():
             stream.store = make_store(k)
-
-    def replay_to(self, node: int, cursors: dict[int, int]) -> int:
-        """Simulator state transfer to ``node``, one shard at a time.
-
-        ``cursors`` maps shard -> first per-shard sequence number the
-        replica has *not* applied.  Each shard replays independently from
-        its own log (or its own store namespace when no live replica can
-        source the transfer) — a corrupted shard store never blocks
-        recovery of the others.
-        """
-        return sum(stream.replay_to(node, cursors.get(k, 0))
-                   for k, stream in self.shards.items())
 
     def apply_map(self, manifest: dict) -> bool:
         """Adopt a gossiped shard map if its version is newer."""

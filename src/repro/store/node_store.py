@@ -92,18 +92,6 @@ def load_data_dir(data_dir: str) -> "RecoveredState":
     return out
 
 
-def read_ops_from_dir(data_dir: str, from_seq: int = 0) -> list[tuple[int, Any]]:
-    """Persisted ops with seq >= from_seq from a data directory."""
-    ops: dict[int, Any] = {}
-    for path in segment_paths(data_dir):
-        report = ReadReport()
-        for rec in scan_segment(path, report):
-            if isinstance(rec, dict) and rec.get("rec") == "op" \
-                    and rec["seq"] >= from_seq:
-                ops[rec["seq"]] = rec["op"]
-    return sorted(ops.items())
-
-
 @dataclass
 class RecoveredState:
     """Everything ``NodeStore.load`` salvages from disk."""
@@ -377,16 +365,6 @@ class NodeStore:
         if recovered.snapshot is not None:
             self._retained_applied = recovered.snapshot["applied"]
         return recovered
-
-    def read_ops(self, from_seq: int = 0) -> list[tuple[int, Any]]:
-        """Persisted ops with seq >= from_seq, in seq order.
-
-        Flushes the live segment first so the read sees every committed
-        record; used by the bus's disk-replay fallback.
-        """
-        if self._writer is not None:
-            self._writer.commit()
-        return read_ops_from_dir(self.data_dir, from_seq)
 
     # -- misc ----------------------------------------------------------------
 

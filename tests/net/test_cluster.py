@@ -2,9 +2,11 @@
 
 Slowest tests in the tree (each spawns OS processes), so they stay
 small: a 2-node pool run proving cross-process routing computes the
-right answer, and one conformance seed proving the TCP cluster's
-replicated directory matches the single-process oracle.  The drills run
-at their smallest size in ``test_drills.py``, at full size in CI.
+right answer, one conformance seed proving the TCP cluster's replicated
+directory matches the single-process oracle, and one open-loop flood
+point proving overload loses nothing silently over real sockets (the
+simulator sweep is experiment E18).  The drills run at their smallest
+size in ``test_drills.py``, at full size in CI.
 """
 
 import pytest
@@ -71,5 +73,51 @@ def test_closed_loop_pump_completes_and_batches(tmp_path):
         assert hub["batches_out"] >= 1
         assert hub["frames_shed"] == 0
         assert hub["writes"] < hub["frames_out"]
+    finally:
+        cluster.shutdown()
+
+
+def test_an_open_loop_flood_loses_nothing_silently():
+    """Twice a busy sink's capacity, offered open loop from another
+    process: full mailboxes shed, the breaker refuses, the dead-letter
+    queues re-level or expire what they hold — and once every queue has
+    drained, each offered envelope was delivered or visibly expired."""
+    nodes, capacity, busy_ms = 3, 64, 2.0
+    total = 500  # half a second at 2x a sink that serves 1000/busy_ms
+    cluster = LocalCluster(
+        nodes, seed=0, trace=False,
+        node_args=["--mailbox-capacity", str(capacity),
+                   "--mailbox-policy", "drop-oldest",
+                   "--breaker-threshold", str(capacity)])
+    try:
+        cluster.start()
+        sink = cluster.call(1, "create_actor", behavior="overload_sink",
+                            params={"busy_ms": busy_ms})["address"]
+        pump = cluster.call(
+            0, "create_actor", behavior="overload_pump",
+            params={"target": sink, "total": total, "burst": 10,
+                    "tick": 0.01})["address"]
+        cluster.call(0, "send_to", target=pump, payload=("go",))
+
+        def books():
+            delivered = cluster.call(1, "actor_state", address=sink,
+                                     attrs=["count"])["count"]
+            expired = sum(cluster.call(n, "dlq")["expired"]
+                          for n in range(nodes))
+            pending = [cluster.call(n, "status")["dlq_pending"]
+                       for n in range(nodes)]
+            return delivered, expired, pending
+
+        def closed():
+            delivered, expired, pending = books()
+            return not any(pending) and delivered + expired >= total
+
+        cluster.wait_until(closed, timeout=60, interval=0.1,
+                           what="overload accounting closed")
+        delivered, expired, pending = books()
+        assert delivered + expired == total
+        assert pending == [0] * nodes
+        assert cluster.call(0, "actor_state", address=pump,
+                            attrs=["sent"])["sent"] == total
     finally:
         cluster.shutdown()

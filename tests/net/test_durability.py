@@ -10,6 +10,9 @@ one-shard and a two-shard plane: there is one recovery path.
 """
 
 import itertools
+import shutil
+
+import pytest
 
 from repro.core.addresses import ActorAddress
 from repro.core.messages import Mode
@@ -208,6 +211,39 @@ class TestNodeRuntimeRecovery:
         assert replica.coordinator.directory.snapshot() == directory
         for runtime in (seat, replica):
             close(runtime)
+
+    @pytest.mark.parametrize("damage", ["garbage", "unopenable"])
+    def test_damaged_shard_costs_one_shard(self, tmp_path, damage):
+        """Shard 1's segments overwritten with bytes that parse as no
+        record, or its log directory replaced by a file: the node still
+        comes up with every op of shard 0, and shard 1 starts empty, to
+        re-sync from its seat."""
+        first = make_runtime(tmp_path, 2)
+        populate(first, "gen1")
+        shard0_ops = len(first.bus.shards[0].core.log)
+        shard0_cursor = first.coordinator._shard_cursors[0]
+        assert shard0_ops and first.coordinator._shard_cursors[1]
+        close(first)
+        log_dir = tmp_path / "shard-1" / "log"
+        segments = list(log_dir.glob("seg-*.log"))
+        assert segments
+        if damage == "garbage":
+            for segment in segments:
+                segment.write_bytes(b"\xde\xad\xbe\xef" * 64)
+        else:
+            shutil.rmtree(log_dir)
+            log_dir.write_bytes(b"not a directory")
+
+        second = make_runtime(tmp_path, 2)
+        assert (1 in second.shard_stores) == (damage == "garbage")
+        assert second.recovery["ops_replayed"] == shard0_ops
+        assert second.coordinator._shard_cursors == [shard0_cursor, 0]
+        assert len(second.bus.shards[0].core.log) == shard0_ops
+        assert not second.bus.shards[1].core.log
+        worker = populate(second, "gen2", count=1)[0]
+        assert worker in second.coordinator.directory.space(
+            second.root_space)
+        close(second)
 
     @each_plane
     def test_status_reports_store_and_recovery(self, tmp_path, shards):

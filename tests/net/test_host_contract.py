@@ -272,7 +272,7 @@ class TestScrape:
         """``benchmarks/perf`` reads these by name over the control
         plane and off the simulator; an observability change that moves
         one must fail here, not in the benchmark."""
-        runtime, ask = self.scraper(admission_rate=1000.0,
+        runtime, ask = self.scraper(breaker_threshold=64,
                                     data_dir=str(tmp_path))
         status = ask("status")
         assert set(status) >= {

@@ -10,6 +10,27 @@ from repro.runtime.network import Network, Topology
 from repro.runtime.transport import NetworkTransport
 
 
+def record_deliveries(bus, nodes):
+    """Stand in for the host's replicas: ``deliveries[node]`` lists
+    ``(seq, op_id)`` in arrival order, and each node's applied cursor
+    advances over the contiguous prefix, as a coordinator's hold-back
+    queue does."""
+    deliveries: dict[int, list[tuple[int, int]]] = {n: [] for n in range(nodes)}
+    bus.applied = [[0] for _ in range(nodes)]
+    ahead: dict[int, set[int]] = {n: set() for n in range(nodes)}
+
+    def deliver(node, seq, op):
+        deliveries[node].append((seq, op.op_id))
+        cursor, held = bus.applied[node], ahead[node]
+        held.add(seq)
+        while cursor[0] in held:
+            held.remove(cursor[0])
+            cursor[0] += 1
+
+    bus.deliver = deliver
+    return deliveries
+
+
 def harness(bus_cls, nodes=4, **kw):
     clock = VirtualClock()
     events = EventQueue()
@@ -17,8 +38,7 @@ def harness(bus_cls, nodes=4, **kw):
         Network(Topology.lan(nodes), rng=np.random.default_rng(0))
     )
     bus = bus_cls(list(range(nodes)), events, clock, transport, **kw)
-    deliveries: dict[int, list[tuple[int, int]]] = {n: [] for n in range(nodes)}
-    bus.deliver = lambda node, seq, op: deliveries[node].append((seq, op.op_id))
+    deliveries = record_deliveries(bus, nodes)
 
     def run():
         while events:

@@ -1,7 +1,5 @@
 """Tests: coordinator recovery via bus-log state transfer."""
 
-import pytest
-
 from repro.runtime.network import Topology
 from repro.runtime.system import ActorSpaceSystem
 
@@ -55,9 +53,13 @@ class TestRecoveryStateTransfer:
         system.make_visible(a, "x")
         system.run()
         applied_before = system.tracer.visibility_ops_applied[1]
-        # Redundant replay of everything to a live node: hold-back dedupes.
-        system.bus.replay_to(1, {0: 0})
+        # The seat answers a sync request from seq 0 for a live node that
+        # has applied everything: every op arrives again, and the
+        # replica's cursor drops each one as replay overlap.
+        sent = system.bus.protocol_messages
+        system.bus.shards[0].cores[0].on_sync_req(1, 0, 0)
         system.run()
+        assert system.bus.protocol_messages > sent
         assert system.tracer.visibility_ops_applied[1] == applied_before
         assert system.replicas_coherent()
 

@@ -1,10 +1,9 @@
-"""Regression: per-shard disk replay, scoped corruption, offline merge.
+"""Regression: per-shard store namespaces and the offline merge.
 
-Satellite of the sharding PR: ``Bus.replay_to``'s disk fallback (grown
-in the durability PR for the single global log) must work *per shard
-namespace* — each shard replays from its own ``shard-K`` store, and a
-corrupted shard store degrades only that shard's replay instead of
-blocking the whole recovery.
+Each shard persists to its own ``shard-K`` store; offline tools find the
+namespaces and merge the per-shard logs into one linear extension.  (A
+node recovering from a damaged shard store is covered in
+``tests/net/test_durability.py``.)
 """
 
 import zlib
@@ -54,74 +53,6 @@ def workload(system, atoms, ops_per_space=5):
             system.make_visible(actor, f"{atom}/v{j}", space, node=0)
     system.run()
     return spaces, actors
-
-
-class TestPerShardDiskReplay:
-    def test_fresh_process_replays_every_shard_from_disk(self, tmp_path):
-        atoms = atoms_spread()
-        system = build(tmp_path)
-        workload(system, atoms)
-        expected = system.directory_of(1).snapshot()
-        per_shard_ops = {k: len(b.log) for k, b in system.bus.shards.items()}
-        assert all(n > 0 for n in per_shard_ops.values()), per_shard_ops
-        close_stores(system)
-
-        # A fresh incarnation with empty in-memory logs and a total
-        # outage: every shard must come back from its own namespace.
-        system2 = build(tmp_path)
-        system2.crash_node(0)
-        system2.crash_node(1)
-        count = system2.bus.replay_to(1, {k: 0 for k in range(N_SHARDS)})
-        assert count == sum(per_shard_ops.values())
-        assert system2.bus.disk_replays == N_SHARDS
-        system2.coordinators[1].crashed = False
-        system2.run()
-        assert system2.directory_of(1).snapshot() == expected
-        close_stores(system2)
-
-    def test_cursors_scope_the_replay_per_shard(self, tmp_path):
-        atoms = atoms_spread()
-        system = build(tmp_path)
-        workload(system, atoms)
-        per_shard_ops = {k: len(b.log) for k, b in system.bus.shards.items()}
-        system.crash_node(0)
-        system.crash_node(1)
-        # Pretend the replica already applied everything except the last
-        # op of shard 2: only that one op replays.
-        cursors = dict(per_shard_ops)
-        cursors[2] -= 1
-        assert system.bus.replay_to(1, cursors) == 1
-        close_stores(system)
-
-    def test_corrupted_shard_store_degrades_only_that_shard(self, tmp_path):
-        atoms = atoms_spread()
-        system = build(tmp_path)
-        workload(system, atoms)
-        per_shard_ops = {k: len(b.log) for k, b in system.bus.shards.items()}
-        close_stores(system)
-
-        # Trash shard 2's persisted log: overwrite every segment with
-        # garbage that parses as no record at all.
-        corrupted = 0
-        for seg in (tmp_path / "shard-2" / "log").glob("seg-*.log"):
-            seg.write_bytes(b"\xde\xad\xbe\xef" * 64)
-            corrupted += 1
-        assert corrupted > 0
-
-        system2 = build(tmp_path)
-        system2.crash_node(0)
-        system2.crash_node(1)
-        # No exception: the corrupted namespace yields nothing, the other
-        # shards replay in full.
-        count = system2.bus.replay_to(1, {k: 0 for k in range(N_SHARDS)})
-        healthy = sum(n for k, n in per_shard_ops.items() if k != 2)
-        assert count == healthy
-        system2.coordinators[1].crashed = False
-        system2.run()
-        # One disk replay per shard still ran — the corrupted namespace
-        # contributed zero ops but did not abort the others.
-        assert system2.bus.disk_replays == N_SHARDS
-        close_stores(system2)
 
 
 class TestOfflineMerge:

@@ -10,6 +10,7 @@ what it leaves on disk must not have changed at all.
 import hashlib
 import itertools
 import json
+import math
 import os
 import shutil
 from unittest import mock
@@ -26,6 +27,7 @@ from repro.runtime.network import Topology
 from repro.runtime.system import ActorSpaceSystem
 from repro.store import NodeStore
 from repro.store.node_store import load_data_dir, segment_paths
+from repro.store.replay import replay_recovered
 
 SAMPLE_OP = bus_mod.VisibilityOp(
     bus_mod.OpKind.MAKE_VISIBLE,
@@ -93,6 +95,31 @@ class TestStagedEffects:
         store.commit()  # the next turn must not act on the lost op either
         assert tape == []
         store.close()
+
+    @pytest.mark.parametrize("policy,fsyncs_per_group",
+                             [("commit", 1), ("never", 0)])
+    def test_group_commit_pays_per_group_not_per_op(self, tmp_path, policy,
+                                                    fsyncs_per_group):
+        """Commits of eight appends: ``commit`` pays one fsync a group and
+        ``never`` none, and recovery and replay read every op back."""
+        n = 100
+        store = NodeStore(str(tmp_path), fsync=policy)
+        for seq in range(n):
+            store.append_op(seq, bus_mod.VisibilityOp(
+                bus_mod.OpKind.MAKE_VISIBLE,
+                {"target": ActorAddress(0, seq + 1),
+                 "attributes": f"svc/worker{seq}",
+                 "space": SpaceAddress(0, 0), "capability": None},
+                origin_node=0, origin_seq=seq))
+            if (seq + 1) % 8 == 0:
+                store.commit()
+        store.commit()
+        assert store.metrics_snapshot()["fsyncs"] \
+            == fsyncs_per_group * math.ceil(n / 8)
+        store.close()
+        recovered = load_data_dir(str(tmp_path))
+        assert len(recovered.ops) == n and recovered.report.clean
+        assert replay_recovered(recovered)[1]["ops_applied"] == n
 
     def test_fsync_count_survives_rotation(self, tmp_path):
         store = NodeStore(str(tmp_path), segment_bytes=1)  # rotate per commit

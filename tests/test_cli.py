@@ -26,7 +26,7 @@ class TestBasicCommands:
     def test_experiments_listing(self, capsys):
         assert main(["experiments"]) == 0
         out = capsys.readouterr().out
-        assert "E10" in out and "E17" in out
+        assert "E10" in out and "E19" in out
 
     def test_version(self, capsys):
         assert main(["version"]) == 0
@@ -43,7 +43,7 @@ class TestExperimentsDrift:
         )
 
     def test_table_shape(self):
-        assert len(EXPERIMENTS) == 17
+        assert len(EXPERIMENTS) == 19
         assert all(len(row) == 4 for row in EXPERIMENTS)
 
 
