@@ -37,10 +37,11 @@ Commands
     them over real sockets, optionally drill a mid-run node failure
     (quarantine + dead-letter redelivery), and collect snapshots.
 ``replay <data-dir> [--until SEQ] [--diff A:B] [--check] [...]``
-    Offline time-travel debugger: re-drive a node's persisted
-    visibility log (``serve --data-dir``) deterministically, inspect
-    the directory at any seq, diff two points in history, run the
-    conformance oracle over the log, and export a Chrome trace.
+    Offline time-travel debugger: rebuild a node's state from its data
+    directory (``serve --data-dir``, every shard) the way recovery
+    does, inspect the directory at any seq, diff two points in history,
+    check the log against the conformance oracle, and export a Chrome
+    trace.
 ``durability [--nodes N] [--out DIR]``
     Total-crash drill: SIGKILL a whole TCP cluster mid-traffic and
     prove it recovers from its data directories — directories equal

@@ -1,25 +1,28 @@
 """Conformance oracle over a *persisted* bus log.
 
-The live conformance harness (PR 4) co-executes the runtime against the
-§5 reference model.  This module points the same model at what PR 9
-wrote to disk: a recovered data directory is re-driven op by op, each
-op's accept/reject outcome compared against the model's verdict and the
+The live conformance harness co-executes the runtime against the §5
+reference model.  This module points the same model at what a node
+wrote to disk: a data directory is re-driven op by op through the
+coordinator's apply path, as recovery drives it, each op's
+accept/reject outcome compared against the model's verdict and the
 final directories diffed — so the durability layer's claim ("what we
 persisted *is* the history") is itself checkable offline.
 
 Two layers of checks:
 
-* **Structural** — always run: sequence numbers must be gap-free and
-  duplicate-free, per-origin ``origin_seq`` must be FIFO in bus order,
-  and no ``(origin_node, origin_seq)`` pair may be sequenced twice
-  (the dedup invariant the remote bus enforces on the wire).
-* **Semantic** — run when the log reaches back to seq 0 (i.e. it has
-  not been truncated past genesis): translate each op to the model's
-  name-keyed vocabulary with deterministic address naming and check
-  every accept/reject and the final visibility state.  Ops the runtime
-  rejects on *capability* grounds are skipped in the model, which
-  deliberately does not model capabilities (they are checked by the
-  live harness's recorded-outcome path instead).
+* **Structural** — always run, on every shard's log: sequence numbers
+  must be gap-free and duplicate-free, per-origin ``origin_seq`` must
+  be FIFO in bus order, and no ``(origin_node, origin_seq)`` pair may be
+  sequenced twice (the dedup invariant the remote bus enforces on the
+  wire).
+* **Semantic** — run when the log is one shard's and reaches back to
+  seq 0 (i.e. it has not been truncated past genesis): translate each
+  op to the model's name-keyed vocabulary with deterministic address
+  naming and check every accept/reject and the final visibility state
+  (the model is unsharded, and cannot start from a snapshot).  Ops the
+  runtime rejects on *capability* grounds are skipped in the model,
+  which deliberately does not model capabilities (they are checked by
+  the live harness's recorded-outcome path instead).
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from typing import TYPE_CHECKING
 from ..core.addresses import SpaceAddress
 from ..core.errors import CapabilityError
 from ..runtime.bus import OpKind, VisibilityOp
+from ..runtime.system import ActorSpaceSystem
+from ..store.recovery import apply_suffix
 from .model import ReferenceModel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -122,10 +127,9 @@ def _structural_problems(ops: dict[int, VisibilityOp]) -> list[str]:
 
 
 def check_ops(ops: dict[int, VisibilityOp]) -> list[str]:
-    """Full check of a seq->op map that reaches back to genesis."""
-    from ..store.replay import LogReplayer
-
-    problems = _structural_problems(ops)
+    """The §5 model's verdict on every op of a one-shard log that reaches
+    back to genesis, applied the way recovery applies it."""
+    problems: list[str] = []
     model = ReferenceModel(
         nodes=max((op.origin_node for op in ops.values()), default=0) + 1,
         unmatched="suspend", addr_key=_addr_key)
@@ -133,27 +137,24 @@ def check_ops(ops: dict[int, VisibilityOp]) -> list[str]:
         if op.kind is OpKind.ADD_SPACE:
             model.note_space(_name_of(op.args["address"]),
                              op.args.get("node", op.origin_node))
-    replayer = LogReplayer()
-    for seq in sorted(ops):
-        op = ops[seq]
-        applied, reason = replayer.apply(seq, op)
+    coordinator = ActorSpaceSystem().coordinators[0]
+    for _shard, seq, op, error in apply_suffix(coordinator, {0: ops}):
         translated = translate_op(op)
-        if translated is None:
-            continue
-        if not applied and reason == CapabilityError.__name__:
+        if translated is None or isinstance(error, CapabilityError):
             continue  # the model does not track capabilities
         kind, args = translated
         model_applied = model._apply_op(kind, args)
-        if applied != model_applied:
+        if (error is None) != model_applied:
+            runtime = "applied" if error is None \
+                else f"rejected ({type(error).__name__})"
             problems.append(
-                f"seq {seq} ({kind}): runtime "
-                f"{'applied' if applied else f'rejected ({reason})'} but the "
-                f"model {'applied' if model_applied else 'rejected'}")
+                f"seq {seq} ({kind}): runtime {runtime} but the model "
+                f"{'applied' if model_applied else 'rejected'}")
     model_dir = {
         name: {t: list(attrs) for t, attrs in sorted(registry.items())}
         for name, registry in model.export_directory().items()
     }
-    named_runtime = _rename_runtime_directory(replayer)
+    named_runtime = _rename_runtime_directory(coordinator.directory)
     if named_runtime != model_dir:
         extra = set(named_runtime) - set(model_dir)
         missing = set(model_dir) - set(named_runtime)
@@ -167,9 +168,9 @@ def check_ops(ops: dict[int, VisibilityOp]) -> list[str]:
     return problems
 
 
-def _rename_runtime_directory(replayer) -> dict:
+def _rename_runtime_directory(directory) -> dict:
     out = {}
-    for addr, registry in replayer.directory.snapshot().items():
+    for addr, registry in directory.snapshot().items():
         out[_name_of(addr)] = {
             _name_of(target): sorted(str(p) for p in attrs)
             for target, attrs in registry.items()
@@ -178,18 +179,24 @@ def _rename_runtime_directory(replayer) -> dict:
 
 
 def check_recovered(recovered: "RecoveredState",
+                    shard_ops: "dict[int, dict] | None" = None,
                     until: int | None = None) -> list[str]:
-    """Check a recovered data directory; returns problem strings.
+    """Check a data directory read as ``(recovered, shard_ops)``; returns
+    problem strings.
 
-    When the log has been truncated past genesis only the structural
-    checks run (the model cannot be seeded from a snapshot — it speaks
-    names, not addresses), which is still enough to catch reordering,
-    duplication, and holes in what recovery would replay.
+    The structural checks run on every shard's log, each problem
+    prefixed with its shard.  The model check runs only on a one-shard
+    log that reaches genesis: the model speaks names, not addresses, so
+    it cannot be seeded from a snapshot, and it is unsharded, so it has
+    no order to hold a plane of several streams to.  ``until`` cuts
+    every shard after its op ``until``.
     """
-    ops = {seq: op for seq, op in recovered.ops.items()
-           if until is None or seq <= until}
-    if not ops:
-        return []
-    if min(ops) == 0:
-        return check_ops(ops)
-    return _structural_problems(ops)
+    if shard_ops is None:
+        shard_ops = {0: recovered.ops}
+    cut = {k: {s: op for s, op in ops.items() if until is None or s <= until}
+           for k, ops in shard_ops.items()}
+    problems = [f"shard {k}: {problem}" for k, ops in sorted(cut.items())
+                for problem in _structural_problems(ops)]
+    if list(cut) == [0] and 0 in cut[0]:
+        problems += check_ops(cut[0])
+    return problems

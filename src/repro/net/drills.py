@@ -34,7 +34,7 @@ from repro.runtime.eventlog import validate_chrome_trace
 from repro.runtime.network import Topology
 from repro.runtime.system import ActorSpaceSystem
 from repro.shard.map import ShardMap
-from repro.store.node_store import load_data_dir
+from repro.store.node_store import load_node_dir
 from repro.store.replay import replay_recovered
 
 from .cluster import (
@@ -515,14 +515,14 @@ def run_durability_drill(cluster, data_dir: str | Path, *, wave: int = 25,
 
     # Referee 1 (offline): oracle over the persisted log + determinism.
     node0_dir = str(Path(data_dir) / "node0")
-    recovered = load_data_dir(node0_dir)
+    recovered, shard_ops = load_node_dir(node0_dir)
     assert recovered.report.clean, recovered.report.to_dict()
-    problems = check_recovered(recovered)
+    problems = check_recovered(recovered, shard_ops)
     assert not problems, problems[:5]
-    _, first = replay_recovered(recovered)
-    replayer, second = replay_recovered(load_data_dir(node0_dir))
+    _, first = replay_recovered(recovered, shard_ops)
+    replayed, second = replay_recovered(*load_node_dir(node0_dir))
     assert first["digest"] == second["digest"], (first, second)
-    assert replayer.directory.snapshot() == pre_dir, \
+    assert replayed.directory.snapshot() == pre_dir, \
         "offline replay directory differs from the pre-crash directory"
     report["offline"] = {"digest": first["digest"],
                          "ops_applied": first["ops_applied"]}

@@ -78,8 +78,10 @@ class VisibilityOp:
     #: only shard 0).
     shard: int = 0
     #: Node-local monotonic sequencing tick, stamped when the op receives
-    #: its per-shard sequence number; the cross-shard merge key for
-    #: offline replay (``repro.shard.merge``).  ``None`` until sequenced.
+    #: its per-shard sequence number and persisted inside the op record;
+    #: the cross-shard merge key of recovery and offline replay
+    #: (``repro.store.recovery.apply_suffix``).  ``None`` until
+    #: sequenced.
     tick: "int | None" = None
     #: ``op_id`` of the primary copy when this op is a per-shard fan copy
     #: (BIND_CAPABILITY / PURGE are replicated once per shard stream);
@@ -143,8 +145,8 @@ class Bus:
         #: Plane hooks, set by the system, which runs one bus per shard:
         #: the shard id, a shared cross-shard sequencing journal
         #: (appended when an op is sequenced), and — with more than one
-        #: shard — a shared node-local tick counter (the offline merge
-        #: key).  All ``None``/0 for a standalone bus.
+        #: shard — a shared node-local tick counter (the merge key when
+        #: the logs are read back).  All ``None``/0 for a standalone bus.
         self.shard_id = 0
         self.journal: "list[tuple[int, int]] | None" = None
         self.tick_counter = None
@@ -192,7 +194,7 @@ class Bus:
             # Transactional outbox: a crash can only lose ops nobody
             # applied.  The simulator's turn is this one event, so its
             # commit point sits right behind the append.
-            self.store.append_op(seq, op, tick=op.tick)
+            self.store.append_op(seq, op)
             self.store.commit()
             self.store.arm_sync(self.events, self.clock.now)
         if self.event_log is not None and self.event_log.enabled:

@@ -199,8 +199,9 @@ class Coordinator:
             cursors[shard] = cursor + 1
             self._apply_op(holdback.pop(cursor))
 
-    def _apply_op(self, op: VisibilityOp) -> None:
-        """Apply one op to the local replica (deterministic across nodes).
+    def _apply_op(self, op: VisibilityOp) -> ActorSpaceError | None:
+        """Apply one op to the local replica (deterministic across nodes);
+        returns the rejection it caught, if any.
 
         An actor-visibility op rides its space's home shard while the
         space's ``ADD_SPACE`` rides shard 0; a replica may see them in
@@ -262,7 +263,7 @@ class Coordinator:
                                   node=self.node_id, t=self.system.clock.now)
                 if op.on_rejected is not None:
                     op.on_rejected(exc)
-            return
+            return exc
         if kind is OpKind.ADD_SPACE:
             # The space exists now: drain ops that arrived on its home
             # shard's stream before this replica knew the space, in

@@ -150,8 +150,8 @@ class ActorSpaceSystem(Host):
         # One total-order bus per shard of the map, behind a facade.
         coordinators = self.coordinators
         journal: list[tuple[int, int]] = []
-        # The tick is the offline merge key across streams: stamped (and
-        # persisted) only when there is more than one stream to merge.
+        # The tick merges streams when their logs are read back: stamped
+        # (and persisted) only when there is more than one stream to merge.
         ticks = itertools.count() if shards > 1 else None
 
         def make_stream(shard, seat):

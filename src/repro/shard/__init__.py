@@ -19,8 +19,9 @@ operations on unrelated spaces.  This package exploits that slack:
   an owning shard (sends can be forwarded to the shard's authority
   node); glob/regex first atoms that pin nothing fan out across all
   shard partitions and merge.
-* :func:`merge_shard_logs` merges per-shard persisted logs into one
-  happens-before order (node-local monotonic ticks) for offline replay.
+* ``merge`` names each shard's store namespace on disk; recovery and
+  offline replay read them all and merge by node-local monotonic ticks
+  (``repro.store.recovery.apply_suffix``).
 
 Ordering contract under sharding (documented in TUTORIAL §17): ops on
 the same space are totally ordered (one home shard per space); space
@@ -31,7 +32,6 @@ deterministic; ops on spaces homed on different shards are concurrent.
 
 from .bus import ShardedBus
 from .map import ShardMap
-from .merge import merge_shard_logs
 from .router import ShardRouter
 
-__all__ = ["ShardMap", "ShardedBus", "ShardRouter", "merge_shard_logs"]
+__all__ = ["ShardMap", "ShardedBus", "ShardRouter"]

@@ -17,11 +17,13 @@ reconstructed three ways:
   ``(shard, seq)`` pairs records the exact order ops were sequenced in;
   when all shard sequencers are co-located (check mode) every replica
   observes precisely this order and the oracle replays it;
-* **offline** — with more than one stream to merge, the simulator stamps
-  every sequenced op with a node-local monotonic *tick* from a shared
-  counter, persisted with the op, and ``repro.shard.merge`` sorts by
-  ``(tick, shard, seq)`` — a valid linear extension of all per-shard
-  orders.  One stream is its own order and stamps nothing.
+* **from disk** — with more than one stream to merge, the simulator
+  stamps every sequenced op with a node-local monotonic *tick* from a
+  shared counter, persisted inside the op, and recovery and offline
+  replay sort by ``(tick, shard, seq)``
+  (``repro.store.recovery.apply_suffix``) — a valid linear extension
+  of all per-shard orders.  One stream is its own order and stamps
+  nothing.
 
 Coordinators submit straight to the owning stream
 (``bus.shards[op.shard]``) and a node's inbound frames are dispatched

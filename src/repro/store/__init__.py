@@ -90,8 +90,11 @@ re-registering colliding addresses.
 On top of the same bytes, ``replay.py`` implements ``python -m repro
 replay`` — an offline deterministic time-travel debugger (``--until``,
 ``--diff``, Chrome-trace export) whose canonical state export is
-byte-identical across runs; ``repro check --log`` re-drives a persisted
-log against the §5 reference model.
+byte-identical across runs, and ``--check`` holds the log to the §5
+reference model (``check/logcheck.py``).  Neither has an apply path of
+its own: ``node_store.load_node_dir`` reads every namespace of a data
+directory read-only, and an offline coordinator rebuilds state through
+recovery's ``restore_snapshot`` + ``apply_suffix``.
 
 What is *not* persisted: actor behaviors and mailboxes (code and
 in-flight conversation die with the process — the paper's actors are

@@ -39,6 +39,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..shard.merge import shard_dirs
 from .recovery import upgrade_snapshot
 from .segment import ReadReport, SegmentWriter, fsync_dir, scan_segment
 from .snapshot import (
@@ -66,13 +67,15 @@ def segment_paths(data_dir: str) -> list[str]:
     return [os.path.join(log_dir, n) for n in names]
 
 
-def load_data_dir(data_dir: str) -> "RecoveredState":
-    """Read-only salvage of a data directory (no writer is opened).
+def load_data_dir(data_dir: str,
+                  report: ReadReport | None = None) -> "RecoveredState":
+    """Read-only salvage of one store namespace (no writer is opened).
 
-    Used by ``NodeStore.load`` at startup and by the offline replay
-    debugger, which must never mutate the directory it inspects.
+    Used by ``NodeStore.load`` at startup and, through
+    :func:`load_node_dir`, by the offline tools, which must never mutate
+    the directory they inspect.  Salvage is counted in ``report``.
     """
-    out = RecoveredState()
+    out = RecoveredState(report=report or ReadReport())
     snap = load_latest_snapshot(data_dir, out.report)
     dlq_floor = 0
     if snap is not None:
@@ -90,6 +93,19 @@ def load_data_dir(data_dir: str) -> "RecoveredState":
                 events[rec["n"]] = rec
     out.dlq_events = [events[n] for n in sorted(events)]
     return out
+
+
+def load_node_dir(data_dir: str) -> "tuple[RecoveredState, dict[int, dict]]":
+    """Read-only: a node's data directory in the layout
+    ``NodeRuntime._recover`` writes — the top-level store plus every
+    shard's op log — as ``(recovered, shard_ops)``, the arguments of
+    ``restore_node``.  ``recovered.report`` counts salvage in all of them.
+    """
+    recovered = load_data_dir(data_dir)
+    return recovered, {
+        shard: (recovered if path == data_dir
+                else load_data_dir(path, recovered.report)).ops
+        for shard, path in shard_dirs(data_dir).items()}
 
 
 @dataclass
@@ -195,15 +211,9 @@ class NodeStore:
 
     # -- write path ----------------------------------------------------------
 
-    def append_op(self, seq: int, op: Any, tick: "int | None" = None,
-                  then=None) -> None:
+    def append_op(self, seq: int, op: Any, then=None) -> None:
         """Stage one sequenced op; ``then`` runs once it is durable."""
-        record: dict[str, Any] = {"rec": "op", "seq": seq, "op": op}
-        if tick is not None:
-            # Node-local monotonic sequencing tick: the merge key for
-            # cross-shard happens-before ordering (see repro.shard.merge).
-            record["tick"] = tick
-        self._writer.append(record)
+        self._writer.append({"rec": "op", "seq": seq, "op": op})
         self._live_max_op_seq = max(self._live_max_op_seq, seq)
         self.ops_appended += 1
         if then is not None:

@@ -3,10 +3,12 @@
 ``snapshot_state`` projects a node's applied state into a plain
 codec-encodable dict; ``restore_node`` is its inverse plus a replay of
 every shard's persisted ops at or past that shard's snapshot cursor
-through the coordinator's ordinary hold-back path — the same code that
-applied them the first time, so replica determinism carries over to
-recovery for free.  There is one such path for every plane: a one-shard
-plane is the case of one cursor.
+through the coordinator's apply path — the same code that applied them
+the first time, so replica determinism carries over to recovery for
+free.  There is one such path for every plane (a one-shard plane is the
+case of one cursor), and the offline tools (``repro replay``, the log
+check) rebuild state through it too: ``restore_snapshot`` +
+``apply_suffix`` on an offline coordinator.
 
 The directory rebuild uses :meth:`Directory.restore_entry`, which skips
 capability and cycle checks — both were validated when each op
@@ -181,6 +183,47 @@ def _restore_dead_letters(dead_letters: Any, store: Any, state: dict,
     return len(pending)
 
 
+def restore_snapshot(coordinator: Any, state: dict | None) -> None:
+    """Put a coordinator where ``state`` (a snapshot, or None) left it."""
+    if state is None:
+        return
+    _restore_directory(coordinator, state)
+    cursors, origin_seqs = coordinator._shard_cursors, coordinator._origin_seqs
+    for shard, cursor in state["applied"].items():
+        cursors[shard] = cursor
+    for shard, origin_seq in state["origin"].items():
+        origin_seqs[shard] = max(origin_seqs[shard], origin_seq)
+    coordinator.addresses._next_serial = max(
+        coordinator.addresses._next_serial, state.get("addr_serial", 0))
+    for op in state.get("waiting", ()):
+        coordinator._apply_op(op)  # re-parks unless its space came since
+
+
+def apply_suffix(coordinator: Any, shard_ops: "dict[int, dict[int, Any]]"):
+    """Apply every shard's persisted ops past its cursor, in the order
+    they were sequenced, through the coordinator's apply path.
+
+    Yields ``(shard, seq, op, error)`` per op, ``error`` being the
+    rejection ``_apply_op`` caught (None if the op applied, or parked for
+    its space).  The simulator stamps a sequencing tick when it runs
+    several streams, and ticks merge them in the order they were
+    sequenced — a linear extension of every shard's order.  No TCP path
+    stamps one, so wire logs interleave by ``(seq, shard)`` and rely on
+    the coordinator's dependency parking for an actor op that lands
+    before its space's ADD.  A shard stops at its first sequence gap
+    (only possible after corruption salvage) rather than applying out of
+    order.
+    """
+    cursors = coordinator._shard_cursors
+    for _tick, shard, seq, op in sorted(
+            (op.tick if op.tick is not None else seq, shard, seq, op)
+            for shard, ops in shard_ops.items()
+            for seq, op in ops.items() if seq >= cursors[shard]):
+        if seq == cursors[shard]:
+            cursors[shard] = seq + 1
+            yield shard, seq, op, coordinator._apply_op(op)
+
+
 def restore_node(node_id: int, coordinator: Any, dead_letters: Any,
                  recovered: "RecoveredState", store: Any = None,
                  shard_ops: "dict[int, dict[int, Any]] | None" = None) -> dict:
@@ -196,58 +239,31 @@ def restore_node(node_id: int, coordinator: Any, dead_letters: Any,
     """
     if shard_ops is None:
         shard_ops = {0: recovered.ops}
-    state = recovered.snapshot or {}
-    cursors, origin_seqs = coordinator._shard_cursors, coordinator._origin_seqs
-    if recovered.snapshot is not None:
-        _restore_directory(coordinator, state)
-        for shard, cursor in state["applied"].items():
-            cursors[shard] = cursor
-        for shard, origin_seq in state["origin"].items():
-            origin_seqs[shard] = max(origin_seqs[shard], origin_seq)
-        coordinator.addresses._next_serial = max(
-            coordinator.addresses._next_serial, state.get("addr_serial", 0))
-        for op in state.get("waiting", ()):
-            coordinator._apply_op(op)  # re-parks unless its space came since
+    restore_snapshot(coordinator, recovered.snapshot)
     letters_pending = _restore_dead_letters(
-        dead_letters, store, state, recovered.dlq_events)
-    # Replay each shard's suffix through the ordinary hold-back path; ops
-    # below a shard's cursor are already folded into the snapshot.  The
-    # simulator stamps a sequencing tick when it runs several streams and
-    # ticks merge them in the order they were sequenced; no TCP path
-    # stamps one, so wire recovery interleaves shards by (seq, shard) and
-    # relies on the coordinator's dependency parking for an actor op that
-    # lands before its space's ADD.
-    suffix = sorted(
-        (op.tick if op.tick is not None else seq, shard, seq, op)
-        for shard, ops in shard_ops.items()
-        for seq, op in ops.items() if seq >= cursors[shard])
-    for _tick, shard, seq, op in suffix:
-        coordinator.on_bus_delivery(seq, op)
-        if op.origin_node == node_id:
-            origin_seqs[shard] = max(origin_seqs[shard], op.origin_seq + 1)
-    # Address serials are embedded in op args (ADD_SPACE addresses,
-    # MAKE_VISIBLE targets minted here); walk them so a snapshot-less
-    # recovery still resyncs the factory.
-    serial_floor = _max_serial_in_ops(
-        node_id, (op for ops in shard_ops.values() for op in ops.values()))
-    coordinator.addresses._next_serial = max(
-        coordinator.addresses._next_serial, serial_floor + 1)
+        dead_letters, store, recovered.snapshot or {}, recovered.dlq_events)
+    replayed = sum(1 for _ in apply_suffix(coordinator, shard_ops))
+    # Resync what this node mints from every persisted op, past a gap
+    # too: its origin seq per shard, and the address serials embedded in
+    # op args (ADD_SPACE addresses, MAKE_VISIBLE targets minted here), so
+    # a snapshot-less recovery still resyncs the factory.
+    origin_seqs, serial = coordinator._origin_seqs, \
+        coordinator.addresses._next_serial
+    for shard, ops in shard_ops.items():
+        for op in ops.values():
+            if op.origin_node == node_id:
+                origin_seqs[shard] = max(origin_seqs[shard], op.origin_seq + 1)
+            for value in op.args.values():
+                if getattr(value, "node", None) == node_id \
+                        and getattr(value, "serial", None) is not None:
+                    serial = max(serial, value.serial + 1)
+    coordinator.addresses._next_serial = serial
     return {
         "snapshot_seq": recovered.snapshot_seq,
-        "applied": dict(enumerate(cursors)),
-        "ops_replayed": len(suffix),
+        "applied": dict(enumerate(coordinator._shard_cursors)),
+        "ops_replayed": replayed,
         "dlq_recovered": letters_pending,
         "origin": dict(enumerate(origin_seqs)),
         "records_dropped": recovered.report.records_dropped,
         "corrupt_segments": len(recovered.report.corrupt_segments),
     }
-
-
-def _max_serial_in_ops(node_id: int, ops) -> int:
-    best = -1
-    for op in ops:
-        for value in op.args.values():
-            serial = getattr(value, "serial", None)
-            if serial is not None and getattr(value, "node", None) == node_id:
-                best = max(best, serial)
-    return best

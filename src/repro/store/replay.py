@@ -1,13 +1,18 @@
-"""``python -m repro replay`` — deterministic time travel over a persisted log.
+"""``python -m repro replay`` — deterministic time travel over a data dir.
 
-The replayer re-drives a data directory's snapshot + op suffix through
-the same per-kind application logic the live coordinator uses, but with
-all nondeterminism removed: virtual "now" is the op's sequence number,
-there is no scheduler, no RNG, no wall clock.  Replaying the same bytes
-therefore always lands on the same state — the determinism test asserts
-the canonical export is byte-identical across runs — which is what makes
-the log a *repro artifact*: any state a cluster reached can be rebuilt,
-inspected at any ``--until`` point, and diffed between two points.
+The replayer rebuilds state the way recovery does: an offline
+coordinator takes the snapshot (``restore_snapshot``), then every
+shard's persisted suffix in the order recovery applies it
+(``apply_suffix``), through the coordinator's own apply path.  Nothing
+else runs — no scheduler, no wire, no wall clock — and each replay
+event is stamped with its op's seq.  Replaying the same bytes therefore
+always lands on the same state — the determinism test asserts the
+canonical export is byte-identical across runs — which is what makes
+the data directory a *repro artifact*: any state a node reached can be
+rebuilt, inspected at any ``--until`` point, and diffed between two
+points.  On a plane of several shards, SEQ cuts every shard after its
+own op SEQ, and the summary's seqs are summed over the shards (as a
+snapshot's epoch is).
 
 Outputs:
 
@@ -27,90 +32,12 @@ import json
 import sys
 from typing import Any
 
-from ..core.actorspace import SpaceRecord
-from ..core.errors import ActorSpaceError
-from ..core.manager import default_manager
 from ..core.visibility import Directory
 from ..net.codec import encode_value
-from ..runtime.bus import OpKind, VisibilityOp
 from ..runtime.eventlog import EventLog, export_chrome_trace
-from .node_store import RecoveredState, load_data_dir
-from .recovery import _restore_directory
-
-
-class LogReplayer:
-    """Applies persisted visibility ops to a standalone directory replica.
-
-    Mirrors ``Coordinator._apply_op`` per-kind semantics exactly, minus
-    everything tied to a live system (tracer, parked messages, origin
-    callbacks).  ``created_at``/``now`` timestamps are the op's sequence
-    number, so replay output is a pure function of the log bytes.
-    """
-
-    def __init__(self) -> None:
-        self.directory = Directory()
-        self.managers: dict[Any, Any] = {}
-        self.applied_seqs: list[int] = []
-        self.rejected: list[tuple[int, str]] = []
-        self.next_seq = 0
-        # The bootstrap root space is seeded directly into every replica
-        # at system construction — it never crosses the bus, so a replay
-        # from genesis must mint it the same way (snapshot restores
-        # tolerate the duplicate).
-        from ..core.addresses import SpaceAddress
-
-        root = SpaceAddress(0, 0)
-        self.directory.add_space(SpaceRecord(root, None, 0, created_at=0.0))
-        self.managers[root] = default_manager()
-
-    def restore(self, state: dict) -> None:
-        """Start from a snapshot instead of an empty world."""
-        _restore_directory(self, state)
-        self.next_seq = state["applied"].get(0, 0)
-
-    def apply(self, seq: int, op: VisibilityOp) -> tuple[bool, str | None]:
-        """Apply one op; returns (applied, rejection reason)."""
-        self.next_seq = seq + 1
-        now = float(seq)
-        try:
-            kind, a = op.kind, op.args
-            if kind is OpKind.ADD_SPACE:
-                record = SpaceRecord(
-                    a["address"], a.get("capability"),
-                    a.get("node", op.origin_node), created_at=now,
-                )
-                self.directory.add_space(record)
-                self.managers[a["address"]] = a.get(
-                    "manager_factory", default_manager)()
-            elif kind is OpKind.DESTROY_SPACE:
-                self.directory.destroy_space(a["address"])
-                self.managers.pop(a["address"], None)
-            elif kind is OpKind.MAKE_VISIBLE:
-                manager = self.managers.get(a["space"]) or default_manager()
-                self.directory.make_visible(
-                    a["target"], a["attributes"], a["space"],
-                    a.get("capability"), now=now,
-                    check_cycles=manager.check_cycles,
-                )
-            elif kind is OpKind.MAKE_INVISIBLE:
-                self.directory.make_invisible(
-                    a["target"], a["space"], a.get("capability"))
-            elif kind is OpKind.CHANGE_ATTRIBUTES:
-                self.directory.change_attributes(
-                    a["target"], a["attributes"], a["space"],
-                    a.get("capability"), now=now,
-                )
-            elif kind is OpKind.BIND_CAPABILITY:
-                self.directory.bind_capability(a["target"], a.get("capability"))
-            elif kind is OpKind.PURGE:
-                self.directory.purge_target(a["target"])
-            else:
-                raise AssertionError(f"unknown op kind {kind}")
-        except ActorSpaceError as exc:
-            self.rejected.append((seq, type(exc).__name__))
-            return False, type(exc).__name__
-        self.applied_seqs.append(seq)
-        return True, None
+from ..runtime.system import ActorSpaceSystem
+from .node_store import RecoveredState, load_node_dir
+from .recovery import apply_suffix, restore_snapshot
 
 
 def canonical_state(directory: Directory) -> dict:
@@ -132,50 +59,50 @@ def state_digest(directory: Directory) -> str:
     return hashlib.sha256(encode_value(payload)).hexdigest()
 
 
-def replay_recovered(recovered: RecoveredState, until: int | None = None,
-                     event_log: EventLog | None = None,
-                     ) -> tuple[LogReplayer, dict]:
-    """Drive a :class:`RecoveredState` through a fresh replayer.
+def replay_recovered(recovered: RecoveredState,
+                     shard_ops: "dict[int, dict[int, Any]] | None" = None,
+                     until: int | None = None,
+                     event_log: EventLog | None = None) -> tuple[Any, dict]:
+    """Rebuild ``(recovered, shard_ops)`` — ``restore_node``'s arguments,
+    as :func:`load_node_dir` reads them — on an offline coordinator.
 
-    Ops are applied strictly contiguously from the snapshot boundary; a
-    sequence gap (only possible after corruption salvage) stops the
-    replay honestly rather than applying out of order.
+    Returns ``(coordinator, summary)``.  A shard stops at its first
+    sequence gap (``summary["gap"]`` lists ``[shard, expected, next]``).
     """
-    replayer = LogReplayer()
-    if recovered.snapshot is not None:
-        replayer.restore(recovered.snapshot)
-    start = replayer.next_seq
-    stopped_at_gap = None
-    expected = start
-    for seq in sorted(s for s in recovered.ops if s >= start):
-        if until is not None and seq > until:
-            break
-        if seq != expected:
-            stopped_at_gap = (expected, seq)
-            break
-        op = recovered.ops[seq]
-        applied, reason = replayer.apply(seq, op)
-        expected = seq + 1
+    if shard_ops is None:
+        shard_ops = {0: recovered.ops}
+    if until is not None:
+        shard_ops = {k: {s: op for s, op in ops.items() if s <= until}
+                     for k, ops in shard_ops.items()}
+    snapshot = recovered.snapshot or {}
+    coordinator = ActorSpaceSystem(shards=1 + max(
+        [*shard_ops, *snapshot.get("applied", ())])).coordinators[0]
+    restore_snapshot(coordinator, recovered.snapshot)
+    cursors = coordinator._shard_cursors
+    start, rejected = sum(cursors), 0
+    for shard, seq, op, error in apply_suffix(coordinator, shard_ops):
+        rejected += error is not None
         if event_log is not None:
             event_log.emit(
-                "replay_apply" if applied else "replay_reject",
-                float(seq), op.origin_node,
-                op_seq=seq, op_kind=op.kind.value,
-                origin_seq=op.origin_seq,
-                **({"reason": reason} if reason else {}),
-            )
+                "replay_apply" if error is None else "replay_reject",
+                float(seq), op.origin_node, op_seq=seq, shard=shard,
+                op_kind=op.kind.value, origin_seq=op.origin_seq,
+                **({} if error is None else {"reason": type(error).__name__}))
+    gaps = [[k, cursors[k], min(s for s in ops if s > cursors[k])]
+            for k, ops in sorted(shard_ops.items())
+            if cursors[k] not in ops and max(ops, default=-1) > cursors[k]]
     summary = {
         "snapshot_seq": recovered.snapshot_seq,
         "start_seq": start,
-        "last_seq": expected - 1,
-        "ops_applied": len(replayer.applied_seqs),
-        "ops_rejected": len(replayer.rejected),
+        "last_seq": sum(cursors) - 1,
+        "ops_applied": sum(cursors) - start - rejected,
+        "ops_rejected": rejected,
         "records_dropped": recovered.report.records_dropped,
         "corrupt_segments": list(recovered.report.corrupt_segments),
-        "gap": list(stopped_at_gap) if stopped_at_gap else None,
-        "digest": state_digest(replayer.directory),
+        "gap": gaps or None,
+        "digest": state_digest(coordinator.directory),
     }
-    return replayer, summary
+    return coordinator, summary
 
 
 def _diff_states(a: dict, b: dict) -> list[str]:
@@ -204,10 +131,11 @@ def _diff_states(a: dict, b: dict) -> list[str]:
 def replay_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro replay",
-        description="Deterministically re-drive a persisted node log.")
+        description="Deterministically rebuild a node's state from its "
+                    "data directory, the way recovery does.")
     parser.add_argument("data_dir", help="node data directory (--data-dir of serve)")
     parser.add_argument("--until", type=int, default=None, metavar="SEQ",
-                        help="stop after applying op SEQ")
+                        help="stop every shard after its op SEQ")
     parser.add_argument("--diff", metavar="A:B", default=None,
                         help="show directory difference between seq A and seq B")
     parser.add_argument("--state-out", metavar="FILE", default=None,
@@ -221,15 +149,15 @@ def replay_main(argv: list[str]) -> int:
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
-    recovered = load_data_dir(args.data_dir)
-    if recovered.empty:
+    recovered, shard_ops = load_node_dir(args.data_dir)
+    if recovered.empty and not any(shard_ops.values()):
         print(f"replay: nothing recoverable under {args.data_dir}",
               file=sys.stderr)
         return 2
 
     event_log = EventLog(capacity=1 << 20, enabled=True)
-    replayer, summary = replay_recovered(recovered, until=args.until,
-                                         event_log=event_log)
+    coordinator, summary = replay_recovered(recovered, shard_ops, args.until,
+                                            event_log)
 
     if not args.quiet:
         snap = (f"snapshot@{summary['snapshot_seq']}"
@@ -244,14 +172,14 @@ def replay_main(argv: list[str]) -> int:
             print(f"replay: salvage dropped {summary['records_dropped']} "
                   f"record(s) across {len(summary['corrupt_segments'])} "
                   f"corrupt segment(s)")
-        if summary["gap"]:
-            print(f"replay: stopped at sequence gap (expected "
-                  f"{summary['gap'][0]}, next persisted {summary['gap'][1]})")
+        for shard, expected, persisted in summary["gap"] or ():
+            print(f"replay: shard {shard} stopped at sequence gap (expected "
+                  f"{expected}, next persisted {persisted})")
         print(f"replay: state digest {summary['digest']}")
 
     if args.state_out:
         export = {"summary": summary,
-                  "directory": canonical_state(replayer.directory)}
+                  "directory": canonical_state(coordinator.directory)}
         with open(args.state_out, "w", encoding="utf-8") as fh:
             json.dump(export, fh, sort_keys=True, indent=1)
             fh.write("\n")
@@ -274,8 +202,8 @@ def replay_main(argv: list[str]) -> int:
         except ValueError:
             print(f"replay: bad --diff spec {args.diff!r}", file=sys.stderr)
             return 2
-        rep_a, _ = replay_recovered(recovered, until=seq_a)
-        rep_b, _ = replay_recovered(recovered, until=seq_b)
+        rep_a, _ = replay_recovered(recovered, shard_ops, seq_a)
+        rep_b, _ = replay_recovered(recovered, shard_ops, seq_b)
         lines = _diff_states(canonical_state(rep_a.directory),
                              canonical_state(rep_b.directory))
         print(f"diff @{seq_a} -> @{seq_b}: "
@@ -286,7 +214,7 @@ def replay_main(argv: list[str]) -> int:
     if args.check:
         from ..check.logcheck import check_recovered
 
-        problems = check_recovered(recovered, until=args.until)
+        problems = check_recovered(recovered, shard_ops, args.until)
         if problems:
             for problem in problems[:20]:
                 print(f"check: {problem}", file=sys.stderr)

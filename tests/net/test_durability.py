@@ -9,7 +9,6 @@ opening a socket or running ``serve``.  Every restart case runs on a
 one-shard and a two-shard plane: there is one recovery path.
 """
 
-import itertools
 import shutil
 
 import pytest
@@ -19,9 +18,10 @@ from repro.core.messages import Mode
 from repro.net.codec import FrameKind
 from repro.net.runtime import NodeRuntime
 from repro.runtime.context import external_envelope
-from repro.shard.map import ShardMap
+from repro.store.node_store import load_node_dir
+from repro.store.replay import replay_main, replay_recovered
 
-from ..store.workload import each_plane
+from ..store.workload import each_plane, last_shard_atom
 
 
 def noop(ctx, message):
@@ -32,13 +32,6 @@ def make_runtime(data_dir, shards, node=0, ports=None):
     return NodeRuntime(node, ports or {0: 39741}, data_dir=str(data_dir),
                        trace=False, quiet=True, shards=shards,
                        shard_sequencer=0)
-
-
-def last_shard_atom(shards, stem):
-    """A root atom that homes its space on the plane's last shard."""
-    owner_of = ShardMap(shards).owner_of
-    return next(atom for n in itertools.count()
-                if owner_of(atom := f"{stem}x{n}") == shards - 1)
 
 
 def populate(runtime, tag, count=4):
@@ -211,6 +204,33 @@ class TestNodeRuntimeRecovery:
         assert replica.coordinator.directory.snapshot() == directory
         for runtime in (seat, replica):
             close(runtime)
+
+    @each_plane
+    def test_offline_replay_rebuilds_what_the_node_recovers(self, tmp_path,
+                                                            shards):
+        """A node writes its logs with no ticks and its spaces spread over
+        every shard; replay reads each shard's namespace and lands on the
+        node's own directory — from genesis, and again from the snapshot
+        a restart writes."""
+        first = make_runtime(tmp_path, shards)
+        populate(first, "gen1")
+        live = first.coordinator.directory.snapshot()
+        close(first)
+        replayed, summary = replay_recovered(*load_node_dir(str(tmp_path)))
+        assert summary["gap"] is None
+        assert summary["ops_applied"] == log_length(first)
+        assert replayed.directory.snapshot() == live
+        assert replay_main([str(tmp_path), "--check", "--quiet"]) == 0
+
+        second = make_runtime(tmp_path, shards)  # recovers, then snapshots
+        assert second.coordinator.directory.snapshot() == live
+        populate(second, "gen2", count=1)
+        live = second.coordinator.directory.snapshot()
+        close(second)
+        replayed, summary = replay_recovered(*load_node_dir(str(tmp_path)))
+        assert summary["snapshot_seq"] > 0
+        assert replayed.directory.snapshot() == live
+        assert replayed._shard_cursors == second.coordinator._shard_cursors
 
     @pytest.mark.parametrize("damage", ["garbage", "unopenable"])
     def test_damaged_shard_costs_one_shard(self, tmp_path, damage):

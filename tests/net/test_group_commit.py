@@ -321,9 +321,9 @@ class TestOneFrameTurn:
             store = runtime.shard_stores[0]
             stage = store.append_op
 
-            def append_op(seq, op, tick=None, then=None):
+            def append_op(seq, op, then=None):
                 tape.append(("append", len(runtime.events)))
-                stage(seq, op, tick=tick, then=then)
+                stage(seq, op, then=then)
 
             store.append_op = append_op
 

@@ -1,17 +1,21 @@
-"""Regression: per-shard store namespaces and the offline merge.
+"""Regression: per-shard store namespaces and the order they merge in.
 
 Each shard persists to its own ``shard-K`` store; offline tools find the
-namespaces and merge the per-shard logs into one linear extension.  (A
-node recovering from a damaged shard store is covered in
-``tests/net/test_durability.py``.)
+namespaces, and recovery's order merges the per-shard logs into one
+linear extension.  (A node recovering from a damaged shard store is
+covered in ``tests/net/test_durability.py``.)
 """
 
 import zlib
 
+from repro.core.addresses import ActorAddress
+from repro.runtime.bus import OpKind, VisibilityOp
 from repro.runtime.network import Topology
 from repro.runtime.system import ActorSpaceSystem
-from repro.shard.merge import merge_shard_logs, shard_dirs
-from repro.store import NodeStore
+from repro.shard.merge import shard_dirs
+from repro.store import NodeStore, SegmentWriter
+from repro.store.node_store import load_node_dir
+from repro.store.recovery import apply_suffix
 
 N_SHARDS = 4
 
@@ -73,14 +77,33 @@ class TestOfflineMerge:
         workload(system, atoms)
         total = sum(len(b.log) for b in system.bus.shards.values())
         close_stores(system)
-        merged = merge_shard_logs(str(tmp_path))
+        _recovered, shard_ops = load_node_dir(str(tmp_path))
+        offline = ActorSpaceSystem(shards=N_SHARDS).coordinators[0]
+        merged = list(apply_suffix(offline, shard_ops))  # recovery's order
         assert len(merged) == total
-        # Ticks are globally unique (one shared counter) and the merge
-        # preserves each shard's internal seq order.
-        ticks = [tick for _shard, _seq, tick, _op in merged]
-        assert ticks == sorted(ticks)
+        # Ticks (one shared counter, persisted inside each op) are
+        # globally unique, and the merge preserves each shard's internal
+        # seq order: it is the order the ops were sequenced in.
+        ticks = [op.tick for _shard, _seq, op, _error in merged]
+        assert ticks == sorted(set(ticks))
+        assert [(shard, seq) for shard, seq, _op, _error in merged] == \
+            system.bus.journal
         per_shard_seqs = {}
-        for shard, seq, _tick, _op in merged:
+        for shard, seq, _op, _error in merged:
             per_shard_seqs.setdefault(shard, []).append(seq)
         for shard, seqs in per_shard_seqs.items():
             assert seqs == sorted(seqs), (shard, seqs)
+
+    def test_a_record_still_carrying_its_tick_loads(self, tmp_path):
+        """Logs once wrote the tick a second time, beside the op."""
+        (tmp_path / "log").mkdir()
+        writer = SegmentWriter(str(tmp_path / "log" / "seg-00000001.log"))
+        op = VisibilityOp(OpKind.PURGE, {"target": ActorAddress(0, 1)},
+                          origin_node=0, tick=7)
+        writer.append({"rec": "op", "seq": 0, "op": op, "tick": 7})
+        writer.close()
+        recovered, shard_ops = load_node_dir(str(tmp_path))
+        assert recovered.report.clean
+        assert shard_ops == {0: recovered.ops}
+        assert recovered.ops[0].tick == 7
+        assert recovered.ops[0].args == op.args

@@ -19,14 +19,13 @@ from repro.check.logcheck import check_recovered
 from repro.runtime.network import Topology
 from repro.runtime.system import ActorSpaceSystem
 from repro.store import NodeStore
-from repro.store.node_store import load_data_dir, segment_paths
+from repro.store.node_store import load_data_dir, load_node_dir, segment_paths
 from repro.store.recovery import restore_node
 
 from .workload import (
     attach_stores,
     close_stores,
     each_plane,
-    load_shard_ops,
     log_signature,
     run_persisted_workload,
 )
@@ -98,7 +97,7 @@ class TestDeadLetterRecovery:
         assert len(recovered.dlq_events) == 4
         summary = restore_node(
             0, system2.coordinators[0], system2.dead_letters, recovered,
-            store=store2, shard_ops=load_shard_ops(str(tmp_path), shards))
+            store=store2, shard_ops=load_node_dir(str(tmp_path))[1])
         assert summary["dlq_recovered"] == 4
         assert system2.dead_letters.recovered_total == 4
 
@@ -152,7 +151,7 @@ class TestDeadLetterRecovery:
                                    shards=shards)
         summary = restore_node(
             0, system2.coordinators[0], system2.dead_letters, recovered,
-            shard_ops=load_shard_ops(str(tmp_path), shards))
+            shard_ops=load_node_dir(str(tmp_path))[1])
         assert summary["dlq_recovered"] == 0
         assert system2.dead_letters.pending() == 0
         assert system2.dead_letters.redelivered_total == \

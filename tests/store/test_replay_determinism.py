@@ -4,13 +4,22 @@ Replaying the same persisted bytes must always land on the same state:
 same digest, same event stream, same exported files.  That property is
 what makes a data directory a *repro artifact* rather than just a
 backup.  Also covers the CLI surface: ``--until``, ``--diff``,
-``--state-out``/``--events-out``/``--trace-out``, ``--check``.
+``--state-out``/``--events-out``/``--trace-out``, ``--check``.  Every
+plane replays the way it recovers: through every shard's log, to the
+live directory.
 """
 
 import json
 
+from repro.check.logcheck import check_recovered
+from repro.runtime.bus import OpKind
 from repro.runtime.eventlog import EventLog, validate_chrome_trace
-from repro.store.node_store import load_data_dir
+from repro.runtime.network import Topology
+from repro.runtime.system import ActorSpaceSystem
+from repro.shard.merge import shard_dir
+from repro.store import NodeStore
+from repro.store.node_store import load_data_dir, load_node_dir
+from repro.store.recovery import restore_node
 from repro.store.replay import (
     canonical_state,
     replay_main,
@@ -18,7 +27,14 @@ from repro.store.replay import (
     state_digest,
 )
 
-from .workload import run_persisted_workload
+from .workload import (
+    attach_stores,
+    close_stores,
+    each_plane,
+    last_shard_atom,
+    noop,
+    run_persisted_workload,
+)
 
 SEED, N_OPS = 11, 25
 
@@ -97,3 +113,63 @@ class TestDeterminism:
 
     def test_empty_directory_exits_2(self, tmp_path):
         assert replay_main([str(tmp_path)]) == 2
+
+
+def collected_in_last_shard_space(tmp_path, shards):
+    """A persisted run whose garbage collection purges an actor
+    registered in a space homed on the plane's last shard."""
+    system = ActorSpaceSystem(topology=Topology.lan(2), seed=SEED,
+                              shards=shards)
+    store = NodeStore(str(tmp_path))
+    attach_stores(system, store)
+    home = system.create_space(
+        node=1, attributes=f"{last_shard_atom(shards, 'gc')}/home")
+    kept = system.create_actor(noop, node=0)
+    system.make_visible(kept, "gc/kept", node=0)
+    doomed = system.create_actor(noop, node=1)
+    system.make_visible(doomed, "gc/doomed", home, node=1)
+    system.run()
+    assert system.directory_of(0).space(home).shard == shards - 1
+    system.make_invisible(home, node=1)  # created visible in the root
+    system.run()
+    system.release(doomed)
+    system.release(home)
+    assert doomed in system.collect_garbage().collected_actors
+    system.run()
+    close_stores(system, store)
+    return system
+
+
+class TestEveryPlane:
+    @each_plane
+    def test_a_purge_on_a_last_shard_space_replays(self, tmp_path, shards):
+        system = collected_in_last_shard_space(tmp_path, shards)
+        recovered, shard_ops = load_node_dir(str(tmp_path))
+        purged = {k for k, ops in shard_ops.items()
+                  for op in ops.values() if op.kind is OpKind.PURGE}
+        assert purged == set(range(shards))  # one slice on every shard
+        replayed, summary = replay_recovered(recovered, shard_ops)
+        restarted = ActorSpaceSystem(topology=Topology.lan(2), shards=shards)
+        restore_node(0, restarted.coordinators[0], restarted.dead_letters,
+                     recovered, shard_ops=shard_ops)
+        live = system.directory_of(0).snapshot()
+        assert replayed.directory.snapshot() == live
+        assert restarted.directory_of(0).snapshot() == live
+        assert summary["gap"] is None
+        assert check_recovered(recovered, shard_ops) == []
+
+    def test_check_reports_a_duplicate_in_shard_1(self, tmp_path, capsys):
+        collected_in_last_shard_space(tmp_path, 2)
+        ops = load_node_dir(str(tmp_path))[1][1]
+        last = max(ops)
+        planted = NodeStore(shard_dir(str(tmp_path), 2, 1))
+        planted.append_op(last + 1, ops[last])
+        planted.commit()
+        planted.close()
+        problems = check_recovered(*load_node_dir(str(tmp_path)))
+        key = (ops[last].origin_node, ops[last].origin_seq)
+        assert f"shard 1: duplicate origin pair {key} sequenced at both " \
+            f"{last} and {last + 1}" in problems
+        assert all(problem.startswith("shard 1: ") for problem in problems)
+        assert replay_main([str(tmp_path), "--check", "--quiet"]) == 1
+        assert "shard 1: duplicate origin pair" in capsys.readouterr().err

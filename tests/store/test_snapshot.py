@@ -6,7 +6,7 @@ from repro.runtime.bus import OpKind, VisibilityOp
 from repro.runtime.network import Topology
 from repro.runtime.system import ActorSpaceSystem
 from repro.store import NodeStore
-from repro.store.node_store import load_data_dir, segment_paths
+from repro.store.node_store import load_data_dir, load_node_dir, segment_paths
 from repro.store.recovery import restore_node, snapshot_state
 from repro.store.snapshot import (
     list_snapshots,
@@ -17,7 +17,6 @@ from repro.store.snapshot import (
 from .workload import (
     close_stores,
     each_plane,
-    load_shard_ops,
     noop,
     run_persisted_workload,
 )
@@ -62,8 +61,7 @@ class TestSnapshotRestore:
                         for s in shard_stores(system).values())
         close_stores(system, store)
 
-        recovered = load_data_dir(str(tmp_path))
-        shard_ops = load_shard_ops(str(tmp_path), shards)
+        recovered, shard_ops = load_node_dir(str(tmp_path))
         assert recovered.snapshot_seq == applied_total(state)
         # Rotation-at-snapshot made truncation exact: every surviving
         # persisted op is at or past its shard's snapshot boundary.
@@ -113,7 +111,7 @@ class TestSnapshotRestore:
         assert not recovered.report.clean
         # The inter-snapshot suffix survived truncation on every shard's
         # store: the second snapshot floored it at the first's cursors.
-        shard_ops = load_shard_ops(str(tmp_path), shards)
+        shard_ops = load_node_dir(str(tmp_path))[1]
         for shard, ops in shard_ops.items():
             assert ops and sorted(ops) == list(range(
                 first["applied"][shard], second["applied"][shard]))

@@ -9,17 +9,27 @@ ops, not disappear).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.core.errors import ActorSpaceError
 from repro.runtime.network import Topology
 from repro.runtime.system import ActorSpaceSystem
+from repro.shard.map import ShardMap
 from repro.shard.merge import shard_dir
 from repro.store import NodeStore
 
 
 def noop(ctx, message):
     pass
+
+
+def last_shard_atom(shards, stem):
+    """A root atom that homes its space on the plane's last shard."""
+    owner_of = ShardMap(shards).owner_of
+    return next(atom for n in itertools.count()
+                if owner_of(atom := f"{stem}x{n}") == shards - 1)
 
 
 def each_plane(test):
@@ -48,14 +58,6 @@ def attach_stores(system, store, **kwargs):
 
     system.bus.attach_store(store_for)
     return {k: bus.store for k, bus in system.bus.shards.items()}
-
-
-def load_shard_ops(data_dir, shards):
-    """shard -> persisted ``{seq: op}``, read the way a node recovers."""
-    from repro.store.node_store import load_data_dir
-
-    return {k: load_data_dir(shard_dir(data_dir, shards, k)).ops
-            for k in range(shards)}
 
 
 def close_stores(system, store):
