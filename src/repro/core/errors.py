@@ -100,10 +100,6 @@ class MailboxClosedError(ActorSpaceError):
     """A message was enqueued to an actor that has terminated."""
 
 
-class DeadActorError(ActorSpaceError):
-    """A direct send targeted an actor that has been garbage collected."""
-
-
 class InterpreterError(ActorSpaceError):
     """Base class for errors from the behavior-script interpreter."""
 

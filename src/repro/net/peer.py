@@ -50,7 +50,7 @@ Overload protection (two mechanisms, one per direction of causality):
   exhausted — the sender *pauses* (frames wait in the bounded queue)
   instead of blind-shedding into a receiver that cannot keep up.
   Control frames are never credit-gated, so grants and liveness flow
-  even while data is stalled.  ``credit_window=0`` disables gating.
+  even while data is stalled.
 """
 
 from __future__ import annotations
@@ -399,7 +399,7 @@ class PeerHub:
             self.h_send_queue.observe(now - t_enq)
             chunks.append(nxt)
             size += len(nxt)
-        gated = self.credit_window > 0 and link.role == "node"
+        gated = link.role == "node"
         avail = self.data_credit.get(link.node, self.credit_window) \
             if gated else -1
         taken = 0
@@ -688,8 +688,6 @@ class PeerHub:
 
     def _note_consumed(self, node: int) -> None:
         """Count one consumed envelope; grant credit back at half-window."""
-        if self.credit_window <= 0:
-            return
         consumed = self.data_consumed.get(node, 0) + 1
         if consumed >= max(1, self.credit_window // 2) \
                 and self.send(node, FrameKind.CREDIT, {"n": consumed}):
@@ -724,11 +722,10 @@ class PeerHub:
         # recency oracle is fresh as of now (last_sent is otherwise
         # only advanced by the flusher, after real writes).
         self.last_sent[link.node] = time.monotonic()
-        if self.credit_window > 0:
-            # Fresh link, fresh window on both sides: sender restarts
-            # with a full grant, receiver restarts its consumed count.
-            self.data_credit[link.node] = self.credit_window
-            self.data_consumed[link.node] = 0
+        # Fresh link, fresh window on both sides: sender restarts with a
+        # full grant, receiver restarts its consumed count.
+        self.data_credit[link.node] = self.credit_window
+        self.data_consumed[link.node] = 0
         if previous is None and self.on_peer_up is not None:
             self.on_peer_up(link.node)
 

@@ -12,7 +12,7 @@ shipped examples run across real sockets unchanged.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable
+from typing import Callable
 
 from repro.apps.process_pool import Job, PoolClient, PoolWorker
 from repro.core.actor import ActorContext, Behavior
@@ -42,21 +42,6 @@ def build_behavior(name: str, params: dict | None) -> Behavior:
 
 
 # -- built-in behaviors ---------------------------------------------------------
-
-class EchoBehavior(Behavior):
-    """Replies ``("echo", payload)`` to ``reply_to`` (or the sender)."""
-
-    def __init__(self):
-        self.count = 0
-        self.last: Any = None
-
-    def receive(self, ctx: ActorContext, message: Message) -> None:
-        self.count += 1
-        self.last = message.payload
-        target = message.reply_to
-        if target is not None:
-            ctx.send_to(target, ("echo", message.payload))
-
 
 class CounterBehavior(Behavior):
     """Counts messages; keeps the most recent payloads for inspection."""
@@ -228,7 +213,6 @@ class OverloadPumpBehavior(Behavior):
             self.done = True
 
 
-register_behavior("echo", lambda params: EchoBehavior())
 register_behavior("counter",
                   lambda params: CounterBehavior(keep=int(params.get("keep", 8))))
 register_behavior("replica",

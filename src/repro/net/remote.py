@@ -250,15 +250,6 @@ class RemoteSequencerBus:
                 global_seq=seq, op=op.kind.value, origin_node=op.origin_node,
                 origin_seq=op.origin_seq)
 
-    def echoed(self, op: VisibilityOp) -> None:
-        # Possibly from a *previous incarnation* of this node (sync
-        # replay after a restart): continue origin numbering past it, or
-        # every op this process mints would collide with a pre-crash
-        # (origin, origin_seq) pair and be deduped into the void.
-        origin_seqs = self.runtime.coordinator._origin_seqs
-        origin_seqs[self.shard_id] = max(origin_seqs[self.shard_id],
-                                         op.origin_seq + 1)
-
     def failover(self, leader: int, reason: str) -> None:
         self.runtime.tracer.on_failover(
             node=leader, t=self.runtime.clock.now, protocol="sequencer-tcp",

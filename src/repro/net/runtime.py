@@ -51,6 +51,7 @@ from repro.runtime.host import Host
 from repro.runtime.network import Topology
 from repro.shard import ShardedBus
 from repro.shard.merge import shard_dir
+from repro.store.node_store import NodeStore, claim_incarnation
 
 from . import registry
 from .codec import FrameKind, WireError, encode_value
@@ -62,20 +63,22 @@ from .remote import RemoteSequencerBus, TcpTransport
 _FOREVER = 1e12
 
 
-def rebase_wire_counters(node_id: int) -> None:
+def rebase_wire_counters(node_id: int, incarnation: int = 0) -> None:
     """Give this process a collision-free id block for envelopes/messages/ops.
 
     The module-global counters mint ids dense from 0; with one process
     per node, two nodes would mint the same envelope id and the
-    in-flight / dead-letter bookkeeping keyed on it would collide.
-    Rebasing each process to ``node_id << 44`` leaves ~17.6e12 ids per
-    node — decoded objects carry their ids explicitly, so only local
-    minting consumes the block.
+    in-flight / dead-letter bookkeeping keyed on it would collide — and
+    so would two starts of one node, since a letter the previous start
+    journalled is recovered by the next.  Ids are ``node_id << 44 |
+    incarnation << 32 | n``: 2**32 per start, and 4096 starts on one data
+    dir before a block comes round again.  Decoded objects carry their
+    ids explicitly, so only local minting consumes the block.
     """
     from repro.core import messages as messages_mod
     from repro.runtime import bus as bus_mod
 
-    base = node_id << 44
+    base = node_id << 44 | (incarnation % 4096) << 32
     messages_mod._envelope_ids = itertools.count(base)
     messages_mod._message_ids = itertools.count(base)
     bus_mod._op_ids = itertools.count(base)
@@ -188,7 +191,8 @@ class NodeRuntime(Host):
         shards: int = 1,
         shard_sequencer: int | None = None,
     ):
-        rebase_wire_counters(node_id)
+        rebase_wire_counters(
+            node_id, claim_incarnation(data_dir) if data_dir else 0)
         self.node_id = node_id
         self.nodes = sorted(ports)
         self.local_nodes = [node_id]
@@ -282,34 +286,28 @@ class NodeRuntime(Host):
         store is unreadable is skipped: it re-syncs from its sequencer's
         log over the wire and never blocks replay of the healthy shards.
         """
-        from repro.store import NodeStore
         from repro.store.recovery import restore_node
 
         self.store = NodeStore(data_dir, fsync=fsync)
-        recovered = self.store.load()
-        opened = {data_dir: (self.store, recovered.ops)}
-        shard_ops: dict[int, dict] = {}
+        recovered = self.store.recovered
+        opened = {data_dir: self.store}
         for k in self.bus.shards:
             path = shard_dir(data_dir, self.shards, k)
             if path not in opened:
                 try:
-                    store = NodeStore(path, fsync=fsync)
-                    opened[path] = (store, store.load().ops)
+                    opened[path] = NodeStore(path, fsync=fsync)
                 except Exception as exc:  # noqa: BLE001 - scoped recovery
                     self._log(f"shard {k} store unreadable ({exc!r}); "
                               f"will re-sync over the wire")
                     continue
-            self.shard_stores[k], shard_ops[k] = opened[path]
+            self.shard_stores[k] = opened[path]
+        shard_ops = {k: store.recovered.ops
+                     for k, store in self.shard_stores.items()}
         if not recovered.empty or any(shard_ops.values()):
             self.recovery = restore_node(
                 self.node_id, self.coordinator, self.dead_letters,
-                recovered, store=self.store, shard_ops=shard_ops)
-            # The logs may be truncated below the snapshot; the persisted
-            # per-origin watermarks keep wire dedup exact even for
-            # origins whose every op predates the snapshot.
-            expected = (recovered.snapshot or {}).get("expected", {})
-            for k, ops in shard_ops.items():
-                self.bus.shards[k].core.restore_log(ops, expected.get(k, {}))
+                recovered, store=self.store, shard_ops=shard_ops,
+                cores=self._cores())
             self.event_log.emit("node_recovered", self.clock.now,
                                 self.node_id, **self.recovery)
             self._log(f"recovered from {data_dir}: {self.recovery}")
@@ -340,15 +338,16 @@ class NodeRuntime(Host):
             return None
         from repro.store.recovery import snapshot_state
 
-        state = snapshot_state(
-            self.node_id, self.coordinator, self.dead_letters,
-            extra={"expected": {k: dict(bus.core.expected)
-                                for k, bus in self.bus.shards.items()}})
+        state = snapshot_state(self.node_id, self.coordinator,
+                               self.dead_letters, cores=self._cores())
         path = self.store.write_snapshot(state, self.shard_stores)
         self.event_log.emit(
             "snapshot_written", self.clock.now, self.node_id,
             applied_seq=self._applied_total())
         return path
+
+    def _cores(self) -> dict:
+        return {k: bus.core for k, bus in self.bus.shards.items()}
 
     async def _snapshot_loop(self) -> None:
         while not self._stopping:

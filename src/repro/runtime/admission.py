@@ -194,10 +194,6 @@ class AdmissionControl:
         dlq = self.system.dead_letters
         return dlq.pending(dst_node) >= self.dlq_fraction * dlq.capacity
 
-    def breaker_state(self) -> dict[int, bool]:
-        """Destination node -> breaker currently open."""
-        return {node: b.open for node, b in self._breakers.items()}
-
     def metrics(self) -> dict:
         return {
             "rejected_rate": self.rejected_rate,

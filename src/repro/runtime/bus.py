@@ -72,7 +72,7 @@ class VisibilityOp:
     kind: OpKind
     args: dict[str, Any]
     origin_node: int
-    origin_seq: int = 0  #: per-(origin, shard) FIFO counter, set by the submitter
+    origin_seq: int = 0  #: per-(origin, shard) FIFO counter, stamped at submit
     op_id: int = field(default_factory=lambda: next(_op_ids))
     #: The shard whose stream sequences this op (a one-shard plane has
     #: only shard 0).
@@ -276,9 +276,6 @@ class _NodePort:
                 + bus.service_time
         bus._record_sequenced(seq, op, self.node)
 
-    def echoed(self, op: VisibilityOp) -> None:
-        """Nothing to resync: a simulated node keeps its counters."""
-
     def failover(self, leader: int, reason: str) -> None:
         if leader == self.node:  # one report per move: the gainer's
             self.bus._record_failover("sequencer", reason, new_leader=leader)
@@ -362,25 +359,19 @@ class TokenRingBus(Bus):
         self.hold_time = hold_time
         self._next_seq = 0
         self._pending: dict[int, deque[VisibilityOp]] = {n: deque() for n in self.nodes}
-        self._expected: dict[int, int] = {}
-        self._holdback: dict[tuple[int, int], VisibilityOp] = {}
+        #: origin -> the origin seq its next submission gets.
+        self._next_origin: dict[int, int] = {}
         self._token_holder_index = 0
         self._token_started = False
 
     def submit(self, op: VisibilityOp) -> None:
-        # The op is already at its origin node; it waits for the token.
-        self._enqueue_fifo(op)
-        self._ensure_token()
-
-    def _enqueue_fifo(self, op: VisibilityOp) -> None:
-        """Restore per-origin FIFO before queuing for the token."""
+        # The op is already at its origin node; it waits for the token
+        # there, numbered and queued in submission order (per-origin FIFO).
         origin = op.origin_node
-        self._expected.setdefault(origin, 0)
-        self._holdback[(origin, op.origin_seq)] = op
-        while (origin, self._expected[origin]) in self._holdback:
-            ready = self._holdback.pop((origin, self._expected[origin]))
-            self._expected[origin] += 1
-            self._pending[origin].append(ready)
+        op.origin_seq = self._next_origin.get(origin, 0)
+        self._next_origin[origin] = op.origin_seq + 1
+        self._pending[origin].append(op)
+        self._ensure_token()
 
     def _ensure_token(self) -> None:
         if not self._token_started:
@@ -470,9 +461,7 @@ class TokenRingBus(Bus):
         for work that cannot be sequenced until the origin recovers.
         """
         down = self.transport.node_is_down
-        if any(self._pending[n] and not down(n) for n in self.nodes):
-            return True
-        return any(not down(origin) for origin, _ in self._holdback)
+        return any(self._pending[n] and not down(n) for n in self.nodes)
 
     def on_node_recovered(self, node: int) -> None:
         self._replay_to(node)

@@ -128,10 +128,8 @@ class Coordinator:
         self.router = system.shard_router
         n_shards = self.router.map.n_shards
         #: Per-stream state, indexed by shard — each shard carries an
-        #: independent gap-free sequence: the next origin seq this node
-        #: mints, the first seq not yet applied here, and the hold-back
-        #: queue of ops that arrived ahead of that cursor.
-        self._origin_seqs = [0] * n_shards
+        #: independent gap-free sequence: the first seq not yet applied
+        #: here, and the hold-back queue of ops that arrived ahead of it.
         self._shard_cursors = [0] * n_shards
         self._shard_holdbacks: list[dict[int, VisibilityOp]] = [
             {} for _ in range(n_shards)]
@@ -152,10 +150,11 @@ class Coordinator:
                   on_applied: Callable[[], None] | None = None) -> None:
         """Send a visibility operation to its home shard's sequencer.
 
-        The op joins that shard's stream with per-(origin, shard) FIFO.
-        Cross-cutting kinds (capability bindings, purges) fan one copy
-        into every shard's stream; result callbacks stay with the
-        shard-0 primary, and ``fan_of`` marks the copies.
+        The op joins that shard's stream, which numbers it for
+        per-(origin, shard) FIFO.  Cross-cutting kinds (capability
+        bindings, purges) fan one copy into every shard's stream; result
+        callbacks stay with the shard-0 primary, and ``fan_of`` marks the
+        copies.
         """
         router = self.router
         if router.is_fanned(kind):
@@ -169,13 +168,11 @@ class Coordinator:
                 kind=kind,
                 args=args,
                 origin_node=self.node_id,
-                origin_seq=self._origin_seqs[shard],
                 shard=shard,
                 fan_of=fan_of,
                 on_rejected=on_rejected,
                 on_applied=on_applied,
             )
-            self._origin_seqs[shard] += 1
             streams[shard].submit(op)
             if fan_of is None:
                 fan_of, on_rejected, on_applied = op.op_id, None, None

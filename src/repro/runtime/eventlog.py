@@ -221,9 +221,6 @@ class EventLog:
         """Attach a sink (an object with ``write(event)`` and ``close()``)."""
         self.sinks.append(sink)
 
-    def remove_sink(self, sink) -> None:
-        self.sinks.remove(sink)
-
     def subscribe(self, fn: Callable[[TraceEvent], None]) -> Callable[[], None]:
         """Register a synchronous per-event callback; returns an unsubscriber."""
         self.subscribers.append(fn)

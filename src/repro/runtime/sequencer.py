@@ -5,17 +5,20 @@ changes.  :class:`SequencerCore` is one node's share of the centralized
 broadcaster-and-sequencer (Chang & Maxemchuk [9]) that provides it, as a
 state machine: inputs are method calls (a local ``submit``, the four
 messages arriving, liveness changes, two timers), outputs go through a
-small host *port*.  It owns no clock, queue or socket, so the simulator
-runs one core per node over its event queue
+host *port* of seven methods.  It owns no clock, queue or socket, so
+the simulator runs one core per node over its event queue
 (:class:`repro.runtime.bus.SequencerBus`) and a node process runs one
 over its sockets (:class:`repro.net.remote.RemoteSequencerBus`): the
 code the schedule explorer drives is the code that runs on the wire.
 
-* **Order.**  An origin sends its op to the *seat* (``SUBMIT``).  The
-  seat restores per-origin FIFO through a hold-back queue, stamps the
-  next sequence number, logs the op and fans it out (``OP``) to every
-  node, itself included.  ``expected[origin]`` — the next origin seq not
-  yet sequenced — is the FIFO cursor and the dedup watermark at once.
+* **Order.**  An origin numbers its op from ``next_origin`` and sends it
+  to the *seat* (``SUBMIT``).  The seat restores per-origin FIFO through
+  a hold-back queue, stamps the next sequence number, logs the op and
+  fans it out (``OP``) to every node, itself included.
+  ``expected[origin]`` — the next origin seq not yet sequenced — is the
+  FIFO cursor and the dedup watermark at once.  ``next_origin`` stays
+  above every own op this core has logged or sees sequenced (an earlier
+  incarnation's too), so no origin seq is minted twice.
 * **Election** is a function of the liveness view alone: the home seat
   if it is live, else the lowest live node.  Replicas agree without
   talking, and a returning home seat takes the role back.
@@ -69,9 +72,6 @@ class Port(Protocol):
     def sequenced(self, seq: int, op: "VisibilityOp") -> None:
         """This core, as seat, just stamped ``op`` with ``seq``."""
 
-    def echoed(self, op: "VisibilityOp") -> None:
-        """An op this node originated came back sequenced."""
-
     def failover(self, leader: int, reason: str) -> None:
         """This core's view of the seat moved to ``leader``."""
 
@@ -107,8 +107,10 @@ class SequencerCore:
         self.next_seq = 0
         self.expected: dict[int, int] = {}
         self._holdback: dict[tuple[int, int], "VisibilityOp"] = {}
-        #: Local submissions not yet seen sequenced: op_id -> our own op
-        #: object (it carries the origin-side callbacks).
+        #: The origin seq this node's next submission gets, and the local
+        #: submissions not yet seen sequenced: op_id -> our own op object
+        #: (it carries the origin-side callbacks).
+        self.next_origin = 0
         self.unacked: dict[int, "VisibilityOp"] = {}
         #: Peers whose ``SYNC_DONE`` an adoption round still awaits
         #: (``None``: not adopting), the round's number (in memory only:
@@ -127,8 +129,11 @@ class SequencerCore:
     # -- origin side -------------------------------------------------------------
 
     def submit(self, op: "VisibilityOp") -> None:
-        """Accept a local op for global ordering.  Never raises: with the
-        seat unreachable the op stays unacked and is re-driven."""
+        """Number a local op and accept it for global ordering.  Never
+        raises: with the seat unreachable the op stays unacked and is
+        re-driven."""
+        op.origin_seq = self.next_origin
+        self.next_origin += 1
         self.unacked[op.op_id] = op
         if self._is_down(self.seat):
             self._elect("sequencer_down")
@@ -200,8 +205,8 @@ class SequencerCore:
                                                        op.origin_seq):
             self.conflicts += 1  # first write wins
             return
-        if op.origin_node == self.me:
-            self.port.echoed(op)
+        if op.origin_node == self.me and op.origin_seq >= self.next_origin:
+            self.next_origin = op.origin_seq + 1  # an earlier incarnation's
         # Durable here before the replica applies it, so this node's
         # recovery never depends on the seat's disk.  A copy of a logged
         # op is not persisted twice but still queues behind the first.
@@ -353,15 +358,18 @@ class SequencerCore:
     # -- recovery and introspection ----------------------------------------------
 
     def restore_log(self, ops: dict[int, "VisibilityOp"],
-                    expected: dict[int, int]) -> None:
+                    expected: dict[int, int], next_origin: int = 0) -> None:
         """Rebuild from persisted ops and watermarks, delivering nothing
         (the host replays ops into its replica separately).  ``expected``
         keeps dedup exact for origins whose every op a snapshot
-        truncated out of the log."""
+        truncated out of the log; ``next_origin`` is the counter the
+        snapshot saw, which also counts submissions still unacked then."""
         floors = [(op.origin_node, op.origin_seq + 1) for op in ops.values()]
         for origin, floor in [*floors, *expected.items()]:
             if floor > self.expected.get(origin, 0):
                 self.expected[origin] = floor
+        self.next_origin = max(self.next_origin, next_origin,
+                               self.expected.get(self.me, 0))
         for seq, op in ops.items():
             self.log.setdefault(seq, op)
         self.log_high = max([self.log_high, *ops])

@@ -17,6 +17,7 @@ Layout of a node's data directory::
             ...
         snapshot-000000000000000042.snap    state after 42 applied ops
         snapshot-*.snap.tmp                 in-progress writes (ignored)
+        incarnation               how many times a node started on it
         shard-K/log/seg-*.log     shard K's op log (plane of several shards)
 
 A node's visibility plane is a shard map of ``n >= 1`` streams.  The
@@ -79,13 +80,16 @@ snapshot's cursor for that shard — log truncation without ever touching
 the live tail.
 
 Recovery (``recovery.py``) is one path for every plane: *snapshot + log
-suffix replay*.  Restore the directory/managers/capabilities/DLQ from
-the snapshot, then re-drive each shard's persisted ops at or past that
-shard's snapshot cursor through the coordinator's ordinary hold-back
-application path.  Origin sequence numbers and the address-factory
-serial are resynced from persisted state, so a restarted node continues
-minting where its previous incarnation stopped instead of ghost
-re-registering colliding addresses.
+suffix replay*.  A store reads its namespace once, when it opens
+(``NodeStore.recovered``).  Restore the directory/managers/capabilities/
+DLQ from the snapshot, then re-drive each shard's persisted ops at or
+past that shard's snapshot cursor through the coordinator's ordinary
+hold-back application path.  The address-factory serial is resynced
+from persisted state, and each stream's ``SequencerCore.restore_log``
+floors its origin numbering, so a restarted node continues minting where
+its previous incarnation stopped instead of ghost re-registering
+colliding addresses; envelope, message and op ids come from a block
+numbered by the ``incarnation`` count.
 
 On top of the same bytes, ``replay.py`` implements ``python -m repro
 replay`` — an offline deterministic time-travel debugger (``--until``,

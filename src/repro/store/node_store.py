@@ -37,12 +37,14 @@ import os
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any
 
 from ..shard.merge import shard_dirs
 from .recovery import upgrade_snapshot
 from .segment import ReadReport, SegmentWriter, fsync_dir, scan_segment
 from .snapshot import (
+    install,
     list_snapshots,
     load_latest_snapshot,
     prune_snapshots,
@@ -69,30 +71,48 @@ def segment_paths(data_dir: str) -> list[str]:
 
 def load_data_dir(data_dir: str,
                   report: ReadReport | None = None) -> "RecoveredState":
-    """Read-only salvage of one store namespace (no writer is opened).
+    """Read-only salvage of one store namespace (no writer is opened):
+    the one pass over its records.
 
-    Used by ``NodeStore.load`` at startup and, through
-    :func:`load_node_dir`, by the offline tools, which must never mutate
-    the directory they inspect.  Salvage is counted in ``report``.
+    ``NodeStore`` opens on it, and through :func:`load_node_dir` so do
+    the offline tools, which must never mutate the directory they
+    inspect.  Salvage is counted in ``report``.
     """
     out = RecoveredState(report=report or ReadReport())
     snap = load_latest_snapshot(data_dir, out.report)
-    dlq_floor = 0
     if snap is not None:
         out.snapshot_seq = snap[0]
         out.snapshot = upgrade_snapshot(snap[1])
-        dlq_floor = out.snapshot.get("dlq_event_seq", 0)
+        out.dlq_high = out.snapshot.get("dlq_event_seq", 0)
+    dlq_floor = out.dlq_high
     events: dict[int, dict] = {}
     for path in segment_paths(data_dir):
+        max_seq = -1
         for rec in scan_segment(path, out.report):
             if not isinstance(rec, dict):
                 continue
             if rec.get("rec") == "op":
                 out.ops[rec["seq"]] = rec["op"]
-            elif rec.get("rec") == "dlq" and rec["n"] > dlq_floor:
-                events[rec["n"]] = rec
+                max_seq = max(max_seq, rec["seq"])
+            elif rec.get("rec") == "dlq":
+                out.dlq_high = max(out.dlq_high, rec["n"])
+                if rec["n"] > dlq_floor:
+                    events[rec["n"]] = rec
+        out.segments.append((path, max_seq))
+        out.next_segment = int(_SEG_RE.match(os.path.basename(path))[1]) + 1
     out.dlq_events = [events[n] for n in sorted(events)]
     return out
+
+
+def claim_incarnation(data_dir: str) -> int:
+    """This start's number on ``data_dir`` (0 for the first).  The count
+    is installed atomically before it is returned, so no later start on
+    the directory is handed the same number."""
+    path = Path(data_dir, "incarnation")
+    number = int(path.read_text()) if path.exists() else 0
+    os.makedirs(data_dir, exist_ok=True)
+    install(str(path), b"%d\n" % (number + 1))
+    return number
 
 
 def load_node_dir(data_dir: str) -> "tuple[RecoveredState, dict[int, dict]]":
@@ -110,18 +130,19 @@ def load_node_dir(data_dir: str) -> "tuple[RecoveredState, dict[int, dict]]":
 
 @dataclass
 class RecoveredState:
-    """Everything ``NodeStore.load`` salvages from disk."""
+    """Everything one pass over a store namespace salvages from disk."""
 
     snapshot_seq: int = -1            # ops the snapshot had applied, -1 if none
     snapshot: dict | None = None
     ops: dict[int, Any] = field(default_factory=dict)     # seq -> VisibilityOp
     dlq_events: list[dict] = field(default_factory=list)  # journal suffix, by n
     report: ReadReport = field(default_factory=ReadReport)
-
-    @property
-    def max_seq(self) -> int:
-        """Highest persisted op seq (committed-durable watermark)."""
-        return max(self.ops, default=self.snapshot_seq)
+    #: What a writer reopening the namespace continues from: each
+    #: segment's (path, highest op seq or -1), the highest dead-letter
+    #: event number on disk, and the next segment's index.
+    segments: list[tuple[str, int]] = field(default_factory=list)
+    dlq_high: int = 0
+    next_segment: int = 1
 
     @property
     def empty(self) -> bool:
@@ -147,12 +168,15 @@ class NodeStore:
         #: The outbox: effects waiting for the records staged before
         #: them; ``commit`` releases them in append order.
         self._effects: deque = deque()
+        #: What the directory held when this store opened — read once;
+        #: a node's recovery starts from it.
+        self.recovered = recovered = load_data_dir(data_dir)
         # DLQ journal bookkeeping: monotone event counter, plus the set
         # of envelope ids currently persisted as captured.  resolve/
         # expire records are written only for ids in this set —
         # note_delivered fires on *every* mailbox landing, and without
         # the guard ordinary traffic would write-amplify the journal.
-        self._dlq_seq = 0
+        self._dlq_seq = recovered.dlq_high
         self._dlq_pending: set[int] = set()
         # metrics
         self.ops_appended = 0
@@ -162,34 +186,17 @@ class NodeStore:
         self.snapshots_written = 0
         self.segments_truncated = 0
         self._closed_fsyncs = 0  # fsyncs paid by segments since rotated out
-        self._closed_segments: list[tuple[str, int]] = []  # (path, max_op_seq)
+        #: (path, max_op_seq) of every segment before the live one.
+        self._closed_segments = list(recovered.segments)
         #: shard -> cursor in the older of the two snapshots the next
-        #: ``write_snapshot`` will retain (``load`` seeds it from disk).
-        self._retained_applied: dict[int, int] | None = None
+        #: ``write_snapshot`` will retain: the newest one on disk, so far.
+        self._retained_applied: dict[int, int] | None = \
+            (recovered.snapshot or {}).get("applied")
         self._writer: SegmentWriter | None = None
         self._live_max_op_seq = -1
-        self._scan_existing_segments()
-        self._open_segment(next_index=self._next_segment_index)
+        self._open_segment(next_index=recovered.next_segment)
 
     # -- segment lifecycle ---------------------------------------------------
-
-    def _scan_existing_segments(self) -> None:
-        """Index pre-existing segments (recovery path) as closed history."""
-        self._next_segment_index = 1
-        for name in sorted(os.listdir(self.log_dir)):
-            m = _SEG_RE.match(name)
-            if not m:
-                continue
-            self._next_segment_index = int(m.group(1)) + 1
-            path = os.path.join(self.log_dir, name)
-            report = ReadReport()
-            max_seq = -1
-            for rec in scan_segment(path, report):
-                if isinstance(rec, dict) and rec.get("rec") == "op":
-                    max_seq = max(max_seq, rec["seq"])
-                elif isinstance(rec, dict) and rec.get("rec") == "dlq":
-                    self._dlq_seq = max(self._dlq_seq, rec["n"])
-            self._closed_segments.append((path, max_seq))
 
     def _segment_path(self, index: int) -> str:
         return os.path.join(self.log_dir, f"seg-{index:08d}.log")
@@ -362,19 +369,6 @@ class NodeStore:
                 survivors.append((seg_path, max_op_seq))
         self._closed_segments = survivors
         fsync_dir(self.log_dir)
-
-    # -- read path -----------------------------------------------------------
-
-    def load(self) -> RecoveredState:
-        """Salvage snapshot + log into a :class:`RecoveredState`.
-
-        Safe to call on a live store (reads only closed bytes), but the
-        intended use is at startup before any appends.
-        """
-        recovered = load_data_dir(self.data_dir)
-        if recovered.snapshot is not None:
-            self._retained_applied = recovered.snapshot["applied"]
-        return recovered
 
     # -- misc ----------------------------------------------------------------
 

@@ -21,16 +21,13 @@ What recovery resyncs besides the directory:
 * ``coordinator._shard_cursors`` — so each shard's suffix replay starts
   exactly at the snapshot boundary and earlier ops are ignored as
   duplicates;
-* ``coordinator._origin_seqs`` — from the snapshot plus any of the
-  node's own persisted ops, so the restarted node keeps minting origin
-  seqs where its previous incarnation stopped (ghost re-registration
-  with colliding origin seqs is what this prevents);
 * ``addresses._next_serial`` — so fresh actors/spaces cannot collide
   with persisted addresses;
 * the dead-letter queue — pending letters re-adopted with their attempt
   counts and lifetime counters restored;
-* the bus's log/dedup state (handled by the caller, which knows which
-  bus implementation it is driving).
+* each stream's sequencer core, when the caller hands them over: its
+  log, dedup watermarks and origin numbering (``restore_log``), so the
+  node neither re-sequences nor re-numbers what it already did.
 """
 
 from __future__ import annotations
@@ -44,9 +41,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from .node_store import RecoveredState
 
 #: Version stamp for the snapshot state shape below.  v2 carries the
-#: plane: each space's home ``shard``, per-shard ``applied``/``origin``
-#: (and, from the wire bus, ``expected``) maps, and the ops ``waiting``
-#: for their space.  v1 described one stream with scalar cursors.
+#: plane: each space's home ``shard``, a per-shard ``applied`` map (and,
+#: from the wire bus, per-shard ``expected`` and ``origin``), and the ops
+#: ``waiting`` for their space.  v1 described one stream with scalar
+#: cursors.
 SNAPSHOT_VERSION = 2
 
 
@@ -63,11 +61,12 @@ def upgrade_snapshot(state: dict) -> dict:
 
 
 def snapshot_state(node_id: int, coordinator: Any, dead_letters: Any,
-                   extra: dict | None = None) -> dict:
+                   cores: dict | None = None) -> dict:
     """Project applied node state into a codec-encodable snapshot dict.
 
-    ``extra`` lets the caller fold in bus-specific state (e.g. the
-    remote bus's per-origin dedup watermarks).  Quarantine overlays and
+    ``cores`` (shard -> the node's ``SequencerCore``) adds each stream's
+    dedup watermarks (``expected``) and origin counter (``origin``), which
+    count submissions still unacked.  Quarantine overlays and
     parked pattern messages are transient and deliberately excluded —
     but visibility ops parked for their space's ``ADD_SPACE`` are state:
     their shard's cursor is already past them, so no log suffix would
@@ -109,7 +108,6 @@ def snapshot_state(node_id: int, coordinator: Any, dead_letters: Any,
         "version": SNAPSHOT_VERSION,
         "node": node_id,
         "applied": dict(enumerate(coordinator._shard_cursors)),
-        "origin": dict(enumerate(coordinator._origin_seqs)),
         "waiting": [op for ops in coordinator._space_waiting.values()
                     for op in ops],
         "addr_serial": coordinator.addresses._next_serial,
@@ -123,8 +121,9 @@ def snapshot_state(node_id: int, coordinator: Any, dead_letters: Any,
             "expired_total": dead_letters.expired_total,
         },
     }
-    if extra:
-        state.update(extra)
+    if cores:
+        state["expected"] = {k: dict(c.expected) for k, c in cores.items()}
+        state["origin"] = {k: c.next_origin for k, c in cores.items()}
     return state
 
 
@@ -188,11 +187,9 @@ def restore_snapshot(coordinator: Any, state: dict | None) -> None:
     if state is None:
         return
     _restore_directory(coordinator, state)
-    cursors, origin_seqs = coordinator._shard_cursors, coordinator._origin_seqs
+    cursors = coordinator._shard_cursors
     for shard, cursor in state["applied"].items():
         cursors[shard] = cursor
-    for shard, origin_seq in state["origin"].items():
-        origin_seqs[shard] = max(origin_seqs[shard], origin_seq)
     coordinator.addresses._next_serial = max(
         coordinator.addresses._next_serial, state.get("addr_serial", 0))
     for op in state.get("waiting", ()):
@@ -226,16 +223,19 @@ def apply_suffix(coordinator: Any, shard_ops: "dict[int, dict[int, Any]]"):
 
 def restore_node(node_id: int, coordinator: Any, dead_letters: Any,
                  recovered: "RecoveredState", store: Any = None,
-                 shard_ops: "dict[int, dict[int, Any]] | None" = None) -> dict:
+                 shard_ops: "dict[int, dict[int, Any]] | None" = None,
+                 cores: dict | None = None) -> dict:
     """Rebuild a node from its top-level store and its shards' logs.
 
     ``recovered`` is what the top-level store holds (snapshot,
     dead-letter journal, and — the one-shard layout — shard 0's ops);
     ``shard_ops`` maps shard -> ``{seq: op}`` when the shards' logs live
-    in namespaces of their own.  Returns a summary dict (snapshot seq,
-    ops replayed, letters re-adopted, origin seqs) for logs and
-    control-plane status.  The caller is responsible for bus-level state
-    (log/dedup rebuild) and for writing a fresh snapshot afterwards.
+    in namespaces of their own.  ``cores`` (shard -> ``SequencerCore``)
+    are rebuilt from their shard's ops and the snapshot's watermarks and
+    origin counters — every one, a shard whose log could not be read
+    too.  Returns a summary dict (snapshot seq, ops replayed, letters
+    re-adopted) for logs and control-plane status.  The caller writes a
+    fresh snapshot afterwards.
     """
     if shard_ops is None:
         shard_ops = {0: recovered.ops}
@@ -243,27 +243,27 @@ def restore_node(node_id: int, coordinator: Any, dead_letters: Any,
     letters_pending = _restore_dead_letters(
         dead_letters, store, recovered.snapshot or {}, recovered.dlq_events)
     replayed = sum(1 for _ in apply_suffix(coordinator, shard_ops))
-    # Resync what this node mints from every persisted op, past a gap
-    # too: its origin seq per shard, and the address serials embedded in
-    # op args (ADD_SPACE addresses, MAKE_VISIBLE targets minted here), so
+    # Resync the address serials this node minted from every persisted
+    # op, past a gap too (ADD_SPACE addresses, MAKE_VISIBLE targets), so
     # a snapshot-less recovery still resyncs the factory.
-    origin_seqs, serial = coordinator._origin_seqs, \
-        coordinator.addresses._next_serial
-    for shard, ops in shard_ops.items():
+    serial = coordinator.addresses._next_serial
+    for ops in shard_ops.values():
         for op in ops.values():
-            if op.origin_node == node_id:
-                origin_seqs[shard] = max(origin_seqs[shard], op.origin_seq + 1)
             for value in op.args.values():
                 if getattr(value, "node", None) == node_id \
                         and getattr(value, "serial", None) is not None:
                     serial = max(serial, value.serial + 1)
     coordinator.addresses._next_serial = serial
+    state = recovered.snapshot or {}
+    expected, origin = state.get("expected", {}), state.get("origin", {})
+    for k, core in (cores or {}).items():
+        core.restore_log(shard_ops.get(k, {}), expected.get(k, {}),
+                         origin.get(k, 0))
     return {
         "snapshot_seq": recovered.snapshot_seq,
         "applied": dict(enumerate(coordinator._shard_cursors)),
         "ops_replayed": replayed,
         "dlq_recovered": letters_pending,
-        "origin": dict(enumerate(origin_seqs)),
         "records_dropped": recovered.report.records_dropped,
         "corrupt_segments": len(recovered.report.corrupt_segments),
     }

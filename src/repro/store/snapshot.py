@@ -28,18 +28,20 @@ def snapshot_path(data_dir: str, applied_seq: int) -> str:
     return os.path.join(data_dir, f"snapshot-{applied_seq:020d}.snap")
 
 
-def write_snapshot(data_dir: str, applied_seq: int, state: dict) -> str:
-    """Atomically install a snapshot of ``state`` at ``applied_seq``."""
-    final = snapshot_path(data_dir, applied_seq)
-    tmp = final + ".tmp"
-    record = pack_record(state)
-    with open(tmp, "wb") as fh:
-        fh.write(record)
+def install(path: str, data: bytes) -> str:
+    """Atomically make ``data`` the content of ``path``."""
+    with open(path + ".tmp", "wb") as fh:
+        fh.write(data)
         fh.flush()
         os.fsync(fh.fileno())
-    os.rename(tmp, final)
-    fsync_dir(data_dir)
-    return final
+    os.rename(path + ".tmp", path)
+    fsync_dir(os.path.dirname(path))
+    return path
+
+
+def write_snapshot(data_dir: str, applied_seq: int, state: dict) -> str:
+    """Atomically install a snapshot of ``state`` at ``applied_seq``."""
+    return install(snapshot_path(data_dir, applied_seq), pack_record(state))
 
 
 def list_snapshots(data_dir: str) -> list[tuple[int, str]]:

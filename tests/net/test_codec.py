@@ -79,8 +79,8 @@ actor_addresses = st.builds(ActorAddress, st.integers(0, 2 ** 32 - 1),
                             st.integers(0, 2 ** 64 - 1))
 space_addresses = st.builds(SpaceAddress, st.integers(0, 7),
                             st.integers(0, 1 << 50))
-#: Ids as the runtime mints them (``node << 44 | n``) and up to the
-#: widest the packed record carries.
+#: Ids as the runtime mints them (``node << 44 | incarnation << 32 | n``)
+#: and up to the widest the packed record carries.
 ids = st.one_of(
     st.integers(0, 2 ** 63 - 1),
     st.builds(lambda node, n: (node << 44) | n,

@@ -10,14 +10,16 @@ one-shard and a two-shard plane: there is one recovery path.
 """
 
 import shutil
+from unittest import mock
 
 import pytest
 
 from repro.core.addresses import ActorAddress
 from repro.core.messages import Mode
-from repro.net.codec import FrameKind
+from repro.net.codec import FrameKind, decode_value
 from repro.net.runtime import NodeRuntime
 from repro.runtime.context import external_envelope
+from repro.store import segment
 from repro.store.node_store import load_node_dir
 from repro.store.replay import replay_main, replay_recovered
 
@@ -57,6 +59,22 @@ def log_length(runtime):
     return sum(len(bus.core.log) for bus in runtime.bus.shards.values())
 
 
+def next_origins(runtime):
+    return [bus.core.next_origin for bus in runtime.bus.shards.values()]
+
+
+def capture_letters(runtime, count):
+    """``count`` envelopes for an unreachable node 1, dead-lettered and
+    journalled at the end of the turn."""
+    envelopes = [external_envelope(
+        runtime, Mode.DIRECT, ("lost", i), target=ActorAddress(1, 7))
+        for i in range(count)]
+    for envelope in envelopes:
+        runtime.dead_letters.capture(envelope, 1, "node_unreachable")
+    runtime._commit_turn()
+    return envelopes
+
+
 def close(runtime):
     for store in runtime._stores:  # SIGKILL stand-in: no snapshot written
         store.close()
@@ -88,7 +106,7 @@ class TestNodeRuntimeRecovery:
     def test_restart_does_not_ghost_reregister(self, tmp_path, shards):
         first = make_runtime(tmp_path, shards)
         populate(first, "gen1")
-        origin_seqs = list(first.coordinator._origin_seqs)
+        origin_seqs = next_origins(first)
         serial = first.coordinator.addresses._next_serial
         persisted = {rec.address
                      for rec in first.coordinator.directory.spaces()}
@@ -98,7 +116,7 @@ class TestNodeRuntimeRecovery:
         # The restarted incarnation continues minting where the previous
         # one stopped: no colliding origin seqs, no recycled addresses.
         assert all(new >= old for new, old in
-                   zip(second.coordinator._origin_seqs, origin_seqs))
+                   zip(next_origins(second), origin_seqs))
         assert second.coordinator.addresses._next_serial >= serial
         fresh = populate(second, "gen2", count=1)[0]
         assert fresh.serial >= serial
@@ -112,13 +130,8 @@ class TestNodeRuntimeRecovery:
     def test_restart_recovers_dead_letters(self, tmp_path, shards):
         first = make_runtime(tmp_path, shards, ports={0: 39741, 1: 39742})
         populate(first, "gen1", count=1)
+        capture_letters(first, 3)
         dlq = first.dead_letters
-        envelopes = [external_envelope(
-            first, Mode.DIRECT, ("lost", i), target=ActorAddress(1, 7))
-            for i in range(3)]
-        for envelope in envelopes:
-            dlq.capture(envelope, 1, "node_unreachable")
-        first._commit_turn()
         counters = (dlq.pending(), dlq.queued_total, dlq.redelivered_total,
                     dlq.expired_total)
         assert counters[:2] == (3, 3)
@@ -129,6 +142,86 @@ class TestNodeRuntimeRecovery:
         assert (dlq.pending(), dlq.queued_total, dlq.redelivered_total,
                 dlq.expired_total) == counters
         assert second.recovery["dlq_recovered"] == 3
+        close(second)
+
+    @each_plane
+    def test_a_letter_recovered_once_is_recovered_again(self, tmp_path,
+                                                        shards):
+        """Each start on a data dir mints ids from a block of its own.  A
+        letter the first start captured and the second recovered is
+        still pending at the third, though the second delivered as many
+        local envelopes as it takes to re-mint the letter's id."""
+        ports = {0: 39741, 1: 39742}
+        first = make_runtime(tmp_path, shards, ports=ports)
+        populate(first, "gen1", count=1)
+        letter = capture_letters(first, 1)[0]
+        close(first)
+
+        second = make_runtime(tmp_path, shards, ports=ports)
+        assert second.dead_letters.pending() == 1
+        worker = second.coordinator.create_actor(
+            noop, (), {}, host_space=second.root_space)
+        minted = []
+        for i in range(letter.envelope_id % (1 << 32) + 1):
+            envelope = external_envelope(second, Mode.DIRECT, ("local", i),
+                                         target=worker)
+            second.coordinator._deliver(envelope)  # lands in a mailbox
+            minted.append(envelope.envelope_id)
+        second._commit_turn()
+        assert second.dead_letters.pending() == 1
+        close(second)
+
+        third = make_runtime(tmp_path, shards, ports=ports)
+        assert third.recovery["dlq_recovered"] == 1
+        assert [held.envelope.envelope_id for held in
+                third.dead_letters.letters()] == [letter.envelope_id]
+        assert letter.envelope_id not in minted
+        close(third)
+
+    @each_plane
+    def test_ops_unacked_at_a_snapshot_keep_their_numbers(self, tmp_path,
+                                                          shards):
+        """With every seat on an unreachable node, what this node submits
+        stays unacked but is numbered.  A restart from the snapshot
+        numbers past it on every shard — one whose store is unreadable
+        too."""
+        def seatless():
+            return NodeRuntime(0, {0: 39741, 1: 39742}, trace=False,
+                               data_dir=str(tmp_path), quiet=True,
+                               shards=shards, shard_sequencer=1)
+
+        first = seatless()
+        populate(first, "gen1", count=2)
+        numbered = next_origins(first)
+        assert all(bus.core.unacked for bus in first.bus.shards.values())
+        assert first.write_snapshot_now() is not None
+        close(first)
+        if shards > 1:
+            log_dir = tmp_path / "shard-1" / "log"
+            shutil.rmtree(log_dir)
+            log_dir.write_bytes(b"not a directory")
+
+        second = seatless()
+        assert sorted(second.shard_stores) == [0]
+        assert next_origins(second) == numbered
+        close(second)
+
+    @each_plane
+    def test_a_restart_decodes_each_record_once(self, tmp_path, shards):
+        first = make_runtime(tmp_path, shards, ports={0: 39741, 1: 39742})
+        populate(first, "gen1")
+        capture_letters(first, 3)
+        close(first)
+        records = load_node_dir(str(tmp_path))[0].report.records
+        assert records == log_length(first) + 3
+
+        with mock.patch.object(segment, "decode_value",
+                               wraps=decode_value) as decode:
+            second = make_runtime(tmp_path, shards,
+                                  ports={0: 39741, 1: 39742})
+        assert decode.call_count == records
+        assert second.recovery["ops_replayed"] == log_length(first)
+        assert second.dead_letters.pending() == 3
         close(second)
 
     @each_plane

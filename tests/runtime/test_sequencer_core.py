@@ -39,7 +39,6 @@ class RecordingPort:
         self.next = 0  # the replica's cursor
         self._ahead: dict = {}
         self.stamped: list[int] = []
-        self.echoes: list = []
         self.leaders: list[int] = []
 
     def send(self, to, msg, a, b):
@@ -62,9 +61,6 @@ class RecordingPort:
 
     def sequenced(self, seq, sequenced):
         self.stamped.append(seq)
-
-    def echoed(self, sequenced):
-        self.echoes.append(sequenced)
 
     def failover(self, leader, reason):
         self.leaders.append(leader)
@@ -135,7 +131,7 @@ class TestOrdering:
         wire_copy.op_id = mine.op_id
         origin.on_op(0, wire_copy)
         assert port.applied == [(0, mine)] and not origin.unacked
-        assert port.echoes == [wire_copy]
+        assert (mine.origin_seq, origin.next_origin) == (0, 1)
 
 
 class TestFirstWriteWins:
@@ -280,6 +276,51 @@ def test_restore_log_rebuilds_watermarks_without_delivering():
     assert fanned(port) == []
 
 
+class TestOriginNumbering:
+    """The core numbers its node's submissions, and a restarted core
+    never re-mints a number an earlier incarnation used."""
+
+    def submitted_seq(self, origin):
+        mine = op(origin.me, 0)
+        origin.submit(mine)
+        return mine.origin_seq
+
+    def test_submissions_are_numbered_in_order(self):
+        origin, port = core(me=1)
+        assert [self.submitted_seq(origin) for _ in range(3)] == [0, 1, 2]
+        assert [a.origin_seq for _to, a, _b in port.take(SUBMIT)] == [0, 1, 2]
+
+    def test_past_its_own_ops_in_the_log(self):
+        origin, _port = core(me=1)
+        origin.restore_log({0: op(1, 0), 1: op(2, 0), 2: op(1, 1)}, {})
+        assert self.submitted_seq(origin) == 2
+
+    def test_past_its_watermark_when_the_log_was_truncated(self):
+        origin, _port = core(me=1)
+        origin.restore_log({}, {1: 6, 2: 9})
+        assert self.submitted_seq(origin) == 6
+
+    def test_past_ops_unacked_when_the_snapshot_was_taken(self):
+        """Three submitted, one sequenced: the snapshot's counter, not
+        the watermark, says where numbering stood."""
+        before, _port = core(me=1)
+        mine = [op(1, 0) for _ in range(3)]
+        for each in mine:
+            before.submit(each)
+        before.on_op(0, mine[0])
+        assert before.expected[1] == 1 and len(before.unacked) == 2
+        after, _port = core(me=1)
+        after.restore_log({}, dict(before.expected), before.next_origin)
+        assert self.submitted_seq(after) == 3
+
+    def test_past_an_own_op_first_seen_in_sync_replay(self):
+        origin, _port = core(me=1)
+        origin.on_op(0, op(1, 4))  # minted by an earlier incarnation
+        assert self.submitted_seq(origin) == 5
+        origin.on_op(1, op(1, 2))  # an older one changes nothing
+        assert self.submitted_seq(origin) == 6
+
+
 # -- N cores over a driver that delays, reorders, drops and crashes --------------
 
 class Wire:
@@ -299,7 +340,6 @@ class Wire:
         self.ports = {node: self.port(node) for node in self.nodes}
         self.cores = {node: SequencerCore(node, self.nodes, 0, self.ports[node])
                       for node in self.nodes}
-        self.origin_seqs = dict.fromkeys(self.nodes, 0)
         self.submitted: list = []
 
     def port(self, node):
@@ -334,8 +374,7 @@ class Wire:
             fn()
 
     def submit(self, node):
-        sequenced = op(node, self.origin_seqs[node])
-        self.origin_seqs[node] += 1
+        sequenced = op(node, 0)  # the core numbers it
         self.submitted.append(sequenced)
         self.cores[node].submit(sequenced)
 

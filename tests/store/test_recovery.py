@@ -93,7 +93,7 @@ class TestDeadLetterRecovery:
         system2 = ActorSpaceSystem(topology=Topology.lan(2), seed=1,
                                    shards=shards)
         store2 = NodeStore(str(tmp_path))
-        recovered = store2.load()
+        recovered = store2.recovered
         assert len(recovered.dlq_events) == 4
         summary = restore_node(
             0, system2.coordinators[0], system2.dead_letters, recovered,

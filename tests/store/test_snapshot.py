@@ -14,6 +14,7 @@ from repro.store.snapshot import (
     write_snapshot,
 )
 
+from .test_outbox import SAMPLE_OP, capture_before_packed_record
 from .workload import (
     close_stores,
     each_plane,
@@ -26,9 +27,13 @@ def shard_stores(system):
     return {k: bus.store for k, bus in system.bus.shards.items()}
 
 
+def cores_of(system, node=0):
+    return {k: bus.cores[node] for k, bus in system.bus.shards.items()}
+
+
 def take_snapshot(system, store, node=0):
     state = snapshot_state(node, system.coordinators[node],
-                           system.dead_letters)
+                           system.dead_letters, cores=cores_of(system, node))
     store.write_snapshot(state, shard_stores(system))
     return state
 
@@ -74,7 +79,7 @@ class TestSnapshotRestore:
                                    shards=shards)
         summary = restore_node(0, system2.coordinators[0],
                                system2.dead_letters, recovered,
-                               shard_ops=shard_ops)
+                               shard_ops=shard_ops, cores=cores_of(system2))
         assert summary["ops_replayed"] == sum(map(len, shard_ops.values()))
         assert system2.directory_of(0).snapshot() == \
             system.directory_of(0).snapshot()
@@ -83,8 +88,8 @@ class TestSnapshotRestore:
         # re-registration, no address collisions with it.
         before, after = system.coordinators[0], system2.coordinators[0]
         assert after._shard_cursors == before._shard_cursors
-        assert all(new >= old for new, old in
-                   zip(after._origin_seqs, before._origin_seqs))
+        assert all(after_core.next_origin >= cores_of(system)[k].next_origin
+                   for k, after_core in cores_of(system2).items())
         assert after.addresses._next_serial >= before.addresses._next_serial
         # The restored records keep their home shard (a v1 snapshot
         # dropped it), so post-restart ops still route where they did.
@@ -135,21 +140,25 @@ class TestSnapshotRestore:
               if k not in ("applied", "origin", "waiting")}
         for space in v1["spaces"]:
             del space["shard"]
+        origin_seq = system.bus.shards[0].cores[0].next_origin
+        assert origin_seq > 0
         v1.update(version=1, applied_seq=state["applied"][0],
-                  origin_seq=state["origin"][0], expected={1: 7})
+                  origin_seq=origin_seq, expected={1: 7})
         write_snapshot(str(tmp_path), v1["applied_seq"], v1)
         store.close()
 
         recovered = load_data_dir(str(tmp_path))
         assert recovered.snapshot["applied"] == {0: v1["applied_seq"]}
         assert recovered.snapshot["expected"] == {0: {1: 7}}
+        assert recovered.snapshot["origin"] == {0: origin_seq}
         system2 = ActorSpaceSystem(topology=Topology.lan(2), seed=9)
         restore_node(0, system2.coordinators[0], system2.dead_letters,
-                     recovered)
+                     recovered, cores=cores_of(system2))
         assert system2.directory_of(0).snapshot() == \
             system.directory_of(0).snapshot()
         assert system2.coordinators[0]._shard_cursors == \
             system.coordinators[0]._shard_cursors
+        assert cores_of(system2)[0].next_origin == origin_seq
 
     def test_ops_parked_for_their_space_survive_a_snapshot(self, tmp_path):
         """An actor op that outran its space's ADD is parked with its
@@ -180,6 +189,37 @@ class TestSnapshotRestore:
         restored.on_bus_delivery(restored._shard_cursors[0], add)
         entry = restored.directory.space(space).lookup(actor)
         assert {str(p) for p in entry.attributes} == {"early/bird"}
+
+    def test_a_reopened_store_continues_where_the_directory_left_off(
+            self, tmp_path):
+        """A writer opening a directory takes from its one read: the next
+        segment's index, each closed segment's highest op seq, the
+        retained snapshot's cursors (both for truncation), and the
+        dead-letter event count — floored at the snapshot's mark, since
+        the journal records behind it may have been truncated."""
+        store = NodeStore(str(tmp_path), segment_bytes=1)  # rotate per commit
+        for seq in range(3):
+            store.append_op(seq, SAMPLE_OP)
+            store.commit()
+        store.append_dlq_capture(capture_before_packed_record(0), 1,
+                                 "node_unreachable", 0, 0.0)
+        store.commit()
+        # Truncates below its own cursor: the segments of ops 0 and 1 and
+        # the journal's only segment go; op 2's stays for the fallback.
+        store.write_snapshot({"applied": {0: 2}}, {0: store})
+        store.close()
+
+        again = NodeStore(str(tmp_path), segment_bytes=1)
+        again.append_dlq_capture(capture_before_packed_record(1), 1,
+                                 "node_unreachable", 0, 0.0)
+        again.append_op(3, SAMPLE_OP)
+        again.commit()
+        assert [e["n"] for e in load_data_dir(str(tmp_path)).dlq_events] == [2]
+        # Floored at the retained snapshot's cursor (2), not at this one's.
+        again.write_snapshot({"applied": {0: 4}}, {0: again})
+        again.close()
+        assert [os.path.basename(p) for p in segment_paths(str(tmp_path))] \
+            == ["seg-00000003.log", "seg-00000006.log", "seg-00000007.log"]
 
     def test_no_tmp_files_survive_installation(self, tmp_path):
         system, store = run_persisted_workload(str(tmp_path), seed=5, n_ops=8)
