@@ -20,8 +20,8 @@ Commands
     single Chrome trace with cross-node flow arrows.
 ``top [--cluster-file DIR|FILE | --ports P0,P1,...] [--interval S]``
     Live per-node telemetry view of a running TCP cluster: actors,
-    queues, wire-frame rates, shed/batch counters, clock offsets,
-    and wire-path stage-latency histograms.
+    queues, wire-frame rates, shed/batch counters, and wire-path
+    stage-latency histograms.
 ``check [--seeds N] [--walks N] [--explore N] [--inject NAME] ...``
     Conformance sweep: co-execute generated scenarios against the
     executable §5 reference model, diff observable state at every

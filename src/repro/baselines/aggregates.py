@@ -44,12 +44,6 @@ class Aggregate:
         if member not in self.members:
             self.members.append(member)
 
-    def remove_member(self, member: ActorAddress) -> None:
-        try:
-            self.members.remove(member)
-        except ValueError:
-            pass
-
     def add_child(self, child: "Aggregate") -> None:
         """Attach ``child`` beneath this aggregate.
 

@@ -26,23 +26,17 @@ recent samples per peer and answers with the minimum-RTT one — a burst
 of congested samples cannot evict one crisp measurement until it ages
 out of the window.
 
-Three producers feed it:
-
-* the peer handshake — the dialer stamps ``t`` into HELLO and the
-  acceptor echoes its own clock in WELCOME (``t_peer1 == t_peer2``);
-* heartbeat echoes — each HEARTBEAT carries the sender's clock plus an
-  echo of the last beacon received from the destination (``echo_t``)
-  and the hold time between receiving it and replying (``echo_dt``),
-  turning the periodic liveness beacons into free NTP exchanges;
-* the telemetry collector — control-plane ``ping`` round trips, so the
-  launcher can place every node's events on *its* timeline.
+One producer feeds it: the launcher's
+:class:`~repro.net.cluster.TelemetryCollector`, whose control-plane
+``ping`` round trips (``t_peer1 == t_peer2``) place every node's events
+on *its* timeline.  The nodes themselves estimate no offsets.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Callable
+from typing import Callable, Hashable
 
 #: How many recent samples to keep per peer; the min-RTT one answers.
 SAMPLE_WINDOW = 32
@@ -65,14 +59,16 @@ class ClockSample:
 class ClockSync:
     """Per-peer clock-offset estimation from timestamped round trips.
 
+    A peer is any sortable key; the collector's is ``(node,
+    incarnation)``.
+
     Parameters
     ----------
     clock:
-        The *local* timescale the caller's timestamps use.  A node
-        passes its ``WallClock`` (elapsed seconds); the launcher-side
-        telemetry collector uses ``time.monotonic``.  Only consistency
-        matters: every ``t_send``/``t_recv`` handed to
-        :meth:`add_sample` must come from this clock.
+        The *local* timescale the caller's timestamps use (the
+        collector's ``time.monotonic``).  Only consistency matters:
+        every ``t_send``/``t_recv`` handed to :meth:`add_sample` must
+        come from this clock.
     window:
         Samples retained per peer (oldest evicted first).
     """
@@ -81,13 +77,13 @@ class ClockSync:
                  window: int = SAMPLE_WINDOW):
         self.clock = clock if clock is not None else time.monotonic
         self.window = window
-        self._samples: dict[int, deque[ClockSample]] = {}
+        self._samples: dict[Hashable, deque[ClockSample]] = {}
         self.samples_total = 0
         self.samples_rejected = 0
 
     # -- recording ---------------------------------------------------------------
 
-    def add_sample(self, peer: int, t_send: float, t_peer1: float,
+    def add_sample(self, peer: Hashable, t_send: float, t_peer1: float,
                    t_peer2: float, t_recv: float) -> ClockSample | None:
         """Fold one exchange in; ``None`` if the timestamps are unusable.
 
@@ -110,23 +106,23 @@ class ClockSync:
 
     # -- queries -----------------------------------------------------------------
 
-    def best(self, peer: int) -> ClockSample | None:
+    def best(self, peer: Hashable) -> ClockSample | None:
         """The minimum-RTT sample currently held for ``peer``."""
         bucket = self._samples.get(peer)
         if not bucket:
             return None
         return min(bucket, key=lambda s: s.rtt)
 
-    def offset(self, peer: int) -> float | None:
+    def offset(self, peer: Hashable) -> float | None:
         """``peer_clock - local_clock``, or ``None`` before any sample."""
         sample = self.best(peer)
         return sample.offset if sample is not None else None
 
-    def rtt(self, peer: int) -> float | None:
+    def rtt(self, peer: Hashable) -> float | None:
         sample = self.best(peer)
         return sample.rtt if sample is not None else None
 
-    def to_local(self, peer: int, t_peer: float) -> float:
+    def to_local(self, peer: Hashable, t_peer: float) -> float:
         """Map a peer-clock instant onto the local timescale.
 
         Identity when no sample exists yet — an unaligned timestamp is
@@ -138,7 +134,7 @@ class ClockSync:
             return t_peer
         return t_peer - offset
 
-    def peers(self) -> list[int]:
+    def peers(self) -> list:
         return sorted(p for p, bucket in self._samples.items() if bucket)
 
     def snapshot(self) -> dict:

@@ -426,11 +426,14 @@ class TelemetryCollector:
     the previous pull's high-water mark — after a control-plane ``ping``
     (an empty round trip, so its timing is all wire) that feeds an
     NTP-style :class:`ClockSync` over the collector's own
-    ``time.monotonic``.  :meth:`merged_events` then maps every node's
-    wall-clock events onto the collector timeline, rebases the earliest
-    to zero, and repairs any residual cross-node causality inversions
-    (offset error is bounded by half the control RTT, which can exceed a
-    one-way data-path latency on loopback).
+    ``time.monotonic``.  The ping also names the process that answered:
+    a node that restarted is a new *incarnation*, with an event list, a
+    high-water mark and clock samples of its own.
+    :meth:`merged_events` then maps every incarnation's wall-clock
+    events onto the collector timeline, rebases the earliest to zero,
+    and repairs any residual cross-node causality inversions (offset
+    error is bounded by half the control RTT, which can exceed a one-way
+    data-path latency on loopback).
     """
 
     def __init__(self, host: str, ports: list[int], *,
@@ -441,14 +444,19 @@ class TelemetryCollector:
         self.cluster_id = cluster_id
         self.timeout = timeout
         self.max_events_per_pull = max_events_per_pull
+        #: Keyed ``(node, incarnation)``: each process start of a node
+        #: runs on a clock of its own.
         self.clock_sync = ClockSync(clock=time.monotonic)
-        self.events: dict[int, list[TraceEvent]] = {
+        #: node -> the events collected from each of its incarnations,
+        #: oldest incarnation first.
+        self.incarnations: dict[int, list[list[TraceEvent]]] = {
             node: [] for node in range(len(self.ports))}
         self.snapshots: dict[int, dict] = {}
         self.events_missed: dict[int, int] = {}
         self.pulls = 0
         self.pull_errors = 0
         self._since: dict[int, int] = {}
+        self._started: dict[int, float] = {}
         self._clients: dict[int, ControlClient] = {}
         self._lock = threading.Lock()
         self._thread: threading.Thread | None = None
@@ -485,24 +493,31 @@ class TelemetryCollector:
     # -- sampling ----------------------------------------------------------------
 
     def sample_clock(self, node: int) -> None:
-        """One ping round trip -> one NTP sample for ``node``."""
+        """One ping round trip -> one NTP sample for ``node``; a reply
+        from a process that started at another instant opens a new
+        incarnation (its seqs restart at 0, on a clock of its own)."""
         t_send = time.monotonic()
         reply = self._client(node).call("ping")
         t_recv = time.monotonic()
-        t_node = reply.get("t") if isinstance(reply, dict) else None
-        if isinstance(t_node, (int, float)):
-            self.clock_sync.add_sample(node, t_send, t_node, t_node, t_recv)
+        if reply["start"] != self._started.get(node):
+            self._started[node] = reply["start"]
+            self._since[node] = 0
+            with self._lock:
+                self.incarnations[node].append([])
+        self.clock_sync.add_sample(
+            (node, len(self.incarnations[node]) - 1),
+            t_send, reply["t"], reply["t"], t_recv)
 
     def pull_node(self, node: int) -> dict:
         """One telemetry pull from ``node`` (events are incremental)."""
         self.sample_clock(node)
         value = self._client(node).call(
-            "snapshot", since_seq=self._since.get(node, 0),
+            "snapshot", since_seq=self._since[node],
             max_events=self.max_events_per_pull)
         self._since[node] = int(value.get("next_seq", 0))
         fresh = [_event_from_dict(r) for r in value.get("events", [])]
         with self._lock:
-            self.events.setdefault(node, []).extend(fresh)
+            self.incarnations[node][-1].extend(fresh)
             self.snapshots[node] = value
             self.events_missed[node] = (self.events_missed.get(node, 0)
                                         + int(value.get("events_missed", 0)))
@@ -560,7 +575,7 @@ class TelemetryCollector:
         """Every node's events on one clock-aligned, causality-clean timeline.
 
         Each event's node-local wall time is mapped onto the collector's
-        monotonic timeline via that node's best clock-offset sample,
+        monotonic timeline via its incarnation's best clock-offset sample,
         rebased so the earliest event sits at zero, and sorted.  A
         bounded repair pass then shifts whole nodes forward where a
         cross-node ``sent`` still timestamps after its ``delivered`` —
@@ -570,12 +585,14 @@ class TelemetryCollector:
         """
         with self._lock:
             merged = [
-                TraceEvent(seq=e.seq, t=self.clock_sync.to_local(node, e.t),
+                TraceEvent(seq=e.seq,
+                           t=self.clock_sync.to_local((node, k), e.t),
                            kind=e.kind, node=e.node,
                            envelope_id=e.envelope_id, trace_id=e.trace_id,
                            parent_id=e.parent_id, data=e.data)
-                for node, events in self.events.items()
-                for e in events
+                for node, runs in self.incarnations.items()
+                for k, run in enumerate(runs)
+                for e in run
             ]
         if not merged:
             return []
@@ -625,17 +642,16 @@ class TelemetryCollector:
                     **{key: hub.get(key) for key in WIRE_KEYS},
                     "heartbeats_suppressed": (snap.get("metrics") or {}).get(
                         "heartbeats_suppressed"),
-                    "events": len(self.events.get(node, [])),
+                    "events": sum(map(len, self.incarnations[node])),
                     "events_missed": self.events_missed.get(node, 0),
-                    "clock": snap.get("clock"),
                     "stage_latency": hub.get("stage_latency"),
                 }
         return out
 
     def __repr__(self):
+        events = sum(map(len, itertools.chain(*self.incarnations.values())))
         return (f"<TelemetryCollector nodes={len(self.ports)} "
-                f"pulls={self.pulls} events="
-                f"{sum(len(v) for v in self.events.values())}>")
+                f"pulls={self.pulls} events={events}>")
 
 
 # -- one node process ----------------------------------------------------------

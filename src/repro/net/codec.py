@@ -867,15 +867,9 @@ class FrameDecoder:
 
 # -- handshake ------------------------------------------------------------------
 
-def hello_payload(node: int, role: str, cluster_id: str,
-                  t: float | None = None) -> dict:
-    """The HELLO body a connecting peer announces itself with.
-
-    ``t`` is the dialer's wall clock at send time; the acceptor echoes
-    its own clock in WELCOME, turning the handshake round trip into the
-    first NTP-style sample for :class:`~repro.net.clocksync.ClockSync`.
-    """
-    payload = {
+def hello_payload(node: int, role: str, cluster_id: str) -> dict:
+    """The HELLO body a connecting peer announces itself with."""
+    return {
         "magic": WIRE_MAGIC,
         "protocol": PROTOCOL_VERSION,
         "schema": SCHEMA_VERSION,
@@ -883,9 +877,6 @@ def hello_payload(node: int, role: str, cluster_id: str,
         "role": role,
         "cluster": cluster_id,
     }
-    if t is not None:
-        payload["t"] = t
-    return payload
 
 
 def hello_problem(payload: Any, cluster_id: str) -> str | None:

@@ -778,15 +778,14 @@ def _parser(name: str, description: str, *,
 
 
 def _run(name: str, args, drive: Callable[[LocalCluster, Log], dict], *,
-         report: str | None = None, telemetry: str | None = None,
+         report: str | None = None, telemetry: bool = False,
          **cluster_args: Any) -> int:
     """Start a cluster, ``drive`` it, shut it down; write ``<out>/<report>.json``.
 
-    ``telemetry="live"`` scrapes every node while the drill runs,
-    ``"final"`` once after it (a drill that restarts nodes resets their
-    event sequence and clocks, so only the last incarnation can be
-    merged); either way the summary joins the report and ``--trace-out``
-    exports and validates the merged trace.
+    ``telemetry`` scrapes every node while the drill runs — a restarted
+    node is a new incarnation to the collector, so the events of every
+    process the drill started are kept; the summary joins the report and
+    ``--trace-out`` exports and validates the merged trace.
     """
     if not loopback_available():
         print(f"{name}: loopback sockets unavailable on this platform; "
@@ -802,10 +801,8 @@ def _run(name: str, args, drive: Callable[[LocalCluster, Log], dict], *,
     collector: TelemetryCollector | None = None
     try:
         cluster.start()
-        if telemetry is not None:
-            collector = TelemetryCollector.for_cluster(cluster)
-            if telemetry == "live":
-                collector.start()
+        if telemetry:
+            collector = TelemetryCollector.for_cluster(cluster).start()
         result = drive(cluster, log)
         if collector is not None:
             collector.drain()
@@ -858,7 +855,7 @@ def cluster_main(argv: list[str]) -> int:
         parser.error(f"drill node {node} out of range")
     drill = None if node is None else (mode, node)
     return _run("cluster", args, lambda cluster, log: drivers[args.example](
-        cluster, drill=drill, log=log), report="report", telemetry="live")
+        cluster, drill=drill, log=log), report="report", telemetry=True)
 
 
 def durability_main(argv: list[str]) -> int:
@@ -869,7 +866,7 @@ def durability_main(argv: list[str]) -> int:
     data_dir = (Path(args.out) / "data" if args.out is not None
                 else Path(tempfile.mkdtemp(prefix="repro-durability-")))
     return _run("durability", args, lambda cluster, log: run_durability_drill(
-        cluster, data_dir, log=log), telemetry="final", data_dir=data_dir,
+        cluster, data_dir, log=log), telemetry=True, data_dir=data_dir,
         # Periodic snapshots stay out of the way so the drill's offline
         # oracle sees the full from-genesis log; snapshotting itself is
         # exercised by the recovery-time and orderly-shutdown snapshots.

@@ -62,7 +62,6 @@ from typing import Any, Callable
 
 from repro.runtime.metrics import HistogramMetric
 
-from .clocksync import ClockSync
 from .codec import (
     MAX_FRAME_BYTES,
     FrameDecoder,
@@ -180,7 +179,6 @@ class PeerHub:
         max_pending_bytes: int = MAX_PENDING_BYTES,
         ctrl_pending_bytes: int = CTRL_PENDING_BYTES,
         credit_window: int = CREDIT_WINDOW_FRAMES,
-        clock: Callable[[], float] | None = None,
     ):
         self.node_id = node_id
         self.ports = dict(ports)
@@ -196,10 +194,6 @@ class PeerHub:
         #: Data frames a peer may have in flight to us before pausing;
         #: 0 disables credit gating entirely.
         self.credit_window = credit_window
-        #: The node's wall clock (elapsed seconds); handshake/heartbeat
-        #: timestamps and the per-peer offset estimates live on it.
-        self.clock = clock if clock is not None else time.monotonic
-        self.clock_sync = ClockSync(clock=self.clock)
         #: Wire-path stage timers (seconds, perf_counter deltas).
         self.h_send_queue = HistogramMetric("send_queue", 4096)
         self.h_decode = HistogramMetric("decode", 4096)
@@ -504,9 +498,8 @@ class PeerHub:
             return
         peer, role = frame[1]["node"], frame[1]["role"]
         try:
-            writer.write(encode_frame(
-                FrameKind.WELCOME,
-                {"node": self.node_id, "t": self.clock()}))
+            writer.write(encode_frame(FrameKind.WELCOME,
+                                      {"node": self.node_id}))
             await writer.drain()
         except OSError:
             writer.close()
@@ -556,27 +549,19 @@ class PeerHub:
         """
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(self.host, self.ports[peer]), timeout=2.0)
-        t_send = self.clock()
         writer.write(encode_frame(
-            FrameKind.HELLO,
-            hello_payload(self.node_id, "node", self.cluster_id, t=t_send)))
+            FrameKind.HELLO, hello_payload(self.node_id, "node", self.cluster_id)))
         await writer.drain()
         decoder = FrameDecoder()
         pending: deque = deque()
         frame = await asyncio.wait_for(
             self._read_one(reader, decoder, pending), timeout=5.0)
-        t_recv = self.clock()
         if frame is None or frame[0] != FrameKind.WELCOME:
             reason = frame[1].get("reason") if frame and isinstance(frame[1], dict) else "closed"
             self.handshakes_rejected += 1
             self._log(f"dial to node {peer} rejected: {reason}")
             writer.close()
             return None
-        # The WELCOME echoes the acceptor's clock: one NTP-style sample
-        # per (re)connect, before any application traffic flows.
-        t_peer = frame[1].get("t") if isinstance(frame[1], dict) else None
-        if isinstance(t_peer, (int, float)):
-            self.clock_sync.add_sample(peer, t_send, t_peer, t_peer, t_recv)
         return PeerLink(peer, "node", reader, writer), decoder, pending
 
     # -- shared serving ---------------------------------------------------------
@@ -771,5 +756,4 @@ class PeerHub:
                 "decode": self.h_decode.summary(),
                 "deliver": self.h_deliver.summary(),
             },
-            "clock": self.clock_sync.snapshot(),
         }

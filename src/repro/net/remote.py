@@ -55,49 +55,6 @@ class TcpTransport(Transport):
         self.heartbeat_window = heartbeat_window
         #: Nodes confirmed down by this process's detector.
         self.crashed: set[int] = set()
-        #: Last HEARTBEAT received per peer: (peer clock stamp, local
-        #: clock at receipt).  Echoed back in our next beacon so the
-        #: peer can close an NTP-style four-timestamp exchange.
-        self._hb_seen: dict[int, tuple[float, float]] = {}
-
-    # -- heartbeat clock exchange ------------------------------------------------
-
-    def on_heartbeat(self, src: int, payload) -> None:
-        """Fold an inbound HEARTBEAT into the clock-offset estimate.
-
-        Each beacon carries the sender's clock (``t``) plus an echo of
-        the last beacon *we* sent it (``echo_t``, our clock when it
-        left) and the hold time between receiving and echoing it
-        (``echo_dt``).  That completes the four timestamps of one
-        NTP-style sample — the periodic liveness traffic doubles as a
-        free, continuously refreshing clock-sync stream.
-        """
-        if not isinstance(payload, dict):
-            return
-        t_peer = payload.get("t")
-        if not isinstance(t_peer, (int, float)):
-            return
-        now = self.runtime.clock.now
-        self._hb_seen[src] = (t_peer, now)
-        echo_t = payload.get("echo_t")
-        echo_dt = payload.get("echo_dt")
-        if isinstance(echo_t, (int, float)) and isinstance(echo_dt, (int, float)):
-            # Our beacon left at echo_t, reached the peer at
-            # (t_peer - echo_dt) on its clock, and its reply left at
-            # t_peer, arriving now.
-            self.runtime.hub.clock_sync.add_sample(
-                src, echo_t, t_peer - echo_dt, t_peer, now)
-
-    def heartbeat_payload(self, dst: int) -> dict:
-        """The beacon body for ``dst``: our clock + echo of its last one."""
-        now = self.runtime.clock.now
-        payload = {"node": self.runtime.node_id, "t": now}
-        seen = self._hb_seen.get(dst)
-        if seen is not None:
-            t_peer, heard_at = seen
-            payload["echo_t"] = t_peer
-            payload["echo_dt"] = now - heard_at
-        return payload
 
     def node_is_down(self, node: int) -> bool:
         return node in self.crashed

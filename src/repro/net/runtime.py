@@ -95,20 +95,22 @@ class WallClock:
     same frozen-time-per-turn contract in both runtimes.
     """
 
-    __slots__ = ("_t0", "_pinned")
+    __slots__ = ("start", "_pinned")
 
     def __init__(self):
-        self._t0 = time.monotonic()
+        #: ``time.monotonic()`` when the process started: differs between
+        #: two starts of one node, so a ping names the incarnation.
+        self.start = time.monotonic()
         self._pinned: float | None = None
 
     @property
     def now(self) -> float:
         if self._pinned is not None:
             return self._pinned
-        return time.monotonic() - self._t0
+        return time.monotonic() - self.start
 
     def pin(self) -> None:
-        self._pinned = time.monotonic() - self._t0
+        self._pinned = time.monotonic() - self.start
 
     def unpin(self) -> None:
         self._pinned = None
@@ -219,8 +221,7 @@ class NodeRuntime(Host):
         self.hub = PeerHub(
             node_id, ports, self._on_frame, host=host, cluster_id=cluster_id,
             on_batch_end=self._commit_turn,
-            on_peer_up=self._on_peer_up, log=self._log,
-            clock=lambda: self.clock.now)
+            on_peer_up=self._on_peer_up, log=self._log)
         self._wake: asyncio.Event | None = None
         self._stopping = False
         self.heartbeats_suppressed = 0
@@ -460,11 +461,6 @@ class NodeRuntime(Host):
                   link: PeerLink) -> None:
         if link.role == "node" and src in self.transport.crashed:
             self.on_peer_recovered(src)
-        if kind == FrameKind.HEARTBEAT:
-            # The hub already refreshed last_heard; the beacon's payload
-            # additionally feeds the per-peer clock-offset estimate.
-            self.transport.on_heartbeat(src, payload)
-            return
         if kind == FrameKind.ENVELOPE:
             if isinstance(payload, Envelope):
                 self.coordinator._deliver(payload)
@@ -554,8 +550,7 @@ class NodeRuntime(Host):
             idle = self.hub.idle_peers(self.heartbeat_interval)
             self.heartbeats_suppressed += len(self.hub.links) - len(idle)
             for node in idle:
-                self.hub.send(node, FrameKind.HEARTBEAT,
-                              self.transport.heartbeat_payload(node))
+                self.hub.send(node, FrameKind.HEARTBEAT)
             await asyncio.sleep(self.heartbeat_interval)
 
     async def _pump(self) -> None:
@@ -629,7 +624,8 @@ class NodeRuntime(Host):
             return repr(value)
 
     def _ctl_ping(self) -> dict:
-        return {"node": self.node_id, "t": self.clock.now}
+        return {"node": self.node_id, "t": self.clock.now,
+                "start": self.clock.start}
 
     def _store_status(self) -> dict | None:
         """Store counters, summed over every store this node writes."""
@@ -677,7 +673,6 @@ class NodeRuntime(Host):
             "credit_grants_out": self.hub.credit_grants_out,
             "admission": self.admission.metrics()
                          if self.admission is not None else None,
-            "clock": self.hub.clock_sync.snapshot(),
             "store": self._store_status(),
             "recovery": self.recovery,
             "dlq_recovered": self.dead_letters.recovered_total,
@@ -767,7 +762,6 @@ class NodeRuntime(Host):
             "hub": hub,
             "bus": metrics.pop("bus"),
             "transport": metrics.pop("transport"),
-            "clock": hub["clock"],
             "metrics": metrics,
             "events": [self._wire_safe(e.to_dict()) for e in window],
             "next_seq": next_seq,

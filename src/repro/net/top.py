@@ -3,16 +3,18 @@
 ``python -m repro top`` attaches to a *running* cluster (via the
 ``cluster.json`` manifest a ``--out`` launch writes, or explicit
 ``--host``/``--ports``) and renders a refreshing per-node table: actor
-and queue counts, wire-frame rates, shed/batch/heartbeat counters, the
-node's clock offsets to its peers, plus the wire-path stage-latency
-histograms (enqueue→flush, decode, deliver).  It is a read-only control
--plane client — attaching to a production cluster costs one extra
-control connection per node and whatever the scrape interval implies.
+and queue counts, wire-frame rates, shed/batch/heartbeat counters, plus
+the wire-path stage-latency histograms (enqueue→flush, decode,
+deliver).  A node that does not answer is a DOWN row.  It is a
+read-only control-plane client — attaching to a production cluster
+costs one extra control connection per node and whatever the scrape
+interval implies.
 
 ``python -m repro trace --cluster`` is the batch sibling: pull telemetry
-a few times, merge every node's flight-recorder events onto one
-clock-aligned timeline, and export a Chrome ``trace_event`` file whose
-flow arrows stitch cross-node sends to their deliveries.
+a few times, merge every node's flight-recorder events onto the
+collector's clock (the one place offsets are estimated), and export a
+Chrome ``trace_event`` file whose flow arrows stitch cross-node sends to
+their deliveries.
 """
 
 from __future__ import annotations
@@ -57,18 +59,6 @@ def _admission_rejected(admission: dict | None) -> str:
         return "-"
     return str(admission.get("rejected_rate", 0)
                + admission.get("rejected_breaker", 0))
-
-
-def _peer_offsets(clock: dict | None) -> str:
-    """Render a node's per-peer offset estimates as ``peer:+ms`` pairs."""
-    if not isinstance(clock, dict) or not clock.get("peers"):
-        return "-"
-    parts = []
-    for peer, info in sorted(clock["peers"].items()):
-        offset = info.get("offset_s")
-        if isinstance(offset, (int, float)):
-            parts.append(f"{peer}:{offset * 1000.0:+.2f}ms")
-    return ",".join(parts) if parts else "-"
 
 
 def _shard_table(statuses: dict[int, dict],
@@ -137,7 +127,7 @@ def _render(collector: TelemetryCollector, pulled: dict[int, dict],
         ["node", "actors", "pend", "infl", "dlq", "ops/fsync", "links",
          "fr_in/s", "fr_out/s", "shed", "mb_shed", "adm_rej",
          "cr_stall", "b_in", "b_out", "hb_sup",
-         "peak_kB", "peer offsets"],
+         "peak_kB"],
         title=f"cluster: {collector.cluster_id}  "
               f"({len(collector.ports)} nodes, pull #{collector.pulls})")
     stage_table = TextTable(
@@ -146,7 +136,7 @@ def _render(collector: TelemetryCollector, pulled: dict[int, dict],
     for node in range(len(collector.ports)):
         status = statuses.get(node)
         if status is None:
-            node_table.add_row([node, "DOWN"] + ["-"] * 16)
+            node_table.add_row([node, "DOWN"] + ["-"] * 15)
             continue
         wire = wire_summary[node]
         frames_in = wire["frames_in"] or 0
@@ -176,7 +166,6 @@ def _render(collector: TelemetryCollector, pulled: dict[int, dict],
             wire["batches_out"],
             wire["heartbeats_suppressed"],
             f"{peak / 1024:.1f}" if isinstance(peak, (int, float)) else "-",
-            _peer_offsets(wire["clock"]),
         ])
         stages = wire["stage_latency"] or {}
         for stage in ("send_queue", "decode", "deliver"):

@@ -292,6 +292,8 @@ class JsonlSink:
     OS as it is written: a SIGKILLed node (the cluster fault drills)
     leaves a usable event log up to the instant of death instead of
     losing the stdio-buffered tail — the point of a flight recorder.
+    A path is appended to, so a respawned node's recording follows the
+    one of the process it replaces (its seqs start again at 0).
     """
 
     def __init__(self, target: "str | IO[str]"):
@@ -300,7 +302,7 @@ class JsonlSink:
             # flush in write() is the guarantee, this just keeps the
             # window small even if a write is interrupted mid-line.
             self._file: IO[str] = open(
-                target, "w", encoding="utf-8", buffering=1)
+                target, "a", encoding="utf-8", buffering=1)
             self._owns = True
         else:
             self._file = target

@@ -1,10 +1,11 @@
 """Sharding the visibility plane: partitioned sequencing for actorSpaces.
 
 The paper's coherence protocol (§7.3) totally orders *all* visibility
-operations through one logical bus.  But §5 only ever needs ordering
-*within* a space — "all actors in an actorSpace will observe two
-broadcasts to that actorSpace in the same order"; nothing relates
-operations on unrelated spaces.  This package exploits that slack:
+operations through one logical bus, so that every node has the same
+view of visibility (broadcasts to actors stay unordered, §5.3).  A
+node's view of one space depends only on the operations that touch that
+space; nothing relates operations on unrelated spaces.  This package
+exploits that slack:
 
 * :class:`ShardMap` partitions actorSpaces across N shards by the hash
   of the space's root attribute atom (path-prefix affinity: nested

@@ -154,7 +154,6 @@ class SegmentWriter:
         self._fh = open(path, "ab")
         self._pending: list[bytes] = []
         self.size = self._fh.tell()
-        self.records_written = 0
         self.commits = 0
         self.fsyncs = 0
 
@@ -176,7 +175,6 @@ class SegmentWriter:
             self._pending.clear()
             self._fh.write(blob)
             self.size += len(blob)
-            self.records_written += n
             self.commits += 1
         if n or force_sync:
             self._fh.flush()

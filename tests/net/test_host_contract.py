@@ -209,7 +209,6 @@ class TestScrape:
                     "ctrl_buffer_bytes", "credit"):
             assert first["hub"][key] == live[key], key
         assert first["hub"]["send_buffer_bytes"] == 0
-        assert first["clock"] == first["hub"]["clock"]
         assert first["status"]["credit_stalls"] \
             == first["hub"]["credit"]["stalls"] == 0
 
@@ -278,7 +277,7 @@ class TestScrape:
         assert set(status) >= {
             "applied_seq", "mailbox_shed", "frames_shed", "admission",
             "heartbeats_suppressed", "shards", "links", "confirmed_down",
-            "store", "clock"}
+            "store"}
         assert {k for k in status["admission"] if "rejected" in k} \
             == {"rejected_rate", "rejected_breaker"}
         assert set(status["store"]) >= {"fsyncs", "ops_appended",

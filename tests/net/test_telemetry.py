@@ -10,14 +10,19 @@ Real node processes over loopback TCP.  What these pin down:
   every cross-node send strictly before its delivery;
 * ``causal_chain`` over the merged log crosses node boundaries;
 * the merged Chrome export passes the validator and contains cross-node
-  flow arrows — the PR's acceptance criterion, as a test.
+  flow arrows;
+* a killed and respawned node is a second incarnation to the collector
+  and to its JSONL flight recording, not a reset of the first.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.net.cluster import LocalCluster, TelemetryCollector, loopback_available
+from repro.net.top import _render, top_main
 from repro.runtime.eventlog import EventLog, validate_chrome_trace
 
 pytestmark = pytest.mark.skipif(
@@ -48,15 +53,16 @@ def test_trace_ids_survive_tcp_round_trip(tmp_path):
         collector.pull()  # second pull: exercises the since_seq resume
 
         # Incremental scrape honesty: per node, seqs unique + ascending.
-        for node, events in collector.events.items():
-            seqs = [e.seq for e in events]
+        for node, runs in collector.incarnations.items():
+            assert len(runs) == 1
+            seqs = [e.seq for e in runs[0]]
             assert seqs == sorted(seqs)
             assert len(seqs) == len(set(seqs)), f"node {node} re-pulled events"
 
-        sent_by_env = {e.envelope_id: e for e in collector.events[0]
-                       if e.kind == "sent"}
+        (node0,), (node1,) = collector.incarnations.values()
+        sent_by_env = {e.envelope_id: e for e in node0 if e.kind == "sent"}
         remote_deliveries = [
-            e for e in collector.events[1]
+            e for e in node1
             if e.kind == "delivered" and e.data.get("src_node") == 0]
         assert remote_deliveries, "no cross-node deliveries recorded"
         matched = 0
@@ -137,22 +143,23 @@ def test_merged_chrome_trace_has_cross_node_flows(tmp_path):
         cluster.shutdown()
 
 
-def test_status_exposes_wire_counters_and_clock(tmp_path):
+def test_status_top_and_a_restarted_node(tmp_path, capsys):
+    """Status and the scrape carry the wire counters and no clock of
+    their own; then node 1 is killed and respawned: ``top`` shows it
+    DOWN meanwhile, and the collector and the node's JSONL flight
+    recording keep both of its incarnations."""
     cluster = LocalCluster(2, seed=0, trace=True, out_dir=tmp_path)
     cluster.start()
+    collector = TelemetryCollector.for_cluster(cluster)
     try:
         _run_load(cluster, pump_node=0, sink_node=1, total=20, window=4)
         for node in (0, 1):
             status = cluster.call(node, "status")
             for key in ("frames_shed", "batches_in", "batches_out",
-                        "heartbeats_suppressed", "clock"):
+                        "heartbeats_suppressed"):
                 assert key in status, f"status missing {key!r}"
             assert status["frames_shed"] == 0
-            assert isinstance(status["clock"], dict)
-        # The handshake alone guarantees at least the dialer holds a
-        # clock sample for its peer.
-        clocks = [cluster.call(n, "status")["clock"] for n in (0, 1)]
-        assert any(c["peers"] for c in clocks), "no clock samples after handshake"
+            assert "clock" not in status
 
         telemetry = cluster.call(0, "snapshot", since_seq=0, max_events=10)
         assert telemetry["node"] == 0
@@ -161,5 +168,41 @@ def test_status_exposes_wire_counters_and_clock(tmp_path):
         assert "stage_latency" in telemetry["hub"]
         for stage in ("send_queue", "decode", "deliver"):
             assert telemetry["hub"]["stage_latency"][stage]["count"] > 0
+        assert "clock" not in telemetry and "clock" not in telemetry["hub"]
+
+        collector.pull()
+        cluster.kill(1)
+        screen = _render(collector, collector.pull(), {}, {})
+        header = screen.splitlines()[2].split(" | ")
+        down = [line for line in screen.splitlines() if "DOWN" in line]
+        assert len(down) == 1 and down[0].startswith("1 ")
+        assert len(down[0].split(" | ")) == len(header)
+        ports = ",".join(str(port) for port in cluster.ports)
+        assert top_main(["--ports", ports, "--once"]) == 0
+        assert "DOWN" in capsys.readouterr().out
+
+        cluster.respawn_all([1])
+        cluster.wait_linked()
+        _run_load(cluster, pump_node=0, sink_node=1, total=20, window=4)
+        collector.pull()
+        old, new = collector.incarnations[1]
+        # Every event of the new process, from its seq 0, none missed.
+        assert old and len(new) == collector.snapshots[1]["events_total"]
+        assert [e.seq for e in new] == list(range(len(new)))
+        assert collector.events_missed[1] == 0
+        # Each incarnation is aligned on its own clock samples: the
+        # respawned process's events all merge after the dead one's.
+        key = [(e.seq, e.kind, e.envelope_id)
+               for e in collector.merged_events() if e.node == 1]
+        assert sorted(key[:len(old)]) \
+            == sorted((e.seq, e.kind, e.envelope_id) for e in old)
+        # The respawn appended to the flight recording; seq restarts once.
+        lines = (tmp_path / "node1.events.jsonl").read_text().splitlines()
+        seqs = [json.loads(line)["seq"] for line in lines]
+        restarts = [i for i in range(1, len(seqs)) if seqs[i] <= seqs[i - 1]]
+        assert len(restarts) == 1 and seqs[restarts[0]] == 0
+        assert seqs == list(range(restarts[0])) \
+            + list(range(len(seqs) - restarts[0]))
     finally:
+        collector.close()
         cluster.shutdown()
