@@ -175,8 +175,10 @@ class _Run:
         self.report = ConformanceReport(scenario=scenario)
         self._op_cursor = 0
         # Journal replay mirrors the coordinators' dependency parking:
-        # spaces the model has *heard of* (live or destroyed) and vis ops
-        # waiting for their containing space's ADD to cross shards.
+        # spaces whose ADD the model has applied (live or destroyed since)
+        # and vis ops waiting for their containing space's ADD to cross
+        # shards.  A destroy that outran the ADD is rejected everywhere
+        # and leaves the space unknown.
         self._known_spaces: set[str] = set()
         self._space_waiting: dict[str, list[tuple[str, dict]]] = {}
 
@@ -351,8 +353,8 @@ class _Run:
         # cursor is a journal index.  Replicas park actor-vis ops that
         # outran their containing space's ADD (which sequences on shard
         # 0) and drain them when the ADD applies — mirror that
-        # reordering here, keyed on the spaces the model has heard of
-        # (tombstones count: a vis on a destroyed space applies
+        # reordering here, keyed on the spaces whose ADD the model has
+        # applied (tombstones count: a vis on a destroyed space applies
         # immediately and gets rejected, exactly as on a replica).
         bus = self.system.bus
         fresh = bus.journal[self._op_cursor:]
@@ -374,8 +376,6 @@ class _Run:
             if kind == "add_space":
                 self._known_spaces.add(args["name"])
                 ops.extend(self._space_waiting.pop(args["name"], ()))
-            elif kind == "destroy_space":
-                self._known_spaces.add(args["name"])
         self.model.apply_ops(ops, self._choice_for)
 
     def _translate_op(self, op) -> tuple[str, dict]:

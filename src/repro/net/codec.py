@@ -329,7 +329,7 @@ def _enc_visibility_op(out: bytearray, obj: VisibilityOp) -> None:
     _enc_int(out, obj.origin_seq)
     _enc_int(out, obj.op_id)
     _enc_int(out, obj.shard)
-    _enc(out, obj.tick)
+    _enc(out, None)  # the retired sequencing-tick slot
     _enc(out, obj.fan_of)
     _enc(out, obj.args)
 
@@ -646,12 +646,12 @@ def _dec_visibility_op(buf: bytes, pos: int) -> tuple[VisibilityOp, int]:
     origin_seq, pos = _dec_int(buf, pos)
     op_id, pos = _dec_int(buf, pos)
     shard, pos = _dec_int(buf, pos)
-    tick, pos = _dec(buf, pos)
+    _tick, pos = _dec(buf, pos)  # retired: read and discarded
     fan_of, pos = _dec(buf, pos)
     args, pos = _dec(buf, pos)
     return VisibilityOp(kind=kind, args=args, origin_node=origin_node,
                         origin_seq=origin_seq, op_id=op_id, shard=shard,
-                        tick=tick, fan_of=fan_of), pos
+                        fan_of=fan_of), pos
 
 
 def _dec_manager_factory(buf: bytes, pos: int) -> tuple[Callable, int]:

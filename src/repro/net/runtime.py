@@ -385,22 +385,13 @@ class NodeRuntime(Host):
 
         The detector cannot see this transition (a confirmed-down peer
         reads as down in the transport forever), so the frame-receive
-        path calls in here: lift the verdict and the quarantine mask,
-        reconsider parked messages the mask was hiding matches from,
-        re-elect the bus leadership, and flush dead letters.
+        path calls in here: the transport marks it up again, then
+        :meth:`Host._on_node_recovered` reacts.
         """
         if node not in self.transport.crashed:
             return
         self.transport.recover_node(node)
-        self.failure_detector.on_node_recovered(node)
-        directory = self.coordinator.directory
-        if node in directory.quarantined_nodes:
-            directory.unquarantine_node(node)
-            self.tracer.on_quarantine("unquarantined", self.node_id,
-                                      self.clock.now, target_node=node)
-            self.coordinator._recheck_parked()
-        self.bus.on_node_recovered(node)
-        self.dead_letters.flush(node)
+        self._on_node_recovered(node)
         self._log(f"node {node} recovered")
 
     # -- outbound envelopes ------------------------------------------------------

@@ -77,12 +77,6 @@ class VisibilityOp:
     #: The shard whose stream sequences this op (a one-shard plane has
     #: only shard 0).
     shard: int = 0
-    #: Node-local monotonic sequencing tick, stamped when the op receives
-    #: its per-shard sequence number and persisted inside the op record;
-    #: the cross-shard merge key of recovery and offline replay
-    #: (``repro.store.recovery.apply_suffix``).  ``None`` until
-    #: sequenced.
-    tick: "int | None" = None
     #: ``op_id`` of the primary copy when this op is a per-shard fan copy
     #: (BIND_CAPABILITY / PURGE are replicated once per shard stream);
     #: ``None`` for ordinary ops and primaries.
@@ -138,18 +132,12 @@ class Bus:
         #: (the oracle reads it); a real deployment would truncate it at
         #: the all-applied watermark.
         self.log: dict[int, VisibilityOp] = {}
-        #: Optional :class:`repro.store.NodeStore`.  When attached, every
-        #: sequenced op is persisted and committed before any delivery
-        #: is scheduled (transactional outbox).
-        self.store = None
         #: Plane hooks, set by the system, which runs one bus per shard:
-        #: the shard id, a shared cross-shard sequencing journal
-        #: (appended when an op is sequenced), and — with more than one
-        #: shard — a shared node-local tick counter (the merge key when
-        #: the logs are read back).  All ``None``/0 for a standalone bus.
+        #: the shard id and a shared cross-shard sequencing journal
+        #: (appended when an op is sequenced).  0/``None`` for a
+        #: standalone bus.
         self.shard_id = 0
         self.journal: "list[tuple[int, int]] | None" = None
-        self.tick_counter = None
 
     def submit(self, op: VisibilityOp) -> None:  # pragma: no cover - abstract
         """Accept ``op`` from its origin coordinator for global ordering."""
@@ -183,20 +171,11 @@ class Bus:
 
     def _record_sequenced(self, seq: int, op: VisibilityOp,
                           from_node: int) -> None:
-        """``from_node`` just gave ``op`` its place in the order: journal
-        it and make it durable before any replica sees it."""
+        """``from_node`` just gave ``op`` its place in the order: count
+        and journal it."""
         self.ops_sequenced += 1
-        if self.tick_counter is not None:
-            op.tick = next(self.tick_counter)
         if self.journal is not None:
             self.journal.append((self.shard_id, seq))
-        if self.store is not None:
-            # Transactional outbox: a crash can only lose ops nobody
-            # applied.  The simulator's turn is this one event, so its
-            # commit point sits right behind the append.
-            self.store.append_op(seq, op)
-            self.store.commit()
-            self.store.arm_sync(self.events, self.clock.now)
         if self.event_log is not None and self.event_log.enabled:
             self.event_log.emit(
                 "bus_sequenced", self.clock.now, from_node, None,
@@ -224,27 +203,22 @@ class _NodePort:
             latency = bus.transport.deliver_latency(src, to)
         except (TransportError, RuntimeError):
             return  # an end is down: the frame is lost
-        core = bus.cores[to]
+        core, when = bus.cores[to], bus.clock.now
         if msg is OP:
             # Fan-out leaves when the seat's service queue has drained.
-            when, tag = max(bus.clock.now, bus._busy_until), ("bus", to)
-
-            def arrive() -> None:
-                if not is_down(to):
-                    core.on_op(a, b)
+            when, tag, handler, args = max(when, bus._busy_until), \
+                ("bus", to), core.on_op, (a, b)
         elif msg is SUBMIT:
-            when, tag, on_submit = bus.clock.now, ("bus_seq",), core.on_submit
-
-            def arrive() -> None:
-                if not is_down(to):
-                    on_submit(src, a)
+            tag, handler, args = ("bus_seq",), core.on_submit, (src, a)
         else:  # a sync frame: (from_seq | upto, the asker's round)
-            when, tag = bus.clock.now, ("bus_ctl",)
+            tag, args = ("bus_ctl",), (src, a, b)
             handler = core.on_sync_req if msg is SYNC_REQ else core.on_sync_done
 
-            def arrive() -> None:
-                if not is_down(to):
-                    handler(src, a, b)
+        def arrive() -> None:
+            if not is_down(to):
+                handler(*args)
+                if core.store is not None:
+                    bus._end_turn(core)
         bus.events.schedule(when + latency, arrive,
                             priority=BUS_PRIORITY, tag=tag)
 
@@ -263,6 +237,7 @@ class _NodePort:
                 bus._parked.setdefault(node, []).append(fn)
             else:
                 fn()
+                bus._end_turn(bus.cores[node])
 
         bus.events.schedule(bus.clock.now + delay, fire,
                             priority=BUS_PRIORITY, tag=("bus_ctl",))
@@ -288,8 +263,11 @@ class SequencerBus(Bus):
     frames travel as events with the transport's latency, a frame to or
     from a crashed node is lost, and a crashed node's timers wait for
     its recovery.  What stays here is what only a simulator has: the
-    observer's journal and view of the logs, the store written at
-    sequencing time, and the ``service_time`` queueing model.
+    observer's journal and view of the logs, and the ``service_time``
+    queueing model.  A node is durable when its cores have stores
+    (``cores[node].store``, as a node process attaches them); each
+    core's turn — a frame, a timer, a liveness or rebalance call — ends
+    at its commit point (:meth:`_end_turn`).
     """
 
     def __init__(self, nodes, events, clock, transport,
@@ -323,20 +301,34 @@ class SequencerBus(Bus):
         seat: the op parks as unacked and failover re-drives it."""
         self.cores[op.origin_node].submit(op)
 
+    def _end_turn(self, core: SequencerCore) -> None:
+        """A core's commit point, by ``NodeRuntime._commit_turn``'s rule:
+        commit while anything is staged (effects may stage more), then
+        arm the ``fsync="batch"`` timer."""
+        store = core.store
+        if store is not None:
+            while store.dirty:
+                store.commit()
+            store.arm_sync(self.events, self.clock.now)
+
     def on_node_down(self, node: int) -> None:
         for core in self.cores.values():
             core.on_node_down(node)
+            self._end_turn(core)
 
     def on_node_recovered(self, node: int) -> None:
         for core in self.cores.values():
             core.on_node_recovered(node)
+            self._end_turn(core)
         for fn in self._parked.pop(node, ()):
             fn()
+        self._end_turn(self.cores[node])
 
     def rebalance(self, node: int) -> None:
         """Move the home seat to ``node``, live."""
         for core in self.cores.values():
             core.rebalance(node)
+            self._end_turn(core)
 
     def __repr__(self):
         return f"<SequencerBus @n{self.sequencer_node} seq={len(self.log)}>"

@@ -325,6 +325,27 @@ class Host:
         self.bus.on_node_down(node)
         return total
 
+    def _on_node_recovered(self, node: int) -> None:
+        """``node`` is back: every local replica lifts its mask for it,
+        and a live one reconsiders what it parked — lifting a mask can
+        make a parked message matchable again (§5.6), and masks change
+        outside the bus, so the op-apply recheck never sees it.  The
+        detector forgets its verdicts, the bus re-elects and resumes
+        work parked on the node, and the dead letters captured for it
+        are redelivered with backoff."""
+        for local in self.local_nodes:
+            coordinator = self.coordinators[local]
+            if node in coordinator.directory.quarantined_nodes:
+                coordinator.directory.unquarantine_node(node)
+                self.tracer.on_quarantine("unquarantined", local,
+                                          self.clock.now, target_node=node)
+                if not coordinator.crashed:
+                    coordinator._recheck_parked()
+        if self.failure_detector is not None:
+            self.failure_detector.on_node_recovered(node)
+        self.bus.on_node_recovered(node)
+        self.dead_letters.flush(node)
+
     # -- observability -------------------------------------------------------------
 
     def queue_depth(self, node: int | None = None) -> int:

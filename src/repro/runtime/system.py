@@ -22,7 +22,6 @@ is hit; virtual time then tells you how long the computation "took".
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable
 
 from repro.core.actor import ActorRecord
@@ -33,7 +32,6 @@ from repro.core.messages import Envelope
 
 from .bus import SequencerBus, TokenRingBus
 from .clock import VirtualClock
-from .coordinator import Coordinator
 from .eventlog import EventLog, export_chrome_trace
 from .events import EventQueue
 from .failure import DeadLetterQueue, FailureDetector
@@ -150,9 +148,6 @@ class ActorSpaceSystem(Host):
         # One total-order bus per shard of the map, behind a facade.
         coordinators = self.coordinators
         journal: list[tuple[int, int]] = []
-        # The tick merges streams when their logs are read back: stamped
-        # (and persisted) only when there is more than one stream to merge.
-        ticks = itertools.count() if shards > 1 else None
 
         def make_stream(shard, seat):
             if bus == "sequencer":
@@ -162,8 +157,7 @@ class ActorSpaceSystem(Host):
             else:
                 stream = TokenRingBus(nodes, self.events, self.clock,
                                       self.transport)
-            stream.shard_id, stream.journal, stream.tick_counter = \
-                shard, journal, ticks
+            stream.shard_id, stream.journal = shard, journal
             stream.event_log, stream.tracer = self.event_log, self.tracer
             stream.deliver = lambda node, seq, op: \
                 coordinators[node].on_bus_delivery(seq, op)
@@ -235,49 +229,27 @@ class ActorSpaceSystem(Host):
     def recover_node(self, node: int) -> None:
         """Bring a crashed node back; its actors resume where they stopped.
 
-        Recovery is the self-healing hinge: the bus replays the missed
-        visibility ops from its log (state transfer), every replica
-        lifts its quarantine mask for the node and reconsiders parked
-        messages the mask was hiding matches from, the failure detector
-        forgets its verdicts, the bus resumes work parked on the node,
-        dead letters captured for it are redelivered with backoff, and
-        mailbox backlogs accepted before the crash restart processing.
+        What only a simulator has happens here: the node un-crashes, the
+        network carries its traffic again, its replica drops masks for
+        peers that came back while it was down, and mailbox backlogs
+        accepted before the crash restart processing.  What every host
+        does when a node returns is :meth:`Host._on_node_recovered`.
         """
         recovered = self.coordinators[node]
         recovered.crashed = False
         self._network_transport.recover_node(node)  # type: ignore[attr-defined]
-        unmasked: list[Coordinator] = []
-        for coordinator in self.coordinators:
-            if node in coordinator.directory.quarantined_nodes:
-                coordinator.directory.unquarantine_node(node)
-                self.tracer.on_quarantine(
-                    "unquarantined", coordinator.node_id, self.clock.now,
-                    target_node=node,
-                )
-                unmasked.append(coordinator)
-        # The recovering replica may itself hold stale masks for peers
-        # that came back while it was down.
+        # Its replica may hold masks for peers that came back while it
+        # was down; lifting one can release what it parked.
         own = recovered.directory
-        for peer in list(own.quarantined_nodes):
-            if not self.transport.node_is_down(peer):
-                own.unquarantine_node(peer)
-                if recovered not in unmasked:
-                    unmasked.append(recovered)
-        # Lifting a mask can make a parked message matchable again (§5.6):
-        # the node's actors were only hidden, not unregistered, so every
-        # coordinator that unmasked must reconsider what it parked.
-        # (Masks change outside the bus, so the op-apply recheck never
-        # sees this transition.)
-        for coordinator in unmasked:
-            if not coordinator.crashed:
-                coordinator._recheck_parked()
-        if self.failure_detector is not None:
-            self.failure_detector.on_node_recovered(node)
-        self.bus.on_node_recovered(node)
-        self.dead_letters.flush(node)
+        stale = [peer for peer in own.quarantined_nodes
+                 if not self.transport.node_is_down(peer)]
+        for peer in stale:
+            own.unquarantine_node(peer)
+        if stale:
+            recovered._recheck_parked()
+        self._on_node_recovered(node)
         # Mail accepted before the crash is still queued; processing
-        # events were swallowed while ``crashed`` was set, so restart the
-        # pump for every actor with a backlog.
+        # events were swallowed while ``crashed`` was set.
         for record in recovered.actors.values():
             if not record.terminated and not record.mailbox.is_empty:
                 recovered._schedule_processing(record)

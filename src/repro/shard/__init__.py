@@ -12,17 +12,18 @@ exploits that slack:
   spaces co-locate with their parent), and assigns each shard a
   sequencer node, versioned so assignments can move at runtime.
 * :class:`ShardedBus` runs one :class:`~repro.runtime.bus.SequencerBus`
-  per shard in the simulator, each with its own failover election and
-  its own store namespace, plus a cross-shard sequencing journal that
-  gives the conformance oracle a happens-before-consistent linear
-  extension without re-introducing a global sequencer.
+  per shard in the simulator, each with its own failover election, plus
+  a cross-shard sequencing journal that gives the conformance oracle a
+  happens-before-consistent linear extension without re-introducing a
+  global sequencer.
 * :class:`ShardRouter` fronts pattern dispatch: literal first atoms pin
   an owning shard (sends can be forwarded to the shard's authority
   node); glob/regex first atoms that pin nothing fan out across all
   shard partitions and merge.
 * ``merge`` names each shard's store namespace on disk; recovery and
-  offline replay read them all and merge by node-local monotonic ticks
-  (``repro.store.recovery.apply_suffix``).
+  offline replay read them all and merge by ``(seq, shard)``, parking an
+  op whose space's ``ADD_SPACE`` has not yet applied, as a live replica
+  does (``repro.store.recovery.apply_suffix``).
 
 Ordering contract under sharding (documented in TUTORIAL §17): ops on
 the same space are totally ordered (one home shard per space); space

@@ -6,24 +6,19 @@ holds one stream per shard — a simulator bus
 :class:`~repro.runtime.bus.Bus` at one shard) or a node process's
 :class:`~repro.net.remote.RemoteSequencerBus`; the host says which by
 passing ``make_stream``.  Each shard carries a gap-free sequence of its
-own; there is no global sequence number.  Cross-shard order is
-reconstructed three ways:
+own; there is no global sequence number, and no order across shards is
+promised.  Cross-shard order is reconstructed two ways:
 
-* **online, per replica** — coordinators apply each shard's stream through
-  its own hold-back cursor, parking ops whose containing space is not yet
+* **per replica** — coordinators apply each shard's stream through its
+  own hold-back cursor, parking ops whose containing space is not yet
   known (see ``Coordinator``); end states converge even though transient
-  interleavings may differ between replicas;
-* **online, for conformance** — the simulator's shared *journal* of
+  interleavings may differ between replicas.  Recovery and offline
+  replay do the same over the persisted logs, merged by ``(seq, shard)``
+  (``repro.store.recovery.apply_suffix``);
+* **for conformance** — the simulator's shared *journal* of
   ``(shard, seq)`` pairs records the exact order ops were sequenced in;
   when all shard sequencers are co-located (check mode) every replica
-  observes precisely this order and the oracle replays it;
-* **from disk** — with more than one stream to merge, the simulator
-  stamps every sequenced op with a node-local monotonic *tick* from a
-  shared counter, persisted inside the op, and recovery and offline
-  replay sort by ``(tick, shard, seq)``
-  (``repro.store.recovery.apply_suffix``) — a valid linear extension
-  of all per-shard orders.  One stream is its own order and stamps
-  nothing.
+  observes precisely this order and the oracle replays it.
 
 Coordinators submit straight to the owning stream
 (``bus.shards[op.shard]``) and a node's inbound frames are dispatched
@@ -92,16 +87,6 @@ class ShardedBus:
         With co-located sequencers this is the exact order every replica
         applies, which is what the conformance oracle replays."""
         return self.shards[0].journal
-
-    def attach_store(self, make_store) -> None:
-        """Attach one store per shard.
-
-        ``make_store`` is a callable ``shard -> NodeStore`` so the caller
-        chooses the on-disk layout (``repro.shard.merge.shard_dir`` by
-        convention — ``shard_dirs`` discovers it).
-        """
-        for k, stream in self.shards.items():
-            stream.store = make_store(k)
 
     def apply_map(self, manifest: dict) -> bool:
         """Adopt a gossiped shard map if its version is newer."""

@@ -202,19 +202,16 @@ def apply_suffix(coordinator: Any, shard_ops: "dict[int, dict[int, Any]]"):
 
     Yields ``(shard, seq, op, error)`` per op, ``error`` being the
     rejection ``_apply_op`` caught (None if the op applied, or parked for
-    its space).  The simulator stamps a sequencing tick when it runs
-    several streams, and ticks merge them in the order they were
-    sequenced — a linear extension of every shard's order.  No TCP path
-    stamps one, so wire logs interleave by ``(seq, shard)`` and rely on
-    the coordinator's dependency parking for an actor op that lands
-    before its space's ADD.  A shard stops at its first sequence gap
-    (only possible after corruption salvage) rather than applying out of
-    order.
+    its space).  Streams promise no order across shards, so the logs
+    interleave by ``(seq, shard)`` — a linear extension of every shard's
+    order — and rely on the coordinator's dependency parking for an
+    actor op that lands before its space's ADD, as a live replica does.
+    A shard stops at its first sequence gap (only possible after
+    corruption salvage) rather than applying out of order.
     """
     cursors = coordinator._shard_cursors
-    for _tick, shard, seq, op in sorted(
-            (op.tick if op.tick is not None else seq, shard, seq, op)
-            for shard, ops in shard_ops.items()
+    for seq, shard, op in sorted(  # (seq, shard) is unique: ops never compare
+            (seq, shard, op) for shard, ops in shard_ops.items()
             for seq, op in ops.items() if seq >= cursors[shard]):
         if seq == cursors[shard]:
             cursors[shard] = seq + 1

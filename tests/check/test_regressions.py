@@ -7,6 +7,8 @@ diverges again immediately.
 """
 
 from repro.check import Scenario, check_scenario
+from repro.check.scenario import generate_scenario
+from repro.check.schedule import RandomTieBreaker
 from repro.runtime.network import LatencyModel, Topology
 from repro.runtime.system import ActorSpaceSystem
 
@@ -79,6 +81,20 @@ class TestShrunkTraces:
             ]))
 
 
+class TestShardedJournalReplay:
+    def test_a_destroy_before_its_spaces_add_leaves_the_space_unknown(self):
+        """A ``destroy_space`` sequenced before its space's ADD is rejected
+        by every replica (the space is unknown there) and must not make
+        the space known to the oracle's journal replay: the cross-shard
+        vis ops on it still wait for the ADD, as they do on a replica.
+        Seed 273 on three or four shards orders them so."""
+        for shards in (3, 4):
+            report = check_scenario(
+                generate_scenario(273, bus="sequencer"),
+                tiebreaker=RandomTieBreaker(0), shards=shards)
+            assert report.ok, (shards, [str(d) for d in report.divergences])
+
+
 class TestRecoveryResume:
     def test_recovery_then_resume_stays_conformant(self):
         """A recovered replica must *resume* the order, not restart it.
@@ -121,7 +137,7 @@ class TestRecoveryResume:
 
         system = ActorSpaceSystem(topology=Topology.lan(2), seed=9)
         store = NodeStore(str(tmp_path))
-        system.bus.shards[0].store = store
+        system.bus.shards[0].cores[0].store = store
         pre = system.create_actor(lambda ctx, m: None, node=1)
         system.make_visible(pre, "pre", node=1)
         system.run()

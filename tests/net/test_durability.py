@@ -301,8 +301,7 @@ class TestNodeRuntimeRecovery:
     @each_plane
     def test_offline_replay_rebuilds_what_the_node_recovers(self, tmp_path,
                                                             shards):
-        """A node writes its logs with no ticks and its spaces spread over
-        every shard; replay reads each shard's namespace and lands on the
+        """A node writes its logs with its spaces spread over every shard; replay reads each shard's namespace and lands on the
         node's own directory — from genesis, and again from the snapshot
         a restart writes."""
         first = make_runtime(tmp_path, shards)

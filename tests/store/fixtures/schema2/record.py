@@ -29,7 +29,9 @@ messages_mod._message_ids = itertools.count()
 bus_mod._op_ids = itertools.count()
 system = ActorSpaceSystem(topology=Topology.lan(2), seed=2)
 store = NodeStore(data)
-system.bus.shards[0].store = store
+# Node 0 made durable as a node process is; at 11c880b the same store
+# was attached at the seat, node 0, as ``system.bus.shards[0].store``.
+system.bus.shards[0].cores[0].store = store
 system.dead_letters.store = store
 hits = []
 victim = system.create_actor(lambda ctx, m: hits.append(m.payload), node=1)

@@ -192,7 +192,7 @@ class TestBatchPolicyTail:
                                                              fsyncs):
         system = ActorSpaceSystem(topology=Topology.lan(2), seed=3)
         store = NodeStore(str(tmp_path), fsync="batch")
-        system.bus.shards[0].store = store
+        system.bus.shards[0].cores[0].store = store
         del fsyncs[:]
         actor = system.create_actor(lambda ctx, m: None, node=1)
         system.make_visible(actor, "svc/a")
@@ -226,9 +226,11 @@ SEGMENT_SHA256 = \
 
 
 def test_simulator_segment_bytes_are_unchanged(tmp_path, monkeypatch):
-    """The simulator commits right behind each sequenced op, so a run
-    with a store attached writes the same bytes every time (ops and
-    dead-letter journal).
+    """A simulated node commits its store at the end of each of its
+    core's turns, so a run with node 0's store attached writes the same
+    bytes every time (ops and dead-letter journal).  Moving the store
+    from the seat to node 0's core, which holds the seat here, left the
+    bytes as they were.
 
     The digest was re-recorded twice, and both times what the records
     decode to stayed put.  When the sequencer became one core per node,
@@ -245,7 +247,7 @@ def test_simulator_segment_bytes_are_unchanged(tmp_path, monkeypatch):
         monkeypatch.setattr(module, counter, itertools.count())
     system = ActorSpaceSystem(topology=Topology.lan(2), seed=2)
     store = NodeStore(str(tmp_path))
-    system.bus.shards[0].store = store
+    system.bus.shards[0].cores[0].store = store
     system.dead_letters.store = store
     hits = []
     victim = system.create_actor(lambda ctx, m: hits.append(m.payload), node=1)

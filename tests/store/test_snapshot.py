@@ -20,11 +20,8 @@ from .workload import (
     each_plane,
     noop,
     run_persisted_workload,
+    shard_stores,
 )
-
-
-def shard_stores(system):
-    return {k: bus.store for k, bus in system.bus.shards.items()}
 
 
 def cores_of(system, node=0):

@@ -48,26 +48,31 @@ def each_plane(test):
 
 
 def attach_stores(system, store, **kwargs):
-    """Give every shard's bus its store, laid out like a node's data
-    directory: ``store`` (the top-level one) holds the only log of a
-    one-shard plane, else shard K's log lives at ``shard-K`` below it.
-    Returns shard -> store."""
-    def store_for(shard):
-        path = shard_dir(store.data_dir, system.shards, shard)
-        return store if path == store.data_dir else NodeStore(path, **kwargs)
+    """Make node 0 durable as a node process is: each shard's core on
+    node 0 gets its store, laid out like a node's data directory —
+    ``store`` (the top-level one) holds the only log of a one-shard
+    plane, else shard K's log lives at ``shard-K`` below it.  Returns
+    shard -> store."""
+    for k, stream in system.bus.shards.items():
+        path = shard_dir(store.data_dir, system.shards, k)
+        stream.cores[0].store = store if path == store.data_dir \
+            else NodeStore(path, **kwargs)
+    return shard_stores(system)
 
-    system.bus.attach_store(store_for)
-    return {k: bus.store for k, bus in system.bus.shards.items()}
+
+def shard_stores(system):
+    """shard -> the store of node 0's core on that shard."""
+    return {k: bus.cores[0].store for k, bus in system.bus.shards.items()}
 
 
 def close_stores(system, store):
-    for each in {store, *(bus.store for bus in system.bus.shards.values())}:
+    for each in {store, *shard_stores(system).values()}:
         each.close()
 
 
 def run_persisted_workload(data_dir, seed=0, n_ops=30, nodes=2,
                            fsync="commit", segment_bytes=None, shards=1):
-    """Drive a seeded mixed workload with stores attached to the bus.
+    """Drive a seeded mixed workload with node 0's stores attached.
 
     Returns ``(system, store)`` — ``store`` is the top-level one; the
     caller closes the stores (or crashes them deliberately by not doing

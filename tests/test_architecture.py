@@ -15,7 +15,7 @@ REPRO = SRC / "repro"
 
 #: ROADMAP aim 2: net ``src/`` line count is a tracked number; lower the
 #: cap with every PR that deletes.
-SRC_LINE_CAP = 22984
+SRC_LINE_CAP = 22945
 
 
 def read(relative: str) -> str:
@@ -81,7 +81,6 @@ def test_no_shards_equals_one_fork():
     on the shard count may exist only where a *value* is derived from it
     or input is validated — never to select a code path."""
     allowed = {
-        "ticks = itertools.count() if shards > 1 else None",
         "if n_shards == 1:",
         'if bus == "token-ring" and shards > 1:',
         'bus = "sequencer" if args.shards > 1 else args.bus',
@@ -160,6 +159,30 @@ def test_one_owner_of_origin_numbering():
     assert sorted(port) == ["cursor", "deliver", "failover", "is_down",
                             "send", "sequenced", "timer"], \
         f"the core's host port has grown or shrunk: {sorted(port)}"
+
+
+def test_one_durable_outbox():
+    """A node persists sequenced ops through its own sequencer cores'
+    stores — a node process and a simulated node alike — so the core is
+    the one writer of op records.  No bus holds a store of its own, and
+    no sequencing tick promises an order across shards."""
+    from repro.runtime.bus import VisibilityOp
+    from repro.runtime.system import ActorSpaceSystem
+
+    writers = sites(lambda node: isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "append_op")
+    assert {module for module, _owner in writers} == \
+        {"runtime/sequencer.py"}, \
+        f"op records are written outside the sequencer core: {sorted(writers)}"
+    assert "tick" not in VisibilityOp.__dataclass_fields__, \
+        "VisibilityOp carries a sequencing tick again"
+    assert not grep(r"tick_counter|attach_store"), \
+        "the sequencing tick or the seat-side store attachment is back"
+    for bus in ("sequencer", "token-ring"):
+        plane = ActorSpaceSystem(bus=bus).bus
+        assert not hasattr(plane, "store") and not any(
+            hasattr(stream, "store") for stream in plane.shards.values()), \
+            f"a {bus} bus holds a store beside its cores'"
 
 
 def test_a_store_is_read_once():
