@@ -12,7 +12,9 @@ An address is a pure value ``(node, serial)``: the node where the entity
 was created plus a node-local serial number.  Uniqueness is therefore
 structural — no global coordination is needed to mint addresses, exactly
 as in the actor model, and address creation is deterministic for
-reproducible runs.
+reproducible runs.  No code mutates an address once made, which is why
+the wire codec hands out one shared instance per decoded value
+(``repro.net.codec._ADDRESSES``).
 """
 
 from __future__ import annotations

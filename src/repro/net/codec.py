@@ -20,6 +20,9 @@ Design rules
   Python objects raise :class:`WireError` at *encode* time (never pickle,
   never eval), and unknown tags raise at decode time.  Application
   payload types opt in explicitly via :func:`register_wire_type`.
+* **Shared** — decoded dict keys are interned, and a decoded mail address
+  is the one instance ``_ADDRESSES`` holds for its value (cleared at
+  :data:`ADDRESS_TABLE_SIZE`): an address is a value no code mutates.
 
 Frame layout: ``u32 length | u8 frame-kind | body`` where ``length``
 counts the kind byte plus the body.  Frames above :data:`MAX_FRAME_BYTES`
@@ -59,6 +62,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 import struct
+from functools import partial
+from sys import intern
 from typing import Any, Callable
 
 from repro.core.addresses import ActorAddress, MailAddress, SpaceAddress
@@ -141,6 +146,10 @@ _WIRE_TYPE_NAMES: dict[type, str] = {}
 _MANAGER_FACTORIES: dict[str, Callable] = {}
 _MANAGER_FACTORY_NAMES: dict[Callable, str] = {}
 
+#: Decoded mail addresses by ``(type, node, serial)``, cleared when full.
+ADDRESS_TABLE_SIZE = 1 << 14
+_ADDRESSES: dict[tuple, MailAddress] = {}
+
 
 def register_wire_type(cls: type, name: str | None = None) -> type:
     """Allow instances of dataclass ``cls`` inside wire payloads.
@@ -207,15 +216,8 @@ def _enc_bytes(out: bytearray, obj: bytes) -> None:
     out += obj
 
 
-def _enc_list(out: bytearray, obj: list) -> None:
-    out += b"l"
-    out += _U32.pack(len(obj))
-    for item in obj:
-        _enc(out, item)
-
-
-def _enc_tuple(out: bytearray, obj: tuple) -> None:
-    out += b"t"
+def _enc_sequence(tag: bytes, out: bytearray, obj: "list | tuple") -> None:
+    out += tag
     out += _U32.pack(len(obj))
     for item in obj:
         _enc(out, item)
@@ -238,14 +240,8 @@ def _enc_dict(out: bytearray, obj: dict) -> None:
         _enc(out, value)
 
 
-def _enc_space_address(out: bytearray, obj: SpaceAddress) -> None:
-    out += b"z"
-    _enc_int(out, obj.node)
-    _enc_int(out, obj.serial)
-
-
-def _enc_actor_address(out: bytearray, obj: ActorAddress) -> None:
-    out += b"a"
+def _enc_address(tag: bytes, out: bytearray, obj: MailAddress) -> None:
+    out += tag
     _enc_int(out, obj.node)
     _enc_int(out, obj.serial)
 
@@ -350,13 +346,13 @@ _ENC_BY_TYPE: dict[type, Callable] = {
     str: _enc_text,
     bytes: _enc_bytes,
     bytearray: _enc_bytes,
-    list: _enc_list,
-    tuple: _enc_tuple,
+    list: partial(_enc_sequence, b"l"),
+    tuple: partial(_enc_sequence, b"t"),
     set: _enc_set,
     frozenset: _enc_set,
     dict: _enc_dict,
-    SpaceAddress: _enc_space_address,
-    ActorAddress: _enc_actor_address,
+    SpaceAddress: partial(_enc_address, b"z"),
+    ActorAddress: partial(_enc_address, b"a"),
     AttributePath: _enc_attribute_path,
     Destination: _enc_destination,
     Capability: _enc_capability,
@@ -466,16 +462,8 @@ def _dec_enum(buf: bytes, pos: int, table: tuple, what: str):
     return table[index], pos + 1
 
 
-def _dec_none(buf: bytes, pos: int) -> tuple[None, int]:
-    return None, pos
-
-
-def _dec_true(buf: bytes, pos: int) -> tuple[bool, int]:
-    return True, pos
-
-
-def _dec_false(buf: bytes, pos: int) -> tuple[bool, int]:
-    return False, pos
+def _dec_constant(value: Any, buf: bytes, pos: int) -> tuple[Any, int]:
+    return value, pos
 
 
 def _dec_float(buf: bytes, pos: int) -> tuple[float, int]:
@@ -498,14 +486,9 @@ def _dec_list(buf: bytes, pos: int) -> tuple[list, int]:
     return items, pos
 
 
-def _dec_tuple(buf: bytes, pos: int) -> tuple[tuple, int]:
+def _dec_collection(kind: type, buf: bytes, pos: int) -> tuple[Any, int]:
     items, pos = _dec_list(buf, pos)
-    return tuple(items), pos
-
-
-def _dec_set(buf: bytes, pos: int) -> tuple[frozenset, int]:
-    members, pos = _dec_list(buf, pos)
-    return frozenset(members), pos
+    return kind(items), pos
 
 
 def _dec_dict(buf: bytes, pos: int) -> tuple[dict, int]:
@@ -514,20 +497,20 @@ def _dec_dict(buf: bytes, pos: int) -> tuple[dict, int]:
     for _ in range(count):
         key, pos = _dec(buf, pos)
         value, pos = _dec(buf, pos)
-        result[key] = value
+        result[intern(key) if type(key) is str else key] = value
     return result, pos
 
 
-def _dec_actor_address(buf: bytes, pos: int) -> tuple[ActorAddress, int]:
+def _dec_address(kind: type, buf: bytes, pos: int) -> tuple[MailAddress, int]:
     node, pos = _dec_int(buf, pos)
     serial, pos = _dec_int(buf, pos)
-    return ActorAddress(node, serial), pos
-
-
-def _dec_space_address(buf: bytes, pos: int) -> tuple[SpaceAddress, int]:
-    node, pos = _dec_int(buf, pos)
-    serial, pos = _dec_int(buf, pos)
-    return SpaceAddress(node, serial), pos
+    key = (kind, node, serial)
+    address = _ADDRESSES.get(key)
+    if address is None:
+        if len(_ADDRESSES) >= ADDRESS_TABLE_SIZE:
+            _ADDRESSES.clear()
+        address = _ADDRESSES[key] = kind(node, serial)
+    return address, pos
 
 
 def _dec_attribute_path(buf: bytes, pos: int) -> tuple[AttributePath, int]:
@@ -683,19 +666,19 @@ def _dec_wire_type(buf: bytes, pos: int) -> tuple[Any, int]:
 #: integer byte so dispatch is one dict probe instead of a comparison
 #: chain — the codec sits on the per-envelope hot path of every link.
 _DEC_BY_TAG: dict[int, Callable] = {
-    ord("N"): _dec_none,
-    ord("T"): _dec_true,
-    ord("F"): _dec_false,
+    ord("N"): partial(_dec_constant, None),
+    ord("T"): partial(_dec_constant, True),
+    ord("F"): partial(_dec_constant, False),
     ord("i"): _dec_int,
     ord("f"): _dec_float,
     ord("s"): _dec_str,
     ord("y"): _dec_bytes,
     ord("l"): _dec_list,
-    ord("t"): _dec_tuple,
-    ord("S"): _dec_set,
+    ord("t"): partial(_dec_collection, tuple),
+    ord("S"): partial(_dec_collection, frozenset),
     ord("d"): _dec_dict,
-    ord("a"): _dec_actor_address,
-    ord("z"): _dec_space_address,
+    ord("a"): partial(_dec_address, ActorAddress),
+    ord("z"): partial(_dec_address, SpaceAddress),
     ord("p"): _dec_attribute_path,
     ord("P"): _dec_pattern,
     ord("D"): _dec_destination,

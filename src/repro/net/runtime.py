@@ -193,14 +193,16 @@ class NodeRuntime(Host):
         shards: int = 1,
         shard_sequencer: int | None = None,
     ):
-        rebase_wire_counters(
-            node_id, claim_incarnation(data_dir) if data_dir else 0)
+        self.clock = WallClock()
+        # Without a data dir, the millisecond the clock started: a respawn
+        # mints new ids unless it starts a multiple of 4.096 s later.
+        rebase_wire_counters(node_id, claim_incarnation(data_dir)
+                             if data_dir else int(self.clock.start * 1000))
         self.node_id = node_id
         self.nodes = sorted(ports)
         self.local_nodes = [node_id]
         self.quiet = quiet
         self.topology = Topology.lan(len(self.nodes))
-        self.clock = WallClock()
         self.events: EventQueue = _WakingEventQueue(self._kick)
         super().__init__(seed, trace, mailbox_capacity, mailbox_policy,
                          shards, shard_sequencer,
@@ -312,6 +314,8 @@ class NodeRuntime(Host):
             self.event_log.emit("node_recovered", self.clock.now,
                                 self.node_id, **self.recovery)
             self._log(f"recovered from {data_dir}: {self.recovery}")
+        for store in opened.values():
+            store.recovered = None  # restored: release the decoded log
         for k, store in self.shard_stores.items():
             self.bus.shards[k].core.store = store
         self.dead_letters.store = self.store

@@ -65,7 +65,7 @@ class OpKind(enum.Enum):
 _op_ids = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class VisibilityOp:
     """One replicated operation plus its origin bookkeeping."""
 

@@ -356,7 +356,8 @@ def chrome_trace(events: Iterable[TraceEvent],
       node's runtime-level events stay on ``tid`` 0.
     * ``delivered`` events with a recorded ``sent_at`` become complete
       (``ph: "X"``) slices spanning the in-flight interval on the
-      destination node's track.
+      destination node's track, from the matched ``sent`` (a broadcast
+      copy's is its original's), which a merged trace puts on its clock.
     * Every event also appears as an instant (``ph: "i"``) mark.
     * ``sent``/``delivered`` pairs are linked with flow arrows
       (``ph: "s"`` / ``ph: "f"``) keyed by envelope id, so clicking a
@@ -373,8 +374,11 @@ def chrome_trace(events: Iterable[TraceEvent],
     # node -> actor label -> tid (0 is the node's runtime track).
     tids: dict[int, dict[str, int]] = {}
     materialized = list(events)
+    sent_t: dict[int, float] = {}
     for event in materialized:
         nodes_seen.add(event.node)
+        if event.kind == "sent" and event.envelope_id is not None:
+            sent_t.setdefault(event.envelope_id, event.t)
         label = _actor_label(event)
         if label is not None:
             node_tids = tids.setdefault(event.node, {})
@@ -424,7 +428,9 @@ def chrome_trace(events: Iterable[TraceEvent],
             **common,
         })
         if event.kind == "delivered" and "sent_at" in event.data:
-            sent_ts = float(event.data["sent_at"]) * us_per_t
+            sent_ts = sent_t.get(
+                event.parent_id if event.data.get("mode") == "broadcast"
+                else event.envelope_id, float(event.data["sent_at"])) * us_per_t
             trace_events.append({
                 "name": f"in-flight {event.data.get('mode', 'msg')}",
                 "ph": "X",

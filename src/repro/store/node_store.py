@@ -169,7 +169,7 @@ class NodeStore:
         #: them; ``commit`` releases them in append order.
         self._effects: deque = deque()
         #: What the directory held when this store opened — read once;
-        #: a node's recovery starts from it.
+        #: a node's recovery starts from it, then sets it to ``None``.
         self.recovered = recovered = load_data_dir(data_dir)
         # DLQ journal bookkeeping: monotone event counter, plus the set
         # of envelope ids currently persisted as captured.  resolve/

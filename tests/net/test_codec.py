@@ -9,8 +9,10 @@ must all raise :class:`WireError` (or reject) rather than misparse.
 """
 
 import dataclasses
+import gc
 import string
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,9 @@ from repro.core.messages import (
     parse_destination,
 )
 from repro.core.patterns import parse_pattern
+from repro.net import codec
 from repro.net.codec import (
+    ADDRESS_TABLE_SIZE,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     SCHEMA_VERSION,
@@ -291,6 +295,65 @@ def test_registered_dataclass_round_trips():
     register_wire_type(Probe, name="test-probe")
     back = decode_value(encode_value(Probe("x", 2.5)))
     assert back == Probe("x", 2.5)
+
+
+# -- decoding shares what is immutable ------------------------------------------
+
+def _attribute_op(i):
+    """A ``change_attributes`` op shaped as a churn loop submits one."""
+    return VisibilityOp(
+        kind=OpKind.CHANGE_ATTRIBUTES,
+        args={"target": ActorAddress(1, 3 + i % 8), "space": SpaceAddress(0, 1),
+              "attributes": f"c1x{i % 8}n4242/{i}", "capability": None},
+        origin_node=1, origin_seq=i, op_id=(1 << 44) | i)
+
+
+def test_decoded_ops_share_arg_names_and_addresses():
+    first, second = (decode_value(encode_value(_attribute_op(i)))
+                     for i in (0, 8))
+    for a, b in zip(first.args, second.args):
+        assert a is b
+    assert first.args["target"] is second.args["target"]
+    assert first.args["space"] is second.args["space"]
+    assert decode_value(encode_value(ActorAddress(5, 6))) is \
+        decode_value(encode_value(ActorAddress(5, 6)))
+    assert decode_value(encode_value(SpaceAddress(5, 6))) == SpaceAddress(5, 6)
+
+
+def test_the_address_table_stays_bounded():
+    wire = [encode_value(ActorAddress(2, serial))
+            for serial in range(ADDRESS_TABLE_SIZE + 100)]
+    for serial, data in enumerate(wire):
+        assert decode_value(data) == ActorAddress(2, serial)
+        assert len(codec._ADDRESSES) <= ADDRESS_TABLE_SIZE
+    assert decode_value(encode_value(SpaceAddress(2, 0))) == SpaceAddress(2, 0)
+
+
+def test_a_visibility_op_carries_no_instance_dict():
+    assert not hasattr(_attribute_op(0), "__dict__")
+
+
+def test_a_decoded_op_retains_what_a_local_one_does():
+    """Each op a replica applies stays in its log; decoded from a
+    ``BUS_OP`` frame it should cost about what a locally made one does
+    (~470 B here), not a fresh copy of every arg name and address."""
+    frames = [encode_frame(FrameKind.BUS_OP, (i, _attribute_op(i)))
+              for i in range(2000)]
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = {i: try_decode_frame(frame)[1][1]
+                for i, frame in enumerate(frames)}
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(kept) == len(frames)
+    assert retained / len(frames) <= 600
 
 
 # -- rejection paths -------------------------------------------------------------

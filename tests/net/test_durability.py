@@ -10,6 +10,7 @@ one-shard and a two-shard plane: there is one recovery path.
 """
 
 import shutil
+import time
 from unittest import mock
 
 import pytest
@@ -18,6 +19,7 @@ from repro.core.addresses import ActorAddress
 from repro.core.messages import Mode
 from repro.net.codec import FrameKind, decode_value
 from repro.net.runtime import NodeRuntime
+from repro.runtime.bus import OpKind, VisibilityOp
 from repro.runtime.context import external_envelope
 from repro.store import segment
 from repro.store.node_store import load_node_dir
@@ -225,6 +227,23 @@ class TestNodeRuntimeRecovery:
         close(second)
 
     @each_plane
+    def test_a_restart_releases_what_it_recovered(self, tmp_path, shards):
+        """The log, snapshot and dead letters a store decoded when it
+        opened are dropped once recovery has restored them."""
+        ports = {0: 39741, 1: 39742}
+        first = make_runtime(tmp_path, shards, ports=ports)
+        populate(first, "gen1")
+        capture_letters(first, 2)
+        close(first)
+
+        second = make_runtime(tmp_path, shards, ports=ports)
+        assert second.recovery["ops_replayed"] == log_length(first)
+        assert second.dead_letters.pending() == 2
+        assert [store.recovered for store in second._stores] == \
+            [None] * len(second._stores)
+        close(second)
+
+    @each_plane
     def test_snapshot_plus_suffix_restart(self, tmp_path, shards):
         first = make_runtime(tmp_path, shards)
         populate(first, "gen1")
@@ -384,3 +403,22 @@ class TestNodeRuntimeRecovery:
         populate(runtime, "gen1", count=1)
         status = runtime._ctl_status()
         assert status["store"] is None
+
+
+def test_two_starts_without_a_data_dir_mint_different_ids():
+    """A start without a data dir has no incarnation count to claim, yet
+    a respawn must not mint the envelope, message and op ids of the
+    process before it: peers' in-flight and dead-letter bookkeeping is
+    keyed on them."""
+    def first_ids():
+        runtime = NodeRuntime(1, {0: 39741, 1: 39742}, trace=False)
+        envelope = external_envelope(runtime, Mode.DIRECT, "hello",
+                                     target=ActorAddress(0, 1))
+        op = VisibilityOp(OpKind.PURGE, {}, runtime.node_id)
+        return envelope.envelope_id, envelope.message.message_id, op.op_id
+
+    before = first_ids()
+    time.sleep(0.002)  # a respawn starts later than its predecessor
+    after = first_ids()
+    assert all(old != new for old, new in zip(before, after))
+    assert {minted >> 44 for minted in before + after} == {1}

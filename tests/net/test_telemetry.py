@@ -23,7 +23,12 @@ import pytest
 
 from repro.net.cluster import LocalCluster, TelemetryCollector, loopback_available
 from repro.net.top import _render, top_main
-from repro.runtime.eventlog import EventLog, validate_chrome_trace
+from repro.runtime.eventlog import (
+    EventLog,
+    TraceEvent,
+    chrome_trace,
+    validate_chrome_trace,
+)
 
 pytestmark = pytest.mark.skipif(
     not loopback_available(), reason="loopback sockets unavailable")
@@ -141,6 +146,34 @@ def test_merged_chrome_trace_has_cross_node_flows(tmp_path):
     finally:
         collector.close()
         cluster.shutdown()
+
+
+def test_merged_in_flight_spans_start_at_their_aligned_send():
+    """Node 1's clock reads 100 s ahead of node 0's.  On the merged
+    timeline each delivery's in-flight span starts at its ``sent`` mark,
+    not at the ``sent_at`` the sender read off its own clock."""
+    collector = TelemetryCollector("127.0.0.1", [1, 2])
+    for node, offset in ((0, 0.0), (1, 100.0)):
+        collector.clock_sync.add_sample((node, 0), 5.0, 5.0 + offset,
+                                        5.0 + offset, 5.0)
+    sends = [TraceEvent(i, 1.0 + i, "sent", 0, envelope_id=10 + i,
+                        trace_id=10 + i, data={"mode": "direct"})
+             for i in range(3)]
+    deliveries = [TraceEvent(i, 101.5 + i, "delivered", 1, envelope_id=10 + i,
+                             trace_id=10 + i,
+                             data={"mode": "direct", "sent_at": 1.0 + i,
+                                   "src_node": 0})
+                  for i in range(3)]
+    collector.incarnations = {0: [sends], 1: [deliveries]}
+    trace = chrome_trace(collector.merged_events(), us_per_t=1e6)
+    marks = {record["id"]: record["ts"] for record in trace["traceEvents"]
+             if record.get("ph") == "s"}
+    spans = [record for record in trace["traceEvents"]
+             if record.get("ph") == "X"]
+    assert len(spans) == len(marks) == 3
+    for span in spans:
+        assert span["ts"] == marks[span["args"]["envelope_id"]]
+        assert span["dur"] == pytest.approx(0.5e6)
 
 
 def test_status_top_and_a_restarted_node(tmp_path, capsys):

@@ -121,6 +121,43 @@ class TestDeadLetterRecovery:
             not in {r.address for r in system.directory_of(0).spaces()}
         store2.close()
 
+    def test_an_expired_letter_stays_expired(self, tmp_path):
+        """Capture three letters into a queue that holds two: the first
+        expires.  Its expiry is journalled, and a restart neither
+        re-adopts it nor counts it twice."""
+        system = ActorSpaceSystem(topology=Topology.lan(2), seed=1,
+                                  dlq_capacity=2)
+        store = NodeStore(str(tmp_path))
+        system.dead_letters.store = store
+        victim = system.create_actor(lambda ctx, m: None, node=1)
+        system.make_visible(victim, "svc/victim")
+        system.run()
+        system.crash_node(1)
+        for i in range(3):
+            system.send("svc/victim", ("probe", i))
+        system.run()
+        dlq = system.dead_letters
+        assert (dlq.pending(1), dlq.queued_total, dlq.expired_total) == (2, 3, 1)
+        store.commit()
+        store.close()
+
+        store2 = NodeStore(str(tmp_path))
+        expiries = [event for event in store2.recovered.dlq_events
+                    if event["kind"] == "expire"]
+        assert len(expiries) == 1
+        system2 = ActorSpaceSystem(topology=Topology.lan(2), seed=1,
+                                   dlq_capacity=2)
+        restore_node(0, system2.coordinators[0], system2.dead_letters,
+                     store2.recovered, store=store2)
+        dlq2 = system2.dead_letters
+        assert (dlq2.pending(1), dlq2.queued_total, dlq2.expired_total) == \
+            (2, 3, 1)
+        assert expiries[0]["id"] not in \
+            {letter.envelope.envelope_id for letter in dlq2.letters()}
+        assert {letter.envelope.envelope_id for letter in dlq2.letters()} == \
+            {letter.envelope.envelope_id for letter in dlq.letters()}
+        store2.close()
+
     @each_plane
     def test_resolved_letters_are_not_readopted(self, tmp_path, shards):
         system = ActorSpaceSystem(topology=Topology.lan(2), seed=2,
