@@ -243,7 +243,15 @@ def drive_process_pool(cluster, *, job_size: int = 4096, grain: int = 64,
         return {"result": result, "expected": expected, "correct": True,
                 "wall_seconds": round(elapsed, 3)}
 
+    def live_actors() -> list[int]:
+        return [cluster.call(node, "status")["actors"] for node in range(n)]
+
+    before = live_actors()
     report["first_run"] = run_job("first run")
+    # Every collector terminated once it merged: only the client stays.
+    gained = [now - was for now, was in zip(live_actors(), before)]
+    assert gained == [1] + [0] * (n - 1), \
+        f"first run left actors behind (gained per node: {gained})"
     if drill is not None:
         mode, victim = drill
         report["drill"] = _fault_drill(cluster, victim, mode, log)

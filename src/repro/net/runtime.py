@@ -577,6 +577,8 @@ class NodeRuntime(Host):
                         await asyncio.sleep(0)
                 continue
             self._commit_turn()
+            if self.events.peek_time() != due:
+                continue  # the commit scheduled work: keep its kick
             wait = self.heartbeat_interval if due is None \
                 else min(max(due - now, 0.0) + 0.001, self.heartbeat_interval)
             self._wake.clear()
@@ -659,8 +661,7 @@ class NodeRuntime(Host):
             "batches_in": self.hub.batches_in,
             "batches_out": self.hub.batches_out,
             "heartbeats_suppressed": self.heartbeats_suppressed,
-            "mailbox_shed": sum(r.mailbox.shed_count
-                                for r in self.coordinator.actors.values()),
+            "mailbox_shed": self.tracer.dropped["mailbox_overflow"],
             "mailbox_suspended": sum(r.mailbox.suspended
                                      for r in self.coordinator.actors.values()),
             "credit_stalls": self.hub.credit_stalls,

@@ -2,10 +2,10 @@
 
 ``python -m repro top`` attaches to a *running* cluster (via the
 ``cluster.json`` manifest a ``--out`` launch writes, or explicit
-``--host``/``--ports``) and renders a refreshing per-node table: actor
-and queue counts, wire-frame rates, shed/batch/heartbeat counters, plus
-the wire-path stage-latency histograms (enqueue→flush, decode,
-deliver).  A node that does not answer is a DOWN row.  It is a
+``--host``/``--ports``) and renders a refreshing per-node table: live
+actors, queue counts, wire-frame rates, cumulative shed/batch/heartbeat
+counters, plus the wire-path stage-latency histograms (enqueue→flush,
+decode, deliver).  A node that does not answer is a DOWN row.  It is a
 read-only control-plane client — attaching to a production cluster
 costs one extra control connection per node and whatever the scrape
 interval implies.

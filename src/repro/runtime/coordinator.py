@@ -38,7 +38,6 @@ from repro.core.capabilities import Capability, authorize
 from repro.core.errors import (
     ActorSpaceError,
     CapabilityError,
-    MailboxClosedError,
     NodeDownError,
     TransportError,
     VisibilityCycleError,
@@ -315,16 +314,19 @@ class Coordinator:
         return address
 
     def terminate_actor(self, address: ActorAddress) -> None:
-        """Stop an actor: close its mailbox, drop it from matching.
+        """Stop an actor and forget it: free its record, mailbox and
+        acquaintances, and drop it from matching and the driver's roots.
 
-        Mail still queued at termination goes through dead-letter
-        capture, so it shows up in DLQ accounting (and may expire there)
-        instead of vanishing with the mailbox.
+        Absent and terminated are one state (a scheduled ``_process_next``
+        still holds the record and reads ``terminated``).  Queued mail goes
+        to dead-letter capture: counted there, not lost with the mailbox.
         """
-        record = self.actors.get(address)
-        if record is None or record.terminated:
+        record = self.actors.pop(address, None)
+        if record is None:
             return
         record.terminated = True
+        del self.acquaintances[address]
+        self.system.release(address)
         leftovers = record.mailbox.close()
         log = self.system.tracer.log
         if log.enabled:
@@ -648,18 +650,13 @@ class Coordinator:
             return
         target: ActorAddress = envelope.target  # type: ignore[assignment]
         record = self.actors.get(target)
-        if record is None or record.terminated:
+        if record is None:
             tracer.on_dropped("dead_letter", envelope, node=node, t=now)
             dead_letters.capture(envelope, node, "dead_letter")
             return
         envelope.delivered_at = now
         envelope.hop(node)
-        try:
-            shed = record.mailbox.deliver(envelope)
-        except MailboxClosedError:
-            tracer.on_dropped("dead_letter", envelope, node=node, t=now)
-            dead_letters.capture(envelope, node, "dead_letter")
-            return
+        shed = record.mailbox.deliver(envelope)  # only live mailboxes are open
         if shed:
             admission = system.admission
             if admission is not None:
@@ -678,9 +675,7 @@ class Coordinator:
                            receiver=target)
         # Receiving a message extends the acquaintance set (addresses in
         # the payload become known to the receiver).
-        known = self.acquaintances.get(target)
-        if known is None:
-            known = self.acquaintances[target] = set()
+        known = self.acquaintances[target]
         known.update(scan_addresses(envelope.message.payload))
         if envelope.message.headers:
             known.update(scan_addresses(envelope.message.headers))
@@ -696,7 +691,7 @@ class Coordinator:
         self._schedule_processing(record)
 
     def _schedule_processing(self, record: ActorRecord) -> None:
-        if record.address in self._processing_scheduled or record.terminated:
+        if record.address in self._processing_scheduled:
             return
         self._processing_scheduled.add(record.address)
         system = self.system
@@ -755,8 +750,9 @@ class Coordinator:
         stateful actor's processing cost grow with its history.
         """
         claimed = ctx.claimed
-        if claimed or record.pending_behavior is not None:
-            known = self.acquaintances.setdefault(record.address, set())
+        if (claimed or record.pending_behavior is not None) \
+                and not record.terminated:  # a forgotten actor knows no one
+            known = self.acquaintances[record.address]
             known.update(claimed)
             if record.pending_behavior is not None:
                 known.update(_behavior_addresses(record.pending_behavior))

@@ -350,8 +350,7 @@ class Host:
 
     def queue_depth(self, node: int | None = None) -> int:
         """Messages waiting in ``node``'s live mailboxes."""
-        return sum(r.mailbox.pending for r in self._local(node).actors.values()
-                   if not r.terminated)
+        return sum(r.mailbox.pending for r in self._local(node).actors.values())
 
     def parked(self, node: int | None = None) -> int:
         """Suspended pattern messages + persistent broadcasts held at ``node``."""

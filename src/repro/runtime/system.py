@@ -251,7 +251,7 @@ class ActorSpaceSystem(Host):
         # Mail accepted before the crash is still queued; processing
         # events were swallowed while ``crashed`` was set.
         for record in recovered.actors.values():
-            if not record.terminated and not record.mailbox.is_empty:
+            if not record.mailbox.is_empty:
                 recovered._schedule_processing(record)
 
     def rebalance_shard(self, shard: int, node: int) -> int:
@@ -284,6 +284,8 @@ class ActorSpaceSystem(Host):
     # -- introspection -------------------------------------------------------------
 
     def actor_record(self, address: ActorAddress) -> ActorRecord | None:
+        """The live actor's record; ``None`` once it terminated (a
+        terminated actor is forgotten) or for an unknown address."""
         return self.coordinators[address.node].actors.get(address)
 
     def resolution_cache_stats(self, node: int | None = None) -> dict:
@@ -358,8 +360,6 @@ class ActorSpaceSystem(Host):
         active: list[ActorAddress] = []
         for coordinator in self.coordinators:
             for address, record in coordinator.actors.items():
-                if record.terminated:
-                    continue
                 all_actors.append(address)
                 if not record.mailbox.is_empty:
                     active.append(address)

@@ -134,13 +134,13 @@ class TestDaemon:
                               [threshold_rule("load", "queue", low_max=2)],
                               capability=key, period=0.4)
         system.run(until=1.0)
+        daemon = system.actor_record(addr).behavior
         system.send_to(addr, "stop")
         system.run(until=1.6)
-        daemon = system.actor_record(addr).behavior
         sweeps = daemon.sweeps
         system.run(until=5.0)
         assert daemon.sweeps == sweeps  # no sweeps after stop
-        assert system.actor_record(addr).terminated
+        assert system.actor_record(addr) is None
 
     def test_daemon_dies_with_its_space(self):
         system, key, space, _workers = build()
@@ -150,7 +150,7 @@ class TestDaemon:
         system.run(until=1.0)
         system.destroy_space(space)
         system.run(until=3.0)
-        assert system.actor_record(addr).terminated
+        assert system.actor_record(addr) is None
 
     def test_uninstalled_daemon_asserts(self):
         daemon = AttributeDaemon(None, [], lambda s, a: {})

@@ -95,7 +95,7 @@ class TestInterpretedActors:
         counter = self._counter(system)
         system.send_to(counter, ["no-such-method"])
         system.run()
-        assert system.actor_record(counter).terminated
+        assert system.actor_record(counter) is None
         assert any(k.startswith("behavior_error") for k in system.tracer.dropped)
 
     def test_bad_payload_shape_rejected(self):
@@ -103,14 +103,14 @@ class TestInterpretedActors:
         counter = self._counter(system)
         system.send_to(counter, 42)  # not [method, ...]
         system.run()
-        assert system.actor_record(counter).terminated
+        assert system.actor_record(counter) is None
 
     def test_wrong_method_arity_rejected(self):
         system = self._system()
         counter = self._counter(system)
         system.send_to(counter, ["incr"])  # missing arg
         system.run()
-        assert system.actor_record(counter).terminated
+        assert system.actor_record(counter) is None
 
     def test_interpreted_actor_uses_patterns(self):
         system = self._system()

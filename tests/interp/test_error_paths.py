@@ -73,7 +73,7 @@ class TestActorLevelFailures:
         system.send_to(bad, ["boom"])
         system.send_to(healthy, "still-fine")
         system.run()
-        assert system.actor_record(bad).terminated
+        assert system.actor_record(bad) is None
         assert healthy_got == ["still-fine"]
 
     def test_become_unknown_behavior_fails_at_call_time(self):
@@ -84,7 +84,7 @@ class TestActorLevelFailures:
         """, "shifty", [])
         system.send_to(actor, ["go"])
         system.run()
-        assert system.actor_record(actor).terminated
+        assert system.actor_record(actor) is None
 
     def test_infinite_script_is_fuel_limited(self):
         system = self._system()
@@ -97,6 +97,7 @@ class TestActorLevelFailures:
         system.send_to(actor, ["spin"])
         system.run()
         assert record.terminated
+        assert system.actor_record(actor) is None
         assert any(k.startswith("behavior_error")
                    for k in system.tracer.dropped)
 
@@ -108,7 +109,7 @@ class TestActorLevelFailures:
         """, "bad-sender", [])
         system.send_to(actor, ["go"])
         system.run()
-        assert system.actor_record(actor).terminated
+        assert system.actor_record(actor) is None
 
     def test_reply_addr_without_reply_to(self):
         system = self._system()
@@ -118,7 +119,7 @@ class TestActorLevelFailures:
         """, "needs-reply", [])
         system.send_to(actor, ["q"])  # no reply_to given
         system.run()
-        assert system.actor_record(actor).terminated
+        assert system.actor_record(actor) is None
 
     def test_bad_attribute_types_rejected(self):
         system = self._system()
@@ -128,4 +129,4 @@ class TestActorLevelFailures:
         """, "bad-attrs", [])
         system.send_to(actor, ["go"])
         system.run()
-        assert system.actor_record(actor).terminated
+        assert system.actor_record(actor) is None

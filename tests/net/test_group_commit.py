@@ -17,6 +17,7 @@ write one shared tape, so "what happened before what" is a list lookup.
 import asyncio
 import os
 import tempfile
+import time
 from contextlib import contextmanager
 from unittest import mock
 
@@ -427,3 +428,37 @@ class TestSyncReplay:
                      if e[:2] == ("send", FrameKind.BUS_OP)]
             assert [r.tape[i][3] for i in sends] == [0, 0]  # fan-out + replay
             assert r.tape.index(("fsync", 0)) < sends[0]
+
+
+class TestThePumpKeepsItsOwnWakeUps:
+    def test_a_send_released_by_the_pumps_commit_is_not_held_a_beat(self):
+        """On a node whose seat is local, a visibility op is applied by
+        the pump's own commit; the pattern send it releases schedules
+        its delivery then.  The pump must see that work at once, not
+        after a heartbeat interval (0.2 s) of sleep."""
+        with tempfile.TemporaryDirectory(prefix="pump-wake-") as tmp:
+            runtime = NodeRuntime(0, {0: 1}, data_dir=tmp, trace=False)
+            arrived: list[float] = []
+
+            async def scenario():
+                runtime._wake = asyncio.Event()
+                pump = asyncio.ensure_future(runtime._pump())
+                await asyncio.sleep(0.01)  # the pump is asleep: nothing due
+                actor = runtime.create_actor(
+                    lambda ctx, m: arrived.append(time.monotonic()))
+                start = time.monotonic()
+                runtime.events.schedule(runtime.clock.now, lambda: (
+                    runtime.make_visible(actor, "late"),
+                    runtime.send("late", "hello")))
+                while not arrived and time.monotonic() - start < 1.0:
+                    await asyncio.sleep(0.001)
+                runtime.request_shutdown()
+                await pump
+                return start
+
+            try:
+                start = asyncio.run(scenario())
+            finally:
+                for store in runtime._stores:
+                    store.close()
+            assert arrived and arrived[0] - start < 0.05

@@ -303,3 +303,33 @@ class TestScrape:
         assert {k for k in system.admission.metrics() if "rejected" in k}
         assert system.dead_letters.queued_total == 0
         assert system.replicas_coherent()
+
+    def test_a_terminated_actor_is_forgotten_and_its_sheds_still_count(self):
+        """``actors`` counts live actors, ``mailbox_shed`` is cumulative
+        (it must not drop when an actor that shed mail dies), and
+        ``actor_state`` on a dead actor answers as for an unknown one."""
+        runtime, ask = self.scraper(mailbox_capacity=1,
+                                    mailbox_policy="drop-newest")
+
+        def quits(ctx, message):
+            if message.payload == "quit":
+                ctx.terminate()
+
+        live = ask("status")["actors"]
+        actor = runtime.create_actor(quits)
+        for n in range(4):
+            runtime.send_to(actor, n)
+        pump(runtime)
+        status = ask("status")
+        shed = status["mailbox_shed"]
+        assert shed > 0 and status["actors"] == live + 1
+        assert runtime.dead_letters.queued_total >= shed
+        runtime.send_to(actor, "quit")
+        pump(runtime)
+        status = ask("status")
+        assert status["actors"] == live
+        assert status["mailbox_shed"] == shed
+        request, _call = control_door(runtime)
+        reply = request({"id": 3, "cmd": "actor_state",
+                         "args": {"address": actor, "attrs": []}})
+        assert not reply["ok"] and "no such actor" in reply["error"]

@@ -433,7 +433,7 @@ class TestGcIntegration:
         report = system.collect_garbage()
         assert orphan in report.collected_actors
         assert keeper in report.live_actors
-        assert system.actor_record(orphan).terminated
+        assert system.actor_record(orphan) is None
 
     def test_visible_actor_survives_gc(self):
         system = lan()

@@ -15,7 +15,7 @@ REPRO = SRC / "repro"
 
 #: ROADMAP aim 2: net ``src/`` line count is a tracked number; lower the
 #: cap with every PR that deletes.
-SRC_LINE_CAP = 22940
+SRC_LINE_CAP = 22944
 
 
 def read(relative: str) -> str:
