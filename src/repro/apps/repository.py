@@ -26,11 +26,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.actor import ActorContext, Behavior
 from repro.core.lattice import And, Desc, Has, subsumes
 from repro.core.messages import Destination, Message
+from repro.runtime.rng import default_rng
 from repro.runtime.system import ActorSpaceSystem
 
 _instance_ids = itertools.count()
@@ -119,7 +118,7 @@ def build_repository(
     ``<namespace>/<kind>/any`` (so both exact and generalized patterns
     have matches).  Deterministic for a given seed.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     repo = system.create_space(attributes="repo")
     factories: dict[str, ClassFactory] = {}
     node_count = system.topology.node_count

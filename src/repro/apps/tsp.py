@@ -21,16 +21,18 @@ measurement (E3) is total nodes expanded with vs without broadcasting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.actor import ActorContext, Behavior
 from repro.core.messages import Destination, Message
 from repro.runtime.system import ActorSpaceSystem
 
+if TYPE_CHECKING:
+    import numpy as np
 
 def random_instance(n_cities: int, seed: int) -> np.ndarray:
     """A random symmetric TSP instance: points in the unit square."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     points = rng.random((n_cities, 2))
     diff = points[:, None, :] - points[None, :, :]
@@ -39,6 +41,7 @@ def random_instance(n_cities: int, seed: int) -> np.ndarray:
 
 def held_karp(dist: np.ndarray) -> float:
     """Exact TSP optimum by Held-Karp DP (ground truth for small n)."""
+    import numpy as np
     n = len(dist)
     if n <= 2:
         return float(dist[0, 1] * 2) if n == 2 else 0.0

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-import numpy as np
-
 from repro.core.addresses import ActorAddress
 from repro.core.errors import ActorSpaceError
+from repro.runtime.rng import Stream
 
 
 class HierarchyError(ActorSpaceError):
@@ -90,7 +89,7 @@ class Aggregate:
 class AggregateSystem:
     """Driver-level registry and communication for aggregates."""
 
-    def __init__(self, system, rng: np.random.Generator | None = None):
+    def __init__(self, system, rng: Stream | None = None):
         self.system = system
         self._aggregates: dict[str, Aggregate] = {}
         self._rng = rng if rng is not None else system.rng.stream("aggregates")

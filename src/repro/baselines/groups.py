@@ -23,10 +23,9 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
 from repro.core.addresses import ActorAddress
 from repro.core.errors import ActorSpaceError
+from repro.runtime.rng import Stream
 
 
 class UnknownGroupError(ActorSpaceError):
@@ -46,7 +45,7 @@ class GroupRegistry:
     group definition.
     """
 
-    def __init__(self, system, rng: np.random.Generator | None = None):
+    def __init__(self, system, rng: Stream | None = None):
         self.system = system
         self._groups: dict[str, list[ActorAddress]] = {}
         self._rng = rng if rng is not None else system.rng.stream("groups")

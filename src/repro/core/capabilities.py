@@ -27,8 +27,6 @@ Design notes
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class Capability:
     """An unforgeable key (see module docstring).
@@ -78,13 +76,14 @@ class CapabilityIssuer:
     Parameters
     ----------
     rng:
-        A ``numpy.random.Generator``.  The issuer consumes draws from it;
-        seeding the system seeds the issuer, making runs reproducible.
+        A seeded :class:`~repro.runtime.rng.Stream`.  The issuer consumes
+        draws from it; seeding the system seeds the issuer, making runs
+        reproducible.
     """
 
     __slots__ = ("_rng", "_issued")
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, rng):
         self._rng = rng
         self._issued: set[int] = set()
 
@@ -92,8 +91,8 @@ class CapabilityIssuer:
         """Mint a fresh, never-before-issued capability."""
         while True:
             # Two 64-bit draws compose a 128-bit token.
-            hi = int(self._rng.integers(0, 1 << 63, dtype=np.int64))
-            lo = int(self._rng.integers(0, 1 << 63, dtype=np.int64))
+            hi = int(self._rng.integers(0, 1 << 63))
+            lo = int(self._rng.integers(0, 1 << 63))
             token = (hi << 64) | lo
             if token not in self._issued:
                 self._issued.add(token)

@@ -18,13 +18,14 @@ replicable across coordinator replicas.
 from __future__ import annotations
 
 import enum
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .addresses import ActorAddress, SpaceAddress
 from .errors import NoMatchError
 from .messages import Envelope
+
+if TYPE_CHECKING:
+    from repro.runtime.rng import Stream
 
 
 class UnmatchedPolicy(enum.Enum):
@@ -98,7 +99,7 @@ class SpaceManager:
     def choose_receiver(
         self,
         candidates: Sequence[ActorAddress],
-        rng: np.random.Generator,
+        rng: Stream,
         load_of=None,
     ) -> ActorAddress:
         """Pick one receiver for a ``send`` from a non-empty group.

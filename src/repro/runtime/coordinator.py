@@ -55,6 +55,7 @@ from repro.core.messages import Envelope, Mode, Port
 from repro.core.visibility import Directory
 
 from .bus import OpKind, VisibilityOp
+from .sequencer import HOLDBACK_SHRINK
 
 if TYPE_CHECKING:  # pragma: no cover
     from .host import Host
@@ -191,9 +192,12 @@ class Coordinator:
         holdback = self._shard_holdbacks[shard]
         holdback[seq] = op
         cursors = self._shard_cursors
+        grown = len(holdback) > HOLDBACK_SHRINK
         while (cursor := cursors[shard]) in holdback:
             cursors[shard] = cursor + 1
             self._apply_op(holdback.pop(cursor))
+        if grown and not holdback:
+            holdback.clear()  # frees the table (see HOLDBACK_SHRINK)
 
     def _apply_op(self, op: VisibilityOp) -> ActorSpaceError | None:
         """Apply one op to the local replica (deterministic across nodes);
@@ -327,6 +331,7 @@ class Coordinator:
         record.terminated = True
         del self.acquaintances[address]
         self.system.release(address)
+        self.system.tracer.received_by.pop(address, None)
         leftovers = record.mailbox.close()
         log = self.system.tracer.log
         if log.enabled:

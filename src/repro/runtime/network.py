@@ -11,10 +11,9 @@ with distinct latency classes:
 * ``WAN``    — nodes in different clusters.
 
 Latencies are a base per class plus seeded jitter, so interleaving is
-realistic but reproducible.  :class:`Network` draws the jitter *uniforms*
-:data:`_DRAW_BLOCK` at a time, so a hop does not pay a call into numpy: a
-block of a ``Generator`` is draw for draw its scalar sequence, so a seed
-yields the stream it always did, and a model without jitter consumes none.
+realistic but reproducible.  :class:`Network` draws one jitter uniform per
+hop from its :class:`~repro.runtime.rng.Stream`, and a model without jitter
+consumes none.
 """
 
 from __future__ import annotations
@@ -22,10 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-import numpy as np
-
-#: Jitter uniforms :meth:`Network.latency` prefetches per refill.
-_DRAW_BLOCK = 256
+from .rng import Stream, default_rng
 
 
 class LinkKind(enum.Enum):
@@ -64,11 +60,11 @@ class LatencyModel:
         """The latency of a ``kind`` hop whose jitter draw on [-1, 1) is ``u``."""
         return max(self.base(kind) * (1.0 + self.jitter * u), 1e-9)
 
-    def sample(self, kind: LinkKind, rng: np.random.Generator) -> float:
+    def sample(self, kind: LinkKind, rng: Stream) -> float:
         """One latency draw for a hop of the given kind."""
         if self.jitter <= 0:
             return self.base(kind)
-        return self.jittered(kind, float(rng.uniform(-1.0, 1.0)))
+        return self.jittered(kind, rng.uniform(-1.0, 1.0))
 
 
 @dataclass
@@ -143,19 +139,17 @@ class Topology:
 class Network:
     """Topology + latency model + the RNG stream for jitter draws."""
 
-    __slots__ = ("topology", "latency_model", "_rng", "_draws", "hop_counts")
+    __slots__ = ("topology", "latency_model", "_rng", "hop_counts")
 
     def __init__(
         self,
         topology: Topology,
         latency_model: LatencyModel | None = None,
-        rng: np.random.Generator | None = None,
+        rng: Stream | None = None,
     ):
         self.topology = topology
         self.latency_model = latency_model or LatencyModel()
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-        #: Prefetched jitter uniforms, next draw last (see the module doc).
-        self._draws: list[float] = []
+        self._rng = rng if rng is not None else default_rng(0)
         #: Cumulative hop counts by link kind (locality accounting, E4).
         self.hop_counts: dict[LinkKind, int] = {k: 0 for k in LinkKind}
 
@@ -166,10 +160,7 @@ class Network:
         model = self.latency_model
         if model.jitter <= 0:
             return model.base(kind)
-        draws = self._draws
-        if not draws:
-            draws.extend(self._rng.uniform(-1.0, 1.0, _DRAW_BLOCK)[::-1].tolist())
-        return model.jittered(kind, draws.pop())
+        return model.jittered(kind, self._rng.uniform(-1.0, 1.0))
 
     def reset_counts(self) -> None:
         """Zero the hop counters (between benchmark phases)."""

@@ -52,6 +52,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: ``(seq, op)``, ``(from_seq, round)`` and ``(upto, round)`` respectively.
 SUBMIT, OP, SYNC_REQ, SYNC_DONE = "submit", "op", "sync_req", "sync_done"
 
+#: A dict does not shrink as it is popped: a drain that empties a hold-back
+#: of more than this many ops clears it (which frees the table).
+HOLDBACK_SHRINK = 64
+
 
 class Port(Protocol):
     """What a core may ask of its host."""
@@ -168,6 +172,7 @@ class SequencerCore:
         # snapshot may have truncated the log under the cursor).
         self.next_seq = max(self.next_seq, self.log_high + 1,
                             self.known_high + 1, self._cursor())
+        grown = len(holdback) > HOLDBACK_SHRINK
         while op is not None:
             expected[origin] = op.origin_seq + 1
             seq = self.next_seq
@@ -184,6 +189,8 @@ class SequencerCore:
             # The run this op unblocked, if any arrived ahead of it.
             op = holdback.pop((origin, expected[origin]), None) \
                 if holdback else None
+        if grown and not holdback:
+            holdback.clear()
 
     def _fan_out(self, seq: int, op: "VisibilityOp") -> None:
         send = self._send

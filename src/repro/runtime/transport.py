@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import abc
 
-import numpy as np
-
 from repro.core.errors import NodeDownError
 
 from .network import Network
+from .rng import Stream
 
 
 class Transport(abc.ABC):
@@ -157,7 +156,7 @@ class NetworkTransport(Transport):
 class LossyTransport(Transport):
     """Wraps another transport, losing each attempt with probability ``loss``."""
 
-    def __init__(self, inner: Transport, loss: float, rng: np.random.Generator):
+    def __init__(self, inner: Transport, loss: float, rng: Stream):
         if not 0.0 <= loss < 1.0:
             raise ValueError("loss probability must be in [0, 1)")
         super().__init__()
@@ -167,7 +166,7 @@ class LossyTransport(Transport):
 
     def try_deliver(self, src_node: int, dst_node: int) -> float | None:
         self.attempts += 1
-        if float(self._rng.random()) < self.loss:
+        if self._rng.random() < self.loss:
             self.drops += 1
             return None
         return self.inner.try_deliver(src_node, dst_node)

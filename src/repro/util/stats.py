@@ -1,14 +1,14 @@
-"""Small statistics helpers shared by experiments and tests."""
+"""Small statistics helpers shared by experiments and tests (each imports
+numpy when it runs, so importing :mod:`repro.util` does not)."""
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import numpy as np
-
 
 def summarize(values: Iterable[float]) -> dict:
     """Mean / std / min / p50 / p95 / max of a sample (empty-safe)."""
+    import numpy as np
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         return {k: 0.0 for k in ("count", "mean", "std", "min", "p50", "p95", "max")}
@@ -29,6 +29,7 @@ def chi_square_uniform(counts: Sequence[int]) -> float:
     Used by E2 to test that ``send`` load-balances replicas: small values
     mean near-uniform assignment.  Returns 0 for degenerate inputs.
     """
+    import numpy as np
     arr = np.asarray(counts, dtype=float)
     if arr.size < 2 or arr.sum() == 0:
         return 0.0
@@ -38,6 +39,7 @@ def chi_square_uniform(counts: Sequence[int]) -> float:
 
 def coefficient_of_variation(values: Sequence[float]) -> float:
     """std/mean — the load-imbalance metric for E14 (0 = perfectly balanced)."""
+    import numpy as np
     arr = np.asarray(values, dtype=float)
     if arr.size == 0 or arr.mean() == 0:
         return 0.0
@@ -46,6 +48,7 @@ def coefficient_of_variation(values: Sequence[float]) -> float:
 
 def gini(values: Sequence[float]) -> float:
     """Gini coefficient of non-negative ``values`` (another imbalance lens)."""
+    import numpy as np
     arr = np.sort(np.asarray(values, dtype=float))
     if arr.size == 0 or arr.sum() == 0:
         return 0.0

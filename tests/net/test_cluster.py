@@ -9,8 +9,15 @@ simulator sweep is experiment E18).  The drills run at their smallest
 size in ``test_drills.py``, at full size in CI.
 """
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.net.cluster import LocalCluster, loopback_available
 from repro.net.drills import drive_process_pool, run_tcp_conformance
 
@@ -121,3 +128,33 @@ def test_an_open_loop_flood_loses_nothing_silently():
                             attrs=["sent"])["sent"] == total
     finally:
         cluster.shutdown()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the mmap threshold is glibc's")
+def test_a_node_reads_its_sockets_without_mapping_a_buffer_per_read():
+    """asyncio reads each readable event into a fresh 256 KiB ``bytes``;
+    past glibc's initial mmap threshold that is a mapping and a page
+    fault per read, until ``raise_mmap_threshold`` (which ``serve_main``
+    calls) has raised the threshold.  A fresh interpreter, reading before
+    and after the call."""
+    probe = (
+        "import resource, socket\n"
+        "a, b = socket.socketpair()\n"
+        "def faults():\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    for _ in range(2000):\n"
+        "        a.send(b'x' * 100)\n"
+        "        b.recv(256 * 1024)\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+        "default = faults()\n"
+        "from repro.net.cluster import raise_mmap_threshold\n"
+        "raise_mmap_threshold()\n"
+        "print(default, faults())\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    default, raised = map(int, subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, check=True).stdout.split())
+    if default < 2000:
+        pytest.skip(f"this process maps no read buffer ({default} faults)")
+    assert raised < 100, (default, raised)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.runtime.network import LatencyModel, LinkKind, Network, Topology
+from repro.runtime.rng import default_rng
 
 
 class TestTopology:
@@ -74,19 +75,17 @@ class TestNetwork:
 
 
 class TestLatencyStreamPinned:
-    """``Network.latency`` prefetches its jitter uniforms in blocks; the
-    stream a run consumes must stay the scalar stream, draw for draw."""
+    """``Network.latency`` draws one jitter uniform per hop from its
+    stream; that must stay numpy's scalar stream, draw for draw."""
 
     HOPS = [(0, 0), (0, 1), (0, 2), (2, 3), (3, 1), (1, 1), (1, 0)]
 
-    def test_block_draws_equal_scalar_samples(self):
-        from repro.runtime.network import _DRAW_BLOCK
-
+    def test_hop_draws_equal_scalar_samples(self):
         model = LatencyModel()
-        net = Network(Topology.wan(2, 2), model, np.random.default_rng(42))
+        net = Network(Topology.wan(2, 2), model, default_rng(42))
         reference = np.random.default_rng(42)
         topology = net.topology
-        draws = 3 * _DRAW_BLOCK + 17  # three refills and into a fourth
+        draws = 500
         for i in range(draws):
             src, dst = self.HOPS[i % len(self.HOPS)]
             expected = model.sample(topology.link_kind(src, dst), reference)

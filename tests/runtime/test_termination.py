@@ -36,13 +36,17 @@ def sizes(system):
 
 def test_a_terminated_actor_leaves_only_its_purge_op_behind():
     """Each replica keeps the actor's ``PURGE`` op (≈ 470 B with its
-    args, address and journal entry); everything else is freed."""
+    args, address and journal entry); everything else is freed, the
+    per-receiver delivery count of an actor that got mail included."""
     system = lan()
 
     def churn(n):
         for i in range(n):
             address = system.create_actor(Holds(), node=i % 3)
-            system.coordinators[address.node].terminate_actor(address)
+            if i % 2:
+                system.send_to(address, "quit")
+            else:
+                system.coordinators[address.node].terminate_actor(address)
             if i % 50 == 49:
                 system.run()
         system.run()
@@ -62,6 +66,7 @@ def test_a_terminated_actor_leaves_only_its_purge_op_behind():
         if started:
             tracemalloc.stop()
     assert sizes(system) == before
+    assert not system.tracer.received_by
     assert retained / 2000 <= 800
 
 
@@ -106,3 +111,32 @@ def test_a_terminated_driver_actor_is_no_longer_held():
     assert actor not in system._held_roots
     assert system.queue_depth(0) == 0
 
+
+
+def test_a_purge_burst_leaves_no_holdback_table_behind():
+    """2,000 ``PURGE``s submitted before one ``run()`` arrive out of order
+    and fill every replica's hold-back and the seat's; once drained, each
+    dict has freed its table (a dict does not shrink as it is popped)."""
+    system = lan()
+    addresses = [system.create_actor(Holds(), node=i % 3) for i in range(2000)]
+    system.run()
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        for address in addresses:
+            system.coordinators[address.node].terminate_actor(address)
+        system.run()
+        holdbacks = [h for c in system.coordinators for h in c._shard_holdbacks]
+        holdbacks += [core._holdback for shard in system.bus.shards.values()
+                      for core in shard.cores.values()]
+        assert not any(holdbacks)
+        held = tracemalloc.get_traced_memory()[0]
+        for holdback in holdbacks:
+            holdback.clear()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert freed <= 1024, f"empty hold-backs still held {freed} B"
