@@ -62,6 +62,12 @@ from .remote import RemoteSequencerBus, TcpTransport
 #: exists so the *simulator* can quiesce.
 _FOREVER = 1e12
 
+#: Loop turns a node with stores lets pass after its pump wakes, before
+#: it runs what is due: what the loop already has ready goes first, and
+#: more ops share each commit (traced vis-durable-tcp pays ~1 fsync per
+#: op at 0 and ~0.52 at 1).  Group commit's only linger.
+COMMIT_LINGER_TURNS = 1
+
 
 def rebase_wire_counters(node_id: int, incarnation: int = 0) -> None:
     """Give this process a collision-free id block for envelopes/messages/ops.
@@ -224,7 +230,7 @@ class NodeRuntime(Host):
             node_id, ports, self._on_frame, host=host, cluster_id=cluster_id,
             on_batch_end=self._commit_turn,
             on_peer_up=self._on_peer_up, log=self._log)
-        self._wake: asyncio.Event | None = None
+        self._wake: asyncio.Future | None = None
         self._stopping = False
         self.heartbeats_suppressed = 0
         # The process's own numbers, read when a dump is taken.
@@ -373,8 +379,8 @@ class NodeRuntime(Host):
                   file=sys.stderr, flush=True)
 
     def _kick(self) -> None:
-        if self._wake is not None:
-            self._wake.set()
+        if self._wake is not None and not self._wake.done():
+            self._wake.set_result(None)
 
     # -- failure handling --------------------------------------------------------
 
@@ -495,7 +501,6 @@ class NodeRuntime(Host):
 
     async def serve(self, ready: asyncio.Event | None = None) -> None:
         """Run the node until a control ``shutdown`` (or cancellation)."""
-        self._wake = asyncio.Event()
         await self.hub.start()
         self._log(f"listening on {self.hub.host}:{self.hub.ports[self.node_id]} "
                   f"peers={[n for n in self.nodes if n != self.node_id]}")
@@ -552,10 +557,12 @@ class NodeRuntime(Host):
         """Drive the event heap against the wall clock.
 
         Due events run back-to-back (yielding every batch so socket
-        readers stay live); otherwise sleep until the next deadline or a
-        ``schedule`` wake-up, whichever comes first.
+        readers stay live); otherwise sleep on a future of its own until
+        the next deadline or a ``schedule`` kick, whichever comes first.
+        A kick resumes it on the next loop turn; a node with stores then
+        lingers ``COMMIT_LINGER_TURNS`` turns before running what is due.
         """
-        assert self._wake is not None
+        loop = asyncio.get_running_loop()
         processed = 0
         while not self._stopping:
             due = self.events.peek_time()
@@ -581,11 +588,14 @@ class NodeRuntime(Host):
                 continue  # the commit scheduled work: keep its kick
             wait = self.heartbeat_interval if due is None \
                 else min(max(due - now, 0.0) + 0.001, self.heartbeat_interval)
-            self._wake.clear()
+            self._wake = loop.create_future()
+            timer = loop.call_later(wait, self._kick)
             try:
-                await asyncio.wait_for(self._wake.wait(), wait)
-            except asyncio.TimeoutError:
-                pass
+                await self._wake
+            finally:
+                timer.cancel()
+            for _ in range(COMMIT_LINGER_TURNS if self._stores else 0):
+                await asyncio.sleep(0)
         self._commit_turn()  # the burst that asked to stop is a turn too
 
     # -- control plane -----------------------------------------------------------

@@ -53,12 +53,12 @@ nothing below the host decides when to sync.  A TCP node
 (``net/runtime.py::_commit_turn``) commits every store it touched at
 the end of each inbound read batch and each burst of due events: a turn
 that sequenced one op pays one fsync, a turn that sequenced twenty pays
-one.  Durability is therefore *per turn*; there is no linger timer and
-nothing to tune.  A simulated node's stores sit on its sequencer cores,
-as a node process's do, and each core's turn — one event, or one
-liveness change — ends with its store's commit
-(``runtime/bus.py::SequencerBus._end_turn``).  The dead-letter queue
-only stages; its records ride the turn's commit.
+one.  Durability is therefore *per turn*; the only linger is a constant
+number of loop turns (``net/runtime.py::COMMIT_LINGER_TURNS``).  A
+simulated node's stores sit on its sequencer cores, as a node process's
+do, and each core's turn — one event, or one liveness change — ends with
+its store's commit (``runtime/bus.py::SequencerBus._end_turn``).  The
+dead-letter queue only stages; its records ride the turn's commit.
 
 * ``fsync="commit"`` — every commit is fsynced.  A record returned by
   recovery was durable at the moment its commit call returned; this is

@@ -28,7 +28,7 @@ from repro.core.addresses import ActorAddress, SpaceAddress
 from repro.core.messages import Envelope, Message, Mode, Port
 from repro.net.codec import FrameDecoder, FrameKind, encode_frame
 from repro.net.peer import PeerLink
-from repro.net.runtime import NodeRuntime
+from repro.net.runtime import COMMIT_LINGER_TURNS, NodeRuntime
 from repro.runtime.bus import OpKind, VisibilityOp
 from repro.store.node_store import load_data_dir
 
@@ -380,11 +380,7 @@ class TestDeadLetterJournalRidesTheTurn:
             runtime.events.schedule(runtime.clock.now + 0.01,
                                     runtime.request_shutdown)
 
-            async def pump():
-                runtime._wake = asyncio.Event()
-                await runtime._pump()
-
-            asyncio.run(pump())
+            asyncio.run(runtime._pump())
             assert [e["kind"] for e in load_data_dir(r.data_dir).dlq_events] \
                 == ["capture"]
 
@@ -441,7 +437,6 @@ class TestThePumpKeepsItsOwnWakeUps:
             arrived: list[float] = []
 
             async def scenario():
-                runtime._wake = asyncio.Event()
                 pump = asyncio.ensure_future(runtime._pump())
                 await asyncio.sleep(0.01)  # the pump is asleep: nothing due
                 actor = runtime.create_actor(
@@ -462,3 +457,36 @@ class TestThePumpKeepsItsOwnWakeUps:
                 for store in runtime._stores:
                     store.close()
             assert arrived and arrived[0] - start < 0.05
+
+    @staticmethod
+    def turns_to_run(runtime) -> int:
+        """Loop turns from ``schedule`` to the action running, counted
+        by a task that yields once a turn while the pump sleeps."""
+        ran: list[bool] = []
+
+        async def scenario():
+            pump = asyncio.ensure_future(runtime._pump())
+            await asyncio.sleep(0.01)  # the pump is asleep: nothing due
+            runtime.events.schedule(runtime.clock.now,
+                                    lambda: ran.append(True))
+            turns = 0
+            while not ran:
+                await asyncio.sleep(0)
+                turns += 1
+            runtime.request_shutdown()
+            await pump
+            return turns
+
+        try:
+            return asyncio.run(scenario())
+        finally:
+            for store in runtime._stores:
+                store.close()
+
+    def test_a_kicked_pump_runs_on_the_next_loop_turn(self):
+        assert self.turns_to_run(NodeRuntime(0, {0: 1}, trace=False)) == 1
+
+    def test_a_node_with_stores_lingers_for_group_commit(self):
+        with tempfile.TemporaryDirectory(prefix="pump-linger-") as tmp:
+            runtime = NodeRuntime(0, {0: 1}, data_dir=tmp, trace=False)
+            assert self.turns_to_run(runtime) == 1 + COMMIT_LINGER_TURNS
